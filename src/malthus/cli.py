@@ -54,6 +54,7 @@ class RunManifest:
     command: str
     out_dir: str
     version: str
+    threads: int
     wall_clock: str
 
     def write(self, out_dir):
@@ -288,8 +289,6 @@ def resolve_threads(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = resolve_threads(args)
-    os.environ["MALTHUS_THREADS"] = str(threads)
 
     cfg = {}
     if args.config is not None:
@@ -310,6 +309,7 @@ def main(argv=None) -> int:
         command=args.command,
         out_dir=os.path.abspath(out_dir),
         version=__version__,
+        threads=resolve_threads(args),
         wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
     manifest.write(out_dir)

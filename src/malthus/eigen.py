@@ -2,9 +2,10 @@
 
 The spectral value mu(lam) of G_lam^R is strictly decreasing in lam; the
 Malthus candidate lambda_R is the unique root of mu(lam) = 1, found by
-bisection with secant acceleration.  Power iteration supplies the leading
+safeguarded Newton on log mu.  Power iteration supplies the leading
 eigenfunction eta (boundary profile, normalized eta(1) = 1) and the dual
-measure nu (mass 1).
+measure nu (mass 1); first-order perturbation of the simple eigenvalue gives
+the Newton slope dmu/dlam = <nu, (dG/dlam) eta> / <nu, eta>.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from .model import ModelSpec, PhasePoint
 from .renewal import FirstJumpLaw, KernelAssembler, KernelMatrix, SizeGrid
 
 RAYLEIGH_TOL = 1e-12
+#: bound on the relative eigen residual max|G eta - mu eta| / max|eta|
+EIGEN_RESIDUAL_TOL = 1e-9
 ROOT_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
+MAX_ROOT_STEPS = 100
 
 
 @dataclass
@@ -32,6 +36,8 @@ class EigenResult:
     ``eta`` uses the boundary normalization eta(1) = 1; multiplying by
     ``kr_factor`` recovers the Krein-Rutman scaling <nu, eta> = 1.
     ``lambda_malthus`` subtracts the model's constant death rate.
+    ``diagnostics`` holds the root find's trace of (lam, mu, dmu/dlam) per
+    mu evaluation, the evaluation count and the final bracket [lo, hi].
     """
 
     R: float
@@ -44,6 +50,7 @@ class EigenResult:
     kr_factor: float
     nu_eta: float
     grid: SizeGrid
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -57,6 +64,7 @@ class EigenResult:
             "grid": self.grid.nodes.tolist(),
             "eta": self.eta.tolist(),
             "nu": self.nu_dual.tolist(),
+            "diagnostics": self.diagnostics,
         }
 
     def to_json(self, path):
@@ -70,7 +78,9 @@ def leading_eigen(matrix: KernelMatrix, start: np.ndarray | None = None,
 
     Normalization order: nu has total mass 1; eta is scaled so <nu, eta> = 1
     and then rescaled to eta(1) = 1 (the Krein-Rutman factor is recoverable
-    from the returned vectors; mu is unaffected by scaling).
+    from the returned vectors; mu is unaffected by scaling).  Raises
+    NoConvergence when the eigen residual exceeds EIGEN_RESIDUAL_TOL: a
+    settled Rayleigh quotient does not prove a converged eigenvector.
     """
     grid = matrix.grid
     positive = grid.nodes > 0
@@ -111,6 +121,10 @@ def leading_eigen(matrix: KernelMatrix, start: np.ndarray | None = None,
     if eta[i1] <= 0:
         raise NoConvergence("eigenfunction vanishes at the anchor node y = 1")
     eta = eta / eta[i1]
+    residual = _eigen_residual(matrix, mu, eta)
+    if not residual <= EIGEN_RESIDUAL_TOL:
+        raise NoConvergence(f"power iteration stalled: eigen residual {residual:.2e} "
+                            f"> {EIGEN_RESIDUAL_TOL:g}")
     return float(mu), eta, nu
 
 
@@ -118,46 +132,71 @@ def _eigen_residual(matrix: KernelMatrix, mu: float, eta: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.apply(eta) - mu * eta)) / np.max(np.abs(eta)))
 
 
-def spectral_value(assembler: KernelAssembler, lam: float) -> float:
-    mu, _, _ = leading_eigen(assembler.matrix(lam))
-    return mu
+def spectral_value(assembler: KernelAssembler, lam: float, slope: bool = False):
+    """mu(lam), the leading eigenvalue of G_lam^R.
+
+    With ``slope=True`` returns (mu, dmu/dlam), the slope taken by
+    first-order perturbation from the eigenpair and the derivative matrix.
+    """
+    matrix = assembler.matrix(lam)
+    mu, eta, nu = leading_eigen(matrix)
+    if not slope:
+        return mu
+    return mu, float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
 
 
 def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
                   lam_cap: float | None = None) -> EigenResult:
-    """Root of mu(lam) = 1 by bracketed bisection with secant acceleration."""
+    """Root of mu(lam) = 1 by safeguarded Newton from ``bracket[0]``.
+
+    mu is decreasing and log-convex in lam (every entry of G_lam is a
+    positive mixture of exponentials e^{-lam t}), so Newton on
+    log mu(lam) = 0, started where mu > 1, climbs to the root without
+    overshooting.  [lo, hi] is kept from the signs of mu - 1; a step leaving
+    it falls back to bisection once a point with mu < 1 is known, and before
+    that to testing hi itself and doubling it.  BracketFailure is raised
+    before mu is ever evaluated above ``lam_cap``.
+    """
     model = assembler.model
     cap = lam_cap if lam_cap is not None else 100.0 * max(model.lambda_growth, 1.0)
     lo, hi = float(bracket[0]), float(bracket[1])
-    mu_lo = spectral_value(assembler, lo)
-    while mu_lo <= 1.0 and lo > 0.0:
-        lo = max(0.0, lo / 2.0 - 0.1)
-        mu_lo = spectral_value(assembler, lo)
-    mu_hi = spectral_value(assembler, hi)
-    while mu_hi >= 1.0:
-        hi *= 2.0
-        if hi > cap:
-            raise BracketFailure(f"no spectral sign change for lam in [0, {cap:g}]")
-        mu_hi = spectral_value(assembler, hi)
-    if mu_lo <= 1.0:
-        raise BracketFailure(f"mu({lo:g}) = {mu_lo:.6f} <= 1: no root below")
+    hi_seen = False  # whether mu(hi) < 1 has been observed
+    trace = []
 
-    lam, mu = lo, mu_lo
-    for _ in range(200):
-        # secant proposal, clipped into the bracket; fall back to bisection
-        denom = mu_hi - mu_lo
-        lam = lo + (1.0 - mu_lo) * (hi - lo) / denom if denom != 0 else 0.5 * (lo + hi)
-        if not (lo < lam < hi):
-            lam = 0.5 * (lo + hi)
-        mu = spectral_value(assembler, lam)
+    def evaluate(lam):
+        mu, dmu = spectral_value(assembler, lam, slope=True)
+        trace.append({"lam": lam, "mu": mu, "dmu": dmu})
+        return mu, dmu
+
+    lam = lo
+    mu, dmu = evaluate(lam)
+    while mu <= 1.0 and lo > 0.0:
+        hi, hi_seen = lo, mu < 1.0
+        lam = lo = max(0.0, lo / 2.0 - 0.1)
+        mu, dmu = evaluate(lam)
+    if mu <= 1.0:
+        raise BracketFailure(f"mu({lo:g}) = {mu:.6f} <= 1: no root below")
+
+    for _ in range(MAX_ROOT_STEPS):
         if abs(mu - 1.0) < ROOT_TOL:
             break
         if mu > 1.0:
-            lo, mu_lo = lam, mu
+            lo = lam
         else:
-            hi, mu_hi = lam, mu
+            hi, hi_seen = lam, True
         if hi - lo < 1e-15:
-            break
+            raise NoConvergence(f"Malthus bracket collapsed at lam = {lam!r} "
+                                f"with |mu - 1| = {abs(mu - 1.0):.2e}")
+        step = lam - math.log(mu) * mu / dmu if dmu < 0.0 else math.inf
+        if lo < step < min(hi, cap):
+            lam = step
+        elif hi_seen:
+            lam = 0.5 * (lo + hi)
+        elif hi > cap:
+            raise BracketFailure(f"no spectral sign change for lam in [0, {cap:g}]")
+        else:
+            lam, hi = hi, 2.0 * hi
+        mu, dmu = evaluate(lam)
     else:
         raise NoConvergence("Malthus root find exhausted its iteration budget")
 
@@ -174,6 +213,7 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
         kr_factor=1.0 / float(np.dot(nu, eta)) if np.dot(nu, eta) > 0 else math.nan,
         nu_eta=float(np.dot(nu, eta)),
         grid=assembler.grid,
+        diagnostics={"mu_evals": len(trace), "trace": trace, "bracket": [lo, hi]},
     )
 
 

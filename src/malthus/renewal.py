@@ -252,16 +252,23 @@ class KernelMatrix:
     ``M[i, j]`` approximates the kernel K_lam^R(0, y_i, z_j), already
     including the uniform 1/R leak correction; ``correction`` records the
     per-row leak mass (1/R) int e^{-lam t} psi * (mass of k above R) dt.
+    ``dM`` is the entrywise derivative of ``M`` in lam (the same integrals
+    weighted by -t), leak correction included.
     """
 
     lam: float
     grid: SizeGrid
     M: np.ndarray
     correction: np.ndarray
+    dM: np.ndarray
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(G_lam^R f)(y_i) = int_0^R f(z) K_lam^R(0, y_i, z) dz."""
         return self.M @ (self.grid.weights * np.asarray(f, dtype=float))
+
+    def derivative_apply(self, f: np.ndarray) -> np.ndarray:
+        """(d/dlam G_lam^R) f on the grid."""
+        return self.dM @ (self.grid.weights * np.asarray(f, dtype=float))
 
     def adjoint_apply(self, w: np.ndarray) -> np.ndarray:
         """Dual action on grid measures: <w, G f> = <J w, f> exactly."""
@@ -283,8 +290,10 @@ class KernelAssembler:
     """Builds KernelMatrix instances, caching per-row orbit quadratures.
 
     The orbit quadrature (jump times, psi weights, sizes) is independent of
-    the spectral shift lam, so repeated assemblies during a root find only
-    pay for the kernel-density evaluations.
+    the spectral shift lam, so each assembly during the Newton root find only
+    pays for the kernel-density evaluations.  Every row's kernel values are
+    contracted twice, with the weights w e^{-lam t} and -t w e^{-lam t}, so
+    one pass yields both G_lam and its lam-derivative (the Newton slope).
     """
 
     def __init__(self, model: ModelSpec, grid: SizeGrid, law: FirstJumpLaw | None = None):
@@ -313,12 +322,14 @@ class KernelAssembler:
         grid, model = self.grid, self.model
         n = grid.n
         M = np.zeros((n, n))
+        dM = np.zeros((n, n))
         corr = np.zeros(n)
         z = grid.nodes
         for i, q in enumerate(self._row_data()):
             if q is None:
                 continue
             coef = q.w * np.exp(-lam * q.t)
+            coefs = np.stack([coef, -q.t * coef])
             ratio = z[None, :] / q.u[:, None]
             if model.is_adder:
                 kvals = (2.0 / q.u)[:, None] * model.fragmentation.pdf(ratio)
@@ -333,8 +344,9 @@ class KernelAssembler:
                 for r, ui in enumerate(q.u):
                     kvals[r] = model.kernel_density(0.0, ui, z)
                     above[r] = model.kernel_mass_above(0.0, ui, grid.R)
-            corr[i] = float(np.dot(coef, above)) / grid.R
-            M[i] = coef @ kvals + corr[i]
-        out = KernelMatrix(lam=float(lam), grid=grid, M=M, correction=corr)
+            leak = coefs @ above / grid.R
+            corr[i] = leak[0]
+            M[i], dM[i] = coefs @ kvals + leak[:, None]
+        out = KernelMatrix(lam=float(lam), grid=grid, M=M, correction=corr, dM=dM)
         self._cache[key] = out
         return out

@@ -98,6 +98,17 @@ class TestEigen:
         eta = payload["eta"]
         assert eta[grid.index(1.0)] == pytest.approx(1.0)
 
+    def test_root_find_diagnostics_written(self, config, tmp_path):
+        out = tmp_path / "e"
+        assert run(["eigen", "--config", config, "--out", out,
+                    "--R", 4, "--grid-n", 64]) == 0
+        payload = json.loads((out / "eigen_R4.json").read_text())
+        diag = payload["diagnostics"]
+        assert diag["mu_evals"] == len(diag["trace"]) <= 8
+        assert diag["trace"][-1]["lam"] == payload["lambda_R"]
+        lo, hi = diag["bracket"]
+        assert lo <= payload["lambda_R"] <= hi
+
 
 class TestDriftCommand:
     def test_report(self, config, tmp_path):
@@ -131,6 +142,13 @@ class TestThreads:
         monkeypatch.setenv("MALTHUS_THREADS", "3")
         assert run(["validate", "--config", config, "--out", tmp_path / "t"]) == 0
         assert os.environ["MALTHUS_THREADS"] == "3"
+
+    def test_flag_leaves_environ_unchanged(self, config, tmp_path):
+        before = dict(os.environ)
+        out = tmp_path / "t5"
+        assert run(["validate", "--config", config, "--out", out, "--threads", 5]) == 0
+        assert dict(os.environ) == before
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 5
 
     def test_no_partial_files_left(self, config, tmp_path):
         out = tmp_path / "p"

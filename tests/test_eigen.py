@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import malthus.eigen
 from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
-                     FirstJumpLaw, KernelAssembler, PhasePoint, SizeGrid,
-                     euler_lotka_residual, leading_eigen, make_adder,
+                     FirstJumpLaw, KernelAssembler, NoConvergence, PhasePoint,
+                     SizeGrid, euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
+from malthus.eigen import ROOT_TOL
+from malthus.renewal import KernelMatrix
 
 
 class TestLeadingEigen:
@@ -44,6 +47,52 @@ class TestLeadingEigen:
         with pytest.raises(BracketFailure):
             # the root sits near 1.0, beyond this cap
             solve_malthus(asm, bracket=(0.0, 0.2), lam_cap=0.4)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_perturbation_slope_matches_finite_difference(self, adder, lam):
+        asm = KernelAssembler(adder, SizeGrid.uniform(8.0, 64))
+        h = 1e-5
+        fd = (spectral_value(asm, lam + h) - spectral_value(asm, lam - h)) / (2 * h)
+        _, slope = spectral_value(asm, lam, slope=True)
+        assert slope == pytest.approx(fd, rel=1e-5)
+
+    def test_root_find_does_not_stall(self, assembler_r8, monkeypatch):
+        # regula falsi needed 26 mu evaluations here; Newton needs ~5
+        calls = []
+
+        def counted(assembler, lam, **kwargs):
+            calls.append(lam)
+            return spectral_value(assembler, lam, **kwargs)
+
+        monkeypatch.setattr(malthus.eigen, "spectral_value", counted)
+        res = solve_malthus(assembler_r8)
+        assert len(calls) <= 8
+        assert abs(res.lambda_R - 0.9999716906540435) < 1e-9
+
+    def test_root_find_diagnostics(self, eigen_r8):
+        diag = eigen_r8.diagnostics
+        trace = diag["trace"]
+        assert diag["mu_evals"] == len(trace) >= 2
+        assert trace[0]["lam"] == 0.0 and trace[0]["mu"] > 1.0
+        assert trace[-1]["lam"] == eigen_r8.lambda_R
+        assert abs(trace[-1]["mu"] - 1.0) < ROOT_TOL
+        assert all(step["dmu"] < 0.0 for step in trace)
+        lo, hi = diag["bracket"]
+        assert lo <= eigen_r8.lambda_R <= hi
+
+    def test_stalled_power_iteration_raises(self):
+        # top eigenvalues 1 and 0.999 of a self-adjoint operator: the
+        # Rayleigh quotient settles while the vector is still off by ~1e-3
+        grid = SizeGrid.uniform(2.0, 3)
+        delta = 1e-3
+        S = np.array([[1 - delta / 2, delta / 2], [delta / 2, 1 - delta / 2]])
+        r = 1.0 / np.sqrt(grid.weights[1:])
+        M = np.zeros((3, 3))
+        M[1:, 1:] = r[:, None] * S * r[None, :]
+        mat = KernelMatrix(lam=0.0, grid=grid, M=M, correction=np.zeros(3),
+                           dM=np.zeros((3, 3)))
+        with pytest.raises(NoConvergence, match="residual"):
+            leading_eigen(mat)
 
 
 class TestEulerLotka:
