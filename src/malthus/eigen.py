@@ -132,17 +132,21 @@ def _eigen_residual(matrix: KernelMatrix, mu: float, eta: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.apply(eta) - mu * eta)) / np.max(np.abs(eta)))
 
 
-def spectral_value(assembler: KernelAssembler, lam: float, slope: bool = False):
+def spectral_value(assembler: KernelAssembler, lam: float, slope: bool = False,
+                   eigenpair: bool = False):
     """mu(lam), the leading eigenvalue of G_lam^R.
 
     With ``slope=True`` returns (mu, dmu/dlam), the slope taken by
-    first-order perturbation from the eigenpair and the derivative matrix.
+    first-order perturbation from the eigenpair and the derivative matrix;
+    with ``eigenpair=True`` returns (mu, dmu/dlam, eta, nu), the vectors as
+    ``leading_eigen`` returns them.
     """
     matrix = assembler.matrix(lam)
     mu, eta, nu = leading_eigen(matrix)
-    if not slope:
+    if not (slope or eigenpair):
         return mu
-    return mu, float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
+    dmu = float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
+    return (mu, dmu, eta, nu) if eigenpair else (mu, dmu)
 
 
 def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
@@ -162,9 +166,11 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
     lo, hi = float(bracket[0]), float(bracket[1])
     hi_seen = False  # whether mu(hi) < 1 has been observed
     trace = []
+    eta = nu = None  # eigenpair of the last evaluation, reused at the root
 
     def evaluate(lam):
-        mu, dmu = spectral_value(assembler, lam, slope=True)
+        nonlocal eta, nu
+        mu, dmu, eta, nu = spectral_value(assembler, lam, eigenpair=True)
         trace.append({"lam": lam, "mu": mu, "dmu": dmu})
         return mu, dmu
 
@@ -201,7 +207,6 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
         raise NoConvergence("Malthus root find exhausted its iteration budget")
 
     matrix = assembler.matrix(lam)
-    mu, eta, nu = leading_eigen(matrix)
     return EigenResult(
         R=assembler.grid.R,
         lambda_R=float(lam),

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special, stats
+from scipy import special
 
 from .errors import InvalidModel, NonPositiveH
 
@@ -174,14 +174,17 @@ class UniformFragmentation:
 
 
 class BetaFragmentation:
-    """F given by a Beta(alpha, beta) density; symmetric choices have m1 = 1/2."""
+    """F given by a Beta(alpha, beta) density; symmetric choices have m1 = 1/2.
+
+    The cdf and the inverse-cdf draws are the regularised incomplete beta
+    function and its inverse, called directly: scipy's ``stats.beta`` uses
+    the same routines, at a large per-call overhead.
+    """
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.name = f"beta({alpha},{beta})"
-        self._dist = stats.beta(self.alpha, self.beta)
-        self._biased = stats.beta(self.alpha + 1.0, self.beta)
         self._log_norm = float(special.betaln(self.alpha, self.beta))
 
     def pdf(self, rho):
@@ -195,7 +198,7 @@ class BetaFragmentation:
         return out if np.ndim(out) else float(out)
 
     def cdf(self, rho):
-        out = self._dist.cdf(rho)
+        out = special.betainc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
         return out if np.ndim(out) else float(out)
 
     def moment(self, k: int) -> float:
@@ -205,11 +208,11 @@ class BetaFragmentation:
         return m
 
     def sample(self, rng, n):
-        return self._dist.ppf(rng.random(n))
+        return special.betaincinv(self.alpha, self.beta, rng.random(n))
 
     def sample_size_biased(self, rng, n):
         # rho * Beta(a, b) density is proportional to Beta(a + 1, b)
-        return self._biased.ppf(rng.random(n))
+        return special.betaincinv(self.alpha + 1.0, self.beta, rng.random(n))
 
 
 class TableFragmentation:

@@ -3,10 +3,14 @@
 Each individual carries an exact division time (its added size at division
 is drawn once by inverse-CDF from the hazard law and converted through the
 closed-form flow) and an independent exponential death clock; the earlier
-clock fires.  Randomness comes from counter-based Philox streams keyed on
-(seed, replicate) with the individual's breadth-first tree id in the
-counter, so trajectories are reproducible independently of event
-interleaving.
+clock fires.  Fragments are drawn by inverse-CDF as well: for Beta splits,
+the inverse regularised incomplete beta function of one uniform.
+Randomness comes from counter-based Philox streams keyed on (seed,
+replicate) with the individual's breadth-first tree id in the counter, so
+trajectories are reproducible independently of event interleaving.  Each
+replicate builds one Philox generator and re-keys it to every individual's
+stream; the stream layout, and so every draw, is that of a generator built
+afresh per individual.
 """
 
 from __future__ import annotations
@@ -19,19 +23,39 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateData, InsufficientData
+from .errors import DegenerateData, InsufficientData, PopulationCapExceeded
 from .flow import FlowEngine
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
 
 
-def individual_rng(seed: int, replicate: int, tree_id: int) -> Generator:
-    """Philox stream for one individual; ids are breadth-first (2i+1, 2i+2)."""
-    return Generator(
-        Philox(counter=[0, 0, tree_id & MASK64, (tree_id >> 64) & MASK64],
-               key=[seed & MASK64, replicate & MASK64])
-    )
+def individual_rng(seed: int, replicate: int, tree_id: int,
+                   reuse: Generator | None = None) -> Generator:
+    """Philox stream for one individual; ids are breadth-first (2i+1, 2i+2).
+
+    The key is (seed, replicate) and the counter starts at
+    (0, 0, tree_id mod 2**64, tree_id div 2**64).  ``reuse``, a generator
+    returned by an earlier call, is reset in place to the state a new stream
+    has (empty output buffer), several times cheaper than building one.
+    Counter and key words are passed as uint64 arrays: from a list, numpy
+    rounds words of 2**63 and above through float64, aliasing streams.
+    """
+    if not 0 <= tree_id < 1 << 128:
+        raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
+    counter = np.array([0, 0, tree_id & MASK64, tree_id >> 64], dtype=np.uint64)
+    key = np.array([seed & MASK64, replicate & MASK64], dtype=np.uint64)
+    if reuse is None:
+        return Generator(Philox(counter=counter, key=key))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +149,12 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
     """One branching trajectory from delta_{x0}, recorded at record_times."""
     lam = model.lambda_growth
     d0 = model.d0
+    rng = None
 
     def schedule(tree_id, birth_time, a0, y0):
         """Division/death clocks for an individual born (or started) at a0."""
-        rng = individual_rng(config.seed, replicate, tree_id)
+        nonlocal rng
+        rng = individual_rng(config.seed, replicate, tree_id, reuse=rng)
         a_div = sample_division_age(model, PhasePoint(a0, y0), rng)
         t_div = birth_time + math.log1p((a_div - a0) / y0) / lam
         t_die = birth_time + rng.exponential() / d0 if d0 > 0 else math.inf
@@ -211,9 +237,19 @@ class _FixedUniform:
 
 
 def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
-    """All replicates, aggregated deterministically by replicate index."""
-    return [simulate_population(model, x0, config, replicate=r)
-            for r in range(config.replicates)]
+    """All replicates, aggregated deterministically by replicate index.
+
+    Raises PopulationCapExceeded when a replicate outgrows ``config.cap``:
+    its counts after that point would be frozen, not simulated.
+    """
+    out = []
+    for r in range(config.replicates):
+        tr = simulate_population(model, x0, config, replicate=r)
+        if tr.cap_hit:
+            raise PopulationCapExceeded(
+                f"replicate {r} exceeded the population cap of {config.cap}")
+        out.append(tr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +265,15 @@ def empirical_functional(state: PopulationState, f: Callable) -> float:
 def estimate_malthus(trajectories) -> tuple:
     """Least-squares slope of log mean count over the latter half of times.
 
-    Returns (slope, bootstrap standard error over replicates).
+    Returns (slope, bootstrap standard error over replicates).  Raises
+    PopulationCapExceeded for a trajectory that hit the population cap.
     """
     if not trajectories or not trajectories[0].states:
         raise InsufficientData("need at least one trajectory with recorded states")
+    for r, tr in enumerate(trajectories):
+        if tr.cap_hit:
+            raise PopulationCapExceeded(
+                f"trajectory {r} hit the population cap; its later counts are frozen")
     times = np.array([s.t for s in trajectories[0].states])
     counts = np.array([[s.count for s in tr.states] for tr in trajectories], dtype=float)
     half = len(times) // 2

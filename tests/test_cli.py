@@ -77,6 +77,16 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", out2]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
+    def test_cap_hit_exits_4(self, config, tmp_path, capsys):
+        cfg = json.loads(config.read_text())
+        cfg["sim"].update({"t_end": 6.0, "record_times": [6.0], "cap": 8})
+        path = tmp_path / "cfg_cap.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "cap"
+        assert run(["simulate", "--config", path, "--out", out]) == 4
+        assert "population cap of 8" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_seed_flag_overrides(self, config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["simulate", "--config", config, "--out", out1, "--seed", 99]) == 0
