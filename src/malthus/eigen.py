@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import BracketFailure, NoConvergence
-from .model import ModelSpec, PhasePoint
+from .model import ModelSpec, PhasePoint, gauss_legendre, gl_nodes
 from .renewal import FirstJumpLaw, KernelAssembler, KernelMatrix, SizeGrid
 
 RAYLEIGH_TOL = 1e-12
@@ -232,12 +231,10 @@ def _orbit_time_integral(model: ModelSpec, y: float, z, n_quad: int = 96):
     if model.is_adder:
         return np.log(np.asarray(z, dtype=float) / y) / model.lambda_growth
     zz = np.atleast_1d(np.asarray(z, dtype=float))
-    x, w = leggauss(n_quad)
     out = np.empty_like(zz)
     for i, zi in enumerate(zz):
-        mid, half = 0.5 * (zi + y), 0.5 * (zi - y)
-        s = mid + half * x
-        out[i] = float(np.sum(half * w / model.g2(np.zeros_like(s), s)))
+        s, ws = gl_nodes(y, zi, n_quad)
+        out[i] = float(np.sum(ws / model.g2(np.zeros_like(s), s)))
     return out if np.ndim(z) else float(out[0])
 
 
@@ -250,7 +247,7 @@ def euler_lotka_residual(model: ModelSpec, lam: float, y: float,
     law = law or FirstJumpLaw(model)
     q = law.row_quadrature(PhasePoint(0.0, float(y)))
     coef = q.w * np.exp(-lam * q.t)
-    x, w = leggauss(n_rho)
+    x, w = gauss_legendre(n_rho)
     rho = 0.5 * (x + 1.0)
     wr = 0.5 * w
     if model.is_adder:

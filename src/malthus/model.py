@@ -9,6 +9,7 @@ B = B(a) and the fragmentation kernel k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -368,7 +369,7 @@ class ModelSpec:
         lo, hi = self.kernel_support(a, y)
         if hi <= R:
             return 0.0
-        zz, ww = _gl_nodes(max(R, lo), hi, 64)
+        zz, ww = gl_nodes(max(R, lo), hi, 64)
         return float(np.sum(ww * self.kernel_fn(a, y, zz)))
 
     def kernel_support(self, a, y):
@@ -381,38 +382,85 @@ class ModelSpec:
     # -- generator -------------------------------------------------------
 
     def jump_integral(self, f, a, y, n_quad: int = 128):
-        """Integral of f(0, z) k((a, y), z) dz."""
+        """Integral of f(0, z) k((a, y), z) dz, elementwise over (a, y) arrays.
+
+        For the adder the quadrature runs on a trailing axis, so ``f`` is
+        called once with z of shape ``y.shape + (n_quad,)``; each point sums
+        its nodes in the same order as a scalar call.
+        """
         if self.is_adder:
-            rho, w = _gl_nodes(0.0, 1.0, n_quad)
-            return 2.0 * float(np.sum(w * self.fragmentation.pdf(rho) * f(0.0, rho * y)))
+            rho, w = gl_nodes(0.0, 1.0, n_quad)
+            z = rho * np.asarray(y, dtype=float)[..., None]
+            out = 2.0 * np.sum(w * self.fragmentation.pdf(rho) * f(0.0, z), axis=-1)
+            return out if np.ndim(out) else float(out)
+        if np.ndim(a) or np.ndim(y):
+            point = np.vectorize(lambda ai, yi: self.jump_integral(f, ai, yi, n_quad),
+                                 otypes=[float])
+            return point(a, y)
         lo, hi = self.kernel_support(a, y)
-        zz, ww = _gl_nodes(lo, hi, n_quad)
+        zz, ww = gl_nodes(lo, hi, n_quad)
         vals = np.array([f(0.0, z) for z in np.atleast_1d(zz)])
         return float(np.sum(ww * self.kernel_fn(a, y, zz) * vals))
 
     def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
         """Q f at (a, y): transport + branching jump term - d0 * f.
 
-        The gradient is taken from ``grad(a, y) -> (fa, fy)`` when supplied,
-        otherwise by central finite differences with the default step
-        1e-6 * (1 + |coordinate|).
+        ``a`` and ``y`` may be arrays of one shape; ``f`` must then accept
+        arrays.  See ``_transport`` for the gradient.
         """
-        if grad is not None:
-            fa, fy = grad(a, y)
-        else:
-            ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
-            hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
-            fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
-            fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
-        transport = self.g1(a, y) * fa + self.g2(a, y) * fy
+        transport = _transport(self, f, a, y, fd_step, grad)
         jump = self.beta(a, y) * (self.jump_integral(f, a, y, n_quad) - f(a, y))
         return transport + jump - self.d0 * f(a, y)
 
 
-def _gl_nodes(lo, hi, n):
+def _transport(model: ModelSpec, f, a, y, fd_step, grad):
+    """g1 * df/da + g2 * df/dy at (a, y).
+
+    The gradient is taken from ``grad(a, y) -> (fa, fy)`` when supplied,
+    otherwise by central finite differences with the default step
+    1e-6 * (1 + |coordinate|).
+    """
+    if grad is not None:
+        fa, fy = grad(a, y)
+    else:
+        ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
+        hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
+        fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
+        fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
+    return model.g1(a, y) * fa + model.g2(a, y) * fy
+
+
+# ---------------------------------------------------------------------------
+# Quadrature rules
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``.
+
+    The arrays are shared between callers and therefore read-only.
+    """
     x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_nodes(lo, hi, n):
+    """The n-point Gauss-Legendre rule mapped onto [lo, hi]."""
+    x, w = gauss_legendre(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Composite trapezoid weights on increasing float ``nodes``."""
+    w = np.zeros_like(nodes)
+    d = np.diff(nodes)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +640,11 @@ class MarkovModel:
         return float(np.interp(rng.random(), cdf, zz))
 
     def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
-        """A f at (a, y) for the transformed (conservative) dynamics."""
-        if grad is not None:
-            fa, fy = grad(a, y)
-        else:
-            ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
-            hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
-            fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
-            fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
-        transport = self.base.g1(a, y) * fa + self.base.g2(a, y) * fy
+        """A f at (a, y) for the transformed (conservative) dynamics.
+
+        Elementwise over (a, y) arrays, as ``ModelSpec.apply_generator``.
+        """
+        transport = _transport(self.base, f, a, y, fd_step, grad)
         hx = self._h(a, y)
         weighted = self.base.jump_integral(
             lambda _, z: f(0.0, z) * self._h(0.0, z), a, y, n_quad

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import TailBoundExceeded
 from .flow import FlowEngine
-from .model import ModelSpec, PhasePoint
+from .model import ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 
 #: target cumulative hazard at the quadrature cutoff; exp(-28) < 1e-12
 HAZARD_CUTOFF = 28.0
@@ -32,12 +31,8 @@ TAIL_TOL = 1e-9
 
 def _panel_nodes(edges, n_per_panel):
     """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    x, w = leggauss(n_per_panel)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
+    nodes, weights = zip(*(gl_nodes(lo, hi, n_per_panel)
+                           for lo, hi in zip(edges[:-1], edges[1:])))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -212,7 +207,7 @@ class SizeGrid:
         if anchor is not None and 0.0 < anchor < R:
             if not np.any(np.isclose(nodes, anchor, rtol=0, atol=1e-12)):
                 nodes = np.sort(np.append(nodes, anchor))
-        weights = _trapezoid_weights(nodes)
+        weights = trapezoid_weights(nodes)
         return cls(R=float(R), nodes=nodes, weights=weights)
 
     def __post_init__(self):
@@ -235,14 +230,6 @@ class SizeGrid:
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
 
 
 @dataclass(frozen=True)

@@ -333,7 +333,8 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     funcs = [fs[k] for k in labels]
     vals = np.empty((replicates, len(funcs)))
     for r in range(replicates):
-        rng = Generator(Philox(key=[seed & MASK64, r & MASK64]))
+        key = np.array([seed & MASK64, r & MASK64], dtype=np.uint64)
+        rng = Generator(Philox(key=key))
         vals[r] = _one_step_functionals(model, x0, dt, rng, funcs)
     reports = []
     for j, label in enumerate(labels):
@@ -341,11 +342,10 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
         se = float(vals[:, j].std(ddof=1) / math.sqrt(replicates))
         lhs = (mean - funcs[j](x0.a, x0.y)) / dt
         f = funcs[j]
-        rhs = model.apply_generator(lambda a, y, fj=f: fj(a, y), x0.a, x0.y)
+        rhs = model.apply_generator(f, x0.a, x0.y)
+        # the jump term evaluates the inner Q f on the array of quadrature sizes
         qqf = model.apply_generator(
-            lambda a, y, fj=f: model.apply_generator(
-                lambda aa, yy: fj(aa, yy), a, y),
-            x0.a, x0.y)
+            lambda a, y, fj=f: model.apply_generator(fj, a, y), x0.a, x0.y)
         predicted = rhs + 0.5 * dt * qqf
         floor = dt**2 * max(1.0, abs(predicted))
         z = (lhs - predicted) / max(se / dt, floor)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
-from .model import MarkovModel, ModelSpec, PhasePoint, h_transform
+from .model import (MarkovModel, ModelSpec, PhasePoint, gauss_legendre,
+                    h_transform, trapezoid_weights)
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF
 from .simulate import Trajectory, individual_rng, sample_division_age
 
@@ -52,9 +52,8 @@ class Density2D:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.a_nodes.size, self.y_nodes.size):
             raise ValueError("values shape must match the grid")
-        wa = _trap_weights(self.a_nodes)
-        wy = _trap_weights(self.y_nodes)
-        self.weights = np.outer(wa, wy)
+        self.weights = np.outer(trapezoid_weights(self.a_nodes),
+                                trapezoid_weights(self.y_nodes))
 
     @property
     def mass(self) -> float:
@@ -70,15 +69,6 @@ class Density2D:
         A, Y = np.meshgrid(self.a_nodes, self.y_nodes, indexing="ij")
         np.savetxt(path, np.column_stack([A.ravel(), Y.ravel(), self.values.ravel()]),
                    delimiter=",", header="a,y,value", comments="", fmt="%.17g")
-
-
-def _trap_weights(nodes):
-    w = np.zeros_like(nodes, dtype=float)
-    if nodes.size > 1:
-        d = np.diff(nodes)
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-    return w
 
 
 def weighted_tv(u: Density2D, v: Density2D, V: Callable = default_V) -> float:
@@ -158,7 +148,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
-    x_gl, w_gl = leggauss(n_rho)
+    x_gl, w_gl = gauss_legendre(n_rho)
     rho = 0.5 * (x_gl + 1.0)
     w_rho = 0.5 * w_gl
     apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
@@ -233,6 +223,8 @@ class DriftReport:
     worst_point: tuple
     worst_margin: float
     grid: tuple
+    #: AV + cV - d on the grid, indexed [a, y]; not written to JSON
+    margins: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -259,25 +251,25 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     """Verify A V <= -c V + d on a grid, A being the size-harmonic dynamics.
 
     The generator is applied numerically (finite-difference transport,
-    quadrature jump term); the report records the worst margin
-    max(AV + cV - d) and the point attaining it.
+    quadrature jump term) to the whole grid in one call, so ``V`` must
+    accept arrays; the report records the worst margin max(AV + cV - d)
+    and the first grid point (a-major order) attaining it.  A NaN margin
+    anywhere is the worst margin, and fails the report.
     """
+    if not model.is_adder:
+        raise InvalidModel("the drift check is implemented for adder models")
     markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float),
                          model.lambda_growth - model.d0)
     c = model.lambda_growth if c is None else float(c)
     d = drift_offset(model) if d is None else float(d)
     aa = np.linspace(box[0] / grid_n, box[0], grid_n)
     yy = np.linspace(box[1] / grid_n, box[1], grid_n)
-    worst = -math.inf
-    worst_pt = (aa[0], yy[0])
-    for a in aa:
-        for y in yy:
-            av = markov.apply_generator(V, a, y)
-            margin = av + c * V(a, y) - d
-            if margin > worst:
-                worst, worst_pt = margin, (float(a), float(y))
-    return DriftReport(c=c, d=d, worst_point=worst_pt, worst_margin=float(worst),
-                       grid=(grid_n, grid_n))
+    A, Y = (g.ravel() for g in np.meshgrid(aa, yy, indexing="ij"))
+    margin = markov.apply_generator(V, A, Y) + c * V(A, Y) - d
+    k = int(np.argmax(margin))  # argmax stops at the first NaN
+    return DriftReport(c=c, d=d, worst_point=(float(A[k]), float(Y[k])),
+                       worst_margin=float(margin[k]), grid=(grid_n, grid_n),
+                       margins=margin.reshape(grid_n, grid_n))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +304,15 @@ def kernel_minorant_epsilon(model: ModelSpec, z, delta: float, n_scan: int = 64)
     """
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.zeros_like(zz)
-    ts = np.linspace(0.0, 1.0, n_scan)
-    for i, zi in enumerate(zz):
-        if zi <= 0:
-            continue
-        zp = 2.0 * zi + delta * ts
-        out[i] = float(np.min(model.fragmentation.pdf(zi / zp) / zp))
+    pos = zz > 0
+    zi = zz[pos]
+    eps = np.full_like(zi, np.inf)
+    # one window offset at a time over all points keeps memory O(points); a
+    # (points, n_scan) block needs ~8 MB of pdf temporaries on a 64^2 grid
+    for t in np.linspace(0.0, 1.0, n_scan):
+        zp = 2.0 * zi + delta * t
+        eps = np.minimum(eps, model.fragmentation.pdf(zi / zp) / zp)
+    out[pos] = eps
     return out if np.ndim(z) else float(out[0])
 
 

@@ -6,9 +6,10 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
-                     MomentTable, NonPositiveH, PhasePoint, TableFragmentation,
+                     ModelSpec, MomentTable, NonPositiveH, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, h_transform,
                      make_adder, model_from_config, validate)
+from malthus.model import gauss_legendre
 
 
 class TestPhasePoint:
@@ -127,6 +128,51 @@ class TestModelSpec:
         a, y = 0.2, 1.0
         q = adder.apply_generator(lambda A, Y: Y**2, a, y)
         assert q == pytest.approx(2.0 - 5.0 / 11.0, rel=1e-7)
+
+    def test_generator_on_arrays_matches_pointwise(self, adder_d0):
+        rng = np.random.default_rng(3)
+        a, y = rng.uniform(0, 4, (3, 5)), rng.uniform(0.1, 8, (3, 5))
+        f = lambda A, Y: Y**2 + A * Y
+        jump = adder_d0.jump_integral(f, a, y)
+        q = adder_d0.apply_generator(f, a, y)
+        assert jump.shape == q.shape == (3, 5)
+        for i, j in np.ndindex(a.shape):
+            point = adder_d0.jump_integral(f, a[i, j], y[i, j])
+            assert type(point) is float and jump[i, j] == point
+            assert q[i, j] == adder_d0.apply_generator(f, a[i, j], y[i, j])
+
+    def test_general_jump_integral_on_arrays(self, adder):
+        F = adder.fragmentation
+        general = ModelSpec(
+            model_type="general", lambda_growth=1.0, d0=0.0,
+            kernel_fn=lambda a, y, z: (2.0 / y) * F.pdf(np.asarray(z) / y),
+            kernel_support_fn=lambda a, y: (0.0, float(y)))
+        a, y = np.array([[0.1, 0.5], [1.0, 2.0]]), np.array([[0.5, 1.0], [2.0, 4.0]])
+        f = lambda A, Y: Y * Y
+        jump = general.jump_integral(f, a, y)
+        assert jump.shape == (2, 2)
+        for i, j in np.ndindex(a.shape):
+            assert jump[i, j] == general.jump_integral(f, a[i, j], y[i, j])
+        assert np.allclose(jump, adder.jump_integral(f, a, y), rtol=1e-12, atol=0)
+
+    def test_second_order_generator_pointwise(self, adder_d0):
+        # Q(Q f) needs the inner Q f at each quadrature size separately
+        f = lambda A, Y: Y * Y
+        inner = np.vectorize(lambda A, Y: adder_d0.apply_generator(f, A, Y))
+        pointwise = adder_d0.apply_generator(inner, 0.3, 1.5)
+        nested = adder_d0.apply_generator(
+            lambda A, Y: adder_d0.apply_generator(f, A, Y), 0.3, 1.5)
+        assert nested == pointwise == 1.8020990577070743
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_cached_rule_is_leggauss(self, n):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert gauss_legendre(n)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 class TestValidate:

@@ -79,6 +79,14 @@ class TestStreamPins:
                                            replicates=50, seed=4)
         assert reps[0].simulated == 1.2771421431749053
 
+    def test_one_step_seeds_keep_high_bits(self, adder_d0):
+        # a key built from a list rounded seed 2**64 - 1 onto seed 0's stream
+        sims = [generator_consistency_check(adder_d0, {"y2": lambda a, y: y * y},
+                                            PhasePoint(0.2, 1.0), dt=0.5,
+                                            replicates=20, seed=s)[0].simulated
+                for s in (0, 2**64 - 1)]
+        assert sims[0] != sims[1]
+
     def test_h_chain_endpoint(self, adder):
         p = advance_h_chain(adder, PhasePoint(0.0, 1.0), 3.0, individual_rng(3, 0, 0))
         assert (p.a, p.y) == (0.6494203601082329, 1.1193748547562143)

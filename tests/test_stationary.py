@@ -6,10 +6,11 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D,
-                     EmptyMinorantWarning, GridMismatch, PhasePoint, SimConfig,
+                     EmptyMinorantWarning, GridMismatch, InvalidModel,
+                     ModelSpec, PhasePoint, SimConfig,
                      UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
-                     kernel_minorant_epsilon, make_adder, pi_star,
+                     h_transform, kernel_minorant_epsilon, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 from malthus.stationary import advance_h_chain, reference_profile
@@ -91,6 +92,39 @@ class TestDrift:
         assert not rep_bad.passed
         assert rep_bad.worst_margin == pytest.approx(0.8, abs=0.05)
 
+    @pytest.mark.parametrize("name", ["adder", "adder_uniform"])
+    def test_grid_margins_match_pointwise(self, request, name):
+        model = request.getfixturevalue(name)
+        rep = check_drift(model, grid_n=8)
+        markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float),
+                             model.lambda_growth - model.d0)
+        nodes = np.linspace(10.0 / 8, 10.0, 8)
+        expected = np.array([[markov.apply_generator(default_V, a, y)
+                              + rep.c * default_V(a, y) - rep.d for y in nodes]
+                             for a in nodes])
+        assert np.array_equal(rep.margins, expected)
+        i, j = np.unravel_index(np.argmax(expected), expected.shape)
+        assert rep.worst_point == (nodes[i], nodes[j])
+        assert rep.worst_margin == expected[i, j]
+
+    def test_nan_margin_fails(self, adder):
+        nodes = np.linspace(10.0 / 8, 10.0, 8)
+        a0, y0 = nodes[2], nodes[5]
+
+        def V(a, y):
+            return np.where((a == a0) & (y == y0), np.nan, default_V(a, y))
+
+        rep = check_drift(adder, V=V, grid_n=8)
+        assert math.isnan(rep.worst_margin) and not rep.passed
+        assert rep.worst_point == (a0, y0)
+
+    def test_general_model_rejected(self):
+        general = ModelSpec(model_type="general", lambda_growth=1.0, d0=0.0,
+                            g1_fn=lambda a, y: y, g2_fn=lambda a, y: y,
+                            B_fn=lambda a, y: 1.0, beta_minus=1.0, beta_plus=1.0)
+        with pytest.raises(InvalidModel):
+            check_drift(general, grid_n=4)
+
 
 class TestDoeblin:
     def test_epsilon_window_minimum(self, adder):
@@ -99,6 +133,17 @@ class TestDoeblin:
         zp = 2.0 * z + delta
         ref = adder.fragmentation.pdf(z / zp) / zp
         assert kernel_minorant_epsilon(adder, z, delta) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["adder", "adder_uniform"])
+    def test_epsilon_array_matches_scalar(self, request, name):
+        model = request.getfixturevalue(name)
+        z, delta = np.linspace(-0.5, 3.0, 36), 0.7
+        eps = kernel_minorant_epsilon(model, z, delta)
+        ts = np.linspace(0.0, 1.0, 64)
+        for zi, e in zip(z, eps):
+            zp = 2.0 * zi + delta * ts
+            ref = float(np.min(model.fragmentation.pdf(zi / zp) / zp)) if zi > 0 else 0.0
+            assert e == ref == kernel_minorant_epsilon(model, zi, delta)
 
     def test_minorant_positive_and_bounded(self, adder):
         nu, c = doeblin_minorant(adder, (0.0, 1.0, 1.0, 2.0))
