@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BracketFailure, NoConvergence
 from .model import ModelSpec, PhasePoint, gauss_legendre, gl_nodes
-from .renewal import FirstJumpLaw, KernelAssembler, KernelMatrix, SizeGrid
+from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
+                      KernelRowEvaluator, SizeGrid)
 
 RAYLEIGH_TOL = 1e-12
 #: bound on the relative eigen residual max|G eta - mu eta| / max|eta|
@@ -279,20 +280,6 @@ def reconstruct_h(result: EigenResult, model: ModelSpec, x: PhasePoint,
     grid = result.grid
     q = law.row_quadrature(x)
     coef = q.w * np.exp(-result.lambda_R * q.t)
-    z = grid.nodes
-    ratio = z[None, :] / q.u[:, None]
-    if model.is_adder:
-        kvals = (2.0 / q.u)[:, None] * model.fragmentation.pdf(ratio)
-        above = np.where(
-            q.u > grid.R,
-            2.0 * (1.0 - model.fragmentation.cdf(np.minimum(grid.R / q.u, 1.0))),
-            0.0,
-        )
-    else:
-        kvals = np.empty_like(ratio)
-        above = np.empty_like(q.u)
-        for r, ui in enumerate(q.u):
-            kvals[r] = model.kernel_density(0.0, ui, z)
-            above[r] = model.kernel_mass_above(0.0, ui, grid.R)
+    kvals, above = KernelRowEvaluator(model, grid.nodes, grid.R)(q)
     row = coef @ kvals + float(np.dot(coef, above)) / grid.R
     return float(np.dot(grid.weights, row * result.eta))

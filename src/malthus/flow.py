@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import IntegrationFailure, OffDomain, OffOrbit
 from .model import ModelSpec, PhasePoint
@@ -69,6 +67,7 @@ class FlowEngine:
         return PhasePoint(float(sol[0]), float(sol[1]))
 
     def _integrate(self, state, t, with_jacobian=False):
+        from scipy.integrate import solve_ivp  # general fields only; slow import
         model = self.model
 
         def rhs(_, u):
@@ -124,6 +123,7 @@ class FlowEngine:
         f = lambda t: self.advance(x, t).a - a
         if f(lo) * f(hi) > 0:
             raise OffDomain(f"age {a} unreachable from {x} within horizon")
+        from scipy.optimize import brentq  # general fields only; slow import
         return brentq(f, lo, hi, xtol=1e-12)
 
     def _time_to_size(self, x: PhasePoint, y: float) -> float:
@@ -133,6 +133,7 @@ class FlowEngine:
         f = lambda t: self.advance(x, t).y - y
         if f(0.0) * f(hi) > 0:
             raise OffDomain(f"size {y} unreachable from {x} within horizon")
+        from scipy.optimize import brentq  # general fields only; slow import
         return brentq(f, 0.0, hi, xtol=1e-12)
 
     # -- transit time ------------------------------------------------------

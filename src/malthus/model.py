@@ -148,15 +148,28 @@ class TableHazard:
 # ---------------------------------------------------------------------------
 
 
+def _into(values, out):
+    """Return ``values`` as a pdf result: copied into ``out`` when one is given.
+
+    Every fragmentation ``pdf(rho, out=None, work=None)`` follows one
+    convention: with ``out`` the density is written there and ``out`` is
+    returned (``work`` is optional scratch that only the Beta density uses);
+    without it a scalar ``rho`` gives a float.
+    """
+    if out is not None:
+        np.copyto(out, values)
+        return out
+    return values if values.ndim else float(values)
+
+
 class UniformFragmentation:
     """F = 1 on [0, 1]."""
 
     name = "uniform"
 
-    def pdf(self, rho):
+    def pdf(self, rho, out=None, work=None):
         rho = np.asarray(rho, dtype=float)
-        out = np.where((rho >= 0) & (rho <= 1), 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return _into(np.where((rho >= 0) & (rho <= 1), 1.0, 0.0), out)
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -188,15 +201,36 @@ class BetaFragmentation:
         self.name = f"beta({alpha},{beta})"
         self._log_norm = float(special.betaln(self.alpha, self.beta))
 
-    def pdf(self, rho):
-        # direct evaluation: much faster than stats.beta.pdf on large grids
+    def pdf(self, rho, out=None, work=None):
+        """Beta density at ``rho``, zero outside the open interval (0, 1).
+
+        ``out`` (a float array of rho's shape, not rho itself) receives the
+        density; ``work`` lends a float and a bool array of that shape as
+        scratch, so a caller that passes both allocates nothing.
+        """
         rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        inside = (rho > 0.0) & (rho < 1.0)
-        x = rho[inside]
-        out[inside] = np.exp((self.alpha - 1.0) * np.log(x)
-                             + (self.beta - 1.0) * np.log1p(-x) - self._log_norm)
-        return out if np.ndim(out) else float(out)
+        scalar = out is None and rho.ndim == 0
+        if out is None:
+            out = np.empty_like(rho)
+        x, inside = work if work is not None else (np.empty_like(rho),
+                                                    np.empty(rho.shape, dtype=bool))
+        np.greater(rho, 0.0, out=inside)
+        np.less(rho, 1.0, out=inside, where=inside)
+        # unmasked ufuncs on x = rho inside, 1/2 outside, zeroed at the end:
+        # exp((alpha - 1) log(x) + (beta - 1) log1p(-x) - log B(alpha, beta))
+        x.fill(0.5)
+        np.copyto(x, rho, where=inside)
+        np.log(x, out=out)
+        np.multiply(out, self.alpha - 1.0, out=out)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.multiply(x, self.beta - 1.0, out=x)
+        np.add(out, x, out=out)
+        np.subtract(out, self._log_norm, out=out)
+        np.exp(out, out=out)
+        np.logical_not(inside, out=inside)
+        np.copyto(out, 0.0, where=inside)
+        return float(out) if scalar else out
 
     def cdf(self, rho):
         out = special.betainc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
@@ -245,14 +279,13 @@ class TableFragmentation:
         cb = np.concatenate([[0.0], np.cumsum(segb)])
         self._biased_cdf = cb / cb[-1] if cb[-1] > 0 else cb
 
-    def pdf(self, rho):
+    def pdf(self, rho, out=None, work=None):
         rho = np.asarray(rho, dtype=float)
-        out = np.where(
+        return _into(np.where(
             (rho >= self.rho_knots[0]) & (rho <= self.rho_knots[-1]),
             np.interp(rho, self.rho_knots, self.F_values),
             0.0,
-        )
-        return out if out.ndim else float(out)
+        ), out)
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)

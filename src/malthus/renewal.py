@@ -175,16 +175,56 @@ class FirstJumpLaw:
         if tail > TAIL_TOL:
             raise TailBoundExceeded(f"time-quadrature tail estimate {tail:.2e}")
         coef = q.w * np.exp(-lam * q.t)
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        ratio = zz[None, :] / q.u[:, None]
-        if self.model.is_adder:
-            kvals = (2.0 / q.u)[:, None] * self.model.fragmentation.pdf(ratio)
-        else:
-            kvals = np.empty_like(ratio)
-            for i, ui in enumerate(q.u):
-                kvals[i] = self.model.kernel_density(0.0, ui, zz)
+        kvals, _ = KernelRowEvaluator(self.model, np.atleast_1d(z))(q)
         out = coef @ kvals
         return out if np.ndim(z) else float(out[0])
+
+
+class KernelRowEvaluator:
+    """Offspring-kernel values k(0, u_r, z_j) along one orbit row.
+
+    For the adder ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes
+    ``u_r`` and the fixed sizes ``z``, evaluated in place into buffers that
+    are allocated once and reused by every later row of the same length;
+    the general model fills the same buffer from ``kernel_density``.  With
+    a truncation level ``R`` each call also returns the leak mass
+    ``above[r]`` of k(0, u_r, .) above R (None without ``R``).  The returned
+    ``kvals`` is overwritten by the next call.
+    """
+
+    def __init__(self, model: ModelSpec, z, R: float | None = None):
+        self.model = model
+        self.z = np.asarray(z, dtype=float)
+        self.R = R
+        self._buffers = None
+
+    def _workspace(self, n_t: int):
+        shape = (n_t, self.z.size)
+        if self._buffers is None or self._buffers[0].shape != shape:
+            # ratio, kvals, and the float/bool scratch of the density
+            self._buffers = (np.empty(shape), np.empty(shape), np.empty(shape),
+                             np.empty(shape, dtype=bool))
+        return self._buffers
+
+    def __call__(self, q: RowQuadrature):
+        model, z, R = self.model, self.z, self.R
+        ratio, kvals, x, mask = self._workspace(q.u.size)
+        above = None
+        if model.is_adder:
+            frag = model.fragmentation
+            np.divide(z, q.u[:, None], out=ratio)
+            frag.pdf(ratio, out=kvals, work=(x, mask))
+            np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
+            if R is not None:
+                above = np.where(q.u > R, 2.0 * (1.0 - frag.cdf(np.minimum(R / q.u, 1.0))), 0.0)
+        else:
+            if R is not None:
+                above = np.empty_like(q.u)
+            for r, ui in enumerate(q.u):
+                kvals[r] = model.kernel_density(0.0, ui, z)
+                if R is not None:
+                    above[r] = model.kernel_mass_above(0.0, ui, R)
+        return kvals, above
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +346,18 @@ class KernelAssembler:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        grid, model = self.grid, self.model
+        grid = self.grid
         n = grid.n
         M = np.zeros((n, n))
         dM = np.zeros((n, n))
         corr = np.zeros(n)
-        z = grid.nodes
+        rows = KernelRowEvaluator(self.model, grid.nodes, grid.R)
         for i, q in enumerate(self._row_data()):
             if q is None:
                 continue
             coef = q.w * np.exp(-lam * q.t)
             coefs = np.stack([coef, -q.t * coef])
-            ratio = z[None, :] / q.u[:, None]
-            if model.is_adder:
-                kvals = (2.0 / q.u)[:, None] * model.fragmentation.pdf(ratio)
-                above = np.where(
-                    q.u > grid.R,
-                    2.0 * (1.0 - model.fragmentation.cdf(np.minimum(grid.R / q.u, 1.0))),
-                    0.0,
-                )
-            else:
-                kvals = np.empty_like(ratio)
-                above = np.empty_like(q.u)
-                for r, ui in enumerate(q.u):
-                    kvals[r] = model.kernel_density(0.0, ui, z)
-                    above[r] = model.kernel_mass_above(0.0, ui, grid.R)
+            kvals, above = rows(q)
             leak = coefs @ above / grid.R
             corr[i] = leak[0]
             M[i], dM[i] = coefs @ kvals + leak[:, None]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
@@ -24,6 +23,10 @@ from .model import (MarkovModel, ModelSpec, PhasePoint, gauss_legendre,
                     h_transform, trapezoid_weights)
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF
 from .simulate import Trajectory, individual_rng, sample_division_age
+
+#: grid points per generator call in check_drift; the jump integral holds a
+#: few (points x 128) float arrays, so this bounds its memory at a few MB
+DRIFT_BLOCK = 1024
 
 
 def default_V(a, y):
@@ -104,6 +107,7 @@ class EtaStarProfile:
 
     @property
     def pi_mass(self) -> float:
+        from scipy import integrate
         return float(integrate.simpson(self.values * self.mass_weights, x=self.s_nodes))
 
 
@@ -112,7 +116,7 @@ def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
     """Discrete sweep eta -> 2 int F(rho) (psi * eta)(y / rho) drho."""
     h = s[1] - s[0]
     n = s.size
-    F_rho = model.fragmentation.pdf(rho)
+    weights = w_rho * model.fragmentation.pdf(rho)
 
     def apply(eta):
         conv = np.convolve(psi_vals, eta)[: psi_vals.size + n - 1] * h
@@ -122,9 +126,8 @@ def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
         conv -= 0.5 * h * psi_vals[0] * np.concatenate([eta, np.zeros(m - n)])
         conv_grid = np.arange(m) * h
         out = np.zeros(n)
-        for r, wr in zip(rho, w_rho):
-            out += wr * model.fragmentation.pdf(r) * np.interp(
-                s / r, conv_grid, conv, left=0.0, right=0.0)
+        for r, wf in zip(rho, weights):
+            out += wf * np.interp(s / r, conv_grid, conv, left=0.0, right=0.0)
         return 2.0 * out
 
     return apply
@@ -142,6 +145,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     """
     if not model.is_adder:
         raise InvalidModel("the stationary profile machinery needs an adder model")
+    from scipy import integrate  # ~0.3 s to import; only eta* and pi* use it
     hz = model.hazard
     s = np.linspace(0.0, y_max, n)
     h = s[1] - s[0]
@@ -177,16 +181,20 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
 
 
 def _pi_mass_weights(model: ModelSpec, s: np.ndarray, a_cut: float) -> np.ndarray:
-    """w(s) = int_0^inf exp(-H(a)) / (s + a)^2 da = 1/s - int psi(a)/(s+a) da."""
+    """w(s) = int_0^inf exp(-H(a)) / (s + a)^2 da = 1/s - int psi(a)/(s+a) da.
+
+    One adaptive quadrature integrates psi(a)/(s+a) at every positive node at
+    once; w is 0 at s <= 0.
+    """
+    from scipy import integrate
     hz = model.hazard
     w = np.zeros_like(s)
-    for i, si in enumerate(s):
-        if si <= 0:
-            continue
-        val, _ = integrate.quad(
-            lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (si + a),
-            0.0, a_cut, limit=200)
-        w[i] = 1.0 / si - val
+    pos = s > 0
+    sp = s[pos]
+    val, _ = integrate.quad_vec(
+        lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (sp + a),
+        0.0, a_cut, epsrel=1e-12, limit=2000)
+    w[pos] = 1.0 / sp - val
     return w
 
 
@@ -251,9 +259,9 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     """Verify A V <= -c V + d on a grid, A being the size-harmonic dynamics.
 
     The generator is applied numerically (finite-difference transport,
-    quadrature jump term) to the whole grid in one call, so ``V`` must
-    accept arrays; the report records the worst margin max(AV + cV - d)
-    and the first grid point (a-major order) attaining it.  A NaN margin
+    quadrature jump term) to blocks of ``DRIFT_BLOCK`` grid points per call,
+    so ``V`` must accept arrays; the report records the worst margin
+    max(AV + cV - d) and the first grid point (a-major order) attaining it.  A NaN margin
     anywhere is the worst margin, and fails the report.
     """
     if not model.is_adder:
@@ -265,7 +273,10 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     aa = np.linspace(box[0] / grid_n, box[0], grid_n)
     yy = np.linspace(box[1] / grid_n, box[1], grid_n)
     A, Y = (g.ravel() for g in np.meshgrid(aa, yy, indexing="ij"))
-    margin = markov.apply_generator(V, A, Y) + c * V(A, Y) - d
+    margin = np.empty(A.size)
+    for lo in range(0, A.size, DRIFT_BLOCK):
+        a, y = A[lo:lo + DRIFT_BLOCK], Y[lo:lo + DRIFT_BLOCK]
+        margin[lo:lo + DRIFT_BLOCK] = markov.apply_generator(V, a, y) + c * V(a, y) - d
     k = int(np.argmax(margin))  # argmax stops at the first NaN
     return DriftReport(c=c, d=d, worst_point=(float(A[k]), float(Y[k])),
                        worst_margin=float(margin[k]), grid=(grid_n, grid_n),

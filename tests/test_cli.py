@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import malthus
 from malthus.cli import main
 
 
@@ -164,3 +168,13 @@ class TestThreads:
         out = tmp_path / "p"
         assert run(["simulate", "--config", config, "--out", out]) == 0
         assert not [p for p in out.iterdir() if p.suffix == ".partial"]
+
+
+def test_import_skips_scipy_integrate():
+    # scipy.integrate costs ~0.3 s to import; only eta*, pi* and general flows use it
+    src = str(Path(malthus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, malthus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "scipy.integrate" not in out and "scipy.special" in out

@@ -75,6 +75,28 @@ class TestFragmentation:
         assert np.allclose(F.pdf(r), stats.beta(5, 5).pdf(np.clip(r, 0, 1)) *
                            ((r > 0) & (r < 1)), atol=1e-12)
 
+    @pytest.mark.parametrize("F", [BetaFragmentation(5, 5), BetaFragmentation(1, 1),
+                                   BetaFragmentation(0.5, 0.5), UniformFragmentation(),
+                                   TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
+                             ids=["beta55", "beta11", "beta0505", "uniform", "table"])
+    def test_pdf_into_buffer(self, F):
+        rho = np.array([-0.5, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.5, np.nan])
+        expected = np.array([F.pdf(r) for r in rho])
+        if isinstance(F, BetaFragmentation):
+            # the gather/scatter formula the density replaced
+            inside = (rho > 0.0) & (rho < 1.0)
+            x = rho[inside]
+            ref = np.zeros_like(rho)
+            ref[inside] = np.exp((F.alpha - 1.0) * np.log(x) + (F.beta - 1.0) * np.log1p(-x)
+                                 - F._log_norm)
+            assert np.array_equal(expected, ref)
+        out = np.full_like(rho, 7.0)
+        work = (np.full_like(rho, 7.0), np.ones(rho.shape, dtype=bool))
+        assert F.pdf(rho, out=out, work=work) is out
+        assert np.array_equal(out, expected)
+        assert np.array_equal(F.pdf(rho), expected)
+        assert all(type(F.pdf(r)) is float for r in rho)
+
     def test_table_rejects_bad_mass(self):
         with pytest.raises(InvalidModel, match=r"\(A2\)"):
             TableFragmentation([0.0, 1.0], [0.5, 0.5])

@@ -5,8 +5,52 @@ import pytest
 from scipy import integrate
 
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
-                     KernelAssembler, PhasePoint, SizeGrid, TableHazard,
-                     make_adder)
+                     FlowEngine, KernelAssembler, ModelSpec, PhasePoint,
+                     SizeGrid, TableFragmentation, TableHazard, make_adder)
+
+
+def general_adder(F):
+    """Adder dynamics declared through the general-model interface."""
+    return ModelSpec(
+        model_type="general", lambda_growth=1.0, d0=0.0,
+        hazard=ConstantHazard(1.0), fragmentation=F,
+        beta_minus=1.0, beta_plus=1.0, a_star=0.1,
+        g1_fn=lambda a, y: np.asarray(y, dtype=float),
+        g2_fn=lambda a, y: np.asarray(y, dtype=float),
+        B_fn=lambda a, y: np.ones_like(np.asarray(a, dtype=float)),
+        kernel_fn=lambda a, y, z: np.where(
+            (np.asarray(z) > 0) & (np.asarray(z) <= y),
+            (2.0 / y) * F.pdf(np.asarray(z) / y), 0.0),
+        kernel_mass_fn=lambda a, y: 2.0,
+        kernel_support_fn=lambda a, y: (0.0, float(y)))
+
+
+def closed_form_law(model):
+    return FirstJumpLaw(model, FlowEngine(model, closed_form=True))
+
+
+def reference_kvals(model, q, z, R):
+    """Kernel values and leak mass of one row, allocated afresh per row."""
+    ratio = z[None, :] / q.u[:, None]
+    if model.is_adder:
+        F = model.fragmentation
+        if isinstance(F, BetaFragmentation):
+            inside = (ratio > 0.0) & (ratio < 1.0)
+            x = ratio[inside]
+            dens = np.zeros_like(ratio)
+            dens[inside] = np.exp((F.alpha - 1.0) * np.log(x)
+                                  + (F.beta - 1.0) * np.log1p(-x) - F._log_norm)
+        else:
+            dens = F.pdf(ratio)
+        kvals = (2.0 / q.u)[:, None] * dens
+        above = np.where(q.u > R, 2.0 * (1.0 - F.cdf(np.minimum(R / q.u, 1.0))), 0.0)
+    else:
+        kvals = np.empty_like(ratio)
+        above = np.empty_like(q.u)
+        for r, ui in enumerate(q.u):
+            kvals[r] = model.kernel_density(0.0, ui, z)
+            above[r] = model.kernel_mass_above(0.0, ui, R)
+    return kvals, above
 
 
 class TestFirstJumpLaw:
@@ -64,6 +108,35 @@ class TestFirstJumpLaw:
         mass = np.trapezoid(law.kernel_K(x, z, 0.0), z)
         assert mass == pytest.approx(2.0, abs=1e-4)
 
+    def test_kernel_K_pinned(self, law):
+        # values of the per-row formula before the shared row evaluator
+        z = np.array([0.0, 0.3, 0.8, 1.5, 3.0, 7.5])
+        pins = [
+            (PhasePoint(0.0, 1.0), 1.0,
+             ["0x0.0p+0", "0x1.01f01a453f02dp-1", "0x1.4be1e652b0669p+0",
+              "0x1.a48d1d3b2ab0fp-3", "0x1.258e56047e575p-7", "0x1.881c98f1a01e8p-18"],
+             "0x1.bc1bafedf4301p-2"),
+            (PhasePoint(0.3, 0.7), 0.0,
+             ["0x0.0p+0", "0x1.913e3ec5cfad1p+0", "0x1.7e48d8088c05dp+0",
+              "0x1.9264bdcce19f0p-2", "0x1.f983bdd7d67e9p-6", "0x1.6d4139a93053fp-15"],
+             "0x1.5ea8cd325760bp-1"),
+            (PhasePoint(0.2, 2.5), 0.9,
+             ["0x0.0p+0", "0x1.5fff5bc6ac325p-6", "0x1.ce3473fa30fcfp-2",
+              "0x1.188dc55fb9f42p+0", "0x1.b4d53d1902d35p-4", "0x1.3b65a185ef65dp-14"],
+             "0x1.efcb0bb4dfb96p-1"),
+        ]
+        for x, lam, values, at_1_2 in pins:
+            assert law.kernel_K(x, z, lam).tolist() == [float.fromhex(v) for v in values]
+            assert law.kernel_K(x, 1.2, lam) == float.fromhex(at_1_2)
+
+    def test_kernel_K_general_model_pinned(self):
+        law = closed_form_law(general_adder(BetaFragmentation(5, 5)))
+        z = np.array([0.0, 0.3, 0.8, 1.5, 3.0, 7.5])
+        values = ["0x0.0p+0", "0x1.1c6981b54e9b9p-1", "0x1.95829eecd5888p+0",
+                  "0x1.4fdacf5d3e38bp-2", "0x1.3b39facc9dbbcp-6", "0x1.365acb46c9370p-16"]
+        assert (law.kernel_K(PhasePoint(0.0, 1.0), z, 0.5).tolist()
+                == [float.fromhex(v) for v in values])
+
     def test_tabulated_hazard_consistency(self):
         hz = TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])
         m = make_adder(1.0, hz, BetaFragmentation(5, 5))
@@ -120,6 +193,35 @@ class TestKernelMatrix:
     def test_zero_size_row_is_empty(self, assembler_r8):
         mat = assembler_r8.matrix(1.0)
         assert np.all(mat.M[0] == 0.0)
+
+    @pytest.mark.parametrize("F", [BetaFragmentation(5, 5), BetaFragmentation(1, 1),
+                                   TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
+                             ids=["beta55", "beta11", "table"])
+    def test_matrix_matches_row_formula(self, F):
+        self.check_matrix(make_adder(1.0, ConstantHazard(1.0), F), n=24)
+
+    def test_general_matrix_matches_row_formula(self):
+        self.check_matrix(general_adder(BetaFragmentation(5, 5)), n=6)
+
+    @staticmethod
+    def check_matrix(model, n):
+        grid = SizeGrid.uniform(3.0, n)
+        assembler = KernelAssembler(model, grid, closed_form_law(model))
+        for lam in (0.0, 0.9):
+            mat = assembler.matrix(lam)
+            M, dM = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
+            corr = np.zeros(grid.n)
+            for i, y in enumerate(grid.nodes[1:], start=1):
+                q = assembler.law.row_quadrature(PhasePoint(0.0, float(y)))
+                coef = q.w * np.exp(-lam * q.t)
+                coefs = np.stack([coef, -q.t * coef])
+                kvals, above = reference_kvals(model, q, grid.nodes, grid.R)
+                leak = coefs @ above / grid.R
+                corr[i] = leak[0]
+                M[i], dM[i] = coefs @ kvals + leak[:, None]
+            assert np.array_equal(mat.M, M)
+            assert np.array_equal(mat.dM, dM)
+            assert np.array_equal(mat.correction, corr)
 
     def test_leak_correction_positive_near_boundary(self, adder):
         grid = SizeGrid.uniform(4.0, 64)

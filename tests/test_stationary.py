@@ -7,13 +7,15 @@ from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D,
                      EmptyMinorantWarning, GridMismatch, InvalidModel,
-                     ModelSpec, PhasePoint, SimConfig,
+                     ModelSpec, PhasePoint, SimConfig, TableHazard,
                      UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
                      h_transform, kernel_minorant_epsilon, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
-from malthus.stationary import advance_h_chain, reference_profile
+import malthus.stationary
+from malthus.renewal import HAZARD_CUTOFF
+from malthus.stationary import _pi_mass_weights, advance_h_chain, reference_profile
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,20 @@ class TestEtaStar:
 
     def test_pi_star_mass(self, profile):
         assert abs(profile.pi_mass - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("hz", [ConstantHazard(1.0),
+                                    TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])],
+                             ids=["constant", "table"])
+    def test_mass_weights_match_pointwise_quad(self, hz):
+        model = make_adder(1.0, hz, BetaFragmentation(5, 5))
+        a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
+        s = np.linspace(0.0, 8.0, 1024)[::31]
+        w = _pi_mass_weights(model, s, a_cut)
+        assert w[0] == 0.0
+        for si, wi in zip(s[1:], w[1:]):
+            val, _ = integrate.quad(lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (si + a),
+                                    0.0, a_cut, epsabs=0.0, epsrel=1e-13, limit=400)
+            assert wi == pytest.approx(1.0 / si - val, rel=1e-12, abs=0.0)
 
     def test_fixed_point_against_direct_quadrature(self, adder, profile):
         # evaluate the renewal map by adaptive quadrature at spot values
@@ -106,6 +122,14 @@ class TestDrift:
         i, j = np.unravel_index(np.argmax(expected), expected.shape)
         assert rep.worst_point == (nodes[i], nodes[j])
         assert rep.worst_margin == expected[i, j]
+
+    def test_blocks_match_single_call(self, adder, monkeypatch):
+        whole = check_drift(adder, grid_n=8)
+        monkeypatch.setattr(malthus.stationary, "DRIFT_BLOCK", 7)
+        blocked = check_drift(adder, grid_n=8)
+        assert np.array_equal(blocked.margins, whole.margins)
+        assert blocked.worst_point == whole.worst_point
+        assert blocked.worst_margin == whole.worst_margin
 
     def test_nan_margin_fails(self, adder):
         nodes = np.linspace(10.0 / 8, 10.0, 8)
