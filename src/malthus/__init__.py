@@ -18,7 +18,7 @@ from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       RowQuadrature, SizeGrid)
 from .eigen import (EigenResult, euler_lotka_residual, leading_eigen,
                     reconstruct_h, solve_malthus, spectral_value)
-from .simulate import (ConsistencyReport, Individual, PopulationState,
+from .simulate import (ConsistencyReport, PopulationState,
                        SimConfig, Trajectory, division_age_cdf,
                        empirical_functional, estimate_malthus,
                        generator_consistency_check, individual_rng,

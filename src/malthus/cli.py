@@ -78,20 +78,31 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
+    """CSV with ints in decimal and floats as ``%.17g`` (exact round trip).
+
+    Each row is formatted by one ``%`` string, built once per tuple of
+    column types: ``%d`` for ints, ``%.17g`` for floats, ``%s`` otherwise.
+    """
+    formats = {}
+
     def writer(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            key = tuple(map(type, row))
+            fmt = formats.get(key)
+            if fmt is None:
+                fmt = formats[key] = ",".join(map(_spec, key)) + "\n"
+            fh.write(fmt % tuple(row))
 
     _atomic_write(path, writer)
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _spec(cls):
+    if issubclass(cls, (int, np.integer)):
+        return "%d"
+    if issubclass(cls, float):
+        return "%.17g"
+    return "%s"
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +176,10 @@ def cmd_simulate(cfg, args, out_dir):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
     if scfg.get("snapshots"):
-        snap = [(r, s.t, p.a, p.y)
+        # rows are formatted as they are generated, never all held at once
+        snap = ((r, s.t, p.a, p.y)
                 for r, tr in enumerate(trajectories)
-                for s in tr.states for p in s.individuals]
+                for s in tr.states for p in s.individuals)
         _write_csv(os.path.join(out_dir, "snapshots.csv"),
                    ["replicate", "t", "a", "y"], snap)
     return EXIT_OK

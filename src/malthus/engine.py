@@ -1,0 +1,319 @@
+"""The array engine behind ``simulate.simulate_population``.
+
+A ``Block`` simulates a block of replicates one generation at a time.  For
+every newborn it computes the first Philox block of the individual's own
+stream (``malthus.streams``) and reads from it, in this order, the division
+exponential, the death exponential (when d0 > 0) and the fragment uniform,
+exactly as ``Generator.exponential``/``random`` would.  Divisions,
+virtual-birth shifts and phases call ``math.log1p``/``math.log``/``math.exp``
+element by element, because numpy's vectorised versions can differ from
+them in the last bit; the other operations are the event-by-event
+simulation's, element for element, so every draw, event log and state is
+bit-identical to it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from . import simulate  # individual_rng is looked up at call time, where it can be wrapped
+from .model import ModelSpec, PhasePoint
+from .simulate import MASK64, PopulationState, SimConfig, Trajectory
+from .streams import UNIT, exponential_fast, philox_block
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied to every element of ``x``."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+class _FixedUniforms:
+    """Adapter feeding fixed uniform draws into a fragmentation sampler."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n=None):
+        return self.u
+
+
+@dataclass
+class _Lanes:
+    """Individuals of a block of replicates, one array element (lane) each."""
+
+    rep: np.ndarray    # index of the replicate within the block
+    lo: np.ndarray     # tree id = lo + 2**64 hi, as uint64 words; 0 is the root
+    hi: np.ndarray
+    tb: np.ndarray     # birth time and size; the root's in its virtual birth
+    yb: np.ndarray     # frame (a = 0), which precedes time 0 when x0.a > 0
+    t_ev: np.ndarray   # time of the lane's own event
+    div: np.ndarray    # the event is a division (else a death)
+    u: np.ndarray      # uniform of the fragment drawn at that division
+    y1: np.ndarray     # children's sizes once the division is processed
+    y2: np.ndarray
+    done: np.ndarray   # the event has been processed
+
+    def take(self, idx) -> "_Lanes":
+        return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def reorder(self, idx) -> None:
+        """``take`` in place, one array at a time."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)[idx])
+
+    @staticmethod
+    def concat(parts: list) -> "_Lanes":
+        """The lanes of ``parts`` in order; empties the list as it copies,
+        one array at a time, so the parts and the result never coexist."""
+        out = []
+        for f in fields(_Lanes):
+            out.append(np.concatenate([getattr(p, f.name) for p in parts]))
+            for p in parts:
+                setattr(p, f.name, None)
+        parts.clear()
+        return _Lanes(*out)
+
+    @property
+    def size(self) -> int:
+        return self.rep.size
+
+    @property
+    def root(self) -> np.ndarray:
+        return (self.lo == 0) & (self.hi == 0)
+
+
+class Block:
+    """The simulation of one block of replicates.
+
+    Events are processed in time windows ``(t0, t1]``: all individuals with
+    an event in the window, and the children they bear inside it, are
+    advanced a generation at a time.  The first window is the whole horizon.
+    A window in which some replicate bears more than ``2 (cap + 1)``
+    individuals is abandoned and retried at half the width, so a population
+    that explodes past the cap is never built in full; after a window, a
+    replicate whose alive count could have passed the cap has its events
+    replayed in (time, tree id) order to find the division that passed it.
+    ``run`` returns one Trajectory per replicate of ``reps``.
+    """
+
+    def __init__(self, model: ModelSpec, x0: PhasePoint, config: SimConfig, reps):
+        self.model, self.x0, self.config = model, x0, config
+        self.reps = reps
+        self.keys = np.array([r & MASK64 for r in reps], dtype=np.uint64)
+        self.budget = 2 * (config.cap + 1)
+        self.cap_time = np.full(len(reps), math.inf)
+        self.lanes = 0  # individuals simulated, once run
+
+    # -- draws and clocks ------------------------------------------------
+
+    def _draws(self, rep, lo, hi):
+        """(division exponential, death exponential, fragment uniform) per lane."""
+        seed, d0 = self.config.seed, self.model.d0
+        words = philox_block(seed & MASK64, self.keys[rep], (1, 0, lo, hi))
+        e_div, fast = exponential_fast(words[0])
+        e_die = None
+        if d0 > 0:
+            e_die, fast_die = exponential_fast(words[1])
+            fast &= fast_die
+        u = (words[2 if d0 > 0 else 1] >> 11).astype(float) * UNIT
+        rng = None
+        for i in np.flatnonzero(~fast).tolist():
+            # the ziggurat's slow path reads more words: replay the stream
+            tree_id = int(lo[i]) | int(hi[i]) << 64
+            rng = simulate.individual_rng(seed, self.reps[rep[i]], tree_id, reuse=rng)
+            e_div[i] = rng.exponential()
+            if d0 > 0:
+                e_die[i] = rng.exponential()
+            u[i] = rng.random()
+        return e_div, e_die, u
+
+    def _newborns(self, rep, lo, hi, t0, a0, y0, tb, yb) -> _Lanes:
+        """Lanes of individuals started at time t0 in state (a0, y0)."""
+        model = self.model
+        lam, d0, hz = model.lambda_growth, model.d0, model.hazard
+        e_div, e_die, u = self._draws(rep, lo, hi)
+        a_div = hz.inverse_cumulative(hz.cumulative(a0) + e_div)
+        t_ev = t0 + _math_map(math.log1p, (a_div - a0) / y0) / lam
+        div = np.ones(rep.size, dtype=bool)
+        if d0 > 0:
+            t_die = t0 + e_die / d0
+            div = ~(t_die <= t_ev)
+            t_ev = np.where(div, t_ev, t_die)
+        zero = np.zeros(rep.size)
+        return _Lanes(rep, lo, hi, tb, yb, t_ev, div, u, zero, zero.copy(),
+                      np.zeros(rep.size, dtype=bool))
+
+    def _roots(self) -> _Lanes:
+        n = len(self.reps)
+        a0, y0, lam = self.x0.a, self.x0.y, self.model.lambda_growth
+        if a0 > 0.0:
+            # re-express the state in its virtual birth frame (a = 0)
+            if a0 >= y0:
+                raise ValueError("added size must stay below current size")
+            yb = y0 - a0
+            tb = 0.0 - math.log(y0 / yb) / lam
+        else:
+            yb, tb = y0, 0.0
+        words = np.zeros(n, dtype=np.uint64)
+        return self._newborns(np.arange(n, dtype=np.int32), words, words, 0.0,
+                              np.full(n, float(a0)), np.full(n, float(y0)),
+                              np.full(n, tb), np.full(n, yb))
+
+    def _divide(self, lanes: _Lanes) -> _Lanes:
+        """Process the events of ``lanes``; return the children they bear."""
+        lanes.done[:] = True
+        d = np.flatnonzero(lanes.div)
+        kid_lo, kid_hi = children_ids(lanes.lo[d], lanes.hi[d])
+        t = lanes.t_ev[d]
+        lam = self.model.lambda_growth
+        y = lanes.yb[d] * _math_map(math.exp, lam * (t - lanes.tb[d]))
+        rho = self.model.fragmentation.sample(_FixedUniforms(lanes.u[d]), d.size)
+        y1 = rho * y
+        y2 = y - y1
+        lanes.y1[d], lanes.y2[d] = y1, y2
+        t2, y12 = np.concatenate([t, t]), np.concatenate([y1, y2])
+        return self._newborns(np.tile(lanes.rep[d], 2), kid_lo, kid_hi, t2,
+                              np.zeros(t2.size), y12, t2, y12)
+
+    # -- windows ---------------------------------------------------------
+
+    def _window(self, pending: _Lanes, t1: float, settled: list):
+        """Process the events up to t1 of the ``pending`` lanes.
+
+        Appends the lanes whose fate is settled to ``settled`` and returns the
+        lanes still pending, or returns None, settling nothing, when some
+        replicate bears more than the budget inside the window.
+        """
+        n, cap = len(self.reps), self.config.cap
+        go = pending.t_ev <= t1
+        cur = pending.take(go)
+        proc_parts, stay_parts = [cur], [pending.take(~go)]
+        born = np.zeros(n, dtype=np.int64)
+        while cur.size:
+            kids = self._divide(cur)
+            born += np.bincount(kids.rep, minlength=n)
+            if born.max(initial=0) > self.budget:
+                return None
+            go = kids.t_ev <= t1
+            cur = kids.take(go)
+            proc_parts.append(cur)
+            stay_parts.append(kids.take(~go))
+        proc, stay = _Lanes.concat(proc_parts), _Lanes.concat(stay_parts)
+        # the alive count only rises at divisions: most replicates cannot pass the cap
+        alive = np.bincount(pending.rep, minlength=n)
+        bound = alive + np.bincount(proc.rep[proc.div], minlength=n)
+        for b in np.flatnonzero(bound > cap).tolist():
+            proc, stay = self._cap(b, int(alive[b]), proc, stay)
+        settled.append(proc)
+        frozen = np.isfinite(self.cap_time)[stay.rep]
+        if frozen.any():
+            settled.append(stay.take(frozen))
+            stay = stay.take(~frozen)
+        return stay
+
+    def _cap(self, b: int, alive: int, proc: _Lanes, stay: _Lanes):
+        """Stop replicate b at the division that took it past the cap, if any.
+
+        Returns ``proc`` and ``stay`` without the lanes born after that
+        division, and with the events after it unprocessed.
+        """
+        mine = np.flatnonzero(proc.rep == b)
+        order = mine[np.lexsort((proc.lo[mine], proc.hi[mine], proc.t_ev[mine]))]
+        running = alive + np.cumsum(np.where(proc.div[order], 1, -1))
+        over = np.flatnonzero(running > self.config.cap)
+        if not over.size:
+            return proc, stay
+        k = int(over[0])
+        self.cap_time[b] = proc.t_ev[order[k]]
+        later = order[k + 1:]
+        proc.done[later] = False
+        later = later[proc.div[later]]
+        parents = set(tree_ids(proc.lo[later], proc.hi[later]))
+        out = []
+        for lanes in (proc, stay):
+            keep = np.ones(lanes.size, dtype=bool)
+            late = (lanes.rep == b) & ~lanes.root & (lanes.tb >= self.cap_time[b])
+            for i, tree_id in zip(np.flatnonzero(late).tolist(),
+                                  tree_ids(lanes.lo[late], lanes.hi[late])):
+                keep[i] = (tree_id - 1) >> 1 not in parents
+            out.append(lanes.take(keep))
+        return out
+
+    def run(self) -> list:
+        pending, settled = self._roots(), []
+        t0, t_end = 0.0, self.config.t_end
+        width = t_end
+        while pending.size:
+            t1 = min(t0 + width, t_end)
+            left = self._window(pending, t1, settled)
+            if left is None:
+                width *= 0.5
+                continue
+            pending = left
+            if t1 == t_end:
+                break
+            t0, width = t1, 2.0 * width
+        settled.append(pending)
+        return self._trajectories(settled)
+
+    # -- output ----------------------------------------------------------
+
+    def _trajectories(self, settled: list) -> list:
+        """One Trajectory per replicate; empties ``settled`` as it goes."""
+        n, x0 = len(self.reps), self.x0
+        lanes = _Lanes.concat(settled)
+        self.lanes = lanes.size
+        # (birth time, tree id) order within each replicate, as states list them
+        lanes.reorder(np.lexsort((lanes.lo, lanes.hi, lanes.tb, lanes.rep)))
+        # event logs, (time, tree id) order within each replicate
+        ev = np.flatnonzero(lanes.done)
+        ev = ev[np.lexsort((lanes.lo[ev], lanes.hi[ev], lanes.t_ev[ev], lanes.rep[ev]))]
+        kinds = [("death", "division")[d] for d in lanes.div[ev].tolist()]
+        entries = list(zip(lanes.t_ev[ev].tolist(), kinds, tree_ids(lanes.lo[ev], lanes.hi[ev]),
+                           lanes.y1[ev].tolist(), lanes.y2[ev].tolist()))
+        ends = np.cumsum(np.bincount(lanes.rep[ev], minlength=n)).tolist()
+        logs = [[(0.0, "init", 0, x0.a, x0.y)] + entries[a:b]
+                for a, b in zip([0] + ends, ends)]
+        del entries, ev
+        # alive at t: born before t (the root always), its event not yet
+        # processed, or frozen since a cap hit before t
+        rep, t_ev, tb, yb, root = lanes.rep, lanes.t_ev, lanes.tb, lanes.yb, lanes.root
+        frozen_since = np.where(lanes.done, math.inf, self.cap_time[rep])
+        del lanes
+        lam = self.model.lambda_growth
+        states = [[] for _ in range(n)]
+        for t in self.config.record_times:
+            sel = np.flatnonzero(((tb < t) | root) & ((t_ev >= t) | (frozen_since < t)))
+            e = _math_map(math.exp, lam * (t - tb[sel]))
+            ybs = yb[sel]
+            points = list(map(PhasePoint, (ybs * (e - 1.0)).tolist(), (ybs * e).tolist()))
+            ends = np.cumsum(np.bincount(rep[sel], minlength=n)).tolist()
+            for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
+                states[b].append(PopulationState(t, points[lo:hi]))
+        capped = np.isfinite(self.cap_time).tolist()
+        return [Trajectory(states=s, event_log=log, cap_hit=c)
+                for s, log, c in zip(states, logs, capped)]
+
+
+def children_ids(lo: np.ndarray, hi: np.ndarray):
+    """uint64 words of the children 2i + 1 (first half) and 2i + 2 of ids i."""
+    lo2, hi2 = lo << 1, (hi << 1) | (lo >> 63)
+    second = lo2 + 2
+    carry = second < 2  # the low word wrapped: carry into the high word
+    over = ((hi >> 63) != 0) | (carry & (hi2 == np.uint64(MASK64)))
+    if np.any(over):
+        i = int(np.flatnonzero(over)[0])
+        parent = int(lo[i]) | int(hi[i]) << 64
+        tree_id = next(c for c in (2 * parent + 1, 2 * parent + 2) if c >> 128)
+        raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
+    return np.concatenate([lo2 | 1, second]), np.concatenate([hi2, hi2 + carry])
+
+
+def tree_ids(lo: np.ndarray, hi: np.ndarray) -> list:
+    """Tree ids as Python ints from their uint64 words."""
+    if not hi.any():
+        return lo.tolist()
+    return [a | b << 64 for a, b in zip(lo.tolist(), hi.tolist())]

@@ -9,6 +9,7 @@ B = B(a) and the fragmentation kernel k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -25,7 +26,7 @@ MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePoint:
     """A state (a, y): age or added size, and current size."""
 
@@ -79,8 +80,8 @@ class ConstantHazard:
 class TableHazard:
     """Piecewise-linear B(a) from knots; constant beyond the last knot.
 
-    The cumulative hazard is the exact integral of the interpolant, inverted
-    numerically with a Newton polish.
+    The cumulative hazard is the exact integral of the interpolant, a
+    quadratic on each segment, and is inverted in closed form.
     """
 
     def __init__(self, a_knots: Sequence[float], B_values: Sequence[float]):
@@ -107,6 +108,7 @@ class TableHazard:
         # exact prefix integral of the piecewise-linear interpolant
         seg = 0.5 * (B[1:] + B[:-1]) * np.diff(a)
         self._H_knots = np.concatenate([[0.0], np.cumsum(seg)])
+        self._tables = (a.tolist(), B.tolist(), self._H_knots.tolist())
 
     def __call__(self, a):
         a = np.asarray(a, dtype=float)
@@ -114,6 +116,8 @@ class TableHazard:
         return out if out.ndim else float(out)
 
     def cumulative(self, a):
+        if np.ndim(a) == 0:
+            return self._cumulative1(float(a))
         a = np.asarray(a, dtype=float)
         knots, B, H = self.a_knots, self.B_values, self._H_knots
         # exact integral: quadratic within each linear segment
@@ -122,25 +126,59 @@ class TableHazard:
         slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
         inside = H[i] + B[i] * t + 0.5 * slope * t * t
         # beyond the table, extrapolate with the final constant level
-        out = inside + B[-1] * np.maximum(a - knots[-1], 0.0)
-        return out if out.ndim else float(out)
+        return inside + B[-1] * np.maximum(a - knots[-1], 0.0)
+
+    def _cumulative1(self, a: float) -> float:
+        """``cumulative`` at one float, by the array path's element operations."""
+        knots, B, H = self._tables
+        i = min(max(bisect.bisect_right(knots, a) - 1, 0), len(knots) - 2)
+        t = min(max(a, knots[0]), knots[-1]) - knots[i]
+        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
+        inside = H[i] + B[i] * t + 0.5 * slope * t * t
+        return inside + B[-1] * max(a - knots[-1], 0.0)
 
     def inverse_cumulative(self, H):
+        """Added size at which the cumulative hazard reaches ``H``.
+
+        On segment i the cumulative hazard is H_i + B_i t + s_i t^2 / 2, with
+        t the distance past the knot and s_i the slope, so t is a root of a
+        quadratic, taken as 2 dH / (B_i + sqrt(B_i^2 + 2 s_i dH)): that form
+        does not cancel for either sign of s_i.  A scalar argument takes a
+        pure-Python path with the array path's element operations, so scalar
+        and array calls agree bit for bit.
+        """
+        if np.ndim(H) == 0:
+            return self._inverse1(float(H))
         H = np.asarray(H, dtype=float)
-        scalar = H.ndim == 0
-        H = np.atleast_1d(H)
-        out = np.interp(H, self._H_knots, self.a_knots)
-        over = H > self._H_knots[-1]
-        if np.any(over):
-            if self.B_values[-1] <= 0:
+        knots, B, Hk = self.a_knots, self.B_values, self._H_knots
+        over = H > Hk[-1]
+        if np.any(over) and B[-1] <= 0:
+            raise ValueError("cumulative hazard saturates; cannot invert beyond table")
+        i = np.clip(np.searchsorted(Hk, H, side="right") - 1, 0, knots.size - 2)
+        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
+        dH = H - Hk[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(B[i] * B[i] + 2.0 * slope * dH, 0.0))
+            t = np.where(dH > 0.0, 2.0 * dH / (B[i] + root), 0.0)
+        out = knots[i] + t
+        # beyond the table the final constant level continues
+        out[over] = knots[-1] + (H[over] - Hk[-1]) / B[-1]
+        return out
+
+    def _inverse1(self, H: float) -> float:
+        """``inverse_cumulative`` at one float, by the array path's element operations."""
+        knots, B, Hk = self._tables
+        if H > Hk[-1]:
+            if B[-1] <= 0:
                 raise ValueError("cumulative hazard saturates; cannot invert beyond table")
-            out[over] = self.a_knots[-1] + (H[over] - self._H_knots[-1]) / self.B_values[-1]
-        # Newton polish against the exact cumulative
-        for _ in range(5):
-            f = self.cumulative(out) - H
-            d = np.maximum(self(out), 1e-300)
-            out = out - f / d
-        return float(out[0]) if scalar else out
+            return knots[-1] + (H - Hk[-1]) / B[-1]
+        i = min(max(bisect.bisect_right(Hk, H) - 1, 0), len(knots) - 2)
+        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
+        dH = H - Hk[i]
+        if not dH > 0.0:
+            return knots[i] + 0.0
+        root = math.sqrt(max(B[i] * B[i] + 2.0 * slope * dH, 0.0))
+        return knots[i] + 2.0 * dH / (B[i] + root)
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,39 @@ clock fires.  Fragments are drawn by inverse-CDF as well: for Beta splits,
 the inverse regularised incomplete beta function of one uniform.
 Randomness comes from counter-based Philox streams keyed on (seed,
 replicate) with the individual's breadth-first tree id in the counter, so
-trajectories are reproducible independently of event interleaving.  Each
-replicate builds one Philox generator and re-keys it to every individual's
-stream; the stream layout, and so every draw, is that of a generator built
-afresh per individual.
+trajectories are reproducible independently of event interleaving.
+
+An individual's draws are fixed at birth and its stream is its own, so
+``simulate_population`` advances a block of replicates one generation at a
+time on arrays (``malthus.engine``): every newborn's first Philox block is
+computed in numpy (``malthus.streams``), and its division exponential,
+death exponential (when d0 > 0) and fragment uniform are read from it
+through numpy's ziggurat fast path.  The few individuals whose exponential
+leaves that path replay their stream through ``individual_rng``.  The
+stream layout is that of one fresh ``Generator(Philox)`` per individual,
+so every draw is the one an event-by-event simulation makes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateData, InsufficientData, PopulationCapExceeded
+from .errors import (DegenerateData, InsufficientData, InvalidModel,
+                     PopulationCapExceeded)
 from .flow import FlowEngine
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
+#: individuals (lanes) a block of replicates holds, summed over its
+#: replicates: it bounds the engine's arrays at a few MB.  The number of
+#: replicates in the next block follows from the lanes per replicate so far.
+BLOCK_LANES = 1 << 14
 
 
 def individual_rng(seed: int, replicate: int, tree_id: int,
@@ -40,6 +52,9 @@ def individual_rng(seed: int, replicate: int, tree_id: int,
     has (empty output buffer), several times cheaper than building one.
     Counter and key words are passed as uint64 arrays: from a list, numpy
     rounds words of 2**63 and above through float64, aliasing streams.
+    ``simulate_population`` computes the first output block of these
+    streams on arrays and calls this only to replay the draws that read
+    further words.
     """
     if not 0 <= tree_id < 1 << 128:
         raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
@@ -97,18 +112,6 @@ def division_time_from_added_size(model: ModelSpec, x: PhasePoint, delta_a: floa
 
 
 @dataclass
-class Individual:
-    tree_id: int
-    birth_time: float
-    size_at_birth: float
-
-    def phase(self, model: ModelSpec, t: float) -> PhasePoint:
-        e = math.exp(model.lambda_growth * (t - self.birth_time))
-        y0 = self.size_at_birth
-        return PhasePoint(y0 * (e - 1.0), y0 * e)
-
-
-@dataclass
 class PopulationState:
     """Snapshot of the point measure Z_t."""
 
@@ -145,95 +148,33 @@ class Trajectory:
 
 
 def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
-                        replicate: int = 0) -> Trajectory:
-    """One branching trajectory from delta_{x0}, recorded at record_times."""
-    lam = model.lambda_growth
-    d0 = model.d0
-    rng = None
+                        replicate: int | Sequence[int] = 0):
+    """Branching trajectories from delta_{x0}, recorded at record_times.
 
-    def schedule(tree_id, birth_time, a0, y0):
-        """Division/death clocks for an individual born (or started) at a0."""
-        nonlocal rng
-        rng = individual_rng(config.seed, replicate, tree_id, reuse=rng)
-        a_div = sample_division_age(model, PhasePoint(a0, y0), rng)
-        t_div = birth_time + math.log1p((a_div - a0) / y0) / lam
-        t_die = birth_time + rng.exponential() / d0 if d0 > 0 else math.inf
-        u_frag = rng.random()
-        return t_div, t_die, u_frag
+    ``replicate`` is one replicate index, giving one Trajectory, or a
+    sequence of them (such as a ``range``), giving one Trajectory per index.
+    A trajectory whose population exceeds ``config.cap`` stops at the
+    division that exceeded it: its event log ends there, later record times
+    show the population frozen at that moment, and ``cap_hit`` is set.
 
-    heap = []
-    alive = {}
+    The event log lists (time, kind, tree id, y1, y2) in (time, tree id)
+    order after the initial entry; a state lists the individuals alive at
+    its time in (birth time, tree id) order.
+    """
+    if not model.is_adder:
+        raise InvalidModel("the branching simulation is implemented for adder models")
+    # the engine is compiled on first use: commands that do not simulate
+    # start without it
+    from .engine import Block
 
-    def add(tree_id, birth_time, a0, y0):
-        t_div, t_die, u_frag = schedule(tree_id, birth_time, a0, y0)
-        if a0 > 0.0:
-            # re-express the state in its virtual birth frame (a = 0)
-            if a0 >= y0:
-                raise ValueError("added size must stay below current size")
-            yb = y0 - a0
-            tb = birth_time - math.log(y0 / yb) / lam
-        else:
-            yb, tb = y0, birth_time
-        alive[tree_id] = Individual(tree_id, tb, yb)
-        if t_die <= t_div:
-            heapq.heappush(heap, (t_die, tree_id, "death", 0.0))
-        else:
-            heapq.heappush(heap, (t_div, tree_id, "division", u_frag))
-
-    add(0, 0.0, x0.a, x0.y)
-    log = [(0.0, "init", 0, x0.a, x0.y)]
-    states = []
-    pending = list(config.record_times)
-    cap_hit = False
-
-    def flush(up_to):
-        while pending and pending[0] <= up_to:
-            t = pending.pop(0)
-            states.append(PopulationState(t, [ind.phase(model, t) for ind in alive.values()]))
-
-    while heap:
-        t_ev, tree_id, kind, u_frag = heapq.heappop(heap)
-        if t_ev > config.t_end:
-            break
-        if tree_id not in alive:
-            continue
-        flush(t_ev)
-        ind = alive.pop(tree_id)
-        if kind == "death":
-            log.append((t_ev, "death", tree_id, 0.0, 0.0))
-            continue
-        parent = ind.phase(model, t_ev)
-        rho = _frag_from_uniform(model, u_frag)
-        y1 = rho * parent.y
-        y2 = parent.y - y1
-        log.append((t_ev, "division", tree_id, y1, y2))
-        add(2 * tree_id + 1, t_ev, 0.0, y1)
-        add(2 * tree_id + 2, t_ev, 0.0, y2)
-        if len(alive) > config.cap:
-            cap_hit = True
-            break
-
-    flush(config.t_end)
-    # any record times beyond the last event (population froze or went extinct)
-    for t in pending:
-        states.append(PopulationState(t, [ind.phase(model, t) for ind in alive.values()]))
-    return Trajectory(states=states, event_log=log, cap_hit=cap_hit)
-
-
-def _frag_from_uniform(model: ModelSpec, u: float) -> float:
-    frag = model.fragmentation
-    rng = _FixedUniform(u)
-    return float(frag.sample(rng, 1)[0])
-
-
-class _FixedUniform:
-    """Adapter feeding one fixed uniform draw into a sampler."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n=None):
-        return np.full(n, self.u) if n is not None else self.u
+    single = isinstance(replicate, Integral)
+    reps = [int(replicate)] if single else list(replicate)
+    out, size = [], 16  # a small first block measures the lanes per replicate
+    while len(out) < len(reps):
+        block = Block(model, x0, config, reps[len(out):len(out) + size])
+        out.extend(block.run())
+        size = max(1, BLOCK_LANES * len(block.reps) // block.lanes)
+    return out[0] if single else out
 
 
 def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
@@ -242,13 +183,11 @@ def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
     Raises PopulationCapExceeded when a replicate outgrows ``config.cap``:
     its counts after that point would be frozen, not simulated.
     """
-    out = []
-    for r in range(config.replicates):
-        tr = simulate_population(model, x0, config, replicate=r)
+    out = simulate_population(model, x0, config, range(config.replicates))
+    for r, tr in enumerate(out):
         if tr.cap_hit:
             raise PopulationCapExceeded(
                 f"replicate {r} exceeded the population cap of {config.cap}")
-        out.append(tr)
     return out
 
 
@@ -329,6 +268,8 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     ``fs`` is a dict label -> f(a, y); one batch of one-step replicates is
     shared across all test functions.  Returns a list of ConsistencyReport.
     """
+    if not model.is_adder:
+        raise InvalidModel("the one-step simulation is implemented for adder models")
     labels = list(fs)
     funcs = [fs[k] for k in labels]
     vals = np.empty((replicates, len(funcs)))

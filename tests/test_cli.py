@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import malthus
-from malthus.cli import main
+from malthus.cli import _write_csv, main
 
 
 @pytest.fixture
@@ -171,10 +173,32 @@ class TestThreads:
 
 
 def test_import_skips_scipy_integrate():
-    # scipy.integrate costs ~0.3 s to import; only eta*, pi* and general flows use it
+    # scipy.integrate costs ~0.3 s to import; only eta*, pi* and general flows use it;
+    # the simulation engine is compiled on first use as well
     src = str(Path(malthus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, malthus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    probe = ("import sys, malthus.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy.', 'malthus.'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert "scipy.integrate" not in out and "scipy.special" in out
+    assert "malthus.engine" not in out and "malthus.streams" not in out
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    def fmt(v):
+        # the per-value formatter that the per-row format strings replaced
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, float):
+            return format(v, ".17g")
+        return str(v)
+
+    rows = [(1, np.int64(-7), np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300),
+            (2**70, 3, 2.5, 1.0, 0.1 + 0.2, np.float64(-1e300), 5e-324, 7),
+            (True, np.int32(4), "x", np.float32(0.1), None, np.bool_(False), 1, 2.0)]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), [f"c{i}" for i in range(8)], rows)
+    expected = ",".join(f"c{i}" for i in range(8)) + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_text() == expected

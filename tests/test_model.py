@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,12 @@ class TestPhasePoint:
     def test_invalid(self, a, y):
         with pytest.raises(ValueError):
             PhasePoint(a, y)
+
+    def test_slotted_and_frozen(self):
+        p = PhasePoint(0.5, 2.0)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.a = 1.0
 
 
 class TestConstantHazard:
@@ -54,6 +61,40 @@ class TestTableHazard:
         assert hz.a_star == pytest.approx(1.0)
         assert hz(0.5) == 0.0
         assert hz.cumulative(1.0) == 0.0
+
+    # a dead zone below a = 1, a rising and a falling segment, then a constant tail
+    ZONED = ([0.0, 1.0, 2.0, 3.0, 5.0], [0.0, 0.0, 2.0, 0.5, 1.0])
+
+    def test_closed_form_inverse_roundtrip(self):
+        hz = TableHazard(*self.ZONED)
+        knots = hz._H_knots
+        inside = 0.5 * (knots[1:] + knots[:-1])
+        # knots, inside segments, just past the dead zone, beyond the table
+        H = np.concatenate([knots[2:], inside[1:], [1e-3, 0.02],
+                            knots[-1] + np.array([1e-9, 0.7, 40.0])])
+        a = hz.inverse_cumulative(H)
+        assert np.all(np.abs(hz.cumulative(a) - H) <= 1e-13 * H)
+        assert hz.inverse_cumulative(0.0) == 1.0  # the end of the dead zone
+        assert np.all(a[:-3] <= 5.0) and np.all(a[-3:] > 5.0)
+
+    def test_scalar_and_array_paths_agree_bitwise(self):
+        hz = TableHazard(*self.ZONED)
+        rng = np.random.default_rng(3)
+        H = np.concatenate([rng.uniform(0.0, 12.0, 2000), hz._H_knots, [0.0, 5e-324]])
+        a = hz.inverse_cumulative(H)
+        assert [hz.inverse_cumulative(h) for h in H.tolist()] == a.tolist()
+        A = np.concatenate([rng.uniform(0.0, 9.0, 2000), hz.a_knots, [0.0, 5e-324]])
+        assert [hz.cumulative(x) for x in A.tolist()] == hz.cumulative(A).tolist()
+        assert type(hz.inverse_cumulative(np.float64(1.5))) is float
+        assert type(hz.cumulative(np.array(1.5))) is float
+
+    def test_saturated_hazard_cannot_be_inverted(self):
+        hz = TableHazard([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
+        assert hz.inverse_cumulative(1.0) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="saturates"):
+            hz.inverse_cumulative(1.6)
+        with pytest.raises(ValueError, match="saturates"):
+            hz.inverse_cumulative(np.array([0.5, 1.6]))
 
 
 class TestFragmentation:

@@ -1,14 +1,21 @@
+import hashlib
+import heapq
 import math
+import time
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from malthus import (BetaFragmentation, ConstantHazard, InsufficientData,
-                     PhasePoint, PopulationCapExceeded, SimConfig, TableHazard,
-                     empirical_functional, estimate_malthus, generator_consistency_check,
-                     individual_rng, make_adder, run_replicates,
-                     sample_division_age, simulate_population)
+                     InvalidModel, ModelSpec, PhasePoint, PopulationCapExceeded,
+                     SimConfig, TableFragmentation, TableHazard,
+                     UniformFragmentation, empirical_functional, estimate_malthus,
+                     generator_consistency_check, individual_rng, make_adder,
+                     run_replicates, sample_division_age, simulate_population)
+from malthus import engine, simulate, streams
+from malthus.engine import children_ids
 from malthus.simulate import division_age_cdf, division_time_from_added_size
 from malthus.stationary import advance_h_chain
 
@@ -195,3 +202,277 @@ class TestDivisionAgeCdf:
         s = np.array([sample_division_age(m, x, rng) for _ in range(20000)])
         res = stats.kstest(s, lambda a: division_age_cdf(m, x, a))
         assert res.pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against numpy's streams and an event-by-event loop
+# ---------------------------------------------------------------------------
+
+
+def reference_population(model, x0, config, replicate):
+    """Event-by-event simulation over a heap of (time, tree id) events.
+
+    The loop the array engine replaced, kept as its reference: each
+    individual draws its clocks from a fresh stream at birth.  Returns
+    (event log, [(t, phases)], cap hit).
+    """
+    lam, d0 = model.lambda_growth, model.d0
+    heap, alive = [], {}
+
+    def add(tree_id, t0, a0, y0):
+        rng = individual_rng(config.seed, replicate, tree_id)
+        a_div = sample_division_age(model, PhasePoint(a0, y0), rng)
+        t_div = t0 + math.log1p((a_div - a0) / y0) / lam
+        t_die = t0 + rng.exponential() / d0 if d0 > 0 else math.inf
+        u = rng.random()
+        # the virtual birth frame (a = 0) of a state started mid-orbit
+        alive[tree_id] = ((t0 - math.log(y0 / (y0 - a0)) / lam, y0 - a0) if a0 > 0.0
+                          else (t0, y0))
+        heapq.heappush(heap, (t_die, tree_id, "death", 0.0) if t_die <= t_div
+                       else (t_div, tree_id, "division", u))
+
+    def phase(tree_id, t):
+        tb, yb = alive[tree_id]
+        e = math.exp(lam * (t - tb))
+        return PhasePoint(yb * (e - 1.0), yb * e)
+
+    def flush(up_to):
+        while pending and pending[0] <= up_to:
+            t = pending.pop(0)
+            states.append((t, [phase(i, t) for i in alive]))
+
+    add(0, 0.0, x0.a, x0.y)
+    log, states, cap_hit = [(0.0, "init", 0, x0.a, x0.y)], [], False
+    pending = list(config.record_times)
+    while heap:
+        t_ev, tree_id, kind, u = heapq.heappop(heap)
+        if t_ev > config.t_end:
+            break
+        flush(t_ev)
+        if kind == "death":
+            alive.pop(tree_id)
+            log.append((t_ev, "death", tree_id, 0.0, 0.0))
+            continue
+        y = phase(tree_id, t_ev).y
+        alive.pop(tree_id)
+        rho = float(model.fragmentation.sample(engine._FixedUniforms(np.full(1, u)), 1)[0])
+        y1 = rho * y
+        log.append((t_ev, "division", tree_id, y1, y - y1))
+        add(2 * tree_id + 1, t_ev, 0.0, y1)
+        add(2 * tree_id + 2, t_ev, 0.0, y - y1)
+        if len(alive) > config.cap:
+            cap_hit = True
+            break
+    flush(config.t_end)
+    return log, states, cap_hit
+
+
+def flat(tr):
+    """(event log, [(t, phases)], cap hit) of a Trajectory."""
+    return tr.event_log, [(s.t, s.individuals) for s in tr.states], tr.cap_hit
+
+
+def digest(tr):
+    log, states, cap_hit = flat(tr)
+    points = [(t, [(p.a, p.y) for p in pts]) for t, pts in states]
+    return hashlib.sha256(repr((log, points, cap_hit)).encode()).hexdigest()
+
+
+CONSTANT, BETA = ConstantHazard(1.0), BetaFragmentation(5, 5)
+TABLE_HAZARD = TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])
+TABLE_FRAG = TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+RECORD = [0.0, 0.5, 1.5, 2.5, 4.0]
+
+#: name -> (hazard, fragmentation, d0, x0, seed, replicate, extra config,
+#: sha256 of (event log, states, cap hit) over RECORD to t = 4)
+PINS = {
+    "constant_beta": (CONSTANT, BETA, 0.0, (0.0, 1.0), 7, 3, {},
+                      "085bc7c79c81ded68c0aa1a90b338e6a0e58e47c70a8b08d176d13f028ba4028"),
+    "constant_beta_deaths": (CONSTANT, BETA, 0.2, (0.0, 1.0), 7, 3, {},
+                             "3851c9076c817888d51a769cbded96f835a51b6dbb7c2ecb435a2c62ca9112b9"),
+    "table_uniform_deaths": (TABLE_HAZARD, UniformFragmentation(), 0.2, (0.0, 1.0), 3, 1, {},
+                             "0bac89482b033eb161a56f5374f4243a0725dc3e044f7e543b4e882c99d71292"),
+    "table_table": (TABLE_HAZARD, TABLE_FRAG, 0.0, (0.0, 1.0), 5, 0, {},
+                    "8e1667561faada097b6da6fcd04bb36232a665b1bdf254291d4fda748bdd54b7"),
+    "mid_orbit": (CONSTANT, BETA, 0.2, (0.3, 1.2), 11, 4, {},
+                  "cc5cb6e82c3384fa8e8b399bd076522f647d0973ece935220779177e61ac0238"),
+    "capped": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2, 0, {"cap": 8},
+               "9606017f7ab81431f1d0b28785e5c836bb96887b079bceefa42381e37f7cfc3d"),
+    "seed_max": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2**64 - 1, 2**64 - 1, {},
+                 "ce90bf334beb63ac84c2587a2fe5912aec181ddfe79db19297c56d24dcaa81ea"),
+}
+
+
+def pin_run(name):
+    hz, frag, d0, x0, seed, rep, extra, _ = PINS[name]
+    model = make_adder(1.0, hz, frag, d0=d0)
+    cfg = SimConfig(seed=seed, t_end=4.0, record_times=RECORD, **extra)
+    return model, PhasePoint(*x0), cfg, rep
+
+
+def first_words(seed, rep, tree_ids):
+    """Philox words 0..3 of the streams (seed, rep[i], tree_ids[i]), per numpy."""
+    words = [Philox(counter=np.array([0, 0, t & simulate.MASK64, t >> 64], dtype=np.uint64),
+                    key=np.array([seed, r], dtype=np.uint64)).random_raw(4)
+             for r, t in zip(rep, tree_ids)]
+    return np.array(words)
+
+
+def exponential_of_word(word):
+    """``Generator.exponential()`` when the next output word is ``word``.
+
+    The word is written into a Philox output buffer; later words are 0.
+    Returns (draw, number of words it consumed).
+    """
+    gen = Generator(Philox(0))
+    state = gen.bit_generator.state
+    state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    gen.bit_generator.state = state
+    x = gen.exponential()
+    return x, gen.bit_generator.state["buffer_pos"]
+
+
+class TestPhiloxOnArrays:
+    def test_matches_numpy_philox(self):
+        rng = np.random.default_rng(5)
+        n = 2100
+        tree_ids = [int(i) for i in rng.integers(0, 2**63, n)]
+        tree_ids[: n // 3] = [t | 1 << 64 | int(h) << 100 for t, h in
+                              zip(tree_ids[: n // 3], rng.integers(0, 2**27, n // 3))]
+        tree_ids[:4] = [0, 2**64 - 1, 2**64, 2**128 - 1]
+        reps = [int(r) for r in rng.integers(0, 2**64, n, dtype=np.uint64)]
+        reps[:3] = [0, 2**63, 2**64 - 1]
+        for seed in (0, 2**63 + 5, 2**64 - 1):
+            lo = np.array([t & simulate.MASK64 for t in tree_ids], dtype=np.uint64)
+            hi = np.array([t >> 64 for t in tree_ids], dtype=np.uint64)
+            words = streams.philox_block(seed, np.array(reps, dtype=np.uint64), (1, 0, lo, hi))
+            assert np.array_equal(np.stack(words, axis=1), first_words(seed, reps, tree_ids))
+
+    def test_child_ids_carry_into_the_high_word(self):
+        ids = [0, 5, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 2**63 - 1, 2**127 - 2]
+        lo = np.array([i & simulate.MASK64 for i in ids], dtype=np.uint64)
+        hi = np.array([i >> 64 for i in ids], dtype=np.uint64)
+        kid_lo, kid_hi = children_ids(lo, hi)
+        assert ([int(a) | int(b) << 64 for a, b in zip(kid_lo, kid_hi)]
+                == [2 * i + 1 for i in ids] + [2 * i + 2 for i in ids])
+
+    @pytest.mark.parametrize("parent", [2**127 - 1, 2**127, 2**128 - 1])
+    def test_child_ids_past_2_128_raise(self, parent):
+        lo = np.array([parent & simulate.MASK64], dtype=np.uint64)
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            children_ids(lo, np.array([parent >> 64], dtype=np.uint64))
+
+
+class TestZiggurat:
+    def test_thresholds_on_every_level(self):
+        # at KE - 1 the draw takes the fast path (one word, ri * WE); at KE it leaves it
+        for level in range(256):
+            ke = int(streams.KE[level])
+            if ke:
+                word = (ke - 1) << 11 | level << 3
+                assert exponential_of_word(word) == ((ke - 1) * streams.WE[level], 1)
+                x, fast = streams.exponential_fast(np.array([word], dtype=np.uint64))
+                assert fast[0] and x[0] == (ke - 1) * streams.WE[level]
+            word = ke << 11 | level << 3
+            assert exponential_of_word(word)[1] > 1
+            assert not streams.exponential_fast(np.array([word], dtype=np.uint64))[1][0]
+        assert streams.KE[1] == 0
+
+    def test_matches_generator_on_fresh_streams(self):
+        n = 100_000
+        reps = np.arange(n, dtype=np.uint64) * np.uint64(7919)
+        words = streams.philox_block(11, reps, (1, 0, np.arange(n, dtype=np.uint64), 0))
+        x, fast = streams.exponential_fast(words[0])
+        assert 0.01 < 1.0 - fast.mean() < 0.04
+        rng = None
+        for i in range(n):
+            rng = individual_rng(11, int(reps[i]), i, reuse=rng)
+            draw = rng.exponential()
+            if fast[i]:
+                assert draw == x[i]
+
+    def test_uniform_is_the_top_53_bits(self):
+        words = streams.philox_block(3, np.arange(50, dtype=np.uint64), (1, 0, 0, 0))
+        u = (words[0] >> 11).astype(float) * streams.UNIT
+        assert u.tolist() == [individual_rng(3, r, 0).random() for r in range(50)]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_pins(self, name):
+        model, x0, cfg, rep = pin_run(name)
+        assert digest(simulate_population(model, x0, cfg, replicate=rep)) == PINS[name][-1]
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_matches_event_loop(self, name):
+        model, x0, cfg, rep = pin_run(name)
+        reps = range(rep, rep + 6) if rep < 2**63 else [rep]
+        for r, tr in zip(reps, simulate_population(model, x0, cfg, reps)):
+            assert flat(tr) == reference_population(model, x0, cfg, r)
+
+    def test_slow_path_replays_the_stream(self, monkeypatch):
+        model, x0, cfg, rep = pin_run("constant_beta_deaths")
+        calls = []
+        real = simulate.individual_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        # with every threshold at 0 each lane leaves the fast path
+        monkeypatch.setattr(streams, "KE", np.zeros(256, dtype=np.uint64))
+        monkeypatch.setattr(simulate, "individual_rng", counted)
+        tr = simulate_population(model, x0, cfg, replicate=rep)
+        assert digest(tr) == PINS["constant_beta_deaths"][-1]
+        assert sorted(calls) == sorted({e[2] for e in tr.event_log} | {
+            2 * e[2] + k for e in tr.event_log if e[1] == "division" for k in (1, 2)})
+
+    def test_range_gives_one_trajectory_per_index(self, adder_d0):
+        cfg = SimConfig(seed=4, t_end=3.0, record_times=[1.0, 3.0])
+        block = simulate_population(adder_d0, PhasePoint(0.0, 1.0), cfg, range(3, 9))
+        assert len(block) == 6
+        for r, tr in zip(range(3, 9), block):
+            single = simulate_population(adder_d0, PhasePoint(0.0, 1.0), cfg, replicate=r)
+            assert flat(tr) == flat(single)
+
+    def test_blocks_do_not_change_trajectories(self, adder_d0, monkeypatch):
+        cfg = SimConfig(seed=4, t_end=2.0, record_times=[1.0, 2.0], replicates=10)
+        whole = run_replicates(adder_d0, PhasePoint(0.0, 1.0), cfg)
+        monkeypatch.setattr(simulate, "BLOCK_LANES", 40)
+        assert [flat(t) for t in run_replicates(adder_d0, PhasePoint(0.0, 1.0), cfg)] \
+            == [flat(t) for t in whole]
+
+    def test_cap_stops_exploding_run_quickly(self, adder):
+        # e^50 individuals would never finish: windows shrink until the cap is found
+        start = time.monotonic()
+        cfg = SimConfig(seed=2, t_end=50.0, record_times=[3.0, 50.0], cap=8, replicates=3)
+        with pytest.raises(PopulationCapExceeded, match="replicate 0 .* cap of 8"):
+            run_replicates(adder, PhasePoint(0.0, 1.0), cfg)
+        long = simulate_population(adder, PhasePoint(0.0, 1.0), cfg)
+        assert time.monotonic() - start < 10.0
+        short = simulate_population(
+            adder, PhasePoint(0.0, 1.0), SimConfig(seed=2, t_end=6.0, record_times=[3.0], cap=8))
+        assert long.cap_hit and long.event_log == short.event_log
+        assert long.states[0] == short.states[0]
+        assert flat(long) == reference_population(adder, PhasePoint(0.0, 1.0), cfg, 0)
+
+
+class TestAdderOnly:
+    @pytest.fixture
+    def general(self):
+        return ModelSpec(model_type="general", lambda_growth=1.0, d0=0.0,
+                         g1_fn=lambda a, y: y, g2_fn=lambda a, y: y,
+                         B_fn=lambda a, y: 1.0, beta_minus=1.0)
+
+    def test_simulation_rejects_general_models(self, general):
+        cfg = SimConfig(seed=1, t_end=1.0, record_times=[1.0], replicates=2)
+        with pytest.raises(InvalidModel, match="adder"):
+            simulate_population(general, PhasePoint(0.0, 1.0), cfg)
+        with pytest.raises(InvalidModel, match="adder"):
+            run_replicates(general, PhasePoint(0.0, 1.0), cfg)
+
+    def test_consistency_check_rejects_general_models(self, general):
+        with pytest.raises(InvalidModel, match="adder"):
+            generator_consistency_check(general, {"1": lambda a, y: 1.0},
+                                        PhasePoint(0.0, 1.0), dt=0.1, replicates=2)
