@@ -54,7 +54,6 @@ class RunManifest:
     command: str
     out_dir: str
     version: str
-    threads: int
     wall_clock: str
 
     def write(self, out_dir):
@@ -284,19 +283,10 @@ def build_parser():
     p.add_argument("--config", default=None, help="JSON configuration file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (fallback: MALTHUS_THREADS)")
     p.add_argument("--R", type=float, action="append", default=None,
                    help="truncation radius for eigen (repeatable)")
     p.add_argument("--grid-n", type=int, default=None, help="size-grid nodes for eigen")
     return p
-
-
-def resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MALTHUS_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def main(argv=None) -> int:
@@ -321,7 +311,6 @@ def main(argv=None) -> int:
         command=args.command,
         out_dir=os.path.abspath(out_dir),
         version=__version__,
-        threads=resolve_threads(args),
         wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
     manifest.write(out_dir)

@@ -10,14 +10,13 @@ the Newton slope dmu/dlam = <nu, (dG/dlam) eta> / <nu, eta>.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketFailure, NoConvergence
-from .model import ModelSpec, PhasePoint, gauss_legendre, gl_nodes
+from .model import ModelSpec, PhasePoint, gl_nodes
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       KernelRowEvaluator, SizeGrid)
 
@@ -66,10 +65,6 @@ class EigenResult:
             "nu": self.nu_dual.tolist(),
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def leading_eigen(matrix: KernelMatrix, start: np.ndarray | None = None,
@@ -227,41 +222,21 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
 # ---------------------------------------------------------------------------
 
 
-def _orbit_time_integral(model: ModelSpec, y: float, z, n_quad: int = 96):
-    """int_y^z ds / g2(0, s), vectorized in z (sign carries direction)."""
-    if model.is_adder:
-        return np.log(np.asarray(z, dtype=float) / y) / model.lambda_growth
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(zz)
-    for i, zi in enumerate(zz):
-        s, ws = gl_nodes(y, zi, n_quad)
-        out[i] = float(np.sum(ws / model.g2(np.zeros_like(s), s)))
-    return out if np.ndim(z) else float(out[0])
-
-
 def euler_lotka_residual(model: ModelSpec, lam: float, y: float,
                          law: FirstJumpLaw | None = None, n_rho: int = 256) -> float:
     """C_(0,y) * E[exp(lam * (int_y^Z ds/g2(0,s) - T))] - 1 at the first jump.
 
-    Vanishes at the Malthus exponent; equals C - 1 at lam = 0.
+    Vanishes at the Malthus exponent; equals C - 1 at lam = 0.  The orbit
+    time from y to z is log(z / y) / lambda_growth, so the expectation
+    reduces to the fragmentation moment of order s = lam / lambda_growth.
     """
     law = law or FirstJumpLaw(model)
     q = law.row_quadrature(PhasePoint(0.0, float(y)))
     coef = q.w * np.exp(-lam * q.t)
-    x, w = gauss_legendre(n_rho)
-    rho = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    if model.is_adder:
-        s = lam / model.lambda_growth
-        frag = model.fragmentation
-        m_s = float(np.sum(wr * frag.pdf(rho) * rho**s))
-        inner = 2.0 * m_s * (q.u / y) ** s
-    else:
-        inner = np.empty_like(q.u)
-        for i, ui in enumerate(q.u):
-            zz = rho * ui
-            kv = model.kernel_density(0.0, ui, zz)
-            inner[i] = float(np.sum(wr * ui * kv * np.exp(lam * _orbit_time_integral(model, y, zz))))
+    rho, wr = gl_nodes(0.0, 1.0, n_rho)
+    s = lam / model.lambda_growth
+    m_s = float(np.sum(wr * model.fragmentation.pdf(rho) * rho**s))
+    inner = 2.0 * m_s * (q.u / y) ** s
     return float(np.dot(coef, inner)) - 1.0
 
 

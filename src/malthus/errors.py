@@ -13,14 +13,6 @@ class NonPositiveH(MalthusError):
     """The eigenfunction candidate h is not strictly positive at a queried point."""
 
 
-class IntegrationFailure(MalthusError):
-    """The ODE integrator failed (step underflow or solver error)."""
-
-
-class OffOrbit(MalthusError):
-    """The target point does not lie on the orbit of the source point."""
-
-
 class OffDomain(MalthusError):
     """An orbit query is unreachable along the trajectory."""
 

@@ -1,10 +1,10 @@
-"""Structured-population models: rates, kernels, assumption checks, h-transform.
+"""The adder model: rates, kernels, assumption checks, h-transform.
 
-A model couples a deterministic growth field g = (g1, g2) on phase points
-x = (a, y) (age/added size, current size) with a division rate
-beta(x) = g1(x) * B(x) and an offspring kernel k(x, z) giving the size
-density of newborns.  The adder model specialises to g = (lam*y, lam*y),
-B = B(a) and the fragmentation kernel k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
+Phase points x = (a, y) (added size, current size) grow along the field
+g = (g1, g2) = (lam*y, lam*y), divide at rate beta(x) = g1(x) * B(a) with B
+the hazard per unit added size, and leave two newborns of sizes rho*y and
+(1 - rho)*y, rho drawn from the fragmentation density F: the offspring
+kernel is k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -361,18 +361,18 @@ class MomentTable:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable model description; all operations are pure.
+    """Immutable adder model; all operations are pure.
 
-    For ``model_type == "adder"`` the growth field, rate and kernel are
-    derived from (lambda_growth, hazard, fragmentation, d0).  For
-    ``"general"`` the user supplies g1_fn, g2_fn, B_fn and kernel_fn.
+    The growth field, division rate and offspring kernel derive from
+    (lambda_growth, hazard, fragmentation); d0 is the constant death rate.
+    The remaining fields are the assumption bounds that ``validate`` and the
+    certificates read.
     """
 
-    model_type: str
     lambda_growth: float
     d0: float
-    hazard: object | None = None
-    fragmentation: object | None = None
+    hazard: object
+    fragmentation: object
     a_star: float = 0.0
     beta_minus: float = 0.0
     beta_plus: float = math.inf
@@ -380,36 +380,19 @@ class ModelSpec:
     c0: float = 1.0
     c1: float = 1.0
     c2: float = 1.0
-    # general-model fields
-    g1_fn: Optional[Callable] = None
-    g2_fn: Optional[Callable] = None
-    B_fn: Optional[Callable] = None
-    kernel_fn: Optional[Callable] = None
-    kernel_mass_fn: Optional[Callable] = None
-    kernel_support_fn: Optional[Callable] = None
-
-    @property
-    def is_adder(self) -> bool:
-        return self.model_type == "adder"
 
     # -- growth field --------------------------------------------------
 
     def g1(self, a, y):
-        if self.is_adder:
-            return self.lambda_growth * np.asarray(y, dtype=float)
-        return self.g1_fn(a, y)
+        return self.lambda_growth * np.asarray(y, dtype=float)
 
     def g2(self, a, y):
-        if self.is_adder:
-            return self.lambda_growth * np.asarray(y, dtype=float)
-        return self.g2_fn(a, y)
+        return self.lambda_growth * np.asarray(y, dtype=float)
 
     # -- division ------------------------------------------------------
 
     def B(self, a, y):
-        if self.is_adder:
-            return self.hazard(a)
-        return self.B_fn(a, y)
+        return self.hazard(a)
 
     def beta(self, a, y):
         return self.g1(a, y) * self.B(a, y)
@@ -418,60 +401,34 @@ class ModelSpec:
 
     def kernel_density(self, a, y, z):
         """k(a, y, z): offspring size density (total mass = mean offspring)."""
-        if self.is_adder:
-            z = np.asarray(z, dtype=float)
-            out = np.where(
-                (z > 0) & (z <= y), (2.0 / y) * self.fragmentation.pdf(np.minimum(z / y, 1.0)), 0.0
-            )
-            return out if out.ndim else float(out)
-        return self.kernel_fn(a, y, z)
+        z = np.asarray(z, dtype=float)
+        out = np.where(
+            (z > 0) & (z <= y), (2.0 / y) * self.fragmentation.pdf(np.minimum(z / y, 1.0)), 0.0
+        )
+        return out if out.ndim else float(out)
 
     def kernel_mass(self, a, y):
-        if self.is_adder:
-            return 2.0 * self.fragmentation.moment(0)
-        return self.kernel_mass_fn(a, y)
+        return 2.0 * self.fragmentation.moment(0)
 
     def kernel_mass_above(self, a, y, R):
         """Integral of k(a, y, .) above R (the truncation leak)."""
-        if self.is_adder:
-            if y <= R:
-                return 0.0
-            return 2.0 * (1.0 - self.fragmentation.cdf(R / y))
-        lo, hi = self.kernel_support(a, y)
-        if hi <= R:
+        if y <= R:
             return 0.0
-        zz, ww = gl_nodes(max(R, lo), hi, 64)
-        return float(np.sum(ww * self.kernel_fn(a, y, zz)))
-
-    def kernel_support(self, a, y):
-        if self.is_adder:
-            return (0.0, float(y))
-        if self.kernel_support_fn is not None:
-            return self.kernel_support_fn(a, y)
-        return (0.0, math.inf)
+        return 2.0 * (1.0 - self.fragmentation.cdf(R / y))
 
     # -- generator -------------------------------------------------------
 
     def jump_integral(self, f, a, y, n_quad: int = 128):
         """Integral of f(0, z) k((a, y), z) dz, elementwise over (a, y) arrays.
 
-        For the adder the quadrature runs on a trailing axis, so ``f`` is
-        called once with z of shape ``y.shape + (n_quad,)``; each point sums
-        its nodes in the same order as a scalar call.
+        The quadrature runs on a trailing axis, so ``f`` is called once with
+        z of shape ``y.shape + (n_quad,)``; each point sums its nodes in the
+        same order as a scalar call.
         """
-        if self.is_adder:
-            rho, w = gl_nodes(0.0, 1.0, n_quad)
-            z = rho * np.asarray(y, dtype=float)[..., None]
-            out = 2.0 * np.sum(w * self.fragmentation.pdf(rho) * f(0.0, z), axis=-1)
-            return out if np.ndim(out) else float(out)
-        if np.ndim(a) or np.ndim(y):
-            point = np.vectorize(lambda ai, yi: self.jump_integral(f, ai, yi, n_quad),
-                                 otypes=[float])
-            return point(a, y)
-        lo, hi = self.kernel_support(a, y)
-        zz, ww = gl_nodes(lo, hi, n_quad)
-        vals = np.array([f(0.0, z) for z in np.atleast_1d(zz)])
-        return float(np.sum(ww * self.kernel_fn(a, y, zz) * vals))
+        rho, w = gl_nodes(0.0, 1.0, n_quad)
+        z = rho * np.asarray(y, dtype=float)[..., None]
+        out = 2.0 * np.sum(w * self.fragmentation.pdf(rho) * f(0.0, z), axis=-1)
+        return out if np.ndim(out) else float(out)
 
     def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
         """Q f at (a, y): transport + branching jump term - d0 * f.
@@ -544,15 +501,14 @@ def make_adder(lambda_growth, B, F, d0=0.0, *, c_margin=4.0) -> ModelSpec:
 
     ``B`` is a hazard object (ConstantHazard/TableHazard) or a plain positive
     number (constant hazard).  ``F`` is a fragmentation density object.
-    The flow-control constants default to multiples of lambda_growth; they
-    only matter for diagnostics (Gronwall envelopes, Doeblin bounds).
+    The flow-control constants c0, c1 and c2 default to multiples of
+    lambda_growth.
     """
     if lambda_growth <= 0:
         raise InvalidModel("lambda_growth must be positive")
     if isinstance(B, (int, float)):
         B = ConstantHazard(float(B))
     return ModelSpec(
-        model_type="adder",
         lambda_growth=float(lambda_growth),
         d0=float(d0),
         hazard=B,
@@ -598,34 +554,27 @@ def validate(model: ModelSpec, box=(8.0, 8.0), grid_n: int = 64) -> ValidationRe
     """Check the model assumptions on a sampling grid over [0, box]^2.
 
     Structural violations (nonpositive hazard bound, fragmentation mean away
-    from 1/2, adder death rate >= elongation rate) raise InvalidModel naming
-    the first violated assumption; soft sampled conditions are reported
+    from 1/2, death rate >= elongation rate) raise InvalidModel naming the
+    first violated assumption; soft sampled conditions are reported
     pass/fail.
     """
     report = ValidationReport(grid=(grid_n, grid_n))
     a_max, y_max = box
 
-    if model.is_adder:
-        if model.beta_minus <= 0:
-            raise InvalidModel("(A1) hazard lower bound must be positive")
-        frag = model.fragmentation
-        m = MomentTable.of(frag)
-        if abs(m.m0 - 1.0) > DENSITY_RENORM_TOL:
-            raise InvalidModel(f"(A2) fragmentation mass m0 = {m.m0:.8f} != 1")
-        if abs(m.m1 - 0.5) > MOMENT_TOL:
-            raise InvalidModel(f"(A2) fragmentation mean m1 = {m.m1:.8f} != 1/2")
-        if not (model.lambda_growth > model.d0):
-            raise InvalidModel(
-                f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"
-            )
-        report.add("(A1) hazard bounds", True, f"[{model.beta_minus:g}, {model.beta_plus:g}]")
-        report.add("(A2) moments", m.m2 <= 0.5 + MOMENT_TOL, f"m1={m.m1:.10f}, m2={m.m2:.10f}")
-        report.add("(A3) growth vs death", True, f"lambda={model.lambda_growth:g} > d0={model.d0:g}")
-    else:
-        if model.beta_minus <= 0:
-            raise InvalidModel("(ii) beta_minus must be positive")
-        if model.a_star <= 0:
-            raise InvalidModel("(ii) general models need a minimal division age a_star > 0")
+    if model.beta_minus <= 0:
+        raise InvalidModel("(A1) hazard lower bound must be positive")
+    m = MomentTable.of(model.fragmentation)
+    if abs(m.m0 - 1.0) > DENSITY_RENORM_TOL:
+        raise InvalidModel(f"(A2) fragmentation mass m0 = {m.m0:.8f} != 1")
+    if abs(m.m1 - 0.5) > MOMENT_TOL:
+        raise InvalidModel(f"(A2) fragmentation mean m1 = {m.m1:.8f} != 1/2")
+    if not (model.lambda_growth > model.d0):
+        raise InvalidModel(
+            f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"
+        )
+    report.add("(A1) hazard bounds", True, f"[{model.beta_minus:g}, {model.beta_plus:g}]")
+    report.add("(A2) moments", m.m2 <= 0.5 + MOMENT_TOL, f"m1={m.m1:.10f}, m2={m.m2:.10f}")
+    report.add("(A3) growth vs death", True, f"lambda={model.lambda_growth:g} > d0={model.d0:g}")
 
     aa = np.linspace(1e-3, a_max, grid_n)
     yy = np.linspace(1e-3, y_max, grid_n)
@@ -647,19 +596,13 @@ def validate(model: ModelSpec, box=(8.0, 8.0), grid_n: int = 64) -> ValidationRe
     ok_zero = np.all(Bv[~above] == 0.0) if np.any(~above) else True
     report.add("(ii) hazard band", bool(ok_band and ok_zero), f"a_star={model.a_star:g}")
 
-    # kernel mass 1 < ||k||_1 <= K_bar on a thinner grid (quadrature per point)
-    ok_mass = True
-    detail = ""
-    for a in aa[:: max(1, grid_n // 8)]:
-        for y in yy[:: max(1, grid_n // 8)]:
-            mass = model.kernel_mass(a, y)
-            if not (1.0 < mass <= model.K_bar + 1e-9):
-                ok_mass = False
-                detail = f"mass {mass:.6f} at ({a:.3f},{y:.3f})"
-                break
-        if not ok_mass:
-            break
-    report.add("(iii) offspring mass", ok_mass, detail or f"K_bar={model.K_bar:g}")
+    # kernel mass 1 < ||k||_1 <= K_bar; the mass 2 m0 is the same at every
+    # point, so a failure is reported at the first grid point
+    mass = model.kernel_mass(aa[0], yy[0])
+    ok_mass = 1.0 < mass <= model.K_bar + 1e-9
+    detail = (f"K_bar={model.K_bar:g}" if ok_mass
+              else f"mass {mass:.6f} at ({aa[0]:.3f},{yy[0]:.3f})")
+    report.add("(iii) offspring mass", ok_mass, detail)
 
     return report
 
@@ -700,15 +643,6 @@ class MarkovModel:
         k = np.asarray(self.base.kernel_density(a, y, z), dtype=float)
         out = hz.reshape(k.shape) * k / norm
         return out if out.ndim else float(out)
-
-    def sample_post_jump(self, a, y, rng, n_grid: int = 512):
-        """Inverse-CDF sample of the post-jump size on the kernel support."""
-        lo, hi = self.base.kernel_support(a, y)
-        zz = np.linspace(lo, hi, n_grid)
-        dens = np.asarray(self.post_jump_density(a, y, zz), dtype=float)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zz))])
-        cdf /= cdf[-1]
-        return float(np.interp(rng.random(), cdf, zz))
 
     def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
         """A f at (a, y) for the transformed (conservative) dynamics.

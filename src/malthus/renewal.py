@@ -8,9 +8,9 @@ count.  The renewal kernel K_lam(x, z) = int e^{-lam t} k(phi^t x, z)
 psi(t|x) dt and its truncation to sizes in [0, R] (with the uniform 1/R
 leak correction) drive the eigenvalue machinery.
 
-For the adder the time integral is evaluated in the added-size variable
-(da = B-hazard measure, u = y + a the current size), which removes all flow
-integration from the inner loop.
+The time integral is evaluated in the added-size variable (da = B-hazard
+measure, u = y + a the current size), which removes all flow integration
+from the inner loop.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailBoundExceeded
-from .flow import FlowEngine
 from .model import ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 
 #: target cumulative hazard at the quadrature cutoff; exp(-28) < 1e-12
 HAZARD_CUTOFF = 28.0
 TAIL_TOL = 1e-9
+#: Gauss-Legendre panels per orbit row, and nodes per panel
+N_PANELS = 12
+N_PER_PANEL = 16
 
 
 def _panel_nodes(edges, n_per_panel):
@@ -55,36 +57,21 @@ class RowQuadrature:
 
 
 class FirstJumpLaw:
-    """Survival, jump-time and joint first-jump densities for one model."""
+    """Survival, jump-time density and renewal kernel of the first division."""
 
-    def __init__(self, model: ModelSpec, flow: FlowEngine | None = None,
-                 n_panels: int = 12, n_per_panel: int = 16):
+    def __init__(self, model: ModelSpec):
         self.model = model
-        self.flow = flow or FlowEngine(model)
-        self.n_panels = n_panels
-        self.n_per_panel = n_per_panel
         self._row_cache: dict = {}
 
     # -- survival -------------------------------------------------------
 
     def cumulative_rate(self, x: PhasePoint, t) -> float:
         """int_0^t beta(phi^s x) ds."""
-        if self.model.is_adder:
-            lam = self.model.lambda_growth
-            a_t = x.a + x.y * (np.exp(lam * np.asarray(t, dtype=float)) - 1.0)
-            H = self.model.hazard.cumulative
-            out = H(a_t) - H(x.a)
-            return out if np.ndim(out) else float(out)
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(tt)
-        for i, ti in enumerate(tt):
-            if ti <= 0:
-                out[i] = 0.0
-                continue
-            s, w = _panel_nodes(np.linspace(0.0, ti, 9), 16)
-            pts = [self.flow.advance(x, si) for si in s]
-            out[i] = float(np.sum(w * [self.model.beta(p.a, p.y) for p in pts]))
-        return out if np.ndim(t) else float(out[0])
+        lam = self.model.lambda_growth
+        a_t = x.a + x.y * (np.exp(lam * np.asarray(t, dtype=float)) - 1.0)
+        H = self.model.hazard.cumulative
+        out = H(a_t) - H(x.a)
+        return out if np.ndim(out) else float(out)
 
     def survival(self, x: PhasePoint, t) -> float:
         """P(no division before t from x) = exp(-int beta)."""
@@ -94,77 +81,37 @@ class FirstJumpLaw:
     def jump_time_density(self, x: PhasePoint, t) -> float:
         """psi(t|x) = beta(phi^t x) * survival(x, t)."""
         tt = np.asarray(t, dtype=float)
-        if self.model.is_adder:
-            lam = self.model.lambda_growth
-            e = np.exp(lam * tt)
-            a_t, y_t = x.a + x.y * (e - 1.0), x.y * e
-            out = self.model.beta(a_t, y_t) * self.survival(x, tt)
-            return out if np.ndim(out) else float(out)
-        p = self.flow.advance(x, float(t))
-        return self.model.beta(p.a, p.y) * self.survival(x, float(t))
+        e = np.exp(self.model.lambda_growth * tt)
+        a_t, y_t = x.a + x.y * (e - 1.0), x.y * e
+        out = self.model.beta(a_t, y_t) * self.survival(x, tt)
+        return out if np.ndim(out) else float(out)
 
     # -- quadrature along the orbit --------------------------------------
 
     def row_quadrature(self, x: PhasePoint) -> RowQuadrature:
+        """Graded Gauss-Legendre panels in the added size, up to HAZARD_CUTOFF."""
         key = (x.a, x.y)
         cached = self._row_cache.get(key)
         if cached is not None:
             return cached
-        if self.model.is_adder:
-            row = self._adder_row(x)
-        else:
-            row = self._generic_row(x)
-        self._row_cache[key] = row
-        return row
-
-    def _adder_row(self, x: PhasePoint) -> RowQuadrature:
-        lam = self.model.lambda_growth
         hz = self.model.hazard
         if x.y <= 0:
             raise ValueError("orbit from zero size never divides")
         a_cut = hz.inverse_cumulative(hz.cumulative(x.a) + HAZARD_CUTOFF) - x.a
-        aa, ww = _panel_nodes(_graded_edges(a_cut, self.n_panels), self.n_per_panel)
+        aa, ww = _panel_nodes(_graded_edges(a_cut, N_PANELS), N_PER_PANEL)
         # psi(t) dt = B(a0 + a) exp(-(H(a0+a) - H(a0))) da along the orbit
         dens = hz(x.a + aa) * np.exp(-(hz.cumulative(x.a + aa) - hz.cumulative(x.a)))
         u = x.y + aa
-        t = np.log(u / x.y) / lam
-        return RowQuadrature(t=t, w=ww * dens, u=u)
-
-    def _generic_row(self, x: PhasePoint) -> RowQuadrature:
-        # march until survival drops below the cutoff, then lay GL panels in t
-        t_hi = 1.0
-        while self.cumulative_rate(x, t_hi) < HAZARD_CUTOFF:
-            t_hi *= 2.0
-            if t_hi > 1e6:
-                raise TailBoundExceeded("hazard integral fails to diverge")
-        tt, ww = _panel_nodes(_graded_edges(t_hi, self.n_panels), self.n_per_panel)
-        dens = np.array([self.jump_time_density(x, ti) for ti in tt])
-        u = np.array([self.flow.advance(x, ti).y for ti in tt])
-        return RowQuadrature(t=tt, w=ww * dens, u=u)
+        t = np.log(u / x.y) / self.model.lambda_growth
+        row = self._row_cache[key] = RowQuadrature(t=t, w=ww * dens, u=u)
+        return row
 
     # -- first-jump functionals ------------------------------------------
 
     def offspring_constant(self, x: PhasePoint) -> float:
         """C_x = E[number of offspring at the first division]."""
         q = self.row_quadrature(x)
-        if self.model.is_adder:
-            return float(np.sum(q.w) * self.model.kernel_mass(x.a, x.y))
-        masses = np.array([self.model.kernel_mass(0.0, ui) for ui in q.u])
-        return float(np.sum(q.w * masses))
-
-    def first_jump_density(self, x: PhasePoint, t: float, z: float) -> float:
-        """p_x(t, z): joint density of (division time, one offspring size)."""
-        if t < 0:
-            return 0.0
-        if self.model.is_adder:
-            lam = self.model.lambda_growth
-            u = x.y * math.exp(lam * t)
-            a_u = x.a + (u - x.y)
-            k = self.model.kernel_density(a_u, u, z)
-        else:
-            p = self.flow.advance(x, t)
-            k = self.model.kernel_density(p.a, p.y, z)
-        return float(k) * self.jump_time_density(x, t) / self.offspring_constant(x)
+        return float(np.sum(q.w) * self.model.kernel_mass(x.a, x.y))
 
     def kernel_K(self, x: PhasePoint, z, lam: float):
         """K_lam(x, z) = int e^{-lam t} k(phi^t x, z) psi(t|x) dt."""
@@ -183,10 +130,9 @@ class FirstJumpLaw:
 class KernelRowEvaluator:
     """Offspring-kernel values k(0, u_r, z_j) along one orbit row.
 
-    For the adder ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes
-    ``u_r`` and the fixed sizes ``z``, evaluated in place into buffers that
-    are allocated once and reused by every later row of the same length;
-    the general model fills the same buffer from ``kernel_density``.  With
+    ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes ``u_r`` and
+    the fixed sizes ``z``, evaluated in place into buffers that are
+    allocated once and reused by every later row of the same length.  With
     a truncation level ``R`` each call also returns the leak mass
     ``above[r]`` of k(0, u_r, .) above R (None without ``R``).  The returned
     ``kvals`` is overwritten by the next call.
@@ -207,23 +153,14 @@ class KernelRowEvaluator:
         return self._buffers
 
     def __call__(self, q: RowQuadrature):
-        model, z, R = self.model, self.z, self.R
+        frag, R = self.model.fragmentation, self.R
         ratio, kvals, x, mask = self._workspace(q.u.size)
+        np.divide(self.z, q.u[:, None], out=ratio)
+        frag.pdf(ratio, out=kvals, work=(x, mask))
+        np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
         above = None
-        if model.is_adder:
-            frag = model.fragmentation
-            np.divide(z, q.u[:, None], out=ratio)
-            frag.pdf(ratio, out=kvals, work=(x, mask))
-            np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
-            if R is not None:
-                above = np.where(q.u > R, 2.0 * (1.0 - frag.cdf(np.minimum(R / q.u, 1.0))), 0.0)
-        else:
-            if R is not None:
-                above = np.empty_like(q.u)
-            for r, ui in enumerate(q.u):
-                kvals[r] = model.kernel_density(0.0, ui, z)
-                if R is not None:
-                    above[r] = model.kernel_mass_above(0.0, ui, R)
+        if R is not None:
+            above = np.where(q.u > R, 2.0 * (1.0 - frag.cdf(np.minimum(R / q.u, 1.0))), 0.0)
         return kvals, above
 
 
@@ -300,17 +237,6 @@ class KernelMatrix:
     def adjoint_apply(self, w: np.ndarray) -> np.ndarray:
         """Dual action on grid measures: <w, G f> = <J w, f> exactly."""
         return self.grid.weights * (np.asarray(w, dtype=float) @ self.M)
-
-    def to_csv(self, path):
-        idx = np.indices(self.M.shape)
-        np.savetxt(
-            path,
-            np.column_stack([idx[0].ravel(), idx[1].ravel(), self.M.ravel()]),
-            delimiter=",",
-            header="row,col,value",
-            comments="",
-            fmt=("%d", "%d", "%.17g"),
-        )
 
 
 class KernelAssembler:

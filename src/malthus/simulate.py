@@ -30,9 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import (DegenerateData, InsufficientData, InvalidModel,
-                     PopulationCapExceeded)
-from .flow import FlowEngine
+from .errors import DegenerateData, InsufficientData, PopulationCapExceeded
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
@@ -95,17 +93,6 @@ def division_age_cdf(model: ModelSpec, x: PhasePoint, a) -> float:
     return out if np.ndim(a) else float(out)
 
 
-def division_time_from_added_size(model: ModelSpec, x: PhasePoint, delta_a: float,
-                                  flow: FlowEngine | None = None) -> float:
-    """Time for the added size to advance from x.a to x.a + delta_a."""
-    if delta_a < 0:
-        raise ValueError("added size increment must be nonnegative")
-    if model.is_adder:
-        return math.log1p(delta_a / x.y) / model.lambda_growth
-    flow = flow or FlowEngine(model)
-    return flow._time_to_age(x, x.a + delta_a)
-
-
 # ---------------------------------------------------------------------------
 # Population state
 # ---------------------------------------------------------------------------
@@ -161,8 +148,6 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
     order after the initial entry; a state lists the individuals alive at
     its time in (birth time, tree id) order.
     """
-    if not model.is_adder:
-        raise InvalidModel("the branching simulation is implemented for adder models")
     # the engine is compiled on first use: commands that do not simulate
     # start without it
     from .engine import Block
@@ -268,8 +253,6 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     ``fs`` is a dict label -> f(a, y); one batch of one-step replicates is
     shared across all test functions.  Returns a list of ConsistencyReport.
     """
-    if not model.is_adder:
-        raise InvalidModel("the one-step simulation is implemented for adder models")
     labels = list(fs)
     funcs = [fs[k] for k in labels]
     vals = np.empty((replicates, len(funcs)))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
-from .model import (MarkovModel, ModelSpec, PhasePoint, gauss_legendre,
-                    h_transform, trapezoid_weights)
+from .model import (MarkovModel, ModelSpec, PhasePoint, gl_nodes, h_transform,
+                    trapezoid_weights)
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF
 from .simulate import Trajectory, individual_rng, sample_division_age
 
@@ -67,11 +67,6 @@ class Density2D:
                 and self.y_nodes.shape == other.y_nodes.shape
                 and np.allclose(self.a_nodes, other.a_nodes)
                 and np.allclose(self.y_nodes, other.y_nodes))
-
-    def to_csv(self, path):
-        A, Y = np.meshgrid(self.a_nodes, self.y_nodes, indexing="ij")
-        np.savetxt(path, np.column_stack([A.ravel(), Y.ravel(), self.values.ravel()]),
-                   delimiter=",", header="a,y,value", comments="", fmt="%.17g")
 
 
 def weighted_tv(u: Density2D, v: Density2D, V: Callable = default_V) -> float:
@@ -143,8 +138,6 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     sweeps differ by less than ``tol`` in sup norm (the renormalized sweep
     is the operator whose residual is reported).
     """
-    if not model.is_adder:
-        raise InvalidModel("the stationary profile machinery needs an adder model")
     from scipy import integrate  # ~0.3 s to import; only eta* and pi* use it
     hz = model.hazard
     s = np.linspace(0.0, y_max, n)
@@ -152,9 +145,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
-    x_gl, w_gl = gauss_legendre(n_rho)
-    rho = 0.5 * (x_gl + 1.0)
-    w_rho = 0.5 * w_gl
+    rho, w_rho = gl_nodes(0.0, 1.0, n_rho)
     apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
     mass_w = _pi_mass_weights(model, s, a_cut)
 
@@ -264,8 +255,6 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     max(AV + cV - d) and the first grid point (a-major order) attaining it.  A NaN margin
     anywhere is the worst margin, and fails the report.
     """
-    if not model.is_adder:
-        raise InvalidModel("the drift check is implemented for adder models")
     markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float),
                          model.lambda_growth - model.d0)
     c = model.lambda_growth if c is None else float(c)
@@ -342,8 +331,6 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
 
     Returns (Density2D nu, DoeblinConstants).
     """
-    if not model.is_adder:
-        raise InvalidModel("the minorant construction is implemented for adder models")
     a_lo, a_hi, y_lo, y_hi = (float(v) for v in compact)
     if not (0 <= a_lo <= a_hi and 0 < y_lo <= y_hi):
         raise ValueError("compact bounds must satisfy 0 <= a_lo <= a_hi, 0 < y_lo <= y_hi")

@@ -43,7 +43,23 @@ class TestValidate:
         assert run(["validate", "--config", config, "--out", out]) == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["all_passed"]
+        mass = next(c for c in report["checks"] if c["name"] == "(iii) offspring mass")
+        assert mass["detail"] == "K_bar=2"
         assert (out / "manifest.json").exists()
+
+    def test_offspring_mass_above_bound_exit_2(self, config, tmp_path):
+        # the adder's offspring mass is 2, above a configured K_bar of 1.5
+        cfg = json.loads(config.read_text())
+        cfg["model"]["bounds"] = {"K_bar": 1.5}
+        path = tmp_path / "kbar.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "vk"
+        assert run(["validate", "--config", path, "--out", out]) == 2
+        report = json.loads((out / "validate_report.json").read_text())
+        assert not report["all_passed"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed == [{"name": "(iii) offspring mass", "passed": False,
+                           "detail": "mass 2.000000 at (0.001,0.001)"}]
 
     def test_invalid_model_exit_2(self, config, tmp_path, capsys):
         cfg = json.loads(config.read_text())
@@ -154,17 +170,16 @@ class TestDoeblinCommand:
 
 
 class TestThreads:
-    def test_env_fallback(self, config, tmp_path, monkeypatch):
-        monkeypatch.setenv("MALTHUS_THREADS", "3")
-        assert run(["validate", "--config", config, "--out", tmp_path / "t"]) == 0
-        assert os.environ["MALTHUS_THREADS"] == "3"
-
-    def test_flag_leaves_environ_unchanged(self, config, tmp_path):
+    def test_main_leaves_environ_unchanged(self, config, tmp_path):
         before = dict(os.environ)
-        out = tmp_path / "t5"
-        assert run(["validate", "--config", config, "--out", out, "--threads", 5]) == 0
+        assert run(["validate", "--config", config, "--out", tmp_path / "t"]) == 0
         assert dict(os.environ) == before
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 5
+
+    def test_threads_flag_rejected(self, config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--config", config, "--out", tmp_path / "t5", "--threads", 5])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_no_partial_files_left(self, config, tmp_path):
         out = tmp_path / "p"
@@ -173,7 +188,7 @@ class TestThreads:
 
 
 def test_import_skips_scipy_integrate():
-    # scipy.integrate costs ~0.3 s to import; only eta*, pi* and general flows use it;
+    # scipy.integrate costs ~0.3 s to import and only eta* and pi* use it;
     # the simulation engine is compiled on first use as well
     src = str(Path(malthus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

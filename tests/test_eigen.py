@@ -3,9 +3,8 @@ import pytest
 
 import malthus.eigen
 from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
-                     FirstJumpLaw, KernelAssembler, ModelSpec, NoConvergence,
-                     PhasePoint,
-                     SizeGrid, euler_lotka_residual, leading_eigen, make_adder,
+                     KernelAssembler, NoConvergence, PhasePoint, SizeGrid,
+                     euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
 from malthus.eigen import ROOT_TOL
 from malthus.renewal import KernelMatrix
@@ -133,13 +132,3 @@ class TestReconstruct:
                 (0.4, 1.3): "0x1.4bb8978598df0p+0", (1.0, 3.5): "0x1.ab0c0d09a0541p+1"}
         for (a, y), h in pins.items():
             assert reconstruct_h(res, adder, PhasePoint(a, y), law) == float.fromhex(h)
-        general = ModelSpec(
-            model_type="general", lambda_growth=1.0, d0=0.0,
-            kernel_fn=lambda a, y, z: np.where(
-                (np.asarray(z) > 0) & (np.asarray(z) <= y),
-                (2.0 / y) * adder.fragmentation.pdf(np.asarray(z) / y), 0.0),
-            kernel_support_fn=lambda a, y: (0.0, float(y)))
-        # the general branch on the adder's row quadrature
-        for (a, y), h in {(0.0, 1.5): "0x1.7dd7f41dc9e97p+0",
-                          (0.7, 2.5): "0x1.396dbc0794b3dp+1"}.items():
-            assert reconstruct_h(res, general, PhasePoint(a, y), law) == float.fromhex(h)

@@ -1,41 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
-from malthus import (ConstantHazard, BetaFragmentation, FlowEngine, ModelSpec,
-                     OffDomain, OffOrbit, PhasePoint, make_adder)
+from malthus import FlowEngine, OffDomain, PhasePoint
 
 
 @pytest.fixture(scope="module")
 def flow(adder):
     return FlowEngine(adder)
-
-
-@pytest.fixture(scope="module")
-def general_adder():
-    """The same adder dynamics declared through the general-model interface,
-    so the ODE/variational code paths can be checked against closed forms."""
-    F = BetaFragmentation(5, 5)
-    hz = ConstantHazard(1.0)
-    return ModelSpec(
-        model_type="general",
-        lambda_growth=1.0,
-        d0=0.0,
-        hazard=hz,
-        fragmentation=F,
-        beta_minus=1.0,
-        beta_plus=1.0,
-        a_star=0.1,
-        g1_fn=lambda a, y: np.asarray(y, dtype=float),
-        g2_fn=lambda a, y: np.asarray(y, dtype=float),
-        B_fn=lambda a, y: np.ones_like(np.asarray(a, dtype=float)),
-        kernel_fn=lambda a, y, z: np.where(
-            (np.asarray(z) > 0) & (np.asarray(z) <= y),
-            (2.0 / y) * F.pdf(np.asarray(z) / y), 0.0),
-        kernel_mass_fn=lambda a, y: 2.0,
-        kernel_support_fn=lambda a, y: (0.0, float(y)),
-    )
 
 
 class TestAdvance:
@@ -57,15 +29,6 @@ class TestAdvance:
         assert p.a == pytest.approx(x.a, abs=1e-12)
         assert p.y == pytest.approx(x.y, abs=1e-12)
 
-    def test_ode_matches_closed_form(self, general_adder, adder):
-        fg = FlowEngine(general_adder)
-        fa = FlowEngine(adder)
-        x = PhasePoint(0.3, 1.7)
-        for t in [0.1, 0.5, 2.0]:
-            pg, pa = fg.advance(x, t), fa.advance(x, t)
-            assert pg.a == pytest.approx(pa.a, rel=1e-7)
-            assert pg.y == pytest.approx(pa.y, rel=1e-7)
-
 
 class TestOrbitQueries:
     def test_size_at_age(self, flow):
@@ -79,39 +42,3 @@ class TestOrbitQueries:
         assert flow.age_at_size(x, 3.0) == pytest.approx(1.5)
         with pytest.raises(OffDomain):
             flow.age_at_size(x, 1.0)  # would need negative age
-
-    def test_transit_time(self, flow):
-        x = PhasePoint(0.0, 1.0)
-        target = flow.advance(x, 0.8)
-        assert flow.transit_time(x, target) == pytest.approx(0.8)
-
-    def test_transit_time_off_orbit(self, flow):
-        with pytest.raises(OffOrbit):
-            flow.transit_time(PhasePoint(0.0, 1.0), PhasePoint(5.0, 2.0))
-
-
-class TestJacobian:
-    def test_closed_form(self, flow):
-        t = 0.6
-        J = flow.flow_jacobian(PhasePoint(0.2, 1.0), t)
-        e = math.exp(t)
-        assert np.allclose(J.as_array(), [[1.0, e - 1.0], [0.0, e]])
-        assert J.det == pytest.approx(e)
-
-    def test_variational_matches_closed_form(self, general_adder, flow):
-        fg = FlowEngine(general_adder)
-        x = PhasePoint(0.3, 1.7)
-        t = 0.9
-        Jg = fg.flow_jacobian(x, t).as_array()
-        Ja = flow.flow_jacobian(x, t).as_array()
-        assert np.allclose(Jg, Ja, rtol=1e-5, atol=1e-7)
-
-    def test_jacobian_is_flow_derivative(self, flow):
-        # finite-difference check of D phi^t against perturbed orbits
-        x = PhasePoint(0.4, 1.2)
-        t, h = 0.5, 1e-6
-        J = flow.flow_jacobian(x, t).as_array()
-        base = flow.advance(x, t)
-        dy = flow.advance(PhasePoint(x.a, x.y + h), t)
-        col = np.array([(dy.a - base.a) / h, (dy.y - base.y) / h])
-        assert np.allclose(J[:, 1], col, atol=1e-5)

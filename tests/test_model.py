@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
-                     ModelSpec, MomentTable, NonPositiveH, PhasePoint, TableFragmentation,
+                     MomentTable, NonPositiveH, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, h_transform,
                      make_adder, model_from_config, validate)
 from malthus.model import gauss_legendre
@@ -160,7 +160,6 @@ class TestFragmentation:
 
 class TestModelSpec:
     def test_adder_fields(self, adder):
-        assert adder.is_adder
         assert adder.g1(0.0, 2.0) == pytest.approx(2.0)
         assert adder.g2(1.0, 3.0) == pytest.approx(3.0)
         assert adder.beta(0.5, 2.0) == pytest.approx(2.0)
@@ -203,20 +202,6 @@ class TestModelSpec:
             point = adder_d0.jump_integral(f, a[i, j], y[i, j])
             assert type(point) is float and jump[i, j] == point
             assert q[i, j] == adder_d0.apply_generator(f, a[i, j], y[i, j])
-
-    def test_general_jump_integral_on_arrays(self, adder):
-        F = adder.fragmentation
-        general = ModelSpec(
-            model_type="general", lambda_growth=1.0, d0=0.0,
-            kernel_fn=lambda a, y, z: (2.0 / y) * F.pdf(np.asarray(z) / y),
-            kernel_support_fn=lambda a, y: (0.0, float(y)))
-        a, y = np.array([[0.1, 0.5], [1.0, 2.0]]), np.array([[0.5, 1.0], [2.0, 4.0]])
-        f = lambda A, Y: Y * Y
-        jump = general.jump_integral(f, a, y)
-        assert jump.shape == (2, 2)
-        for i, j in np.ndindex(a.shape):
-            assert jump[i, j] == general.jump_integral(f, a[i, j], y[i, j])
-        assert np.allclose(jump, adder.jump_integral(f, a, y), rtol=1e-12, atol=0)
 
     def test_second_order_generator_pointwise(self, adder_d0):
         # Q(Q f) needs the inner Q f at each quadrature size separately

@@ -5,51 +5,24 @@ import pytest
 from scipy import integrate
 
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
-                     FlowEngine, KernelAssembler, ModelSpec, PhasePoint,
-                     SizeGrid, TableFragmentation, TableHazard, make_adder)
-
-
-def general_adder(F):
-    """Adder dynamics declared through the general-model interface."""
-    return ModelSpec(
-        model_type="general", lambda_growth=1.0, d0=0.0,
-        hazard=ConstantHazard(1.0), fragmentation=F,
-        beta_minus=1.0, beta_plus=1.0, a_star=0.1,
-        g1_fn=lambda a, y: np.asarray(y, dtype=float),
-        g2_fn=lambda a, y: np.asarray(y, dtype=float),
-        B_fn=lambda a, y: np.ones_like(np.asarray(a, dtype=float)),
-        kernel_fn=lambda a, y, z: np.where(
-            (np.asarray(z) > 0) & (np.asarray(z) <= y),
-            (2.0 / y) * F.pdf(np.asarray(z) / y), 0.0),
-        kernel_mass_fn=lambda a, y: 2.0,
-        kernel_support_fn=lambda a, y: (0.0, float(y)))
-
-
-def closed_form_law(model):
-    return FirstJumpLaw(model, FlowEngine(model, closed_form=True))
+                     KernelAssembler, PhasePoint, SizeGrid, TableFragmentation,
+                     TableHazard, make_adder)
 
 
 def reference_kvals(model, q, z, R):
     """Kernel values and leak mass of one row, allocated afresh per row."""
     ratio = z[None, :] / q.u[:, None]
-    if model.is_adder:
-        F = model.fragmentation
-        if isinstance(F, BetaFragmentation):
-            inside = (ratio > 0.0) & (ratio < 1.0)
-            x = ratio[inside]
-            dens = np.zeros_like(ratio)
-            dens[inside] = np.exp((F.alpha - 1.0) * np.log(x)
-                                  + (F.beta - 1.0) * np.log1p(-x) - F._log_norm)
-        else:
-            dens = F.pdf(ratio)
-        kvals = (2.0 / q.u)[:, None] * dens
-        above = np.where(q.u > R, 2.0 * (1.0 - F.cdf(np.minimum(R / q.u, 1.0))), 0.0)
+    F = model.fragmentation
+    if isinstance(F, BetaFragmentation):
+        inside = (ratio > 0.0) & (ratio < 1.0)
+        x = ratio[inside]
+        dens = np.zeros_like(ratio)
+        dens[inside] = np.exp((F.alpha - 1.0) * np.log(x)
+                              + (F.beta - 1.0) * np.log1p(-x) - F._log_norm)
     else:
-        kvals = np.empty_like(ratio)
-        above = np.empty_like(q.u)
-        for r, ui in enumerate(q.u):
-            kvals[r] = model.kernel_density(0.0, ui, z)
-            above[r] = model.kernel_mass_above(0.0, ui, R)
+        dens = F.pdf(ratio)
+    kvals = (2.0 / q.u)[:, None] * dens
+    above = np.where(q.u > R, 2.0 * (1.0 - F.cdf(np.minimum(R / q.u, 1.0))), 0.0)
     return kvals, above
 
 
@@ -129,14 +102,6 @@ class TestFirstJumpLaw:
             assert law.kernel_K(x, z, lam).tolist() == [float.fromhex(v) for v in values]
             assert law.kernel_K(x, 1.2, lam) == float.fromhex(at_1_2)
 
-    def test_kernel_K_general_model_pinned(self):
-        law = closed_form_law(general_adder(BetaFragmentation(5, 5)))
-        z = np.array([0.0, 0.3, 0.8, 1.5, 3.0, 7.5])
-        values = ["0x0.0p+0", "0x1.1c6981b54e9b9p-1", "0x1.95829eecd5888p+0",
-                  "0x1.4fdacf5d3e38bp-2", "0x1.3b39facc9dbbcp-6", "0x1.365acb46c9370p-16"]
-        assert (law.kernel_K(PhasePoint(0.0, 1.0), z, 0.5).tolist()
-                == [float.fromhex(v) for v in values])
-
     def test_tabulated_hazard_consistency(self):
         hz = TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])
         m = make_adder(1.0, hz, BetaFragmentation(5, 5))
@@ -200,13 +165,10 @@ class TestKernelMatrix:
     def test_matrix_matches_row_formula(self, F):
         self.check_matrix(make_adder(1.0, ConstantHazard(1.0), F), n=24)
 
-    def test_general_matrix_matches_row_formula(self):
-        self.check_matrix(general_adder(BetaFragmentation(5, 5)), n=6)
-
     @staticmethod
     def check_matrix(model, n):
         grid = SizeGrid.uniform(3.0, n)
-        assembler = KernelAssembler(model, grid, closed_form_law(model))
+        assembler = KernelAssembler(model, grid, FirstJumpLaw(model))
         for lam in (0.0, 0.9):
             mat = assembler.matrix(lam)
             M, dM = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))

@@ -9,14 +9,13 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from malthus import (BetaFragmentation, ConstantHazard, InsufficientData,
-                     InvalidModel, ModelSpec, PhasePoint, PopulationCapExceeded,
-                     SimConfig, TableFragmentation, TableHazard,
+                     PhasePoint, PopulationCapExceeded, SimConfig, TableFragmentation, TableHazard,
                      UniformFragmentation, empirical_functional, estimate_malthus,
                      generator_consistency_check, individual_rng, make_adder,
                      run_replicates, sample_division_age, simulate_population)
 from malthus import engine, simulate, streams
 from malthus.engine import children_ids
-from malthus.simulate import division_age_cdf, division_time_from_added_size
+from malthus.simulate import division_age_cdf
 from malthus.stationary import advance_h_chain
 
 
@@ -112,11 +111,6 @@ class TestClocks:
         x = PhasePoint(0.7, 1.0)
         s = np.array([sample_division_age(adder, x, rng) for _ in range(2000)])
         assert np.all(s >= 0.7)
-
-    def test_division_time_conversion(self, adder):
-        x = PhasePoint(0.0, 2.0)
-        t = division_time_from_added_size(adder, x, 2.0)
-        assert t == pytest.approx(math.log(2.0))  # size doubles when da = y
 
 
 class TestSimulation:
@@ -456,23 +450,3 @@ class TestEngine:
         assert long.cap_hit and long.event_log == short.event_log
         assert long.states[0] == short.states[0]
         assert flat(long) == reference_population(adder, PhasePoint(0.0, 1.0), cfg, 0)
-
-
-class TestAdderOnly:
-    @pytest.fixture
-    def general(self):
-        return ModelSpec(model_type="general", lambda_growth=1.0, d0=0.0,
-                         g1_fn=lambda a, y: y, g2_fn=lambda a, y: y,
-                         B_fn=lambda a, y: 1.0, beta_minus=1.0)
-
-    def test_simulation_rejects_general_models(self, general):
-        cfg = SimConfig(seed=1, t_end=1.0, record_times=[1.0], replicates=2)
-        with pytest.raises(InvalidModel, match="adder"):
-            simulate_population(general, PhasePoint(0.0, 1.0), cfg)
-        with pytest.raises(InvalidModel, match="adder"):
-            run_replicates(general, PhasePoint(0.0, 1.0), cfg)
-
-    def test_consistency_check_rejects_general_models(self, general):
-        with pytest.raises(InvalidModel, match="adder"):
-            generator_consistency_check(general, {"1": lambda a, y: 1.0},
-                                        PhasePoint(0.0, 1.0), dt=0.1, replicates=2)

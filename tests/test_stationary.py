@@ -6,9 +6,8 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D,
-                     EmptyMinorantWarning, GridMismatch, InvalidModel,
-                     ModelSpec, PhasePoint, SimConfig, TableHazard,
-                     UniformFragmentation, check_drift, default_V,
+                     EmptyMinorantWarning, GridMismatch, PhasePoint, SimConfig,
+                     TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
                      h_transform, kernel_minorant_epsilon, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
@@ -141,13 +140,6 @@ class TestDrift:
         rep = check_drift(adder, V=V, grid_n=8)
         assert math.isnan(rep.worst_margin) and not rep.passed
         assert rep.worst_point == (a0, y0)
-
-    def test_general_model_rejected(self):
-        general = ModelSpec(model_type="general", lambda_growth=1.0, d0=0.0,
-                            g1_fn=lambda a, y: y, g2_fn=lambda a, y: y,
-                            B_fn=lambda a, y: 1.0, beta_minus=1.0, beta_plus=1.0)
-        with pytest.raises(InvalidModel):
-            check_drift(general, grid_n=4)
 
 
 class TestDoeblin:
