@@ -1,18 +1,17 @@
-"""Age-and-size structured branching processes: flow maps, renewal kernels,
-Malthus exponent, Monte Carlo simulation, drift checks and explicit minorants.
+"""Age-and-size structured branching processes: renewal kernels, Malthus
+exponent, Monte Carlo simulation, drift checks and explicit minorants.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (BracketFailure, DegenerateData, EmptyMinorantWarning,
                      GridMismatch, InsufficientData, InvalidModel, MalthusError,
-                     NoConvergence, NonPositiveH, OffDomain,
-                     PopulationCapExceeded, TailBoundExceeded)
+                     NoConvergence, NonPositiveH, PopulationCapExceeded,
+                     TailBoundExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
                     MomentTable, PhasePoint, TableFragmentation, TableHazard,
                     UniformFragmentation, ValidationReport, h_transform,
                     load_config, make_adder, model_from_config, validate)
-from .flow import FlowEngine
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       RowQuadrature, SizeGrid)
 from .eigen import (EigenResult, euler_lotka_residual, leading_eigen,

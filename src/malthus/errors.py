@@ -13,10 +13,6 @@ class NonPositiveH(MalthusError):
     """The eigenfunction candidate h is not strictly positive at a queried point."""
 
 
-class OffDomain(MalthusError):
-    """An orbit query is unreachable along the trajectory."""
-
-
 class TailBoundExceeded(MalthusError):
     """The certified truncation tail of a time quadrature is too large."""
 

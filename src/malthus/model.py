@@ -39,9 +39,6 @@ class PhasePoint:
         if not (self.y > 0.0):
             raise ValueError(f"size must be positive, got {self.y}")
 
-    def as_tuple(self):
-        return (self.a, self.y)
-
 
 # ---------------------------------------------------------------------------
 # Hazards (the "age hazard rate" B, per unit added size in the adder scaling)
@@ -377,9 +374,6 @@ class ModelSpec:
     beta_minus: float = 0.0
     beta_plus: float = math.inf
     K_bar: float = 2.0
-    c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
 
     # -- growth field --------------------------------------------------
 
@@ -409,12 +403,6 @@ class ModelSpec:
 
     def kernel_mass(self, a, y):
         return 2.0 * self.fragmentation.moment(0)
-
-    def kernel_mass_above(self, a, y, R):
-        """Integral of k(a, y, .) above R (the truncation leak)."""
-        if y <= R:
-            return 0.0
-        return 2.0 * (1.0 - self.fragmentation.cdf(R / y))
 
     # -- generator -------------------------------------------------------
 
@@ -496,30 +484,29 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def make_adder(lambda_growth, B, F, d0=0.0, *, c_margin=4.0) -> ModelSpec:
+def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     """Adder model: g = (lam*y, lam*y), beta = lam*y*B(a), children (rho*y, (1-rho)*y).
 
     ``B`` is a hazard object (ConstantHazard/TableHazard) or a plain positive
     number (constant hazard).  ``F`` is a fragmentation density object.
-    The flow-control constants c0, c1 and c2 default to multiples of
-    lambda_growth.
+    ``d0`` is the constant death rate.
     """
     if lambda_growth <= 0:
         raise InvalidModel("lambda_growth must be positive")
+    d0 = float(d0)
+    if not (math.isfinite(d0) and d0 >= 0):
+        raise InvalidModel(f"death rate d0 must be finite and nonnegative, got {d0}")
     if isinstance(B, (int, float)):
         B = ConstantHazard(float(B))
     return ModelSpec(
         lambda_growth=float(lambda_growth),
-        d0=float(d0),
+        d0=d0,
         hazard=B,
         fragmentation=F,
         a_star=getattr(B, "a_star", 0.0),
         beta_minus=B.lower,
         beta_plus=B.upper,
         K_bar=2.0 * F.moment(0),
-        c0=float(lambda_growth),
-        c1=float(c_margin * lambda_growth),
-        c2=float(c_margin * lambda_growth),
     )
 
 
@@ -634,16 +621,6 @@ class MarkovModel:
     def h_weighted_mass(self, a, y, n_quad: int = 128):
         return self.base.jump_integral(lambda _, z: self._h(0.0, z), a, y, n_quad)
 
-    def jump_rate(self, a, y, n_quad: int = 128):
-        return self.base.beta(a, y) * self.h_weighted_mass(a, y, n_quad) / self._h(a, y)
-
-    def post_jump_density(self, a, y, z, n_quad: int = 128):
-        norm = self.h_weighted_mass(a, y, n_quad)
-        hz = np.asarray([self._h(0.0, zz) for zz in np.atleast_1d(z)], dtype=float)
-        k = np.asarray(self.base.kernel_density(a, y, z), dtype=float)
-        out = hz.reshape(k.shape) * k / norm
-        return out if out.ndim else float(out)
-
     def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
         """A f at (a, y) for the transformed (conservative) dynamics.
 
@@ -712,7 +689,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
             **{
                 **model.__dict__,
                 **{k: float(v) for k, v in bounds.items() if k in
-                   ("c0", "c1", "c2", "beta_minus", "beta_plus", "K_bar", "a_star")},
+                   ("beta_minus", "beta_plus", "K_bar", "a_star")},
             }
         )
     return model

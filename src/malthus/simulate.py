@@ -16,8 +16,9 @@ computed in numpy (``malthus.streams``), and its division exponential,
 death exponential (when d0 > 0) and fragment uniform are read from it
 through numpy's ziggurat fast path.  The few individuals whose exponential
 leaves that path replay their stream through ``individual_rng``.  The
-stream layout is that of one fresh ``Generator(Philox)`` per individual,
-so every draw is the one an event-by-event simulation makes.
+stream layout is that of one fresh Philox generator per individual,
+so every draw is the one an event-by-event simulation makes.  The one-step
+Kolmogorov check (``generator_consistency_check``) runs on the same engine.
 """
 
 from __future__ import annotations
@@ -250,16 +251,16 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     of the neglected O(dt^2) remainder so exactly-conserved functionals
     (zero sample variance) are scored fairly.
 
-    ``fs`` is a dict label -> f(a, y); one batch of one-step replicates is
-    shared across all test functions.  Returns a list of ConsistencyReport.
+    ``fs`` is a dict label -> f(a, y); one batch of one-step replicates,
+    simulated by ``run_replicates`` on the streams of ``simulate_population``,
+    is shared across all test functions.  Returns a list of ConsistencyReport;
+    raises PopulationCapExceeded when a replicate outgrows the default cap.
     """
     labels = list(fs)
     funcs = [fs[k] for k in labels]
-    vals = np.empty((replicates, len(funcs)))
-    for r in range(replicates):
-        key = np.array([seed & MASK64, r & MASK64], dtype=np.uint64)
-        rng = Generator(Philox(key=key))
-        vals[r] = _one_step_functionals(model, x0, dt, rng, funcs)
+    config = SimConfig(seed=seed, t_end=dt, record_times=[dt], replicates=replicates)
+    vals = np.array([[empirical_functional(tr.states[0], f) for f in funcs]
+                     for tr in run_replicates(model, x0, config)])
     reports = []
     for j, label in enumerate(labels):
         mean = float(vals[:, j].mean())
@@ -276,32 +277,3 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
         reports.append(ConsistencyReport(label, lhs, se / dt, rhs, float(z)))
     return reports
 
-
-def _one_step_functionals(model: ModelSpec, x: PhasePoint, t_end: float,
-                          rng: Generator, funcs):
-    """Sum of f over the population at t_end, one short exact trajectory."""
-    lam = model.lambda_growth
-    stack = [(0.0, x.a, x.y)]
-    out = np.zeros(len(funcs))
-    while stack:
-        t0, a0, y0 = stack.pop()
-        hz = model.hazard
-        a_div = float(hz.inverse_cumulative(hz.cumulative(a0) + rng.exponential()))
-        t_div = t0 + math.log1p((a_div - a0) / y0) / lam
-        t_die = t0 + rng.exponential() / model.d0 if model.d0 > 0 else math.inf
-        t_next = min(t_div, t_die)
-        if t_next >= t_end:
-            e = math.exp(lam * (t_end - t0))
-            a_t, y_t = a0 + y0 * (e - 1.0), y0 * e
-            for j, f in enumerate(funcs):
-                out[j] += f(a_t, y_t)
-            continue
-        if t_die <= t_div:
-            continue
-        e = math.exp(lam * (t_div - t0))
-        y_div = y0 * e
-        rho = float(model.fragmentation.sample(rng, 1)[0])
-        y1 = rho * y_div
-        stack.append((t_div, 0.0, y1))
-        stack.append((t_div, 0.0, y_div - y1))
-    return out

@@ -69,6 +69,17 @@ class TestValidate:
         assert run(["validate", "--config", bad, "--out", tmp_path / "v2"]) == 2
         assert "(A3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d0", [-1.0, math.inf])
+    def test_bad_death_rate_exit_2(self, config, tmp_path, capsys, d0):
+        # the simulator draws no death clock for d0 <= 0, so a negative d0
+        # would give a Malthus exponent no simulation reproduces
+        cfg = json.loads(config.read_text())
+        cfg["model"]["d0"] = d0
+        bad = tmp_path / "d0.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(["validate", "--config", bad, "--out", tmp_path / "vd"]) == 2
+        assert "death rate" in capsys.readouterr().err
+
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -171,12 +171,6 @@ class TestModelSpec:
         mass = np.trapezoid(adder.kernel_density(0.0, y, z), z)
         assert mass == pytest.approx(2.0, abs=1e-6)
 
-    def test_kernel_mass_above(self, adder):
-        assert adder.kernel_mass_above(0.0, 1.0, 2.0) == 0.0
-        val = adder.kernel_mass_above(0.0, 4.0, 2.0)
-        ref = 2.0 * (1.0 - adder.fragmentation.cdf(0.5))
-        assert val == pytest.approx(ref)
-
     def test_generator_on_exact_eigenfunction(self, adder_d0):
         # Q y = (lambda_growth - d0) * y for the adder, exactly
         rng = np.random.default_rng(0)
@@ -245,22 +239,12 @@ class TestHTransform:
         mk = h_transform(adder, lambda a, y: np.asarray(y, dtype=float), 1.0)
         # h = y: weighted kernel mass is y itself (2 m1 = 1)
         assert mk.h_weighted_mass(0.3, 2.0) == pytest.approx(2.0, rel=1e-10)
-        assert mk.jump_rate(0.3, 2.0) == pytest.approx(adder.beta(0.3, 2.0), rel=1e-10)
         # A V closed form for V = 1/y + y:
         # lam (y - 1/y) + lam B (1 - (1 - 2 m2) y^2)
         a, y = 0.5, 2.0
         av = mk.apply_generator(lambda A, Y: 1.0 / Y + Y, a, y)
         expected = (y - 1.0 / y) + (1.0 - (1.0 - 6.0 / 11.0) * y**2)
         assert av == pytest.approx(expected, rel=1e-6)
-
-    def test_post_jump_density_is_size_biased(self, adder):
-        mk = h_transform(adder, lambda a, y: np.asarray(y, dtype=float), 1.0)
-        y = 2.0
-        z = np.linspace(1e-6, y, 2001)
-        dens = np.asarray(mk.post_jump_density(0.0, y, z))
-        assert np.trapezoid(dens, z) == pytest.approx(1.0, abs=1e-4)
-        # mode of the rho-density 2 rho F(rho) for Beta(5,5) is at rho = 5/9
-        assert z[np.argmax(dens)] == pytest.approx(y * 5.0 / 9.0, abs=0.01)
 
     def test_nonpositive_h(self, adder):
         with pytest.raises(NonPositiveH):
