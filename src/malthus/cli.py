@@ -7,9 +7,9 @@ override config keys, which override built-in defaults.  Every run first
 writes an atomic ``manifest.json``; outputs are staged with a ``.partial``
 suffix and renamed on completion.
 
-Exit codes: 0 success, 1 malformed configuration JSON, 2 invalid model,
-3 eigen solver failure, 4 simulation failure, 5 stationary-profile failure,
-6 minorant failure.
+Exit codes: 0 success, 1 malformed configuration JSON or a bad ``sim``
+value, 2 invalid model, 3 eigen solver failure, 4 simulation failure,
+5 stationary-profile failure, 6 minorant failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,6 +41,10 @@ EXIT_EIGEN = 3
 EXIT_SIM = 4
 EXIT_STATIONARY = 5
 EXIT_DOEBLIN = 6
+
+
+class _BadConfig(Exception):
+    """A configuration value out of range; ``main`` exits with EXIT_BAD_CONFIG."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +149,25 @@ def cmd_eigen(cfg, args, out_dir):
 
 
 def _sim_config(cfg, args):
-    scfg = dict(cfg.get("sim", {}))
+    """(SimConfig, x0) from the ``sim`` section; a bad value raises _BadConfig."""
+    scfg = cfg.get("sim", {})
     seed = args.seed if args.seed is not None else scfg.get("seed", 0)
-    return SimConfig(
-        seed=int(seed),
-        t_end=float(scfg.get("t_end", 4.0)),
-        record_times=scfg.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
-        cap=int(scfg.get("cap", 1_000_000)),
-        replicates=int(scfg.get("replicates", 1)),
-    ), scfg
+    try:
+        sim_cfg = SimConfig(seed=seed, t_end=float(scfg.get("t_end", 4.0)),
+                            record_times=scfg.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
+                            cap=int(scfg.get("cap", 1_000_000)),
+                            replicates=int(scfg.get("replicates", 1)))
+        x0 = scfg.get("x0", [0.0, 1.0])
+        if len(x0) != 2 or not 0.0 <= x0[0] < x0[1]:
+            raise ValueError(f"x0 = {x0} must be [a, y] with 0 <= a < y")
+    except ValueError as exc:
+        raise _BadConfig(f"sim: {exc}") from None
+    return sim_cfg, PhasePoint(*x0)
 
 
 def cmd_simulate(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    sim_cfg, scfg = _sim_config(cfg, args)
-    x0 = PhasePoint(*scfg.get("x0", [0.0, 1.0]))
+    sim_cfg, x0 = _sim_config(cfg, args)
     try:
         trajectories = run_replicates(model, x0, sim_cfg)
     except MalthusError as exc:
@@ -174,11 +183,10 @@ def cmd_simulate(cfg, args, out_dir):
             rows.append((r, state.t, n, sum_h, mean_a, mean_y))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
-    if scfg.get("snapshots"):
+    if cfg.get("sim", {}).get("snapshots"):
         # rows are formatted as they are generated, never all held at once
-        snap = ((r, s.t, p.a, p.y)
-                for r, tr in enumerate(trajectories)
-                for s in tr.states for p in s.individuals)
+        snap = chain.from_iterable(zip(repeat(r), repeat(s.t), s.a.tolist(), s.y.tolist())
+                                   for r, tr in enumerate(trajectories) for s in tr.states)
         _write_csv(os.path.join(out_dir, "snapshots.csv"),
                    ["replicate", "t", "a", "y"], snap)
     return EXIT_OK
@@ -209,8 +217,7 @@ def cmd_stationary(cfg, args, out_dir):
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
                zip(A.ravel(), Y.ravel(), ref.values.ravel()))
     if stcfg.get("report", False):
-        sim_cfg, scfg = _sim_config(cfg, args)
-        x0 = PhasePoint(*scfg.get("x0", [0.0, 1.0]))
+        sim_cfg, x0 = _sim_config(cfg, args)
         try:
             trajectories = run_replicates(model, x0, sim_cfg)
             rep = st.ergodicity_report(trajectories, profile, model,
@@ -319,6 +326,9 @@ def main(argv=None) -> int:
     except InvalidModel as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
+    except _BadConfig as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ virtual-birth shifts and phases call ``math.log1p``/``math.log``/``math.exp``
 element by element, because numpy's vectorised versions can differ from
 them in the last bit; the other operations are the event-by-event
 simulation's, element for element, so every draw, event log and state is
-bit-identical to it.
+bit-identical to it.  States are returned as arrays, slices of the block's
+own, and a replicate that outgrows the cap raises PopulationCapExceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import simulate  # individual_rng is looked up at call time, where it can be wrapped
+from .errors import PopulationCapExceeded
 from .model import ModelSpec, PhasePoint
 from .simulate import MASK64, PopulationState, SimConfig, Trajectory
 from .streams import UNIT, exponential_fast, philox_block
@@ -54,7 +56,6 @@ class _Lanes:
     u: np.ndarray      # uniform of the fragment drawn at that division
     y1: np.ndarray     # children's sizes once the division is processed
     y2: np.ndarray
-    done: np.ndarray   # the event has been processed
 
     def take(self, idx) -> "_Lanes":
         return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
@@ -80,10 +81,6 @@ class _Lanes:
     def size(self) -> int:
         return self.rep.size
 
-    @property
-    def root(self) -> np.ndarray:
-        return (self.lo == 0) & (self.hi == 0)
-
 
 class Block:
     """The simulation of one block of replicates.
@@ -95,8 +92,9 @@ class Block:
     individuals is abandoned and retried at half the width, so a population
     that explodes past the cap is never built in full; after a window, a
     replicate whose alive count could have passed the cap has its events
-    replayed in (time, tree id) order to find the division that passed it.
-    ``run`` returns one Trajectory per replicate of ``reps``.
+    replayed in (time, tree id) order, and PopulationCapExceeded is raised
+    if a division did pass it.  ``run`` returns one Trajectory per
+    replicate of ``reps``.
     """
 
     def __init__(self, model: ModelSpec, x0: PhasePoint, config: SimConfig, reps):
@@ -104,7 +102,6 @@ class Block:
         self.reps = reps
         self.keys = np.array([r & MASK64 for r in reps], dtype=np.uint64)
         self.budget = 2 * (config.cap + 1)
-        self.cap_time = np.full(len(reps), math.inf)
         self.lanes = 0  # individuals simulated, once run
 
     # -- draws and clocks ------------------------------------------------
@@ -143,8 +140,7 @@ class Block:
             div = ~(t_die <= t_ev)
             t_ev = np.where(div, t_ev, t_die)
         zero = np.zeros(rep.size)
-        return _Lanes(rep, lo, hi, tb, yb, t_ev, div, u, zero, zero.copy(),
-                      np.zeros(rep.size, dtype=bool))
+        return _Lanes(rep, lo, hi, tb, yb, t_ev, div, u, zero, zero.copy())
 
     def _roots(self) -> _Lanes:
         n = len(self.reps)
@@ -164,7 +160,6 @@ class Block:
 
     def _divide(self, lanes: _Lanes) -> _Lanes:
         """Process the events of ``lanes``; return the children they bear."""
-        lanes.done[:] = True
         d = np.flatnonzero(lanes.div)
         kid_lo, kid_hi = children_ids(lanes.lo[d], lanes.hi[d])
         t = lanes.t_ev[d]
@@ -185,7 +180,8 @@ class Block:
 
         Appends the lanes whose fate is settled to ``settled`` and returns the
         lanes still pending, or returns None, settling nothing, when some
-        replicate bears more than the budget inside the window.
+        replicate bears more than the budget inside the window.  Raises
+        PopulationCapExceeded when a division inside it passes the cap.
         """
         n, cap = len(self.reps), self.config.cap
         go = pending.t_ev <= t1
@@ -206,41 +202,15 @@ class Block:
         alive = np.bincount(pending.rep, minlength=n)
         bound = alive + np.bincount(proc.rep[proc.div], minlength=n)
         for b in np.flatnonzero(bound > cap).tolist():
-            proc, stay = self._cap(b, int(alive[b]), proc, stay)
+            # replay the window's events in (time, tree id) order
+            mine = np.flatnonzero(proc.rep == b)
+            order = mine[np.lexsort((proc.lo[mine], proc.hi[mine], proc.t_ev[mine]))]
+            running = alive[b] + np.cumsum(np.where(proc.div[order], 1, -1))
+            if running.max() > cap:
+                raise PopulationCapExceeded(
+                    f"replicate {self.reps[b]} exceeded the population cap of {cap}")
         settled.append(proc)
-        frozen = np.isfinite(self.cap_time)[stay.rep]
-        if frozen.any():
-            settled.append(stay.take(frozen))
-            stay = stay.take(~frozen)
         return stay
-
-    def _cap(self, b: int, alive: int, proc: _Lanes, stay: _Lanes):
-        """Stop replicate b at the division that took it past the cap, if any.
-
-        Returns ``proc`` and ``stay`` without the lanes born after that
-        division, and with the events after it unprocessed.
-        """
-        mine = np.flatnonzero(proc.rep == b)
-        order = mine[np.lexsort((proc.lo[mine], proc.hi[mine], proc.t_ev[mine]))]
-        running = alive + np.cumsum(np.where(proc.div[order], 1, -1))
-        over = np.flatnonzero(running > self.config.cap)
-        if not over.size:
-            return proc, stay
-        k = int(over[0])
-        self.cap_time[b] = proc.t_ev[order[k]]
-        later = order[k + 1:]
-        proc.done[later] = False
-        later = later[proc.div[later]]
-        parents = set(tree_ids(proc.lo[later], proc.hi[later]))
-        out = []
-        for lanes in (proc, stay):
-            keep = np.ones(lanes.size, dtype=bool)
-            late = (lanes.rep == b) & ~lanes.root & (lanes.tb >= self.cap_time[b])
-            for i, tree_id in zip(np.flatnonzero(late).tolist(),
-                                  tree_ids(lanes.lo[late], lanes.hi[late])):
-                keep[i] = (tree_id - 1) >> 1 not in parents
-            out.append(lanes.take(keep))
-        return out
 
     def run(self) -> list:
         pending, settled = self._roots(), []
@@ -257,45 +227,43 @@ class Block:
                 break
             t0, width = t1, 2.0 * width
         settled.append(pending)
-        return self._trajectories(settled)
+        return self._trajectories(_Lanes.concat(settled))
 
     # -- output ----------------------------------------------------------
 
-    def _trajectories(self, settled: list) -> list:
-        """One Trajectory per replicate; empties ``settled`` as it goes."""
+    def _trajectories(self, lanes: _Lanes) -> list:
+        """One Trajectory per replicate from all lanes of the block."""
         n, x0 = len(self.reps), self.x0
-        lanes = _Lanes.concat(settled)
         self.lanes = lanes.size
         # (birth time, tree id) order within each replicate, as states list them
         lanes.reorder(np.lexsort((lanes.lo, lanes.hi, lanes.tb, lanes.rep)))
         # event logs, (time, tree id) order within each replicate
-        ev = np.flatnonzero(lanes.done)
+        ev = np.flatnonzero(lanes.t_ev <= self.config.t_end)
         ev = ev[np.lexsort((lanes.lo[ev], lanes.hi[ev], lanes.t_ev[ev], lanes.rep[ev]))]
         kinds = [("death", "division")[d] for d in lanes.div[ev].tolist()]
-        entries = list(zip(lanes.t_ev[ev].tolist(), kinds, tree_ids(lanes.lo[ev], lanes.hi[ev]),
+        lo, hi = lanes.lo[ev].tolist(), lanes.hi[ev].tolist()
+        ids = [a | b << 64 for a, b in zip(lo, hi)] if any(hi) else lo  # tree ids
+        entries = list(zip(lanes.t_ev[ev].tolist(), kinds, ids,
                            lanes.y1[ev].tolist(), lanes.y2[ev].tolist()))
         ends = np.cumsum(np.bincount(lanes.rep[ev], minlength=n)).tolist()
         logs = [[(0.0, "init", 0, x0.a, x0.y)] + entries[a:b]
                 for a, b in zip([0] + ends, ends)]
-        del entries, ev
-        # alive at t: born before t (the root always), its event not yet
-        # processed, or frozen since a cap hit before t
-        rep, t_ev, tb, yb, root = lanes.rep, lanes.t_ev, lanes.tb, lanes.yb, lanes.root
-        frozen_since = np.where(lanes.done, math.inf, self.cap_time[rep])
+        del entries, ev, ids, lo, hi
+        # alive at t: born before t (the root always) and its event not before t
+        rep, t_ev, tb, yb = lanes.rep, lanes.t_ev, lanes.tb, lanes.yb
+        root = (lanes.lo == 0) & (lanes.hi == 0)
         del lanes
         lam = self.model.lambda_growth
         states = [[] for _ in range(n)]
         for t in self.config.record_times:
-            sel = np.flatnonzero(((tb < t) | root) & ((t_ev >= t) | (frozen_since < t)))
+            sel = np.flatnonzero(((tb < t) | root) & (t_ev >= t))
             e = _math_map(math.exp, lam * (t - tb[sel]))
             ybs = yb[sel]
-            points = list(map(PhasePoint, (ybs * (e - 1.0)).tolist(), (ybs * e).tolist()))
+            a, y = ybs * (e - 1.0), ybs * e
             ends = np.cumsum(np.bincount(rep[sel], minlength=n)).tolist()
             for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
-                states[b].append(PopulationState(t, points[lo:hi]))
-        capped = np.isfinite(self.cap_time).tolist()
-        return [Trajectory(states=s, event_log=log, cap_hit=c)
-                for s, log, c in zip(states, logs, capped)]
+                states[b].append(PopulationState(t, a[lo:hi], y[lo:hi]))
+        return [Trajectory(states=s, event_log=log) for s, log in zip(states, logs)]
 
 
 def children_ids(lo: np.ndarray, hi: np.ndarray):
@@ -310,10 +278,3 @@ def children_ids(lo: np.ndarray, hi: np.ndarray):
         tree_id = next(c for c in (2 * parent + 1, 2 * parent + 2) if c >> 128)
         raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
     return np.concatenate([lo2 | 1, second]), np.concatenate([hi2, hi2 + carry])
-
-
-def tree_ids(lo: np.ndarray, hi: np.ndarray) -> list:
-    """Tree ids as Python ints from their uint64 words."""
-    if not hi.any():
-        return lo.tolist()
-    return [a | b << 64 for a, b in zip(lo.tolist(), hi.tolist())]

@@ -567,16 +567,6 @@ def validate(model: ModelSpec, box=(8.0, 8.0), grid_n: int = 64) -> ValidationRe
     yy = np.linspace(1e-3, y_max, grid_n)
     A, Y = np.meshgrid(aa, yy, indexing="ij")
 
-    g1 = np.asarray(model.g1(A, Y), dtype=float)
-    report.add("(i) g1 > 0", bool(np.all(g1 > 0)), "growth in the age coordinate is positive")
-    g2_origin = np.asarray(model.g2(np.zeros_like(yy), yy), dtype=float)
-    g2 = np.asarray(model.g2(A, Y), dtype=float)
-    report.add(
-        "(i) g2(a,y) <= g2(0,y)",
-        bool(np.all(g2 <= g2_origin[None, :] + 1e-12)),
-        "size growth maximal at age 0",
-    )
-
     Bv = np.asarray(model.B(A, Y), dtype=float)
     above = A > model.a_star
     ok_band = np.all((Bv[above] > model.beta_minus * (1 - 1e-12)) & (Bv[above] < model.beta_plus * (1 + 1e-12)))

@@ -17,7 +17,8 @@ death exponential (when d0 > 0) and fragment uniform are read from it
 through numpy's ziggurat fast path.  The few individuals whose exponential
 leaves that path replay their stream through ``individual_rng``.  The
 stream layout is that of one fresh Philox generator per individual,
-so every draw is the one an event-by-event simulation makes.  The one-step
+so every draw is the one an event-by-event simulation makes.  It returns
+each recorded population as arrays of ages and sizes.  The one-step
 Kolmogorov check (``generator_consistency_check``) runs on the same engine.
 """
 
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateData, InsufficientData, PopulationCapExceeded
+from .errors import DegenerateData, InsufficientData
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
@@ -101,14 +102,15 @@ def division_age_cdf(model: ModelSpec, x: PhasePoint, a) -> float:
 
 @dataclass
 class PopulationState:
-    """Snapshot of the point measure Z_t."""
+    """Snapshot of the point measure Z_t: the phases (a[i], y[i]) alive at t."""
 
     t: float
-    individuals: list
+    a: np.ndarray
+    y: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.individuals)
+        return self.a.size
 
 
 @dataclass
@@ -120,19 +122,23 @@ class SimConfig:
     replicates: int = 1
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         rt = sorted(float(t) for t in self.record_times)
         if rt and (rt[0] < 0 or rt[-1] > self.t_end):
-            raise ValueError("record_times must lie in [0, t_end]")
+            raise ValueError(f"record_times must lie in [0, t_end = {self.t_end:g}]")
         self.record_times = rt
+        for key, value in (("cap", self.cap), ("replicates", self.replicates)):
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
 
 
 @dataclass
 class Trajectory:
     states: list
     event_log: list
-    cap_hit: bool = False
 
 
 def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
@@ -141,13 +147,12 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
 
     ``replicate`` is one replicate index, giving one Trajectory, or a
     sequence of them (such as a ``range``), giving one Trajectory per index.
-    A trajectory whose population exceeds ``config.cap`` stops at the
-    division that exceeded it: its event log ends there, later record times
-    show the population frozen at that moment, and ``cap_hit`` is set.
+    Raises PopulationCapExceeded, naming the replicate, at the division that
+    takes a population past ``config.cap``.
 
     The event log lists (time, kind, tree id, y1, y2) in (time, tree id)
-    order after the initial entry; a state lists the individuals alive at
-    its time in (birth time, tree id) order.
+    order after the initial entry; a state holds the phases of the
+    individuals alive at its time in (birth time, tree id) order.
     """
     # the engine is compiled on first use: commands that do not simulate
     # start without it
@@ -164,17 +169,11 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
 
 
 def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
-    """All replicates, aggregated deterministically by replicate index.
+    """Replicates 0 .. ``config.replicates`` - 1, in order.
 
-    Raises PopulationCapExceeded when a replicate outgrows ``config.cap``:
-    its counts after that point would be frozen, not simulated.
+    Raises PopulationCapExceeded when a replicate outgrows ``config.cap``.
     """
-    out = simulate_population(model, x0, config, range(config.replicates))
-    for r, tr in enumerate(out):
-        if tr.cap_hit:
-            raise PopulationCapExceeded(
-                f"replicate {r} exceeded the population cap of {config.cap}")
-    return out
+    return simulate_population(model, x0, config, range(config.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +182,18 @@ def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
 
 
 def empirical_functional(state: PopulationState, f: Callable) -> float:
-    """<Z_t, f> = sum of f over the individuals alive at t."""
-    return float(sum(f(p.a, p.y) for p in state.individuals))
+    """<Z_t, f>: ``f(a, y)``, called once on the state's arrays, summed in order."""
+    values = np.broadcast_to(f(state.a, state.y), state.a.shape)
+    return float(sum(values.tolist()))
 
 
 def estimate_malthus(trajectories) -> tuple:
     """Least-squares slope of log mean count over the latter half of times.
 
-    Returns (slope, bootstrap standard error over replicates).  Raises
-    PopulationCapExceeded for a trajectory that hit the population cap.
+    Returns (slope, bootstrap standard error over replicates).
     """
     if not trajectories or not trajectories[0].states:
         raise InsufficientData("need at least one trajectory with recorded states")
-    for r, tr in enumerate(trajectories):
-        if tr.cap_hit:
-            raise PopulationCapExceeded(
-                f"trajectory {r} hit the population cap; its later counts are frozen")
     times = np.array([s.t for s in trajectories[0].states])
     counts = np.array([[s.count for s in tr.states] for tr in trajectories], dtype=float)
     half = len(times) // 2
@@ -259,8 +254,13 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     labels = list(fs)
     funcs = [fs[k] for k in labels]
     config = SimConfig(seed=seed, t_end=dt, record_times=[dt], replicates=replicates)
-    vals = np.array([[empirical_functional(tr.states[0], f) for f in funcs]
-                     for tr in run_replicates(model, x0, config)])
+    states = [tr.states[0] for tr in run_replicates(model, x0, config)]
+    a = np.concatenate([s.a for s in states])
+    y = np.concatenate([s.y for s in states])
+    owner = np.repeat(np.arange(replicates), [s.count for s in states])
+    # <Z_dt, f> per replicate: bincount adds each replicate's values in order
+    vals = np.column_stack([np.bincount(owner, np.broadcast_to(f(a, y), a.shape), replicates)
+                            for f in funcs])
     reports = []
     for j, label in enumerate(labels):
         mean = float(vals[:, j].mean())

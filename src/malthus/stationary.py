@@ -510,13 +510,11 @@ def empirical_profile(trajectories: Sequence[Trajectory], time_index: int,
     """Unit-mass binned profile of all individuals recorded at one time."""
     a_edges = np.linspace(0.0, box[0], bins[0] + 1)
     y_edges = np.linspace(0.0, box[1], bins[1] + 1)
-    pts_a, pts_y = [], []
-    for tr in trajectories:
-        for p in tr.states[time_index].individuals:
-            pts_a.append(p.a)
-            pts_y.append(p.y)
-    if not pts_a:
+    states = [tr.states[time_index] for tr in trajectories]
+    if not sum(s.count for s in states):
         raise InsufficientData("no individuals recorded at the requested time")
+    pts_a = np.concatenate([s.a for s in states])
+    pts_y = np.concatenate([s.y for s in states])
     hist, _, _ = np.histogram2d(pts_a, pts_y, bins=[a_edges, y_edges])
     area = np.outer(np.diff(a_edges), np.diff(y_edges))
     dens = hist / area

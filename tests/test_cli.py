@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -119,6 +120,38 @@ class TestSimulate:
         assert run(["simulate", "--config", path, "--out", out]) == 4
         assert "population cap of 8" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("sim, key", [
+        ({"t_end": 1.0}, "record_times"),  # the default record times run to 4
+        ({"x0": [1.0, 1.0]}, "x0"),
+        ({"x0": [-0.5, 1.0]}, "x0"),
+        ({"replicates": 0}, "replicates"),
+        ({"cap": 0}, "cap"),
+        ({"seed": True}, "seed"),
+        ({"seed": 7.5}, "seed"),
+    ])
+    def test_bad_sim_value_exits_1(self, tmp_path, capsys, sim, key):
+        path = tmp_path / "bad_sim.json"
+        path.write_text(json.dumps({"sim": sim}))
+        assert run(["simulate", "--config", path, "--out", tmp_path / "b"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and key in err
+        assert not (tmp_path / "b" / "trajectory.csv").exists()
+
+    def test_outputs_pinned(self, tmp_path):
+        # populations pass 8 individuals, so a pairwise sum would change sum_h
+        cfg = {"model": {"model_type": "adder", "lambda_growth": 1.0, "d0": 0.2,
+                         "hazard": {"type": "constant", "b": 1.0},
+                         "fragmentation": {"type": "beta", "alpha": 5, "beta": 5}},
+               "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}}
+        path = tmp_path / "pin.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", path, "--out", tmp_path]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("trajectory.csv", "snapshots.csv")}
+        assert digests == {
+            "trajectory.csv": "40987a78ce4169808b1136fdb078b6c7456891c55a6d2a4909d6a73bb9b3ff9e",
+            "snapshots.csv": "154b7d54cbeb1245ed26560064e0364444a598322ce7cccd86401571f48c8993"}
 
     def test_seed_flag_overrides(self, config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -122,7 +122,6 @@ class TestSimulation:
         tr = simulate_population(adder, PhasePoint(0.0, 1.0),
                                  SimConfig(seed=1, t_end=0.0, record_times=[0.0]))
         assert len(tr.states) == 1 and tr.states[0].count == 1
-        assert not tr.cap_hit
 
     def test_mass_conservation(self, adder):
         # d0 = 0 adder: total size sum is exactly y0 e^{lam t}
@@ -143,21 +142,15 @@ class TestSimulation:
         # starting from a > 0 must not alter the phase at time 0
         tr = simulate_population(adder, PhasePoint(0.5, 2.0),
                                  SimConfig(seed=5, t_end=0.0, record_times=[0.0]))
-        p = tr.states[0].individuals[0]
-        assert p.a == pytest.approx(0.5) and p.y == pytest.approx(2.0)
-
-    def test_cap_flag(self, adder):
-        cfg = SimConfig(seed=2, t_end=6.0, record_times=[6.0], cap=8)
-        tr = simulate_population(adder, PhasePoint(0.0, 1.0), cfg)
-        assert tr.cap_hit
+        s = tr.states[0]
+        assert s.a.tolist() == [pytest.approx(0.5)] and s.y.tolist() == [pytest.approx(2.0)]
 
     def test_cap_hit_raises(self, adder):
         cfg = SimConfig(seed=2, t_end=6.0, record_times=[3.0, 6.0], cap=8, replicates=2)
         with pytest.raises(PopulationCapExceeded, match="replicate 0 .* cap of 8"):
             run_replicates(adder, PhasePoint(0.0, 1.0), cfg)
-        tr = simulate_population(adder, PhasePoint(0.0, 1.0), cfg)
-        with pytest.raises(PopulationCapExceeded):
-            estimate_malthus([tr])
+        with pytest.raises(PopulationCapExceeded, match="replicate 1 .* cap of 8"):
+            simulate_population(adder, PhasePoint(0.0, 1.0), cfg, replicate=1)
 
     def test_death_reduces_population(self):
         m = make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(5, 5), d0=5.0)
@@ -266,8 +259,9 @@ def reference_population(model, x0, config, replicate):
 
 
 def flat(tr):
-    """(event log, [(t, phases)], cap hit) of a Trajectory."""
-    return tr.event_log, [(s.t, s.individuals) for s in tr.states], tr.cap_hit
+    """(event log, [(t, phases)], cap hit) of a Trajectory, which never hit the cap."""
+    states = [(s.t, list(map(PhasePoint, s.a.tolist(), s.y.tolist()))) for s in tr.states]
+    return tr.event_log, states, False
 
 
 def digest(tr):
@@ -294,8 +288,6 @@ PINS = {
                     "8e1667561faada097b6da6fcd04bb36232a665b1bdf254291d4fda748bdd54b7"),
     "mid_orbit": (CONSTANT, BETA, 0.2, (0.3, 1.2), 11, 4, {},
                   "cc5cb6e82c3384fa8e8b399bd076522f647d0973ece935220779177e61ac0238"),
-    "capped": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2, 0, {"cap": 8},
-               "9606017f7ab81431f1d0b28785e5c836bb96887b079bceefa42381e37f7cfc3d"),
     "seed_max": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2**64 - 1, 2**64 - 1, {},
                  "ce90bf334beb63ac84c2587a2fe5912aec181ddfe79db19297c56d24dcaa81ea"),
 }
@@ -447,10 +439,32 @@ class TestEngine:
         cfg = SimConfig(seed=2, t_end=50.0, record_times=[3.0, 50.0], cap=8, replicates=3)
         with pytest.raises(PopulationCapExceeded, match="replicate 0 .* cap of 8"):
             run_replicates(adder, PhasePoint(0.0, 1.0), cfg)
-        long = simulate_population(adder, PhasePoint(0.0, 1.0), cfg)
         assert time.monotonic() - start < 10.0
-        short = simulate_population(
-            adder, PhasePoint(0.0, 1.0), SimConfig(seed=2, t_end=6.0, record_times=[3.0], cap=8))
-        assert long.cap_hit and long.event_log == short.event_log
-        assert long.states[0] == short.states[0]
-        assert flat(long) == reference_population(adder, PhasePoint(0.0, 1.0), cfg, 0)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_raises_exactly_when_the_event_loop_hits_the_cap(self, name):
+        model, x0, cfg, rep = pin_run(name)
+        cfg.cap = 16
+        for r in (range(rep, rep + 6) if rep < 2**63 else [rep]):
+            ref = reference_population(model, x0, cfg, r)
+            if ref[2]:  # the event loop passed the cap
+                with pytest.raises(PopulationCapExceeded, match=f"replicate {r} .* cap of 16"):
+                    simulate_population(model, x0, cfg, replicate=r)
+            else:
+                assert flat(simulate_population(model, x0, cfg, replicate=r)) == ref
+
+    def test_cap_at_the_true_peak_does_not_raise(self):
+        # deaths keep the peak alive count below 1 + divisions, the bound the
+        # engine tests first; only the replay in event order finds the peak
+        model = make_adder(1.0, CONSTANT, BETA, d0=0.4)
+        x0, cfg = PhasePoint(0.0, 1.0), SimConfig(seed=6, t_end=4.0, record_times=RECORD)
+        log = reference_population(model, x0, cfg, 0)[0]
+        alive = np.cumsum([1] + [1 if e[1] == "division" else -1 for e in log[1:]])
+        peak = int(alive.max())
+        deaths_first = sum(e[1] == "death" for e in log[:int(alive.argmax()) + 1])
+        assert (peak, deaths_first) == (17, 12)
+        cfg.cap = peak
+        assert flat(simulate_population(model, x0, cfg)) == reference_population(model, x0, cfg, 0)
+        cfg.cap = peak - 1
+        with pytest.raises(PopulationCapExceeded, match=f"replicate 0 .* cap of {peak - 1}"):
+            simulate_population(model, x0, cfg)
