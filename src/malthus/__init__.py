@@ -4,12 +4,12 @@ exponent, Monte Carlo simulation, drift checks and explicit minorants.
 
 __version__ = "0.1.0"
 
-from .errors import (BracketFailure, DegenerateData, EmptyMinorantWarning,
-                     GridMismatch, InsufficientData, InvalidModel, MalthusError,
-                     NoConvergence, NonPositiveH, PopulationCapExceeded,
-                     TailBoundExceeded)
+from .errors import (BracketFailure, ConfigError, DegenerateData,
+                     EmptyMinorantWarning, GridMismatch, InsufficientData,
+                     InvalidModel, MalthusError, NoConvergence, NonPositiveH,
+                     PopulationCapExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
-                    MomentTable, PhasePoint, TableFragmentation, TableHazard,
+                    PhasePoint, TableFragmentation, TableHazard,
                     UniformFragmentation, ValidationReport, h_transform,
                     load_config, make_adder, model_from_config, validate)
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,

@@ -1,15 +1,14 @@
 """Command-line entry point.
 
 Wires a single JSON configuration file (sections ``model``, ``grid``,
-``sim``, ``doeblin``, ``stationary``) to the library operations and emits
-deterministic CSV/JSON artifacts.  Flag precedence: command-line flags
-override config keys, which override built-in defaults.  Every run first
-writes an atomic ``manifest.json``; outputs are staged with a ``.partial``
-suffix and renamed on completion.
+``sim``, ``doeblin``, ``drift``, ``stationary``) to the library operations
+and emits deterministic CSV/JSON artifacts.  Command-line flags override
+config keys, which override the library's defaults.  Every run first writes
+an atomic ``manifest.json``; outputs are staged with a ``.partial`` suffix.
 
-Exit codes: 0 success, 1 malformed configuration JSON or a bad ``sim``
-value, 2 invalid model, 3 eigen solver failure, 4 simulation failure,
-5 stationary-profile failure, 6 minorant failure.
+Exit codes: 0 success, 1 malformed configuration JSON, an unknown or missing
+``model`` key or a bad ``model`` or ``sim`` value, 2 invalid model, 3 eigen
+solver failure, 4 simulation failure, 5 stationary failure, 6 minorant failure.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import __version__
-from .errors import (BracketFailure, InvalidModel, MalthusError, NoConvergence)
+from .errors import BracketFailure, ConfigError, InvalidModel, MalthusError, NoConvergence
 from .model import PhasePoint, load_config, model_from_config, validate
 from .renewal import KernelAssembler, SizeGrid
 from .eigen import solve_malthus
@@ -41,10 +40,6 @@ EXIT_EIGEN = 3
 EXIT_SIM = 4
 EXIT_STATIONARY = 5
 EXIT_DOEBLIN = 6
-
-
-class _BadConfig(Exception):
-    """A configuration value out of range; ``main`` exits with EXIT_BAD_CONFIG."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +143,25 @@ def cmd_eigen(cfg, args, out_dir):
     return EXIT_OK
 
 
+def _given(section, **convert):
+    """``{k: convert[k](section[k])}`` for the keys ``k`` that ``section`` gives."""
+    return {k: f(section[k]) for k, f in convert.items() if k in section}
+
+
 def _sim_config(cfg, args):
-    """(SimConfig, x0) from the ``sim`` section; a bad value raises _BadConfig."""
+    """(SimConfig, x0) from the ``sim`` section; a bad value raises ConfigError."""
     scfg = cfg.get("sim", {})
     seed = args.seed if args.seed is not None else scfg.get("seed", 0)
+    x0 = scfg.get("x0", [0.0, 1.0])
     try:
-        sim_cfg = SimConfig(seed=seed, t_end=float(scfg.get("t_end", 4.0)),
+        sim_cfg = SimConfig(seed=seed, t_end=scfg.get("t_end", 4.0),
                             record_times=scfg.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
-                            cap=int(scfg.get("cap", 1_000_000)),
-                            replicates=int(scfg.get("replicates", 1)))
-        x0 = scfg.get("x0", [0.0, 1.0])
-        if len(x0) != 2 or not 0.0 <= x0[0] < x0[1]:
-            raise ValueError(f"x0 = {x0} must be [a, y] with 0 <= a < y")
+                            **{k: scfg[k] for k in ("cap", "replicates") if k in scfg})
+        if not (isinstance(x0, list) and len(x0) == 2
+                and all(isinstance(v, (int, float)) for v in x0) and 0.0 <= x0[0] < x0[1]):
+            raise ValueError(f"x0 = {x0!r} must be [a, y] with 0 <= a < y")
     except ValueError as exc:
-        raise _BadConfig(f"sim: {exc}") from None
+        raise ConfigError(f"sim: {exc}") from None
     return sim_cfg, PhasePoint(*x0)
 
 
@@ -196,18 +196,14 @@ def cmd_stationary(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
     stcfg = cfg.get("stationary", {})
     try:
-        profile = st.solve_eta_star(
-            model,
-            y_max=float(stcfg.get("y_max", 8.0)),
-            n=int(stcfg.get("n", 1024)),
-        )
+        profile = st.solve_eta_star(model, **_given(stcfg, y_max=float, n=int))
     except MalthusError as exc:
         print(f"stationary profile failed: {exc}", file=sys.stderr)
         return EXIT_STATIONARY
     _write_csv(os.path.join(out_dir, "eta_star.csv"), ["s", "eta_star"],
                zip(profile.s_nodes, profile.values))
-    box = stcfg.get("box", [4.0, 6.0])
-    bins = stcfg.get("bins", [20, 20])
+    box = stcfg.get("box", st.PROFILE_BOX)
+    bins = stcfg.get("bins", st.PROFILE_BINS)
     a_c = np.linspace(0, box[0], bins[0] + 1)
     y_c = np.linspace(0, box[1], bins[1] + 1)
     a_c = 0.5 * (a_c[:-1] + a_c[1:])
@@ -236,12 +232,7 @@ def cmd_doeblin(cfg, args, out_dir):
     try:
         nu, constants = st.doeblin_minorant(
             model, compact,
-            delta=dcfg.get("delta"),
-            Delta=dcfg.get("Delta"),
-            j_star=dcfg.get("j_star"),
-            grid_n=int(dcfg.get("grid_n", 64)),
-            domain=dcfg.get("domain"),
-        )
+            **_given(dcfg, delta=float, Delta=float, j_star=int, domain=tuple, grid_n=int))
     except MalthusError as exc:
         print(f"minorant construction failed: {exc}", file=sys.stderr)
         return EXIT_DOEBLIN
@@ -257,13 +248,7 @@ def cmd_doeblin(cfg, args, out_dir):
 def cmd_drift(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
     dcfg = cfg.get("drift", {})
-    report = st.check_drift(
-        model,
-        box=tuple(dcfg.get("box", [10.0, 10.0])),
-        grid_n=int(dcfg.get("grid_n", 64)),
-        c=dcfg.get("c"),
-        d=dcfg.get("d"),
-    )
+    report = st.check_drift(model, **_given(dcfg, box=tuple, grid_n=int, c=float, d=float))
     _write_json(os.path.join(out_dir, "drift_report.json"), report.to_dict())
     return EXIT_OK if report.passed else EXIT_STATIONARY
 
@@ -326,7 +311,7 @@ def main(argv=None) -> int:
     except InvalidModel as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    except _BadConfig as exc:
+    except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

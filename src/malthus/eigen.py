@@ -67,8 +67,7 @@ class EigenResult:
         }
 
 
-def leading_eigen(matrix: KernelMatrix, start: np.ndarray | None = None,
-                  tol: float = RAYLEIGH_TOL, max_iters: int = MAX_POWER_ITERS):
+def leading_eigen(matrix: KernelMatrix):
     """Power-iterate G and its adjoint; returns (mu, eta, nu_dual).
 
     Normalization order: nu has total mass 1; eta is scaled so <nu, eta> = 1
@@ -79,30 +78,28 @@ def leading_eigen(matrix: KernelMatrix, start: np.ndarray | None = None,
     """
     grid = matrix.grid
     positive = grid.nodes > 0
-    v = np.where(positive, grid.nodes, 0.0) if start is None else np.array(start, dtype=float)
-    if np.all(v == 0):
-        raise ValueError("starting vector must be nonnegative and nonzero")
+    v = np.where(positive, grid.nodes, 0.0)
     mu_old = math.inf
-    for it in range(max_iters):
+    for it in range(MAX_POWER_ITERS):
         w = matrix.apply(v)
         num = grid.integrate(v * w)
         den = grid.integrate(v * v)
         mu = num / den
         v = w / np.max(np.abs(w))
-        if abs(mu - mu_old) < tol * max(1.0, abs(mu)):
+        if abs(mu - mu_old) < RAYLEIGH_TOL * max(1.0, abs(mu)):
             break
         mu_old = mu
     else:
-        raise NoConvergence(f"power iteration: {max_iters} iterations, mu drift {abs(mu - mu_old):.2e}")
+        raise NoConvergence(f"power iteration: {MAX_POWER_ITERS} iterations, mu drift {abs(mu - mu_old):.2e}")
     eta = np.clip(v, 0.0, None)
 
     u = np.where(positive, 1.0, 0.0)
     nu_old = math.inf
-    for it in range(max_iters):
+    for it in range(MAX_POWER_ITERS):
         s = matrix.adjoint_apply(u)
         total = float(np.sum(s))
         u = s / total
-        if abs(total - nu_old) < tol * max(1.0, abs(total)):
+        if abs(total - nu_old) < RAYLEIGH_TOL * max(1.0, abs(total)):
             break
         nu_old = total
     else:

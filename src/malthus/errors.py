@@ -13,8 +13,8 @@ class NonPositiveH(MalthusError):
     """The eigenfunction candidate h is not strictly positive at a queried point."""
 
 
-class TailBoundExceeded(MalthusError):
-    """The certified truncation tail of a time quadrature is too large."""
+class ConfigError(MalthusError):
+    """A configuration key is unknown or missing, or its value is rejected."""
 
 
 class NoConvergence(MalthusError):

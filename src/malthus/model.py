@@ -10,6 +10,7 @@ kernel is k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 from __future__ import annotations
 
 import bisect
+import difflib
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .errors import InvalidModel, NonPositiveH
+from .errors import ConfigError, InvalidModel, NonPositiveH
 
 MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
@@ -49,10 +50,10 @@ class ConstantHazard:
     """B(a) = b for a >= a_star, 0 below; closed-form cumulative and inverse."""
 
     def __init__(self, b: float, a_star: float = 0.0):
-        if b <= 0:
-            raise ValueError("hazard level must be positive")
-        if a_star < 0:
-            raise ValueError("a_star must be nonnegative")
+        if not b > 0:
+            raise ValueError(f"hazard level b must be positive, got {b!r}")
+        if not a_star >= 0:
+            raise ValueError(f"a_star must be nonnegative, got {a_star!r}")
         self.b = float(b)
         self.a_star = float(a_star)
         self.lower = float(b)
@@ -338,112 +339,69 @@ class TableFragmentation:
         return np.interp(rng.random(n), self._biased_cdf, self.rho_knots)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """First three moments of the fragmentation density F."""
-
-    m0: float
-    m1: float
-    m2: float
-
-    @classmethod
-    def of(cls, fragmentation) -> "MomentTable":
-        return cls(fragmentation.moment(0), fragmentation.moment(1), fragmentation.moment(2))
-
-
 # ---------------------------------------------------------------------------
 # ModelSpec
 # ---------------------------------------------------------------------------
+
+#: Gauss-Legendre nodes of the jump integral over the split fraction
+JUMP_NODES = 128
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable adder model; all operations are pure.
 
-    The growth field, division rate and offspring kernel derive from
-    (lambda_growth, hazard, fragmentation); d0 is the constant death rate.
-    The remaining fields are the assumption bounds that ``validate`` and the
-    certificates read.
+    The growth field g = (lam*y, lam*y), division rate and offspring kernel
+    derive from (lambda_growth, hazard, fragmentation); d0 is the constant
+    death rate.  The assumption bounds are the hazard's ``lower``, ``upper``
+    and ``a_star`` and the moments of the fragmentation density.
     """
 
     lambda_growth: float
     d0: float
     hazard: object
     fragmentation: object
-    a_star: float = 0.0
-    beta_minus: float = 0.0
-    beta_plus: float = math.inf
-    K_bar: float = 2.0
-
-    # -- growth field --------------------------------------------------
-
-    def g1(self, a, y):
-        return self.lambda_growth * np.asarray(y, dtype=float)
-
-    def g2(self, a, y):
-        return self.lambda_growth * np.asarray(y, dtype=float)
-
-    # -- division ------------------------------------------------------
-
-    def B(self, a, y):
-        return self.hazard(a)
 
     def beta(self, a, y):
-        return self.g1(a, y) * self.B(a, y)
-
-    # -- offspring kernel ------------------------------------------------
-
-    def kernel_density(self, a, y, z):
-        """k(a, y, z): offspring size density (total mass = mean offspring)."""
-        z = np.asarray(z, dtype=float)
-        out = np.where(
-            (z > 0) & (z <= y), (2.0 / y) * self.fragmentation.pdf(np.minimum(z / y, 1.0)), 0.0
-        )
-        return out if out.ndim else float(out)
-
-    def kernel_mass(self, a, y):
-        return 2.0 * self.fragmentation.moment(0)
+        return self.lambda_growth * np.asarray(y, dtype=float) * self.hazard(a)
 
     # -- generator -------------------------------------------------------
 
-    def jump_integral(self, f, a, y, n_quad: int = 128):
+    def jump_integral(self, f, a, y):
         """Integral of f(0, z) k((a, y), z) dz, elementwise over (a, y) arrays.
 
         The quadrature runs on a trailing axis, so ``f`` is called once with
-        z of shape ``y.shape + (n_quad,)``; each point sums its nodes in the
-        same order as a scalar call.
+        z of shape ``y.shape + (JUMP_NODES,)``; each point sums its nodes in
+        the same order as a scalar call.
         """
-        rho, w = gl_nodes(0.0, 1.0, n_quad)
+        rho, w = gl_nodes(0.0, 1.0, JUMP_NODES)
         z = rho * np.asarray(y, dtype=float)[..., None]
         out = 2.0 * np.sum(w * self.fragmentation.pdf(rho) * f(0.0, z), axis=-1)
         return out if np.ndim(out) else float(out)
 
-    def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
+    def apply_generator(self, f, a, y, fd_step=None):
         """Q f at (a, y): transport + branching jump term - d0 * f.
 
         ``a`` and ``y`` may be arrays of one shape; ``f`` must then accept
         arrays.  See ``_transport`` for the gradient.
         """
-        transport = _transport(self, f, a, y, fd_step, grad)
-        jump = self.beta(a, y) * (self.jump_integral(f, a, y, n_quad) - f(a, y))
+        transport = _transport(self, f, a, y, fd_step)
+        jump = self.beta(a, y) * (self.jump_integral(f, a, y) - f(a, y))
         return transport + jump - self.d0 * f(a, y)
 
 
-def _transport(model: ModelSpec, f, a, y, fd_step, grad):
-    """g1 * df/da + g2 * df/dy at (a, y).
+def _transport(model: ModelSpec, f, a, y, fd_step):
+    """g1 * df/da + g2 * df/dy at (a, y), g1 = g2 = lam * y.
 
-    The gradient is taken from ``grad(a, y) -> (fa, fy)`` when supplied,
-    otherwise by central finite differences with the default step
-    1e-6 * (1 + |coordinate|).
+    The gradient is taken by central finite differences with the default
+    step 1e-6 * (1 + |coordinate|).
     """
-    if grad is not None:
-        fa, fy = grad(a, y)
-    else:
-        ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
-        hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
-        fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
-        fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
-    return model.g1(a, y) * fa + model.g2(a, y) * fy
+    ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
+    hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
+    fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
+    fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
+    g = model.lambda_growth * np.asarray(y, dtype=float)
+    return g * fa + g * fy
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +456,7 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
         raise InvalidModel(f"death rate d0 must be finite and nonnegative, got {d0}")
     if isinstance(B, (int, float)):
         B = ConstantHazard(float(B))
-    return ModelSpec(
-        lambda_growth=float(lambda_growth),
-        d0=d0,
-        hazard=B,
-        fragmentation=F,
-        a_star=getattr(B, "a_star", 0.0),
-        beta_minus=B.lower,
-        beta_plus=B.upper,
-        K_bar=2.0 * F.moment(0),
-    )
+    return ModelSpec(lambda_growth=float(lambda_growth), d0=d0, hazard=B, fragmentation=F)
 
 
 @dataclass
@@ -537,50 +486,40 @@ class ValidationReport:
         }
 
 
-def validate(model: ModelSpec, box=(8.0, 8.0), grid_n: int = 64) -> ValidationReport:
-    """Check the model assumptions on a sampling grid over [0, box]^2.
+def validate(model: ModelSpec) -> ValidationReport:
+    """Check the model assumptions; the hazard band is sampled on a grid over [0, 8]^2.
 
-    Structural violations (nonpositive hazard bound, fragmentation mean away
-    from 1/2, death rate >= elongation rate) raise InvalidModel naming the
-    first violated assumption; soft sampled conditions are reported
-    pass/fail.
+    Structural violations (nonpositive hazard bound, fragmentation mass away
+    from 1 or mean away from 1/2, death rate >= elongation rate) raise
+    InvalidModel naming the first one; m0 = 1 makes the offspring mass (iii)
+    2 m0 = 2 everywhere.  Sampled conditions are reported pass/fail.
     """
+    grid_n = 64
     report = ValidationReport(grid=(grid_n, grid_n))
-    a_max, y_max = box
+    hz, F = model.hazard, model.fragmentation
 
-    if model.beta_minus <= 0:
+    if hz.lower <= 0:
         raise InvalidModel("(A1) hazard lower bound must be positive")
-    m = MomentTable.of(model.fragmentation)
-    if abs(m.m0 - 1.0) > DENSITY_RENORM_TOL:
-        raise InvalidModel(f"(A2) fragmentation mass m0 = {m.m0:.8f} != 1")
-    if abs(m.m1 - 0.5) > MOMENT_TOL:
-        raise InvalidModel(f"(A2) fragmentation mean m1 = {m.m1:.8f} != 1/2")
+    m0, m1, m2 = (F.moment(k) for k in range(3))
+    if abs(m0 - 1.0) > DENSITY_RENORM_TOL:
+        raise InvalidModel(f"(A2) fragmentation mass m0 = {m0:.8f} != 1")
+    if abs(m1 - 0.5) > MOMENT_TOL:
+        raise InvalidModel(f"(A2) fragmentation mean m1 = {m1:.8f} != 1/2")
     if not (model.lambda_growth > model.d0):
         raise InvalidModel(
             f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"
         )
-    report.add("(A1) hazard bounds", True, f"[{model.beta_minus:g}, {model.beta_plus:g}]")
-    report.add("(A2) moments", m.m2 <= 0.5 + MOMENT_TOL, f"m1={m.m1:.10f}, m2={m.m2:.10f}")
+    report.add("(A1) hazard bounds", True, f"[{hz.lower:g}, {hz.upper:g}]")
+    report.add("(A2) moments", m2 <= 0.5 + MOMENT_TOL, f"m1={m1:.10f}, m2={m2:.10f}")
     report.add("(A3) growth vs death", True, f"lambda={model.lambda_growth:g} > d0={model.d0:g}")
 
-    aa = np.linspace(1e-3, a_max, grid_n)
-    yy = np.linspace(1e-3, y_max, grid_n)
-    A, Y = np.meshgrid(aa, yy, indexing="ij")
-
-    Bv = np.asarray(model.B(A, Y), dtype=float)
-    above = A > model.a_star
-    ok_band = np.all((Bv[above] > model.beta_minus * (1 - 1e-12)) & (Bv[above] < model.beta_plus * (1 + 1e-12)))
+    aa = np.linspace(1e-3, 8.0, grid_n)
+    A, _ = np.meshgrid(aa, aa, indexing="ij")
+    Bv = np.asarray(hz(A), dtype=float)
+    above = A > hz.a_star
+    ok_band = np.all((Bv[above] > hz.lower * (1 - 1e-12)) & (Bv[above] < hz.upper * (1 + 1e-12)))
     ok_zero = np.all(Bv[~above] == 0.0) if np.any(~above) else True
-    report.add("(ii) hazard band", bool(ok_band and ok_zero), f"a_star={model.a_star:g}")
-
-    # kernel mass 1 < ||k||_1 <= K_bar; the mass 2 m0 is the same at every
-    # point, so a failure is reported at the first grid point
-    mass = model.kernel_mass(aa[0], yy[0])
-    ok_mass = 1.0 < mass <= model.K_bar + 1e-9
-    detail = (f"K_bar={model.K_bar:g}" if ok_mass
-              else f"mass {mass:.6f} at ({aa[0]:.3f},{yy[0]:.3f})")
-    report.add("(iii) offspring mass", ok_mass, detail)
-
+    report.add("(ii) hazard band", bool(ok_band and ok_zero), f"a_star={hz.a_star:g}")
     return report
 
 
@@ -591,7 +530,7 @@ def validate(model: ModelSpec, box=(8.0, 8.0), grid_n: int = 64) -> ValidationRe
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Conservative jump-flow model obtained from an (approximate) eigenpair.
+    """Conservative jump-flow model obtained from an eigenfunction candidate h.
 
     Same flow as the base model; jumps at rate
     beta(x) * int h(0,z) k(x,z) dz / h(x) to a point (0, Z) with Z drawn from
@@ -600,7 +539,6 @@ class MarkovModel:
 
     base: ModelSpec
     h: Callable
-    lam: float
 
     def _h(self, a, y):
         v = self.h(a, y)
@@ -608,26 +546,21 @@ class MarkovModel:
             raise NonPositiveH(f"h({a}, {y}) = {v} <= 0")
         return v
 
-    def h_weighted_mass(self, a, y, n_quad: int = 128):
-        return self.base.jump_integral(lambda _, z: self._h(0.0, z), a, y, n_quad)
-
-    def apply_generator(self, f, a, y, fd_step=None, grad=None, n_quad: int = 128):
+    def apply_generator(self, f, a, y, fd_step=None):
         """A f at (a, y) for the transformed (conservative) dynamics.
 
         Elementwise over (a, y) arrays, as ``ModelSpec.apply_generator``.
         """
-        transport = _transport(self.base, f, a, y, fd_step, grad)
+        transport = _transport(self.base, f, a, y, fd_step)
         hx = self._h(a, y)
-        weighted = self.base.jump_integral(
-            lambda _, z: f(0.0, z) * self._h(0.0, z), a, y, n_quad
-        )
-        mass = self.h_weighted_mass(a, y, n_quad)
+        weighted = self.base.jump_integral(lambda _, z: f(0.0, z) * self._h(0.0, z), a, y)
+        mass = self.base.jump_integral(lambda _, z: self._h(0.0, z), a, y)
         jump = self.base.beta(a, y) * (weighted - f(a, y) * mass) / hx
         return transport + jump
 
 
-def h_transform(model: ModelSpec, h: Callable, lam: float) -> MarkovModel:
-    """Build the conservative model for an eigenpair candidate (lam, h).
+def h_transform(model: ModelSpec, h: Callable) -> MarkovModel:
+    """Build the conservative model for an eigenfunction candidate ``h``.
 
     ``h`` must be strictly positive on the state space; positivity is
     enforced lazily at every queried point (NonPositiveH otherwise).
@@ -635,54 +568,70 @@ def h_transform(model: ModelSpec, h: Callable, lam: float) -> MarkovModel:
     probe = h(0.5, 1.0)
     if np.any(np.asarray(probe) <= 0):
         raise NonPositiveH(f"h(0.5, 1.0) = {probe} <= 0")
-    return MarkovModel(base=model, h=h, lam=float(lam))
+    return MarkovModel(base=model, h=h)
 
 
 # ---------------------------------------------------------------------------
 # JSON configuration (External Interface)
 # ---------------------------------------------------------------------------
 
+#: keys of the ``model`` section; per ``hazard`` and ``fragmentation`` type
+#: (the first is the default), the class built and its (required, optional) keys
+_MODEL_KEYS = ("model_type", "lambda_growth", "d0", "hazard", "fragmentation")
+_KINDS = {
+    "hazard": {"constant": (ConstantHazard, ("b",), ("a_star",)),
+               "table": (TableHazard, ("a", "B"), ())},
+    "fragmentation": {"uniform": (UniformFragmentation, (), ()),
+                      "beta": (BetaFragmentation, ("alpha", "beta"), ()),
+                      "table": (TableFragmentation, ("rho", "F"), ())},
+}
 
-def hazard_from_config(cfg: dict):
-    kind = cfg.get("type", "constant")
-    if kind == "constant":
-        return ConstantHazard(cfg["b"], cfg.get("a_star", 0.0))
-    if kind == "table":
-        return TableHazard(cfg["a"], cfg["B"])
-    raise InvalidModel(f"unknown hazard type {kind!r}")
+
+def _check_keys(section: str, cfg, allowed, required=()):
+    """Raise ConfigError naming the first unknown (with a suggestion) or missing key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {cfg!r}")
+    for key in cfg:
+        if key not in allowed:
+            close = difflib.get_close_matches(key, allowed, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigError(f"{section}: unknown key {key!r}{hint}")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{section}: missing required key {key!r}")
 
 
-def fragmentation_from_config(cfg: dict):
-    kind = cfg.get("type", "uniform")
-    if kind == "uniform":
-        return UniformFragmentation()
-    if kind == "beta":
-        return BetaFragmentation(cfg["alpha"], cfg["beta"])
-    if kind == "table":
-        return TableFragmentation(cfg["rho"], cfg["F"])
-    raise InvalidModel(f"unknown fragmentation type {kind!r}")
+def _component_from_config(section: str, cfg):
+    """The hazard or fragmentation object that ``model.<section>`` describes."""
+    kinds = _KINDS[section]
+    kind = (cfg if isinstance(cfg, dict) else {}).get("type", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidModel(f"unknown {section} type {kind!r}")
+    cls, required, optional = kinds[kind]
+    _check_keys(f"model.{section} (type {kind!r})", cfg, ("type", *required, *optional), required)
+    try:
+        return cls(*(cfg[k] for k in required), **{k: cfg[k] for k in optional if k in cfg})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.{section}: {exc}") from None
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    """Build a ModelSpec from the `model` section of a run configuration."""
-    model_type = cfg.get("model_type", "adder")
-    if model_type != "adder":
+    """Build a ModelSpec from the `model` section of a run configuration.
+
+    An unknown or missing key, or a value of the wrong type or range, raises
+    ConfigError; a model that violates an assumption raises InvalidModel.
+    """
+    _check_keys("model", cfg, _MODEL_KEYS)
+    if cfg.get("model_type", "adder") != "adder":
         raise InvalidModel("only adder models can be built from configuration files")
-    hazard = hazard_from_config(cfg.get("hazard", {"type": "constant", "b": 1.0}))
-    frag = fragmentation_from_config(cfg.get("fragmentation", {"type": "beta", "alpha": 5, "beta": 5}))
-    model = make_adder(
-        cfg.get("lambda_growth", 1.0), hazard, frag, d0=cfg.get("d0", 0.0)
-    )
-    bounds = cfg.get("bounds")
-    if bounds:
-        model = ModelSpec(
-            **{
-                **model.__dict__,
-                **{k: float(v) for k, v in bounds.items() if k in
-                   ("beta_minus", "beta_plus", "K_bar", "a_star")},
-            }
-        )
-    return model
+    hazard = _component_from_config("hazard", cfg.get("hazard", {"type": "constant", "b": 1.0}))
+    frag = _component_from_config(
+        "fragmentation", cfg.get("fragmentation", {"type": "beta", "alpha": 5, "beta": 5}))
+    try:
+        return make_adder(cfg.get("lambda_growth", 1.0), hazard, frag,
+                          **({"d0": cfg["d0"]} if "d0" in cfg else {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from None
 
 
 def load_config(path) -> dict:

@@ -15,17 +15,14 @@ from the inner loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailBoundExceeded
 from .model import ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 
 #: target cumulative hazard at the quadrature cutoff; exp(-28) < 1e-12
 HAZARD_CUTOFF = 28.0
-TAIL_TOL = 1e-9
 #: Gauss-Legendre panels per orbit row, and nodes per panel
 N_PANELS = 12
 N_PER_PANEL = 16
@@ -65,17 +62,12 @@ class FirstJumpLaw:
 
     # -- survival -------------------------------------------------------
 
-    def cumulative_rate(self, x: PhasePoint, t) -> float:
-        """int_0^t beta(phi^s x) ds."""
+    def survival(self, x: PhasePoint, t) -> float:
+        """P(no division before t from x) = exp(-int_0^t beta(phi^s x) ds) = exp(H(a) - H(a_t))."""
         lam = self.model.lambda_growth
         a_t = x.a + x.y * (np.exp(lam * np.asarray(t, dtype=float)) - 1.0)
         H = self.model.hazard.cumulative
-        out = H(a_t) - H(x.a)
-        return out if np.ndim(out) else float(out)
-
-    def survival(self, x: PhasePoint, t) -> float:
-        """P(no division before t from x) = exp(-int beta)."""
-        out = np.exp(-np.asarray(self.cumulative_rate(x, t)))
+        out = np.exp(-np.asarray(H(a_t) - H(x.a)))
         return out if out.ndim else float(out)
 
     def jump_time_density(self, x: PhasePoint, t) -> float:
@@ -108,19 +100,11 @@ class FirstJumpLaw:
 
     # -- first-jump functionals ------------------------------------------
 
-    def offspring_constant(self, x: PhasePoint) -> float:
-        """C_x = E[number of offspring at the first division]."""
-        q = self.row_quadrature(x)
-        return float(np.sum(q.w) * self.model.kernel_mass(x.a, x.y))
-
     def kernel_K(self, x: PhasePoint, z, lam: float):
         """K_lam(x, z) = int e^{-lam t} k(phi^t x, z) psi(t|x) dt."""
         if lam < 0:
             raise ValueError("spectral shift lam must be nonnegative")
         q = self.row_quadrature(x)
-        tail = self.model.K_bar * math.exp(-HAZARD_CUTOFF)
-        if tail > TAIL_TOL:
-            raise TailBoundExceeded(f"time-quadrature tail estimate {tail:.2e}")
         coef = q.w * np.exp(-lam * q.t)
         kvals, _ = KernelRowEvaluator(self.model, np.atleast_1d(z))(q)
         out = coef @ kvals

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,17 +122,23 @@ class SimConfig:
     replicates: int = 1
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        rt = sorted(float(t) for t in self.record_times)
+        for key in ("seed", "cap", "replicates"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if key != "seed" and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        if not (isinstance(self.t_end, Real) and self.t_end >= 0):
+            raise ValueError(f"t_end must be a nonnegative number, got {self.t_end!r}")
+        self.t_end = float(self.t_end)
+        try:
+            rt = sorted(float(t) for t in self.record_times)
+        except (TypeError, ValueError):
+            raise ValueError(f"record_times must be a list of times, "
+                             f"got {self.record_times!r}") from None
         if rt and (rt[0] < 0 or rt[-1] > self.t_end):
             raise ValueError(f"record_times must lie in [0, t_end = {self.t_end:g}]")
         self.record_times = rt
-        for key, value in (("cap", self.cap), ("replicates", self.replicates)):
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
 
 
 @dataclass

@@ -19,14 +19,17 @@ import numpy as np
 
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
-from .model import (MarkovModel, ModelSpec, PhasePoint, gl_nodes, h_transform,
-                    trapezoid_weights)
+from .model import ModelSpec, PhasePoint, gl_nodes, h_transform, trapezoid_weights
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF
 from .simulate import Trajectory, individual_rng, sample_division_age
 
 #: grid points per generator call in check_drift; the jump integral holds a
-#: few (points x 128) float arrays, so this bounds its memory at a few MB
+#: few (points x JUMP_NODES) float arrays, so this bounds its memory at a few MB
 DRIFT_BLOCK = 1024
+
+#: observation box (a_max, y_max) and bins of ``pi_star.csv`` and the ergodicity report
+PROFILE_BOX = (4.0, 6.0)
+PROFILE_BINS = (20, 20)
 
 
 def default_V(a, y):
@@ -236,9 +239,9 @@ class DriftReport:
 
 
 def drift_offset(model: ModelSpec) -> float:
-    """Offset d = lam * (b_bar + 1 / (b_bar * (1 - 2 m2))) for V = 1/y + y."""
+    """Offset d = lam * (b_bar + 1 / (b_bar * (1 - 2 m2))) for V = 1/y + y, b_bar = B.upper."""
     m2 = model.fragmentation.moment(2)
-    b_bar = model.beta_plus
+    b_bar = model.hazard.upper
     if m2 >= 0.5:
         raise InvalidModel("drift offset needs m2 < 1/2")
     return model.lambda_growth * (b_bar + 1.0 / (b_bar * (1.0 - 2.0 * m2)))
@@ -255,8 +258,7 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     max(AV + cV - d) and the first grid point (a-major order) attaining it.  A NaN margin
     anywhere is the worst margin, and fails the report.
     """
-    markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float),
-                         model.lambda_growth - model.d0)
+    markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float))
     c = model.lambda_growth if c is None else float(c)
     d = drift_offset(model) if d is None else float(d)
     aa = np.linspace(box[0] / grid_n, box[0], grid_n)
@@ -318,16 +320,15 @@ def kernel_minorant_epsilon(model: ModelSpec, z, delta: float, n_scan: int = 64)
 
 def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
                      Delta: float | None = None, j_star: int | None = None,
-                     mu_q: float = 0.5, domain=None, grid_n: int = 64,
-                     h: Callable | None = None,
-                     lam_malthus: float | None = None):
+                     mu_q: float = 0.5, domain=None, grid_n: int = 64):
     """Assemble the explicit minorant density nu over a (a, y) grid.
 
     ``compact`` is (a_lo, a_hi, y_lo, y_hi): the set of starting points the
     bound must hold for.  Every factor is a certified lower bound: survival
     and first-jump constants fitted as grid infima over the compact and the
     skeleton horizon, the kernel window minorant epsilon, the Jacobian
-    envelope, and the sampling weights of the Delta-skeleton.
+    envelope, and the sampling weights of the Delta-skeleton.  It is built for
+    the transform h(a, y) = y, whose Malthus exponent is lambda_growth - d0.
 
     Returns (Density2D nu, DoeblinConstants).
     """
@@ -335,8 +336,7 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     if not (0 <= a_lo <= a_hi and 0 < y_lo <= y_hi):
         raise ValueError("compact bounds must satisfy 0 <= a_lo <= a_hi, 0 < y_lo <= y_hi")
     lam = model.lambda_growth
-    lam_m = (model.lambda_growth - model.d0) if lam_malthus is None else float(lam_malthus)
-    h = h or (lambda a, y: np.asarray(y, dtype=float))
+    lam_m = model.lambda_growth - model.d0
     law = FirstJumpLaw(model)
 
     delta = 3.0 * y_lo if delta is None else float(delta)
@@ -372,13 +372,12 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
             x = PhasePoint(float(a0), float(y0))
             psi = np.asarray(law.jump_time_density(x, tt), dtype=float)
             m_t = np.minimum(m_t, psi)
-            # C0: sup of (int h(0,z) k(phi^t x, z) dz) psi e^{-lam_m t} / h(x)
+            # C0: sup of (int z k(phi^t x, z) dz = 2 m1 y_t) psi e^{-lam_m t} / y0
             e = np.exp(lam * tt)
             y_t = y0 * e
-            hk = 2.0 * model.fragmentation.moment(1) * y_t  # h(0,z) = z case
-            c0_sup = max(c0_sup, float(np.max(hk * psi * np.exp(-lam_m * tt)
-                                              / float(h(a0, y0)))))
-            h0_sup = max(h0_sup, float(h(a0, y0)))
+            hk = 2.0 * model.fragmentation.moment(1) * y_t
+            c0_sup = max(c0_sup, float(np.max(hk * psi * np.exp(-lam_m * tt) / float(y0))))
+            h0_sup = max(h0_sup, float(y0))
     if np.any(m_t <= 0):
         warnings.warn("first-jump density vanishes on the compact; minorant is empty",
                       EmptyMinorantWarning)
@@ -552,7 +551,7 @@ def reference_profile(profile: EtaStarProfile, model: ModelSpec, box, bins,
 
 
 def ergodicity_report(trajectories: Sequence[Trajectory], profile: EtaStarProfile,
-                      model: ModelSpec, box=(4.0, 6.0), bins=(20, 20),
+                      model: ModelSpec, box=PROFILE_BOX, bins=PROFILE_BINS,
                       V: Callable = default_V) -> ErgodicityReport:
     """Weighted-TV decay of the normalized mean profile toward pi*.
 

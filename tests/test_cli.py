@@ -44,23 +44,32 @@ class TestValidate:
         assert run(["validate", "--config", config, "--out", out]) == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["all_passed"]
-        mass = next(c for c in report["checks"] if c["name"] == "(iii) offspring mass")
-        assert mass["detail"] == "K_bar=2"
         assert (out / "manifest.json").exists()
 
-    def test_offspring_mass_above_bound_exit_2(self, config, tmp_path):
-        # the adder's offspring mass is 2, above a configured K_bar of 1.5
-        cfg = json.loads(config.read_text())
-        cfg["model"]["bounds"] = {"K_bar": 1.5}
-        path = tmp_path / "kbar.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "vk"
-        assert run(["validate", "--config", path, "--out", out]) == 2
-        report = json.loads((out / "validate_report.json").read_text())
-        assert not report["all_passed"]
-        failed = [c for c in report["checks"] if not c["passed"]]
-        assert failed == [{"name": "(iii) offspring mass", "passed": False,
-                           "detail": "mass 2.000000 at (0.001,0.001)"}]
+    @pytest.mark.parametrize("model, expected", [
+        # the bounds derive from the hazard and F; a `bounds` block used to
+        # move the drift offset silently
+        ({"bounds": {"beta_plus": 3}}, "model: unknown key 'bounds'"),
+        ({"lamda_growth": 1.0}, "unknown key 'lamda_growth' (did you mean 'lambda_growth'?)"),
+        # without "type" the split is uniform, and alpha/beta used to be ignored
+        ({"fragmentation": {"alpha": 2, "beta": 2}},
+         "model.fragmentation (type 'uniform'): unknown key 'alpha'"),
+        ({"hazard": {"b": 1.0, "a_str": 0.5}}, "(did you mean 'a_star'?)"),
+        ({"hazard": {"type": "constant"}}, "missing required key 'b'"),
+        ({"hazard": {"type": "table", "a": [0.0, 1.0]}}, "missing required key 'B'"),
+        ({"hazard": {"b": -1}}, "model.hazard: hazard level b must be positive"),
+        ({"fragmentation": {"type": "beta", "alpha": 5, "beta": None}}, "model.fragmentation:"),
+        ({"lambda_growth": "fast"}, "model:"),
+        ({"hazard": [1.0]}, "model.hazard (type 'constant') must be a JSON object"),
+    ], ids=["bounds", "misspelled", "beta_without_type", "hazard_typo", "missing_b",
+            "missing_B", "negative_b", "null_beta", "string_lambda", "hazard_not_object"])
+    def test_bad_model_key_exits_1(self, tmp_path, capsys, model, expected):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps({"model": model}))
+        assert run(["validate", "--config", path, "--out", tmp_path / "b"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and expected in err
+        assert not (tmp_path / "b" / "validate_report.json").exists()
 
     def test_invalid_model_exit_2(self, config, tmp_path, capsys):
         cfg = json.loads(config.read_text())
@@ -129,6 +138,8 @@ class TestSimulate:
         ({"cap": 0}, "cap"),
         ({"seed": True}, "seed"),
         ({"seed": 7.5}, "seed"),
+        ({"cap": None}, "cap"),
+        ({"record_times": 3}, "record_times"),
     ])
     def test_bad_sim_value_exits_1(self, tmp_path, capsys, sim, key):
         path = tmp_path / "bad_sim.json"
@@ -138,26 +149,50 @@ class TestSimulate:
         assert len(err.splitlines()) == 1 and key in err
         assert not (tmp_path / "b" / "trajectory.csv").exists()
 
-    def test_outputs_pinned(self, tmp_path):
-        # populations pass 8 individuals, so a pairwise sum would change sum_h
-        cfg = {"model": {"model_type": "adder", "lambda_growth": 1.0, "d0": 0.2,
-                         "hazard": {"type": "constant", "b": 1.0},
-                         "fragmentation": {"type": "beta", "alpha": 5, "beta": 5}},
-               "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}}
-        path = tmp_path / "pin.json"
-        path.write_text(json.dumps(cfg))
-        assert run(["simulate", "--config", path, "--out", tmp_path]) == 0
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in ("trajectory.csv", "snapshots.csv")}
-        assert digests == {
-            "trajectory.csv": "40987a78ce4169808b1136fdb078b6c7456891c55a6d2a4909d6a73bb9b3ff9e",
-            "snapshots.csv": "154b7d54cbeb1245ed26560064e0364444a598322ce7cccd86401571f48c8993"}
-
     def test_seed_flag_overrides(self, config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["simulate", "--config", config, "--out", out1, "--seed", 99]) == 0
         assert run(["simulate", "--config", config, "--out", out2]) == 0
         assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
+
+
+MODEL = {"model_type": "adder", "lambda_growth": 1.0, "d0": 0.0,
+         "hazard": {"type": "constant", "b": 1.0},
+         "fragmentation": {"type": "beta", "alpha": 5, "beta": 5}}
+SMALL = {"model": MODEL, "drift": {"grid_n": 8},
+         "doeblin": {"compact": [0.0, 1.0, 1.0, 2.0], "grid_n": 16},
+         "stationary": {"n": 256}}
+
+
+@pytest.mark.parametrize("argv, cfg, digests", [
+    # populations pass 8 individuals, so a pairwise sum would change sum_h
+    (["simulate"],
+     {"model": {**MODEL, "d0": 0.2},
+      "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}},
+     {"trajectory.csv": "40987a78ce4169808b1136fdb078b6c7456891c55a6d2a4909d6a73bb9b3ff9e",
+      "snapshots.csv": "154b7d54cbeb1245ed26560064e0364444a598322ce7cccd86401571f48c8993"}),
+    (["drift"], SMALL,
+     {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
+    (["doeblin"], SMALL,
+     {"minorant.csv": "5fdaefa45098f06b409c2e98eedb6a047c25ae70830843a798ec35220c846610",
+      "minorant_constants.json":
+          "fa4fd662a4b23ce5317c4abd168b82aad860e80f09a7c7f5b786e5d0df5761a1"}),
+    (["stationary"], SMALL,
+     {"eta_star.csv": "97e6fcf4a2ebefe32000c655a06f8fdfb54d04f08579b4cd88e3b47b8b9cf3b5",
+      "pi_star.csv": "9766bae6477a57eaf941f8df9dec6a00fc9ca0798e4150a9e11a23353bcd2c00"}),
+    (["eigen", "--R", "4"], SMALL,
+     {"eigen_R4.json": "f8d6e4756b9871613d95aa7642585ffb945076a6696456bab55cc98e636d93c8",
+      "eigen_summary.csv": "c019b59d6ea21fbb9950e27ac579ab8c47058b0f01ef715272882dbb83d8ff05"}),
+], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
+def test_outputs_pinned(tmp_path, argv, cfg, digests):
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([argv[0], "--config", path, "--out", out, *argv[1:]]) == 0
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert written == sorted(digests)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in written} == digests
 
 
 class TestEigen:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
-                     MomentTable, NonPositiveH, PhasePoint, TableFragmentation,
+                     NonPositiveH, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, h_transform,
                      make_adder, model_from_config, validate)
 from malthus.model import gauss_legendre
@@ -160,16 +160,9 @@ class TestFragmentation:
 
 class TestModelSpec:
     def test_adder_fields(self, adder):
-        assert adder.g1(0.0, 2.0) == pytest.approx(2.0)
-        assert adder.g2(1.0, 3.0) == pytest.approx(3.0)
+        assert [f.name for f in dataclasses.fields(adder)] == [
+            "lambda_growth", "d0", "hazard", "fragmentation"]
         assert adder.beta(0.5, 2.0) == pytest.approx(2.0)
-        assert adder.kernel_mass(0.0, 1.0) == pytest.approx(2.0)
-
-    def test_kernel_density_mass(self, adder):
-        y = 2.5
-        z = np.linspace(0.0, y, 4001)
-        mass = np.trapezoid(adder.kernel_density(0.0, y, z), z)
-        assert mass == pytest.approx(2.0, abs=1e-6)
 
     def test_generator_on_exact_eigenfunction(self, adder_d0):
         # Q y = (lambda_growth - d0) * y for the adder, exactly
@@ -236,9 +229,9 @@ class TestValidate:
 
 class TestHTransform:
     def test_jump_rate_and_generator(self, adder):
-        mk = h_transform(adder, lambda a, y: np.asarray(y, dtype=float), 1.0)
+        mk = h_transform(adder, lambda a, y: np.asarray(y, dtype=float))
         # h = y: weighted kernel mass is y itself (2 m1 = 1)
-        assert mk.h_weighted_mass(0.3, 2.0) == pytest.approx(2.0, rel=1e-10)
+        assert adder.jump_integral(lambda _, z: z, 0.3, 2.0) == pytest.approx(2.0, rel=1e-10)
         # A V closed form for V = 1/y + y:
         # lam (y - 1/y) + lam B (1 - (1 - 2 m2) y^2)
         a, y = 0.5, 2.0
@@ -248,7 +241,7 @@ class TestHTransform:
 
     def test_nonpositive_h(self, adder):
         with pytest.raises(NonPositiveH):
-            h_transform(adder, lambda a, y: y - 10.0, 1.0)
+            h_transform(adder, lambda a, y: y - 10.0)
 
 
 class TestConfig:
@@ -262,7 +255,7 @@ class TestConfig:
         }
         m = model_from_config(cfg)
         assert m.lambda_growth == 1.5 and m.d0 == 0.1
-        assert m.B(0.5, 1.0) == pytest.approx(1.5)
+        assert m.hazard(0.5) == pytest.approx(1.5)
         assert isinstance(m.fragmentation, UniformFragmentation)
 
     def test_general_rejected(self):
@@ -270,6 +263,7 @@ class TestConfig:
             model_from_config({"model_type": "general"})
 
     def test_moment_table(self):
-        mt = MomentTable.of(BetaFragmentation(20, 20))
-        assert mt.m1 == pytest.approx(0.5)
-        assert mt.m2 == pytest.approx(20.0 * 21.0 / (40.0 * 41.0))
+        F = BetaFragmentation(20, 20)
+        assert F.moment(0) == 1.0
+        assert F.moment(1) == pytest.approx(0.5)
+        assert F.moment(2) == pytest.approx(20.0 * 21.0 / (40.0 * 41.0))

@@ -53,7 +53,10 @@ class TestFirstJumpLaw:
         assert np.all(np.diff(q.t) > 0) and np.all(q.u >= 1.0)
 
     def test_offspring_constant(self, law):
-        assert law.offspring_constant(PhasePoint(0.2, 1.3)) == pytest.approx(2.0, abs=1e-8)
+        # C_x = 2 m0 * sum(w) = 2: off the boundary too, the row weights carry
+        # the whole first-jump law
+        q = law.row_quadrature(PhasePoint(0.2, 1.3))
+        assert float(np.sum(q.w)) == pytest.approx(1.0, abs=1e-9)
 
     def test_kernel_K_against_adaptive_quadrature(self, adder, law):
         x = PhasePoint(0.0, 1.0)

@@ -111,8 +111,7 @@ class TestDrift:
     def test_grid_margins_match_pointwise(self, request, name):
         model = request.getfixturevalue(name)
         rep = check_drift(model, grid_n=8)
-        markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float),
-                             model.lambda_growth - model.d0)
+        markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float))
         nodes = np.linspace(10.0 / 8, 10.0, 8)
         expected = np.array([[markov.apply_generator(default_V, a, y)
                               + rep.c * default_V(a, y) - rep.d for y in nodes]
