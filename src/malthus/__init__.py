@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 
 from .errors import (BracketFailure, ConfigError, DegenerateData,
                      EmptyMinorantWarning, GridMismatch, InsufficientData,
-                     InvalidModel, MalthusError, NoConvergence, NonPositiveH,
+                     InvalidModel, MalthusError, NoConvergence,
                      PopulationCapExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
                     PhasePoint, TableFragmentation, TableHazard,
-                    UniformFragmentation, ValidationReport, h_transform,
+                    UniformFragmentation, ValidationReport,
                     load_config, make_adder, model_from_config, validate)
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       RowQuadrature, SizeGrid)

@@ -6,9 +6,10 @@ and emits deterministic CSV/JSON artifacts.  Command-line flags override
 config keys, which override the library's defaults.  Every run first writes
 an atomic ``manifest.json``; outputs are staged with a ``.partial`` suffix.
 
-Exit codes: 0 success, 1 malformed configuration JSON, an unknown or missing
-``model`` key or a bad ``model`` or ``sim`` value, 2 invalid model, 3 eigen
-solver failure, 4 simulation failure, 5 stationary failure, 6 minorant failure.
+Exit codes: 0 success, 1 malformed configuration JSON, an unknown section or
+key, a missing ``model`` key or a bad value in any section, 2 invalid model,
+3 eigen solver failure, 4 simulation failure, 5 stationary failure, 6
+minorant failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BracketFailure, ConfigError, InvalidModel, MalthusError, NoConvergence
-from .model import PhasePoint, load_config, model_from_config, validate
+from .model import PhasePoint, _check_keys, load_config, model_from_config, validate
 from .renewal import KernelAssembler, SizeGrid
 from .eigen import solve_malthus
 from .simulate import SimConfig, empirical_functional, run_replicates
@@ -40,6 +41,16 @@ EXIT_EIGEN = 3
 EXIT_SIM = 4
 EXIT_STATIONARY = 5
 EXIT_DOEBLIN = 6
+
+#: the keys of each configuration section but ``model``, which
+#: ``model_from_config`` checks
+SECTIONS = {
+    "grid": ("R", "n"),
+    "sim": ("seed", "t_end", "record_times", "cap", "replicates", "x0", "snapshots"),
+    "doeblin": ("compact", "delta", "Delta", "j_star", "domain", "grid_n"),
+    "drift": ("box", "grid_n", "c", "d"),
+    "stationary": ("y_max", "n", "box", "bins", "report"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +132,21 @@ def cmd_validate(cfg, args, out_dir):
 
 def cmd_eigen(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    gcfg = cfg.get("grid", {})
-    radii = args.R if args.R else gcfg.get("R", [16.0])
-    if np.isscalar(radii):
-        radii = [radii]
+    gcfg = _given(cfg, "grid", R=lambda v: list(map(float, v if isinstance(v, list) else [v])),
+                  n=int)
+    radii = args.R or gcfg.get("R", [16.0])
     grid_n = args.grid_n or gcfg.get("n")
     summary = []
     try:
         for R in radii:
-            n = int(grid_n) if grid_n else int(round(32 * float(R)))
-            grid = SizeGrid.uniform(float(R), n)
+            try:
+                grid = SizeGrid.uniform(R, grid_n or round(32 * R))
+            except ValueError as exc:
+                raise ConfigError(f"grid: {exc}") from None
             result = solve_malthus(KernelAssembler(model, grid))
             tmp = os.path.join(out_dir, f"eigen_R{R:g}.json")
             _write_json(tmp, result.to_dict())
-            summary.append((float(R), result.lambda_R, result.residual))
+            summary.append((R, result.lambda_R, result.residual))
     except (NoConvergence, BracketFailure) as exc:
         print(f"eigen solve failed: {exc}", file=sys.stderr)
         return EXIT_EIGEN
@@ -143,9 +155,26 @@ def cmd_eigen(cfg, args, out_dir):
     return EXIT_OK
 
 
-def _given(section, **convert):
-    """``{k: convert[k](section[k])}`` for the keys ``k`` that ``section`` gives."""
-    return {k: f(section[k]) for k, f in convert.items() if k in section}
+def _given(cfg, name, **convert):
+    """``{k: convert[k](v)}`` for each key ``k`` that section ``name`` gives as ``v``;
+    a value that its conversion rejects raises ConfigError naming ``name.k``."""
+    section, out = cfg.get(name, {}), {}
+    for k, f in convert.items():
+        if k in section:
+            try:
+                out[k] = f(section[k])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}.{k}: {exc}") from None
+    return out
+
+
+def _numbers(n, cast=float):
+    """Conversion of a list of ``n`` values to a tuple, each by ``cast``."""
+    def convert(v):
+        if len(v) != n:
+            raise ValueError(f"{v!r} must list {n} numbers")
+        return tuple(map(cast, v))
+    return convert
 
 
 def _sim_config(cfg, args):
@@ -194,16 +223,20 @@ def cmd_simulate(cfg, args, out_dir):
 
 def cmd_stationary(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    stcfg = cfg.get("stationary", {})
+    stcfg = _given(cfg, "stationary", y_max=float, n=int, box=_numbers(2), bins=_numbers(2, int))
+    box = stcfg.pop("box", st.PROFILE_BOX)
+    bins = stcfg.pop("bins", st.PROFILE_BINS)
+    if not (min(box) > 0 and min(bins) >= 1):
+        raise ConfigError(f"stationary: box = {box} and bins = {bins} must be positive")
     try:
-        profile = st.solve_eta_star(model, **_given(stcfg, y_max=float, n=int))
+        profile = st.solve_eta_star(model, **stcfg)
     except MalthusError as exc:
         print(f"stationary profile failed: {exc}", file=sys.stderr)
         return EXIT_STATIONARY
+    except ValueError as exc:
+        raise ConfigError(f"stationary: {exc}") from None
     _write_csv(os.path.join(out_dir, "eta_star.csv"), ["s", "eta_star"],
                zip(profile.s_nodes, profile.values))
-    box = stcfg.get("box", st.PROFILE_BOX)
-    bins = stcfg.get("bins", st.PROFILE_BINS)
     a_c = np.linspace(0, box[0], bins[0] + 1)
     y_c = np.linspace(0, box[1], bins[1] + 1)
     a_c = 0.5 * (a_c[:-1] + a_c[1:])
@@ -212,12 +245,11 @@ def cmd_stationary(cfg, args, out_dir):
     A, Y = np.meshgrid(a_c, y_c, indexing="ij")
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
                zip(A.ravel(), Y.ravel(), ref.values.ravel()))
-    if stcfg.get("report", False):
+    if cfg.get("stationary", {}).get("report", False):
         sim_cfg, x0 = _sim_config(cfg, args)
         try:
             trajectories = run_replicates(model, x0, sim_cfg)
-            rep = st.ergodicity_report(trajectories, profile, model,
-                                       box=tuple(box), bins=tuple(bins))
+            rep = st.ergodicity_report(trajectories, profile, model, box=box, bins=bins)
         except MalthusError as exc:
             print(f"ergodicity report failed: {exc}", file=sys.stderr)
             return EXIT_STATIONARY
@@ -227,15 +259,16 @@ def cmd_stationary(cfg, args, out_dir):
 
 def cmd_doeblin(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    dcfg = cfg.get("doeblin", {})
-    compact = dcfg.get("compact", [0.0, 1.0, 1.0, 2.0])
+    dcfg = _given(cfg, "doeblin", compact=_numbers(4), delta=float, Delta=float, j_star=int,
+                  domain=_numbers(4), grid_n=int)
     try:
         nu, constants = st.doeblin_minorant(
-            model, compact,
-            **_given(dcfg, delta=float, Delta=float, j_star=int, domain=tuple, grid_n=int))
+            model, dcfg.pop("compact", (0.0, 1.0, 1.0, 2.0)), **dcfg)
     except MalthusError as exc:
         print(f"minorant construction failed: {exc}", file=sys.stderr)
         return EXIT_DOEBLIN
+    except ValueError as exc:
+        raise ConfigError(f"doeblin: {exc}") from None
     A, Y = np.meshgrid(nu.a_nodes, nu.y_nodes, indexing="ij")
     _write_csv(os.path.join(out_dir, "minorant.csv"), ["a", "y", "nu"],
                zip(A.ravel(), Y.ravel(), nu.values.ravel()))
@@ -247,8 +280,11 @@ def cmd_doeblin(cfg, args, out_dir):
 
 def cmd_drift(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    dcfg = cfg.get("drift", {})
-    report = st.check_drift(model, **_given(dcfg, box=tuple, grid_n=int, c=float, d=float))
+    dcfg = _given(cfg, "drift", box=_numbers(2), grid_n=int, c=float, d=float)
+    try:
+        report = st.check_drift(model, **dcfg)
+    except ValueError as exc:
+        raise ConfigError(f"drift: {exc}") from None
     _write_json(os.path.join(out_dir, "drift_report.json"), report.to_dict())
     return EXIT_OK if report.passed else EXIT_STATIONARY
 
@@ -296,17 +332,20 @@ def main(argv=None) -> int:
             return EXIT_BAD_CONFIG
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(
-        config=args.config or "<defaults>",
-        seed=args.seed if args.seed is not None else cfg.get("sim", {}).get("seed"),
-        command=args.command,
-        out_dir=os.path.abspath(out_dir),
-        version=__version__,
-        wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
-    manifest.write(out_dir)
     try:
+        _check_keys("configuration", cfg, ("model", *SECTIONS))
+        for name, keys in SECTIONS.items():
+            if name in cfg:
+                _check_keys(name, cfg[name], keys)
+        os.makedirs(out_dir, exist_ok=True)
+        RunManifest(
+            config=args.config or "<defaults>",
+            seed=args.seed if args.seed is not None else cfg.get("sim", {}).get("seed"),
+            command=args.command,
+            out_dir=os.path.abspath(out_dir),
+            version=__version__,
+            wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        ).write(out_dir)
         return COMMANDS[args.command](cfg, args, out_dir)
     except InvalidModel as exc:
         print(f"invalid model: {exc}", file=sys.stderr)

@@ -36,7 +36,9 @@ class EigenResult:
     ``kr_factor`` recovers the Krein-Rutman scaling <nu, eta> = 1.
     ``lambda_malthus`` subtracts the model's constant death rate.
     ``diagnostics`` holds the root find's trace of (lam, mu, dmu/dlam) per
-    mu evaluation, the evaluation count and the final bracket [lo, hi].
+    mu evaluation, the evaluation count, the final bracket [lo, hi] and the
+    closed-form Euler-Lotka residual at (lambda_R, y = 1), an independent
+    check of the root.
     """
 
     R: float
@@ -124,21 +126,15 @@ def _eigen_residual(matrix: KernelMatrix, mu: float, eta: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.apply(eta) - mu * eta)) / np.max(np.abs(eta)))
 
 
-def spectral_value(assembler: KernelAssembler, lam: float, slope: bool = False,
-                   eigenpair: bool = False):
-    """mu(lam), the leading eigenvalue of G_lam^R.
-
-    With ``slope=True`` returns (mu, dmu/dlam), the slope taken by
-    first-order perturbation from the eigenpair and the derivative matrix;
-    with ``eigenpair=True`` returns (mu, dmu/dlam, eta, nu), the vectors as
-    ``leading_eigen`` returns them.
+def spectral_value(assembler: KernelAssembler, lam: float):
+    """(mu, dmu/dlam, eta, nu) at lam: the leading eigenvalue of G_lam^R,
+    its slope by first-order perturbation from the eigenpair and the
+    derivative matrix, and the vectors as ``leading_eigen`` returns them.
     """
     matrix = assembler.matrix(lam)
     mu, eta, nu = leading_eigen(matrix)
-    if not (slope or eigenpair):
-        return mu
     dmu = float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
-    return (mu, dmu, eta, nu) if eigenpair else (mu, dmu)
+    return mu, dmu, eta, nu
 
 
 def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
@@ -162,7 +158,7 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
 
     def evaluate(lam):
         nonlocal eta, nu
-        mu, dmu, eta, nu = spectral_value(assembler, lam, eigenpair=True)
+        mu, dmu, eta, nu = spectral_value(assembler, lam)
         trace.append({"lam": lam, "mu": mu, "dmu": dmu})
         return mu, dmu
 
@@ -210,7 +206,9 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
         kr_factor=1.0 / float(np.dot(nu, eta)) if np.dot(nu, eta) > 0 else math.nan,
         nu_eta=float(np.dot(nu, eta)),
         grid=assembler.grid,
-        diagnostics={"mu_evals": len(trace), "trace": trace, "bracket": [lo, hi]},
+        diagnostics={"mu_evals": len(trace), "trace": trace, "bracket": [lo, hi],
+                     "euler_lotka_residual": euler_lotka_residual(model, lam, 1.0,
+                                                                  assembler.law)},
     )
 
 
@@ -219,18 +217,16 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
 # ---------------------------------------------------------------------------
 
 
-def euler_lotka_residual(model: ModelSpec, lam: float, y: float,
-                         law: FirstJumpLaw | None = None, n_rho: int = 256) -> float:
+def euler_lotka_residual(model: ModelSpec, lam: float, y: float, law: FirstJumpLaw) -> float:
     """C_(0,y) * E[exp(lam * (int_y^Z ds/g2(0,s) - T))] - 1 at the first jump.
 
     Vanishes at the Malthus exponent; equals C - 1 at lam = 0.  The orbit
     time from y to z is log(z / y) / lambda_growth, so the expectation
     reduces to the fragmentation moment of order s = lam / lambda_growth.
     """
-    law = law or FirstJumpLaw(model)
     q = law.row_quadrature(PhasePoint(0.0, float(y)))
     coef = q.w * np.exp(-lam * q.t)
-    rho, wr = gl_nodes(0.0, 1.0, n_rho)
+    rho, wr = gl_nodes(0.0, 1.0, 256)
     s = lam / model.lambda_growth
     m_s = float(np.sum(wr * model.fragmentation.pdf(rho) * rho**s))
     inner = 2.0 * m_s * (q.u / y) ** s

@@ -9,10 +9,6 @@ class InvalidModel(MalthusError):
     """A structural model assumption is violated (message names the first one)."""
 
 
-class NonPositiveH(MalthusError):
-    """The eigenfunction candidate h is not strictly positive at a queried point."""
-
-
 class ConfigError(MalthusError):
     """A configuration key is unknown or missing, or its value is rejected."""
 

@@ -1,4 +1,4 @@
-"""The adder model: rates, kernels, assumption checks, h-transform.
+"""The adder model: rates, kernels, assumption checks, size-harmonic transform.
 
 Phase points x = (a, y) (added size, current size) grow along the field
 g = (g1, g2) = (lam*y, lam*y), divide at rate beta(x) = g1(x) * B(a) with B
@@ -15,13 +15,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .errors import ConfigError, InvalidModel, NonPositiveH
+from .errors import ConfigError, InvalidModel
 
 MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
@@ -234,6 +234,9 @@ class BetaFragmentation:
     def __init__(self, alpha: float, beta: float):
         self.alpha = float(alpha)
         self.beta = float(beta)
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"Beta parameters must be positive and finite, "
+                             f"got alpha={alpha!r}, beta={beta!r}")
         self.name = f"beta({alpha},{beta})"
         self._log_norm = float(special.betaln(self.alpha, self.beta))
 
@@ -449,8 +452,8 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     number (constant hazard).  ``F`` is a fragmentation density object.
     ``d0`` is the constant death rate.
     """
-    if lambda_growth <= 0:
-        raise InvalidModel("lambda_growth must be positive")
+    if not 0 < lambda_growth < math.inf:
+        raise InvalidModel(f"lambda_growth must be positive and finite, got {lambda_growth!r}")
     d0 = float(d0)
     if not (math.isfinite(d0) and d0 >= 0):
         raise InvalidModel(f"death rate d0 must be finite and nonnegative, got {d0}")
@@ -524,27 +527,21 @@ def validate(model: ModelSpec) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Doob h-transform
+# Size-harmonic transform
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Conservative jump-flow model obtained from an eigenfunction candidate h.
+    """Conservative dynamics of the Doob transform by h(a, y) = y.
 
-    Same flow as the base model; jumps at rate
-    beta(x) * int h(0,z) k(x,z) dz / h(x) to a point (0, Z) with Z drawn from
-    the h-weighted kernel.  There is no death term.
+    h = y is the adder's eigenfunction (eigenvalue lambda_growth - d0).  Same
+    flow as the base model; jumps at rate beta(x) * int z k(x, z) dz / y to
+    a point (0, Z) with Z drawn from the size-weighted kernel.  There is no
+    death term.
     """
 
     base: ModelSpec
-    h: Callable
-
-    def _h(self, a, y):
-        v = self.h(a, y)
-        if np.any(np.asarray(v) <= 0):
-            raise NonPositiveH(f"h({a}, {y}) = {v} <= 0")
-        return v
 
     def apply_generator(self, f, a, y, fd_step=None):
         """A f at (a, y) for the transformed (conservative) dynamics.
@@ -552,23 +549,10 @@ class MarkovModel:
         Elementwise over (a, y) arrays, as ``ModelSpec.apply_generator``.
         """
         transport = _transport(self.base, f, a, y, fd_step)
-        hx = self._h(a, y)
-        weighted = self.base.jump_integral(lambda _, z: f(0.0, z) * self._h(0.0, z), a, y)
-        mass = self.base.jump_integral(lambda _, z: self._h(0.0, z), a, y)
-        jump = self.base.beta(a, y) * (weighted - f(a, y) * mass) / hx
+        weighted = self.base.jump_integral(lambda _, z: f(0.0, z) * z, a, y)
+        mass = self.base.jump_integral(lambda _, z: z, a, y)
+        jump = self.base.beta(a, y) * (weighted - f(a, y) * mass) / y
         return transport + jump
-
-
-def h_transform(model: ModelSpec, h: Callable) -> MarkovModel:
-    """Build the conservative model for an eigenfunction candidate ``h``.
-
-    ``h`` must be strictly positive on the state space; positivity is
-    enforced lazily at every queried point (NonPositiveH otherwise).
-    """
-    probe = h(0.5, 1.0)
-    if np.any(np.asarray(probe) <= 0):
-        raise NonPositiveH(f"h(0.5, 1.0) = {probe} <= 0")
-    return MarkovModel(base=model, h=h)
 
 
 # ---------------------------------------------------------------------------

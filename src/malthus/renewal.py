@@ -54,7 +54,7 @@ class RowQuadrature:
 
 
 class FirstJumpLaw:
-    """Survival, jump-time density and renewal kernel of the first division."""
+    """Survival, jump-time density and orbit quadrature of the first division."""
 
     def __init__(self, model: ModelSpec):
         self.model = model
@@ -97,18 +97,6 @@ class FirstJumpLaw:
         t = np.log(u / x.y) / self.model.lambda_growth
         row = self._row_cache[key] = RowQuadrature(t=t, w=ww * dens, u=u)
         return row
-
-    # -- first-jump functionals ------------------------------------------
-
-    def kernel_K(self, x: PhasePoint, z, lam: float):
-        """K_lam(x, z) = int e^{-lam t} k(phi^t x, z) psi(t|x) dt."""
-        if lam < 0:
-            raise ValueError("spectral shift lam must be nonnegative")
-        q = self.row_quadrature(x)
-        coef = q.w * np.exp(-lam * q.t)
-        kvals, _ = KernelRowEvaluator(self.model, np.atleast_1d(z))(q)
-        out = coef @ kvals
-        return out if np.ndim(z) else float(out[0])
 
 
 class KernelRowEvaluator:
@@ -162,12 +150,14 @@ class SizeGrid:
     weights: np.ndarray
 
     @classmethod
-    def uniform(cls, R: float, n: int, anchor: float = 1.0) -> "SizeGrid":
-        """n uniform nodes on [0, R] with ``anchor`` inserted as an exact node."""
+    def uniform(cls, R: float, n: int) -> "SizeGrid":
+        """n uniform nodes on [0, R], plus y = 1 if it is not one.
+
+        ``leading_eigen`` pins eta(1) = 1, so y = 1 must be a node.
+        """
         nodes = np.linspace(0.0, R, n)
-        if anchor is not None and 0.0 < anchor < R:
-            if not np.any(np.isclose(nodes, anchor, rtol=0, atol=1e-12)):
-                nodes = np.sort(np.append(nodes, anchor))
+        if 1.0 < R and not np.any(np.isclose(nodes, 1.0, rtol=0, atol=1e-12)):
+            nodes = np.sort(np.append(nodes, 1.0))
         weights = trapezoid_weights(nodes)
         return cls(R=float(R), nodes=nodes, weights=weights)
 

@@ -160,18 +160,24 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
     order after the initial entry; a state holds the phases of the
     individuals alive at its time in (birth time, tree id) order.
     """
+    single = isinstance(replicate, Integral)
+    reps = [int(replicate)] if single else list(replicate)
+    out = [tr for block in _blocks(model, x0, config, reps) for tr in block]
+    return out[0] if single else out
+
+
+def _blocks(model: ModelSpec, x0: PhasePoint, config: SimConfig, reps: list):
+    """The Trajectories of ``reps`` in order, one list per engine block."""
     # the engine is compiled on first use: commands that do not simulate
     # start without it
     from .engine import Block
 
-    single = isinstance(replicate, Integral)
-    reps = [int(replicate)] if single else list(replicate)
-    out, size = [], 16  # a small first block measures the lanes per replicate
-    while len(out) < len(reps):
-        block = Block(model, x0, config, reps[len(out):len(out) + size])
-        out.extend(block.run())
+    done, size = 0, 16  # a small first block measures the lanes per replicate
+    while done < len(reps):
+        block = Block(model, x0, config, reps[done:done + size])
+        yield block.run()
+        done += len(block.reps)
         size = max(1, BLOCK_LANES * len(block.reps) // block.lanes)
-    return out[0] if single else out
 
 
 def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
@@ -253,20 +259,24 @@ def generator_consistency_check(model: ModelSpec, fs, x0: PhasePoint, dt: float,
     (zero sample variance) are scored fairly.
 
     ``fs`` is a dict label -> f(a, y); one batch of one-step replicates,
-    simulated by ``run_replicates`` on the streams of ``simulate_population``,
-    is shared across all test functions.  Returns a list of ConsistencyReport;
-    raises PopulationCapExceeded when a replicate outgrows the default cap.
+    simulated as ``run_replicates`` does, is shared across all test
+    functions, and each engine block is summed as it is produced, so memory
+    is bounded by the block.  Returns a list of ConsistencyReport; raises
+    PopulationCapExceeded when a replicate outgrows the default cap.
     """
     labels = list(fs)
     funcs = [fs[k] for k in labels]
     config = SimConfig(seed=seed, t_end=dt, record_times=[dt], replicates=replicates)
-    states = [tr.states[0] for tr in run_replicates(model, x0, config)]
-    a = np.concatenate([s.a for s in states])
-    y = np.concatenate([s.y for s in states])
-    owner = np.repeat(np.arange(replicates), [s.count for s in states])
-    # <Z_dt, f> per replicate: bincount adds each replicate's values in order
-    vals = np.column_stack([np.bincount(owner, np.broadcast_to(f(a, y), a.shape), replicates)
-                            for f in funcs])
+    vals = []
+    for block in _blocks(model, x0, config, list(range(replicates))):
+        states = [tr.states[0] for tr in block]
+        a = np.concatenate([s.a for s in states])
+        y = np.concatenate([s.y for s in states])
+        owner = np.repeat(np.arange(len(states)), [s.count for s in states])
+        # <Z_dt, f> per replicate: bincount adds each replicate's values in order
+        vals.append(np.column_stack([np.bincount(owner, np.broadcast_to(f(a, y), a.shape),
+                                                 len(states)) for f in funcs]))
+    vals = np.concatenate(vals)
     reports = []
     for j, label in enumerate(labels):
         mean = float(vals[:, j].mean())

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
-from .model import ModelSpec, PhasePoint, gl_nodes, h_transform, trapezoid_weights
+from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF
 from .simulate import Trajectory, individual_rng, sample_division_age
 
@@ -33,7 +33,7 @@ PROFILE_BINS = (20, 20)
 
 
 def default_V(a, y):
-    """Coercive weight 1/y + y used by the drift and TV norms."""
+    """Coercive weight V = 1/y + y, the only one: ``drift_offset`` derives d for it."""
     y = np.asarray(y, dtype=float)
     out = 1.0 / y + y
     return out if out.ndim else float(out)
@@ -72,13 +72,13 @@ class Density2D:
                 and np.allclose(self.y_nodes, other.y_nodes))
 
 
-def weighted_tv(u: Density2D, v: Density2D, V: Callable = default_V) -> float:
-    """Integral of (1 + V) |u - v| over the common grid."""
+def weighted_tv(u: Density2D, v: Density2D) -> float:
+    """Integral of (1 + V) |u - v| over the common grid, V = ``default_V``."""
     if not u.same_grid(v):
         raise GridMismatch("densities live on different grids")
     A, Y = np.meshgrid(u.a_nodes, u.y_nodes, indexing="ij")
     with np.errstate(divide="ignore"):
-        w = 1.0 + np.asarray(V(A, Y), dtype=float)
+        w = 1.0 + np.asarray(default_V(A, Y), dtype=float)
     w = np.where(np.isfinite(w), w, 0.0)  # boundary nodes at y = 0 carry no weight
     return float(np.sum(u.weights * w * np.abs(u.values - v.values)))
 
@@ -131,16 +131,16 @@ def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
     return apply
 
 
-def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
-                   tol: float = 1e-10, max_sweeps: int = 10_000,
-                   n_rho: int = 256) -> EtaStarProfile:
+def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaStarProfile:
     """Fixed-point iteration for the boundary profile eta*, from eta0 = 1.
 
     Each sweep applies the renewal operator and renormalizes so the induced
     stationary density pi* has unit mass; iteration stops when successive
-    sweeps differ by less than ``tol`` in sup norm (the renormalized sweep
-    is the operator whose residual is reported).
+    sweeps differ by less than 1e-10 in sup norm (the renormalized sweep is
+    the operator whose residual is reported), within 10,000 sweeps.
     """
+    if not (y_max > 0 and n >= 2):
+        raise ValueError(f"y_max = {y_max!r} must be positive and n = {n!r} at least 2")
     from scipy import integrate  # ~0.3 s to import; only eta* and pi* use it
     hz = model.hazard
     s = np.linspace(0.0, y_max, n)
@@ -148,7 +148,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
-    rho, w_rho = gl_nodes(0.0, 1.0, n_rho)
+    rho, w_rho = gl_nodes(0.0, 1.0, 256)
     apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
     mass_w = _pi_mass_weights(model, s, a_cut)
 
@@ -161,14 +161,14 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024,
     eta = np.ones(n)
     eta[0] = 0.0
     eta = normalize(eta)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, 10_001):
         new = normalize(apply_T(eta))
         diff = float(np.max(np.abs(new - eta)) / np.max(np.abs(new)))
         eta = new
-        if diff < tol:
+        if diff < 1e-10:
             break
     else:
-        raise NoConvergence(f"profile iteration: {max_sweeps} sweeps, diff {diff:.2e}")
+        raise NoConvergence(f"profile iteration: 10000 sweeps, diff {diff:.2e}")
     residual = float(np.max(np.abs(normalize(apply_T(eta)) - eta)) / np.max(np.abs(eta)))
     return EtaStarProfile(s_nodes=s, values=eta, residual=residual,
                           sweeps=sweep, mass_weights=mass_w)
@@ -247,18 +247,20 @@ def drift_offset(model: ModelSpec) -> float:
     return model.lambda_growth * (b_bar + 1.0 / (b_bar * (1.0 - 2.0 * m2)))
 
 
-def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
-                grid_n: int = 64, c: float | None = None,
-                d: float | None = None) -> DriftReport:
-    """Verify A V <= -c V + d on a grid, A being the size-harmonic dynamics.
+def check_drift(model: ModelSpec, box=(10.0, 10.0), grid_n: int = 64,
+                c: float | None = None, d: float | None = None) -> DriftReport:
+    """Verify A V <= -c V + d, V = ``default_V``, on a grid of (0, box], A being
+    the size-harmonic dynamics (ValueError for a box side <= 0 or grid_n < 1).
 
     The generator is applied numerically (finite-difference transport,
-    quadrature jump term) to blocks of ``DRIFT_BLOCK`` grid points per call,
-    so ``V`` must accept arrays; the report records the worst margin
-    max(AV + cV - d) and the first grid point (a-major order) attaining it.  A NaN margin
-    anywhere is the worst margin, and fails the report.
+    quadrature jump term) to blocks of ``DRIFT_BLOCK`` grid points per call;
+    the report records the worst margin max(AV + cV - d) and the first grid
+    point (a-major order) attaining it.  A NaN margin anywhere is the worst
+    margin, and fails the report.
     """
-    markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float))
+    if not (len(box) == 2 and min(box) > 0 and grid_n >= 1):
+        raise ValueError(f"box = {tuple(box)!r} needs sides > 0 and grid_n = {grid_n!r} >= 1")
+    markov = MarkovModel(model)
     c = model.lambda_growth if c is None else float(c)
     d = drift_offset(model) if d is None else float(d)
     aa = np.linspace(box[0] / grid_n, box[0], grid_n)
@@ -267,7 +269,8 @@ def check_drift(model: ModelSpec, V: Callable = default_V, box=(10.0, 10.0),
     margin = np.empty(A.size)
     for lo in range(0, A.size, DRIFT_BLOCK):
         a, y = A[lo:lo + DRIFT_BLOCK], Y[lo:lo + DRIFT_BLOCK]
-        margin[lo:lo + DRIFT_BLOCK] = markov.apply_generator(V, a, y) + c * V(a, y) - d
+        margin[lo:lo + DRIFT_BLOCK] = (markov.apply_generator(default_V, a, y)
+                                       + c * default_V(a, y) - d)
     k = int(np.argmax(margin))  # argmax stops at the first NaN
     return DriftReport(c=c, d=d, worst_point=(float(A[k]), float(Y[k])),
                        worst_margin=float(margin[k]), grid=(grid_n, grid_n),
@@ -299,7 +302,7 @@ class DoeblinConstants:
                 for k, v in self.__dict__.items()}
 
 
-def kernel_minorant_epsilon(model: ModelSpec, z, delta: float, n_scan: int = 64):
+def kernel_minorant_epsilon(model: ModelSpec, z, delta: float):
     """epsilon(z) = min over z' in [2z, 2z+delta] of F(z/z')/z'.
 
     Lower bound of the offspring kernel on the window D(z) = [2z, 2z+delta].
@@ -310,8 +313,8 @@ def kernel_minorant_epsilon(model: ModelSpec, z, delta: float, n_scan: int = 64)
     zi = zz[pos]
     eps = np.full_like(zi, np.inf)
     # one window offset at a time over all points keeps memory O(points); a
-    # (points, n_scan) block needs ~8 MB of pdf temporaries on a 64^2 grid
-    for t in np.linspace(0.0, 1.0, n_scan):
+    # (points, 64) block needs ~8 MB of pdf temporaries on a 64^2 grid
+    for t in np.linspace(0.0, 1.0, 64):
         zp = 2.0 * zi + delta * t
         eps = np.minimum(eps, model.fragmentation.pdf(zi / zp) / zp)
     out[pos] = eps
@@ -320,7 +323,7 @@ def kernel_minorant_epsilon(model: ModelSpec, z, delta: float, n_scan: int = 64)
 
 def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
                      Delta: float | None = None, j_star: int | None = None,
-                     mu_q: float = 0.5, domain=None, grid_n: int = 64):
+                     domain=None, grid_n: int = 64):
     """Assemble the explicit minorant density nu over a (a, y) grid.
 
     ``compact`` is (a_lo, a_hi, y_lo, y_hi): the set of starting points the
@@ -334,7 +337,8 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     """
     a_lo, a_hi, y_lo, y_hi = (float(v) for v in compact)
     if not (0 <= a_lo <= a_hi and 0 < y_lo <= y_hi):
-        raise ValueError("compact bounds must satisfy 0 <= a_lo <= a_hi, 0 < y_lo <= y_hi")
+        raise ValueError(f"compact = {tuple(compact)!r} must satisfy "
+                         "0 <= a_lo <= a_hi, 0 < y_lo <= y_hi")
     lam = model.lambda_growth
     lam_m = model.lambda_growth - model.d0
     law = FirstJumpLaw(model)
@@ -393,7 +397,7 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     beta_tilde = 2.0 * B0 + lam_m
     log_sf = -(2.0 * B0 * (1.0 + horizon) * math.exp(c1 * horizon) + lam_m * horizon)
     skeleton_factor = math.exp(log_sf) if log_sf > -700 else 0.0
-    mu_weights = (1.0 - mu_q) * mu_q ** np.arange(j_star + 1)
+    mu_weights = 0.5 * 0.5 ** np.arange(j_star + 1)  # geometric (1 - q) q^j, q = 1/2
     mu_min = float(np.min(mu_weights))
 
     A, Y = np.meshgrid(a_nodes, y_nodes, indexing="ij")
@@ -526,13 +530,14 @@ def empirical_profile(trajectories: Sequence[Trajectory], time_index: int,
     return d
 
 
-def reference_profile(profile: EtaStarProfile, model: ModelSpec, box, bins,
-                      subsample: int = 8) -> Density2D:
+def reference_profile(profile: EtaStarProfile, model: ModelSpec, box, bins) -> Density2D:
     """Cell-averaged pi* on the histogram grid, normalized to unit mass.
 
-    Cell averaging (midpoint subsampling) matches what a histogram of exact
-    pi* samples converges to, removing the O(h^2) center-value bias.
+    Cell averaging (midpoint subsampling, 8 x 8 points per cell) matches what
+    a histogram of exact pi* samples converges to, removing the O(h^2)
+    center-value bias.
     """
+    subsample = 8
     a_edges = np.linspace(0.0, box[0], bins[0] + 1)
     y_edges = np.linspace(0.0, box[1], bins[1] + 1)
     ha = a_edges[1] - a_edges[0]
@@ -551,8 +556,8 @@ def reference_profile(profile: EtaStarProfile, model: ModelSpec, box, bins,
 
 
 def ergodicity_report(trajectories: Sequence[Trajectory], profile: EtaStarProfile,
-                      model: ModelSpec, box=PROFILE_BOX, bins=PROFILE_BINS,
-                      V: Callable = default_V) -> ErgodicityReport:
+                      model: ModelSpec, box=PROFILE_BOX,
+                      bins=PROFILE_BINS) -> ErgodicityReport:
     """Weighted-TV decay of the normalized mean profile toward pi*.
 
     Profiles (empirical and reference) are both normalized to unit mass over
@@ -566,7 +571,7 @@ def ergodicity_report(trajectories: Sequence[Trajectory], profile: EtaStarProfil
     dists = []
     for i in range(times.size):
         emp = empirical_profile(trajectories, i, box, bins)
-        dists.append(weighted_tv(emp, ref, V))
+        dists.append(weighted_tv(emp, ref))
     dists = np.array(dists)
     if np.any(dists <= 0):
         omega = math.inf

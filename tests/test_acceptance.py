@@ -121,7 +121,7 @@ def test_criterion_02_boundary_eigenfunction(eigen16):
 
 
 def test_criterion_03_monotonicities(assembler_r8, eigen16, eigen_small):
-    mus = [spectral_value(assembler_r8, lam) for lam in (0.0, 0.5, 1.0, 2.0)]
+    mus = [spectral_value(assembler_r8, lam)[0] for lam in (0.0, 0.5, 1.0, 2.0)]
     decreasing = all(a > b + 1e-10 for a, b in zip(mus, mus[1:]))
     lam_by_R = dict(eigen_small)
     lam_by_R[16.0] = eigen16[0].lambda_R

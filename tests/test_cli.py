@@ -61,8 +61,12 @@ class TestValidate:
         ({"fragmentation": {"type": "beta", "alpha": 5, "beta": None}}, "model.fragmentation:"),
         ({"lambda_growth": "fast"}, "model:"),
         ({"hazard": [1.0]}, "model.hazard (type 'constant') must be a JSON object"),
+        # Beta(-1, -1) has the closed-form moments 1, 1/2, -0 and used to validate
+        ({"fragmentation": {"type": "beta", "alpha": -1, "beta": -1}},
+         "model.fragmentation: Beta parameters must be positive"),
     ], ids=["bounds", "misspelled", "beta_without_type", "hazard_typo", "missing_b",
-            "missing_B", "negative_b", "null_beta", "string_lambda", "hazard_not_object"])
+            "missing_B", "negative_b", "null_beta", "string_lambda", "hazard_not_object",
+            "negative_beta"])
     def test_bad_model_key_exits_1(self, tmp_path, capsys, model, expected):
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps({"model": model}))
@@ -181,7 +185,8 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
      {"eta_star.csv": "97e6fcf4a2ebefe32000c655a06f8fdfb54d04f08579b4cd88e3b47b8b9cf3b5",
       "pi_star.csv": "9766bae6477a57eaf941f8df9dec6a00fc9ca0798e4150a9e11a23353bcd2c00"}),
     (["eigen", "--R", "4"], SMALL,
-     {"eigen_R4.json": "f8d6e4756b9871613d95aa7642585ffb945076a6696456bab55cc98e636d93c8",
+     # the pin moved once, when diagnostics gained euler_lotka_residual
+     {"eigen_R4.json": "13a35bdd3420d707f7e7b4b88770d348641243423c1cbb2c9dd92b749353f90d",
       "eigen_summary.csv": "c019b59d6ea21fbb9950e27ac579ab8c47058b0f01ef715272882dbb83d8ff05"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
@@ -246,6 +251,38 @@ class TestDoeblinCommand:
         assert consts["mass"] > 0.0
         lines = (out / "minorant.csv").read_text().splitlines()
         assert lines[0] == "a,y,nu" and len(lines) == 1 + 16 * 16
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("command, cfg, expected", [
+        ("simulate", {"sim": {"replicatse": 5}},
+         "sim: unknown key 'replicatse' (did you mean 'replicates'?)"),
+        ("simulate", {"simm": {}}, "configuration: unknown key 'simm' (did you mean 'sim'?)"),
+        ("eigen", {"grid": {"nn": 3}}, "grid: unknown key 'nn'"),
+        ("validate", {"doeblin": [0, 1]}, "doeblin must be a JSON object"),
+        ("eigen", {"grid": {"R": None}}, "grid.R:"),
+        ("drift", {"drift": {"grid_n": None}}, "drift.grid_n:"),
+        ("drift", {"drift": {"box": [10]}}, "drift.box:"),
+        # the size-harmonic transform divides by y: no margins below y = 0
+        ("drift", {"drift": {"box": [10, -1]}}, "drift: box = (10.0, -1.0)"),
+        ("doeblin", {"doeblin": {"compact": [0, 1, 2, 1]}},
+         "doeblin: compact = (0.0, 1.0, 2.0, 1.0)"),
+        ("stationary", {"stationary": {"n": 1}}, "stationary: "),
+        ("stationary", {"stationary": {"bins": [0, 20]}}, "stationary: box"),
+    ], ids=["sim_key", "section", "grid_key", "section_not_object", "null_R", "null_grid_n",
+            "short_box", "negative_box", "compact_order", "eta_n", "zero_bins"])
+    def test_bad_config_exits_1(self, tmp_path, capsys, command, cfg, expected):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", path, "--out", tmp_path / "b"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and expected in err
+
+    def test_infinite_growth_rate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"model": {**MODEL, "lambda_growth": math.inf}}))
+        assert run(["validate", "--config", path, "--out", tmp_path / "b"]) == 2
+        assert "lambda_growth must be positive and finite" in capsys.readouterr().err
 
 
 class TestThreads:

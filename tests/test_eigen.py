@@ -30,7 +30,7 @@ class TestLeadingEigen:
         assert np.max(np.abs(ratio - 1.0)) < 1e-3
 
     def test_spectral_value_decreasing(self, assembler_r8):
-        mus = [spectral_value(assembler_r8, lam) for lam in (0.0, 0.5, 1.0, 2.0)]
+        mus = [spectral_value(assembler_r8, lam)[0] for lam in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(mus, mus[1:]))
         assert mus[0] > 1.0
 
@@ -52,17 +52,17 @@ class TestLeadingEigen:
     def test_perturbation_slope_matches_finite_difference(self, adder, lam):
         asm = KernelAssembler(adder, SizeGrid.uniform(8.0, 64))
         h = 1e-5
-        fd = (spectral_value(asm, lam + h) - spectral_value(asm, lam - h)) / (2 * h)
-        _, slope = spectral_value(asm, lam, slope=True)
+        fd = (spectral_value(asm, lam + h)[0] - spectral_value(asm, lam - h)[0]) / (2 * h)
+        slope = spectral_value(asm, lam)[1]
         assert slope == pytest.approx(fd, rel=1e-5)
 
     def test_root_find_does_not_stall(self, assembler_r8, monkeypatch):
         # regula falsi needed 26 mu evaluations here; Newton needs ~5
         calls = []
 
-        def counted(assembler, lam, **kwargs):
+        def counted(assembler, lam):
             calls.append(lam)
-            return spectral_value(assembler, lam, **kwargs)
+            return spectral_value(assembler, lam)
 
         monkeypatch.setattr(malthus.eigen, "spectral_value", counted)
         res = solve_malthus(assembler_r8)
@@ -79,6 +79,8 @@ class TestLeadingEigen:
         assert all(step["dmu"] < 0.0 for step in trace)
         lo, hi = diag["bracket"]
         assert lo <= eigen_r8.lambda_R <= hi
+        # the closed-form Euler-Lotka equation at the root, independent of G
+        assert abs(diag["euler_lotka_residual"]) < 1e-4
 
     def test_stalled_power_iteration_raises(self):
         # top eigenvalues 1 and 0.999 of a self-adjoint operator: the

@@ -7,9 +7,9 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
-                     NonPositiveH, PhasePoint, TableFragmentation,
-                     TableHazard, UniformFragmentation, h_transform,
-                     make_adder, model_from_config, validate)
+                     MarkovModel, PhasePoint, TableFragmentation,
+                     TableHazard, UniformFragmentation, make_adder,
+                     model_from_config, validate)
 from malthus.model import gauss_legendre
 
 
@@ -138,6 +138,12 @@ class TestFragmentation:
         assert np.array_equal(F.pdf(rho), expected)
         assert all(type(F.pdf(r)) is float for r in rho)
 
+    @pytest.mark.parametrize("alpha, beta", [(-1, -1), (0, 5), (5, math.inf), (math.nan, 5)])
+    def test_beta_rejects_bad_parameters(self, alpha, beta):
+        # Beta(-1, -1) has the closed-form moments 1, 1/2, -0 of no density
+        with pytest.raises(ValueError, match="Beta parameters"):
+            BetaFragmentation(alpha, beta)
+
     def test_table_rejects_bad_mass(self):
         with pytest.raises(InvalidModel, match=r"\(A2\)"):
             TableFragmentation([0.0, 1.0], [0.5, 0.5])
@@ -159,6 +165,11 @@ class TestFragmentation:
 
 
 class TestModelSpec:
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+    def test_rejects_nonfinite_growth(self, lam):
+        with pytest.raises(InvalidModel, match="lambda_growth"):
+            make_adder(lam, 1.0, BetaFragmentation(5, 5))
+
     def test_adder_fields(self, adder):
         assert [f.name for f in dataclasses.fields(adder)] == [
             "lambda_growth", "d0", "hazard", "fragmentation"]
@@ -229,7 +240,7 @@ class TestValidate:
 
 class TestHTransform:
     def test_jump_rate_and_generator(self, adder):
-        mk = h_transform(adder, lambda a, y: np.asarray(y, dtype=float))
+        mk = MarkovModel(adder)
         # h = y: weighted kernel mass is y itself (2 m1 = 1)
         assert adder.jump_integral(lambda _, z: z, 0.3, 2.0) == pytest.approx(2.0, rel=1e-10)
         # A V closed form for V = 1/y + y:
@@ -239,9 +250,8 @@ class TestHTransform:
         expected = (y - 1.0 / y) + (1.0 - (1.0 - 6.0 / 11.0) * y**2)
         assert av == pytest.approx(expected, rel=1e-6)
 
-    def test_nonpositive_h(self, adder):
-        with pytest.raises(NonPositiveH):
-            h_transform(adder, lambda a, y: y - 10.0)
+    def test_one_field(self):
+        assert [f.name for f in dataclasses.fields(MarkovModel)] == ["base"]
 
 
 class TestConfig:

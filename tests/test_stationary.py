@@ -9,7 +9,7 @@ from malthus import (BetaFragmentation, ConstantHazard, Density2D,
                      EmptyMinorantWarning, GridMismatch, PhasePoint, SimConfig,
                      TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
-                     h_transform, kernel_minorant_epsilon, make_adder, pi_star,
+                     MarkovModel, kernel_minorant_epsilon, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 import malthus.stationary
@@ -100,6 +100,13 @@ class TestDrift:
         assert drift_offset(adder) == pytest.approx(3.2)
         assert drift_offset(adder_uniform) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("kwargs", [{"box": (10.0, -1.0)}, {"box": (0.0, 10.0)},
+                                        {"grid_n": 0}])
+    def test_bad_grid_raises(self, adder, kwargs):
+        # the size-harmonic transform divides by y: a grid off y > 0 has no margins
+        with pytest.raises(ValueError, match="box|grid_n"):
+            check_drift(adder, **kwargs)
+
     def test_drift_margin_small_grid(self, adder):
         rep = check_drift(adder, grid_n=16)
         assert rep.passed
@@ -111,7 +118,7 @@ class TestDrift:
     def test_grid_margins_match_pointwise(self, request, name):
         model = request.getfixturevalue(name)
         rep = check_drift(model, grid_n=8)
-        markov = h_transform(model, lambda a, y: np.asarray(y, dtype=float))
+        markov = MarkovModel(model)
         nodes = np.linspace(10.0 / 8, 10.0, 8)
         expected = np.array([[markov.apply_generator(default_V, a, y)
                               + rep.c * default_V(a, y) - rep.d for y in nodes]
@@ -129,14 +136,15 @@ class TestDrift:
         assert blocked.worst_point == whole.worst_point
         assert blocked.worst_margin == whole.worst_margin
 
-    def test_nan_margin_fails(self, adder):
+    def test_nan_margin_fails(self, adder, monkeypatch):
         nodes = np.linspace(10.0 / 8, 10.0, 8)
         a0, y0 = nodes[2], nodes[5]
 
         def V(a, y):
             return np.where((a == a0) & (y == y0), np.nan, default_V(a, y))
 
-        rep = check_drift(adder, V=V, grid_n=8)
+        monkeypatch.setattr(malthus.stationary, "default_V", V)
+        rep = check_drift(adder, grid_n=8)
         assert math.isnan(rep.worst_margin) and not rep.passed
         assert rep.worst_point == (a0, y0)
 
