@@ -132,15 +132,17 @@ def cmd_validate(cfg, args, out_dir):
 
 def cmd_eigen(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    gcfg = _given(cfg, "grid", R=lambda v: list(map(float, v if isinstance(v, list) else [v])),
-                  n=int)
+    gcfg = _given(cfg, "grid", R=lambda v: list(map(_real, v if isinstance(v, list) else [v])),
+                  n=_count)
     radii = args.R or gcfg.get("R", [16.0])
-    grid_n = args.grid_n or gcfg.get("n")
+    if not all(1.0 <= R < math.inf for R in radii):
+        raise ConfigError(f"grid.R: {radii} must be finite and at least 1 (y = 1 is a node)")
+    grid_n = args.grid_n if args.grid_n is not None else gcfg.get("n")
     summary = []
     try:
         for R in radii:
             try:
-                grid = SizeGrid.uniform(R, grid_n or round(32 * R))
+                grid = SizeGrid.uniform(R, round(32 * R) if grid_n is None else grid_n)
             except ValueError as exc:
                 raise ConfigError(f"grid: {exc}") from None
             result = solve_malthus(KernelAssembler(model, grid))
@@ -168,10 +170,31 @@ def _given(cfg, name, **convert):
     return out
 
 
-def _numbers(n, cast=float):
-    """Conversion of a list of ``n`` values to a tuple, each by ``cast``."""
+def _count(v):
+    """A JSON integer; a float or a bool is an error, not truncated or coerced."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _real(v):
+    """A finite JSON number, as a float; a string, a bool, NaN or Infinity is an error."""
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"{v!r} is not a finite number")
+    return float(v)
+
+
+def _flag(v):
+    """A JSON true or false."""
+    if type(v) is not bool:
+        raise ValueError(f"{v!r} is not true or false")
+    return v
+
+
+def _numbers(n=None, cast=_real):
+    """Conversion of a list of values (``n`` of them, if given) to a tuple, each by ``cast``."""
     def convert(v):
-        if len(v) != n:
+        if n is not None and len(v) != n:
             raise ValueError(f"{v!r} must list {n} numbers")
         return tuple(map(cast, v))
     return convert
@@ -180,15 +203,15 @@ def _numbers(n, cast=float):
 def _sim_config(cfg, args):
     """(SimConfig, x0) from the ``sim`` section; a bad value raises ConfigError."""
     scfg = cfg.get("sim", {})
+    given = _given(cfg, "sim", t_end=_real, record_times=_numbers(), x0=_numbers(2))
     seed = args.seed if args.seed is not None else scfg.get("seed", 0)
-    x0 = scfg.get("x0", [0.0, 1.0])
+    x0 = given.get("x0", (0.0, 1.0))
     try:
-        sim_cfg = SimConfig(seed=seed, t_end=scfg.get("t_end", 4.0),
-                            record_times=scfg.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
+        sim_cfg = SimConfig(seed=seed, t_end=given.get("t_end", 4.0),
+                            record_times=given.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
                             **{k: scfg[k] for k in ("cap", "replicates") if k in scfg})
-        if not (isinstance(x0, list) and len(x0) == 2
-                and all(isinstance(v, (int, float)) for v in x0) and 0.0 <= x0[0] < x0[1]):
-            raise ValueError(f"x0 = {x0!r} must be [a, y] with 0 <= a < y")
+        if not 0.0 <= x0[0] < x0[1]:
+            raise ValueError(f"x0 = {list(x0)!r} must be [a, y] with 0 <= a < y")
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from None
     return sim_cfg, PhasePoint(*x0)
@@ -197,6 +220,7 @@ def _sim_config(cfg, args):
 def cmd_simulate(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
     sim_cfg, x0 = _sim_config(cfg, args)
+    snapshots = _given(cfg, "sim", snapshots=_flag).get("snapshots", False)
     try:
         trajectories = run_replicates(model, x0, sim_cfg)
     except MalthusError as exc:
@@ -212,7 +236,7 @@ def cmd_simulate(cfg, args, out_dir):
             rows.append((r, state.t, n, sum_h, mean_a, mean_y))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
-    if cfg.get("sim", {}).get("snapshots"):
+    if snapshots:
         # rows are formatted as they are generated, never all held at once
         snap = chain.from_iterable(zip(repeat(r), repeat(s.t), s.a.tolist(), s.y.tolist())
                                    for r, tr in enumerate(trajectories) for s in tr.states)
@@ -223,7 +247,9 @@ def cmd_simulate(cfg, args, out_dir):
 
 def cmd_stationary(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    stcfg = _given(cfg, "stationary", y_max=float, n=int, box=_numbers(2), bins=_numbers(2, int))
+    stcfg = _given(cfg, "stationary", y_max=_real, n=_count, box=_numbers(2),
+                   bins=_numbers(2, _count), report=_flag)
+    report = stcfg.pop("report", False)
     box = stcfg.pop("box", st.PROFILE_BOX)
     bins = stcfg.pop("bins", st.PROFILE_BINS)
     if not (min(box) > 0 and min(bins) >= 1):
@@ -245,7 +271,7 @@ def cmd_stationary(cfg, args, out_dir):
     A, Y = np.meshgrid(a_c, y_c, indexing="ij")
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
                zip(A.ravel(), Y.ravel(), ref.values.ravel()))
-    if cfg.get("stationary", {}).get("report", False):
+    if report:
         sim_cfg, x0 = _sim_config(cfg, args)
         try:
             trajectories = run_replicates(model, x0, sim_cfg)
@@ -259,8 +285,8 @@ def cmd_stationary(cfg, args, out_dir):
 
 def cmd_doeblin(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    dcfg = _given(cfg, "doeblin", compact=_numbers(4), delta=float, Delta=float, j_star=int,
-                  domain=_numbers(4), grid_n=int)
+    dcfg = _given(cfg, "doeblin", compact=_numbers(4), delta=_real, Delta=_real, j_star=_count,
+                  domain=_numbers(4), grid_n=_count)
     try:
         nu, constants = st.doeblin_minorant(
             model, dcfg.pop("compact", (0.0, 1.0, 1.0, 2.0)), **dcfg)
@@ -280,7 +306,7 @@ def cmd_doeblin(cfg, args, out_dir):
 
 def cmd_drift(cfg, args, out_dir):
     model = model_from_config(cfg.get("model", {}))
-    dcfg = _given(cfg, "drift", box=_numbers(2), grid_n=int, c=float, d=float)
+    dcfg = _given(cfg, "drift", box=_numbers(2), grid_n=_count, c=_real, d=_real)
     try:
         report = st.check_drift(model, **dcfg)
     except ValueError as exc:

@@ -26,6 +26,10 @@ EIGEN_RESIDUAL_TOL = 1e-9
 ROOT_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
 MAX_ROOT_STEPS = 100
+#: the root find's first bracket is [0, LAM_HI]; it never evaluates mu above
+#: LAM_CAP * max(lambda_growth, 1)
+LAM_HI = 4.0
+LAM_CAP = 100.0
 
 
 @dataclass
@@ -70,7 +74,7 @@ class EigenResult:
 
 
 def leading_eigen(matrix: KernelMatrix):
-    """Power-iterate G and its adjoint; returns (mu, eta, nu_dual).
+    """Power-iterate G and its adjoint; returns (mu, eta, nu_dual, residual).
 
     Normalization order: nu has total mass 1; eta is scaled so <nu, eta> = 1
     and then rescaled to eta(1) = 1 (the Krein-Rutman factor is recoverable
@@ -115,61 +119,53 @@ def leading_eigen(matrix: KernelMatrix):
     if eta[i1] <= 0:
         raise NoConvergence("eigenfunction vanishes at the anchor node y = 1")
     eta = eta / eta[i1]
-    residual = _eigen_residual(matrix, mu, eta)
+    residual = float(np.max(np.abs(matrix.apply(eta) - mu * eta)) / np.max(np.abs(eta)))
     if not residual <= EIGEN_RESIDUAL_TOL:
         raise NoConvergence(f"power iteration stalled: eigen residual {residual:.2e} "
                             f"> {EIGEN_RESIDUAL_TOL:g}")
-    return float(mu), eta, nu
-
-
-def _eigen_residual(matrix: KernelMatrix, mu: float, eta: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix.apply(eta) - mu * eta)) / np.max(np.abs(eta)))
+    return float(mu), eta, nu, residual
 
 
 def spectral_value(assembler: KernelAssembler, lam: float):
-    """(mu, dmu/dlam, eta, nu) at lam: the leading eigenvalue of G_lam^R,
-    its slope by first-order perturbation from the eigenpair and the
-    derivative matrix, and the vectors as ``leading_eigen`` returns them.
+    """(mu, dmu/dlam, eta, nu, residual) at lam: the leading eigenvalue of
+    G_lam^R, its slope by first-order perturbation from the eigenpair and the
+    derivative matrix, and the rest as ``leading_eigen`` returns them.
     """
     matrix = assembler.matrix(lam)
-    mu, eta, nu = leading_eigen(matrix)
+    mu, eta, nu, residual = leading_eigen(matrix)
     dmu = float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
-    return mu, dmu, eta, nu
+    return mu, dmu, eta, nu, residual
 
 
-def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
-                  lam_cap: float | None = None) -> EigenResult:
-    """Root of mu(lam) = 1 by safeguarded Newton from ``bracket[0]``.
+def solve_malthus(assembler: KernelAssembler) -> EigenResult:
+    """Root of mu(lam) = 1 by safeguarded Newton from lam = 0.
 
     mu is decreasing and log-convex in lam (every entry of G_lam is a
     positive mixture of exponentials e^{-lam t}), so Newton on
     log mu(lam) = 0, started where mu > 1, climbs to the root without
     overshooting.  [lo, hi] is kept from the signs of mu - 1; a step leaving
     it falls back to bisection once a point with mu < 1 is known, and before
-    that to testing hi itself and doubling it.  BracketFailure is raised
-    before mu is ever evaluated above ``lam_cap``.
+    that to testing hi itself and doubling it.  BracketFailure is raised if
+    mu(0) <= 1, or before mu would be evaluated above the cap.  The result
+    holds the eigenpair and residual of the last of the mu evaluations.
     """
     model = assembler.model
-    cap = lam_cap if lam_cap is not None else 100.0 * max(model.lambda_growth, 1.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
+    cap = LAM_CAP * max(model.lambda_growth, 1.0)
+    lo, hi = 0.0, LAM_HI
     hi_seen = False  # whether mu(hi) < 1 has been observed
     trace = []
-    eta = nu = None  # eigenpair of the last evaluation, reused at the root
+    last = None  # (eta, nu, residual) of the last evaluation
 
     def evaluate(lam):
-        nonlocal eta, nu
-        mu, dmu, eta, nu = spectral_value(assembler, lam)
+        nonlocal last
+        mu, dmu, *last = spectral_value(assembler, lam)
         trace.append({"lam": lam, "mu": mu, "dmu": dmu})
         return mu, dmu
 
     lam = lo
     mu, dmu = evaluate(lam)
-    while mu <= 1.0 and lo > 0.0:
-        hi, hi_seen = lo, mu < 1.0
-        lam = lo = max(0.0, lo / 2.0 - 0.1)
-        mu, dmu = evaluate(lam)
     if mu <= 1.0:
-        raise BracketFailure(f"mu({lo:g}) = {mu:.6f} <= 1: no root below")
+        raise BracketFailure(f"mu(0) = {mu:.6f} <= 1: no positive root")
 
     for _ in range(MAX_ROOT_STEPS):
         if abs(mu - 1.0) < ROOT_TOL:
@@ -194,7 +190,7 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
     else:
         raise NoConvergence("Malthus root find exhausted its iteration budget")
 
-    matrix = assembler.matrix(lam)
+    eta, nu, residual = last
     return EigenResult(
         R=assembler.grid.R,
         lambda_R=float(lam),
@@ -202,7 +198,7 @@ def solve_malthus(assembler: KernelAssembler, bracket=(0.0, 4.0),
         mu=mu,
         eta=eta,
         nu_dual=nu,
-        residual=_eigen_residual(matrix, mu, eta),
+        residual=residual,
         kr_factor=1.0 / float(np.dot(nu, eta)) if np.dot(nu, eta) > 0 else math.nan,
         nu_eta=float(np.dot(nu, eta)),
         grid=assembler.grid,

@@ -155,6 +155,8 @@ class SizeGrid:
 
         ``leading_eigen`` pins eta(1) = 1, so y = 1 must be a node.
         """
+        if n < 2:
+            raise ValueError(f"n = {n!r} must be at least 2")
         nodes = np.linspace(0.0, R, n)
         if 1.0 < R and not np.any(np.isclose(nodes, 1.0, rtol=0, atol=1e-12)):
             nodes = np.sort(np.append(nodes, 1.0))
@@ -214,53 +216,35 @@ class KernelMatrix:
 
 
 class KernelAssembler:
-    """Builds KernelMatrix instances, caching per-row orbit quadratures.
+    """Builds a KernelMatrix per call; it caches nothing itself.
 
-    The orbit quadrature (jump times, psi weights, sizes) is independent of
-    the spectral shift lam, so each assembly during the Newton root find only
-    pays for the kernel-density evaluations.  Every row's kernel values are
-    contracted twice, with the weights w e^{-lam t} and -t w e^{-lam t}, so
-    one pass yields both G_lam and its lam-derivative (the Newton slope).
+    A row's orbit quadrature does not depend on the spectral shift lam, and
+    ``law.row_quadrature`` caches it, so each assembly in the Newton root
+    find only pays for the kernel-density evaluations.  Every row's kernel
+    values are contracted twice, with the weights w e^{-lam t} and
+    -t w e^{-lam t}, so one pass yields both G_lam and its lam-derivative.
     """
 
     def __init__(self, model: ModelSpec, grid: SizeGrid, law: FirstJumpLaw | None = None):
         self.model = model
         self.grid = grid
         self.law = law or FirstJumpLaw(model)
-        self._rows = None
-        self._cache: dict = {}
-
-    def _row_data(self):
-        if self._rows is None:
-            rows = []
-            for y in self.grid.nodes:
-                if y <= 0:
-                    rows.append(None)  # zero-size orbit never divides
-                else:
-                    rows.append(self.law.row_quadrature(PhasePoint(0.0, float(y))))
-            self._rows = rows
-        return self._rows
 
     def matrix(self, lam: float) -> KernelMatrix:
-        key = round(float(lam), 14)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         grid = self.grid
         n = grid.n
         M = np.zeros((n, n))
         dM = np.zeros((n, n))
         corr = np.zeros(n)
         rows = KernelRowEvaluator(self.model, grid.nodes, grid.R)
-        for i, q in enumerate(self._row_data()):
-            if q is None:
-                continue
+        for i, y in enumerate(grid.nodes.tolist()):
+            if y <= 0:
+                continue  # zero-size orbit never divides
+            q = self.law.row_quadrature(PhasePoint(0.0, y))
             coef = q.w * np.exp(-lam * q.t)
             coefs = np.stack([coef, -q.t * coef])
             kvals, above = rows(q)
             leak = coefs @ above / grid.R
             corr[i] = leak[0]
             M[i], dM[i] = coefs @ kvals + leak[:, None]
-        out = KernelMatrix(lam=float(lam), grid=grid, M=M, correction=corr, dM=dM)
-        self._cache[key] = out
-        return out
+        return KernelMatrix(lam=float(lam), grid=grid, M=M, correction=corr, dM=dM)

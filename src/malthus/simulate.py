@@ -24,7 +24,9 @@ Kolmogorov check (``generator_consistency_check``) runs on the same engine.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Sequence
@@ -128,15 +130,17 @@ class SimConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key != "seed" and value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
-        if not (isinstance(self.t_end, Real) and self.t_end >= 0):
-            raise ValueError(f"t_end must be a nonnegative number, got {self.t_end!r}")
+        # the engine halves its time window until a window fits: an infinite
+        # t_end would never fit
+        if not (isinstance(self.t_end, Real) and 0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be a finite nonnegative number, got {self.t_end!r}")
         self.t_end = float(self.t_end)
         try:
             rt = sorted(float(t) for t in self.record_times)
         except (TypeError, ValueError):
             raise ValueError(f"record_times must be a list of times, "
                              f"got {self.record_times!r}") from None
-        if rt and (rt[0] < 0 or rt[-1] > self.t_end):
+        if not all(0 <= t <= self.t_end for t in rt):
             raise ValueError(f"record_times must lie in [0, t_end = {self.t_end:g}]")
         self.record_times = rt
 
@@ -194,9 +198,13 @@ def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
 
 
 def empirical_functional(state: PopulationState, f: Callable) -> float:
-    """<Z_t, f>: ``f(a, y)``, called once on the state's arrays, summed in order."""
+    """<Z_t, f>: ``f(a, y)``, called once on the state's arrays, summed in order.
+
+    The sum is plain left-to-right float addition: builtin ``sum`` of floats
+    is compensated from Python 3.12 on, so its bits depend on the interpreter.
+    """
     values = np.broadcast_to(f(state.a, state.y), state.a.shape)
-    return float(sum(values.tolist()))
+    return float(functools.reduce(operator.add, values.tolist(), 0.0))
 
 
 def estimate_malthus(trajectories) -> tuple:

@@ -345,6 +345,13 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
 
     delta = 3.0 * y_lo if delta is None else float(delta)
     Delta = delta if Delta is None else float(Delta)
+    # a window or skeleton step <= 0, a zero horizon or a one-node grid gives a
+    # minorant of mass 0, or a false one: the identity kernel has no density
+    if not (delta > 0 and Delta > 0):
+        raise ValueError(f"delta = {delta!r} and Delta = {Delta!r} must be positive")
+    if not ((j_star is None or j_star >= 1) and grid_n >= 2):
+        raise ValueError(f"j_star = {j_star!r} must be at least 1 and grid_n = {grid_n!r} "
+                         "at least 2")
 
     if domain is None:
         domain = (0.0, y_hi, 0.0, y_hi)

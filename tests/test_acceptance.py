@@ -228,6 +228,19 @@ def test_criterion_09_stationary_profile(adder, eta_profile, ergodic_runs):
             f"IC agreement={agree:.4f}, analysis time={elapsed:.1f}s")
 
 
+def test_eta_star_is_spectral_dual_density(eigen16, eta_profile):
+    # eta*(z) = c z nu_R(z), with nu_R = nu / weights the density of the dual
+    # eigenvector of G at lambda_R: the analytic and the spectral path agree
+    result, _ = eigen16
+    grid = result.grid
+    sel = (grid.nodes >= 0.1) & (grid.nodes <= 6.0)
+    spectral = grid.nodes[sel] * result.nu_dual[sel] / grid.weights[sel]
+    eta = eta_profile(grid.nodes[sel])
+    c = float(np.dot(eta, spectral) / np.dot(spectral, spectral))  # least squares
+    err = float(np.max(np.abs(eta - c * spectral)) / np.max(np.abs(eta)))
+    assert err < 5e-4, f"relative sup distance {err:.2e} with c = {c:.4f}"
+
+
 def test_criterion_10_doeblin_minorant(adder):
     frs = [("uniform", UniformFragmentation()),
            ("beta(5,5)", BetaFragmentation(5, 5)),

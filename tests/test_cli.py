@@ -144,6 +144,9 @@ class TestSimulate:
         ({"seed": 7.5}, "seed"),
         ({"cap": None}, "cap"),
         ({"record_times": 3}, "record_times"),
+        # an infinite horizon used to hang the engine, a NaN time to run
+        ({"t_end": math.inf, "record_times": [0.0]}, "sim.t_end"),
+        ({"record_times": [math.nan]}, "sim.record_times"),
     ])
     def test_bad_sim_value_exits_1(self, tmp_path, capsys, sim, key):
         path = tmp_path / "bad_sim.json"
@@ -269,12 +272,33 @@ class TestStrictConfig:
          "doeblin: compact = (0.0, 1.0, 2.0, 1.0)"),
         ("stationary", {"stationary": {"n": 1}}, "stationary: "),
         ("stationary", {"stationary": {"bins": [0, 20]}}, "stationary: box"),
+        # counts, reals and flags used to be truncated or coerced, and ran
+        ("drift", {"drift": {"grid_n": 7.5}}, "drift.grid_n: 7.5 is not an integer"),
+        ("stationary", {"stationary": {"bins": [2.5, 3]}}, "stationary.bins: 2.5 is not"),
+        ("drift", {"drift": {"c": "1"}}, "drift.c: '1' is not a finite number"),
+        ("drift", {"drift": {"c": True}}, "drift.c: True is not a finite number"),
+        ("simulate", {"sim": {"snapshots": "no"}}, "sim.snapshots: 'no' is not true or false"),
+        ("stationary", {"stationary": {"report": "false"}}, "stationary.report: 'false'"),
+        # y = 1 must be a grid node; an infinite R overflowed the node count
+        ("eigen", {"grid": {"R": 0.5}}, "grid.R: [0.5] must be finite and at least 1"),
+        ("eigen", {"grid": {"R": math.inf}}, "grid.R: inf is not a finite number"),
+        ("eigen --R inf", {}, "grid.R: [inf] must be finite"),
+        # a grid of 0 nodes used to fall back to the default 32 R
+        ("eigen", {"grid": {"n": 0}}, "grid: n = 0 must be at least 2"),
+        # minorants of mass 0, or (j_star = 0) a false one
+        ("doeblin", {"doeblin": {"delta": -1.0}}, "doeblin: delta = -1.0"),
+        ("doeblin", {"doeblin": {"Delta": 0.0}}, "doeblin: delta = 3.0 and Delta = 0.0"),
+        ("doeblin", {"doeblin": {"j_star": 0}}, "doeblin: j_star = 0 must be at least 1"),
+        ("doeblin", {"doeblin": {"grid_n": 1}}, "grid_n = 1 at least 2"),
     ], ids=["sim_key", "section", "grid_key", "section_not_object", "null_R", "null_grid_n",
-            "short_box", "negative_box", "compact_order", "eta_n", "zero_bins"])
+            "short_box", "negative_box", "compact_order", "eta_n", "zero_bins",
+            "fractional_grid_n", "fractional_bins", "string_real", "bool_real",
+            "string_snapshots", "string_report", "small_R", "infinite_R", "infinite_R_flag",
+            "zero_grid_n", "negative_delta", "zero_Delta", "zero_j_star", "one_node_grid"])
     def test_bad_config_exits_1(self, tmp_path, capsys, command, cfg, expected):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        assert run([command, "--config", path, "--out", tmp_path / "b"]) == 1
+        assert run([*command.split(), "--config", path, "--out", tmp_path / "b"]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and expected in err
 

@@ -41,12 +41,13 @@ class TestLeadingEigen:
         assert res.lambda_malthus == pytest.approx(res.lambda_R - 0.25)
         assert abs(res.lambda_malthus - 0.75) < 0.01
 
-    def test_bracket_failure(self, adder):
+    def test_bracket_failure(self, adder, monkeypatch):
         grid = SizeGrid.uniform(8.0, 64)
         asm = KernelAssembler(adder, grid)
+        # the root sits near 1.0, beyond this cap (lambda_growth = 1)
+        monkeypatch.setattr(malthus.eigen, "LAM_CAP", 0.4)
         with pytest.raises(BracketFailure):
-            # the root sits near 1.0, beyond this cap
-            solve_malthus(asm, bracket=(0.0, 0.2), lam_cap=0.4)
+            solve_malthus(asm)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_perturbation_slope_matches_finite_difference(self, adder, lam):
@@ -68,6 +69,16 @@ class TestLeadingEigen:
         res = solve_malthus(assembler_r8)
         assert len(calls) <= 8
         assert abs(res.lambda_R - 0.9999716906540435) < 1e-9
+
+    def test_one_assembly_per_mu_evaluation(self, adder, monkeypatch):
+        # the root's matrix is not assembled a second time for its residual
+        asm = KernelAssembler(adder, SizeGrid.uniform(4.0, 48))
+        calls = []
+        matrix = asm.matrix
+        monkeypatch.setattr(asm, "matrix", lambda lam: calls.append(lam) or matrix(lam))
+        res = solve_malthus(asm)
+        assert calls == [step["lam"] for step in res.diagnostics["trace"]]
+        assert len(calls) == res.diagnostics["mu_evals"]
 
     def test_root_find_diagnostics(self, eigen_r8):
         diag = eigen_r8.diagnostics

@@ -166,7 +166,9 @@ class TestKernelMatrix:
     def test_rows_nonnegative_and_cached(self, assembler_r8):
         mat = assembler_r8.matrix(0.5)
         assert np.all(mat.M >= 0.0)
-        assert assembler_r8.matrix(0.5) is mat
+        # the rows are the law's, cached by (a, y): one entry per positive node
+        nodes, cache = assembler_r8.grid.nodes, assembler_r8.law._row_cache
+        assert all((0.0, y) in cache for y in nodes[nodes > 0].tolist())
 
     def test_zero_size_row_is_empty(self, assembler_r8):
         mat = assembler_r8.matrix(1.0)

@@ -117,6 +117,17 @@ class TestClocks:
         assert np.all(s >= 0.7)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("t_end, record_times", [
+        (math.inf, [0.0]),  # the engine halved an infinite window forever
+        (4.0, [math.nan]),
+        (math.nan, []),
+    ], ids=["infinite_t_end", "nan_record_time", "nan_t_end"])
+    def test_rejects_nonfinite_times(self, t_end, record_times):
+        with pytest.raises(ValueError):
+            SimConfig(seed=0, t_end=t_end, record_times=record_times)
+
+
 class TestSimulation:
     def test_trivial_horizon(self, adder):
         tr = simulate_population(adder, PhasePoint(0.0, 1.0),
@@ -130,6 +141,14 @@ class TestSimulation:
         for s in tr.states:
             total = empirical_functional(s, lambda a, y: y)
             assert total == pytest.approx(math.exp(s.t), rel=1e-10)
+
+    def test_functional_sums_left_to_right(self, monkeypatch):
+        # builtin sum of floats is compensated from Python 3.12 on, which gives
+        # 1.0 here; left-to-right addition gives 0.0 on every version
+        state = simulate.PopulationState(t=0.0, a=np.zeros(3), y=np.array([1e16, 1.0, -1e16]))
+        assert empirical_functional(state, lambda a, y: y) == 0.0
+        monkeypatch.setattr(simulate, "sum", math.fsum, raising=False)
+        assert empirical_functional(state, lambda a, y: y) == 0.0
 
     def test_reproducible(self, adder):
         cfg = SimConfig(seed=11, t_end=2.5, record_times=[2.5], replicates=3)

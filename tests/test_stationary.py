@@ -175,6 +175,16 @@ class TestDoeblin:
         assert np.all(nu.values >= 0.0)
         # certified lower-bound property is checked against MC in acceptance
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": -1.0}, {"delta": 0.0}, {"delta": math.nan}, {"Delta": 0.0},
+        {"j_star": 0}, {"grid_n": 1},
+    ], ids=["negative_delta", "zero_delta", "nan_delta", "zero_Delta", "zero_j_star",
+            "one_node"])
+    def test_vacuous_arguments_raise(self, adder, kwargs):
+        # each used to give a minorant of mass 0, or (j_star = 0) a false one
+        with pytest.raises(ValueError):
+            doeblin_minorant(adder, (0.0, 1.0, 1.0, 2.0), **kwargs)
+
     def test_mass_ordering(self):
         masses = []
         for F in [UniformFragmentation(), BetaFragmentation(5, 5), BetaFragmentation(20, 20)]:
