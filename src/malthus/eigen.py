@@ -30,6 +30,10 @@ MAX_ROOT_STEPS = 100
 #: LAM_CAP * max(lambda_growth, 1)
 LAM_HI = 4.0
 LAM_CAP = 100.0
+#: a grid of at least WARM_START_NODES nodes first solves on a 4x coarser
+#: uniform grid, then starts Newton WARM_START_OFFSET below that root
+WARM_START_NODES = 128
+WARM_START_OFFSET = 1e-3
 
 
 @dataclass
@@ -40,9 +44,10 @@ class EigenResult:
     ``kr_factor`` recovers the Krein-Rutman scaling <nu, eta> = 1.
     ``lambda_malthus`` subtracts the model's constant death rate.
     ``diagnostics`` holds the root find's trace of (lam, mu, dmu/dlam) per
-    mu evaluation, the evaluation count, the final bracket [lo, hi] and the
+    mu evaluation, the evaluation count, the final bracket [lo, hi], the
     closed-form Euler-Lotka residual at (lambda_R, y = 1), an independent
-    check of the root.
+    check of the root, and on fine grids the coarse solve that gave the
+    warm start (``warm_start``: its node count, root and mu evaluations).
     """
 
     R: float
@@ -138,7 +143,7 @@ def spectral_value(assembler: KernelAssembler, lam: float):
 
 
 def solve_malthus(assembler: KernelAssembler) -> EigenResult:
-    """Root of mu(lam) = 1 by safeguarded Newton from lam = 0.
+    """Root of mu(lam) = 1 by safeguarded Newton.
 
     mu is decreasing and log-convex in lam (every entry of G_lam is a
     positive mixture of exponentials e^{-lam t}), so Newton on
@@ -148,10 +153,24 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
     that to testing hi itself and doubling it.  BracketFailure is raised if
     mu(0) <= 1, or before mu would be evaluated above the cap.  The result
     holds the eigenpair and residual of the last of the mu evaluations.
+
+    Newton starts at lam = 0, or, on a grid of at least WARM_START_NODES
+    nodes, WARM_START_OFFSET below the root of this function on
+    ``SizeGrid.uniform(R, (n - 1) // 4)``: a start below the root keeps the
+    climb, and from one just below it Newton needs fewer fine-grid steps.
     """
     model = assembler.model
+    grid = assembler.grid
     cap = LAM_CAP * max(model.lambda_growth, 1.0)
-    lo, hi = 0.0, LAM_HI
+    lam, lo, hi = 0.0, 0.0, LAM_HI
+    diagnostics = {}
+    if grid.n >= WARM_START_NODES:
+        coarse = solve_malthus(KernelAssembler(model, SizeGrid.uniform(grid.R, (grid.n - 1) // 4)))
+        diagnostics["warm_start"] = {"n": coarse.grid.n, "lambda": coarse.lambda_R,
+                                     "mu_evals": coarse.diagnostics["mu_evals"]}
+        lam = max(coarse.lambda_R - WARM_START_OFFSET, 0.0)
+        while hi <= lam:
+            hi *= 2.0
     hi_seen = False  # whether mu(hi) < 1 has been observed
     trace = []
     last = None  # (eta, nu, residual) of the last evaluation
@@ -162,9 +181,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         trace.append({"lam": lam, "mu": mu, "dmu": dmu})
         return mu, dmu
 
-    lam = lo
     mu, dmu = evaluate(lam)
-    if mu <= 1.0:
+    if mu <= 1.0 and lam == 0.0:
         raise BracketFailure(f"mu(0) = {mu:.6f} <= 1: no positive root")
 
     for _ in range(MAX_ROOT_STEPS):
@@ -204,7 +222,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         grid=assembler.grid,
         diagnostics={"mu_evals": len(trace), "trace": trace, "bracket": [lo, hi],
                      "euler_lotka_residual": euler_lotka_residual(model, lam, 1.0,
-                                                                  assembler.law)},
+                                                                  assembler.law),
+                     **diagnostics},
     )
 
 

@@ -60,11 +60,16 @@ class ConstantHazard:
         self.upper = float(b)
 
     def __call__(self, a):
+        if type(a) is float:  # the array path's result, without array overhead
+            return self.b if a >= self.a_star else 0.0
         a = np.asarray(a, dtype=float)
         out = np.where(a >= self.a_star, self.b, 0.0)
         return out if out.ndim else float(out)
 
     def cumulative(self, a):
+        if type(a) is float:
+            d = a - self.a_star  # np.maximum's choice: NaN passes, -0.0 gives 0.0
+            return self.b * (d if not d <= 0.0 else 0.0)
         a = np.asarray(a, dtype=float)
         out = self.b * np.maximum(a - self.a_star, 0.0)
         return out if out.ndim else float(out)
@@ -226,9 +231,13 @@ class UniformFragmentation:
 class BetaFragmentation:
     """F given by a Beta(alpha, beta) density; symmetric choices have m1 = 1/2.
 
-    The cdf and the inverse-cdf draws are the regularised incomplete beta
-    function and its inverse, called directly: scipy's ``stats.beta`` uses
-    the same routines, at a large per-call overhead.
+    For integer alpha, beta the density is the polynomial
+    c x^(alpha-1) (1-x)^(beta-1), formed by repeated multiplication with the
+    exact integer c = (alpha+beta-1) C(alpha+beta-2, alpha-1) while c < 2^53;
+    other parameters take exp of the log density.  The cdf and the
+    inverse-cdf draws are the regularised incomplete beta function and its
+    inverse, called directly: scipy's ``stats.beta`` uses the same routines,
+    at a large per-call overhead.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -239,6 +248,13 @@ class BetaFragmentation:
                              f"got alpha={alpha!r}, beta={beta!r}")
         self.name = f"beta({alpha},{beta})"
         self._log_norm = float(special.betaln(self.alpha, self.beta))
+        # (alpha - 1, beta - 1, c) of the polynomial form, or None
+        self._poly = None
+        if self.alpha.is_integer() and self.beta.is_integer():
+            p, q = int(self.alpha) - 1, int(self.beta) - 1
+            c = (p + q + 1) * math.comb(p + q, p)
+            if c < 2**53:
+                self._poly = (p, q, float(c))
 
     def pdf(self, rho, out=None, work=None):
         """Beta density at ``rho``, zero outside the open interval (0, 1).
@@ -247,12 +263,17 @@ class BetaFragmentation:
         density; ``work`` lends a float and a bool array of that shape as
         scratch, so a caller that passes both allocates nothing.
         """
+        if type(rho) is float and out is None and self._poly is not None:
+            return self._poly1(rho)
         rho = np.asarray(rho, dtype=float)
         scalar = out is None and rho.ndim == 0
         if out is None:
             out = np.empty_like(rho)
         x, inside = work if work is not None else (np.empty_like(rho),
                                                     np.empty(rho.shape, dtype=bool))
+        if self._poly is not None:
+            self._poly_into(rho, out, x, inside)
+            return float(out) if scalar else out
         np.greater(rho, 0.0, out=inside)
         np.less(rho, 1.0, out=inside, where=inside)
         # unmasked ufuncs on x = rho inside, 1/2 outside, zeroed at the end:
@@ -270,6 +291,44 @@ class BetaFragmentation:
         np.logical_not(inside, out=inside)
         np.copyto(out, 0.0, where=inside)
         return float(out) if scalar else out
+
+    def _poly_into(self, rho, out, x, inside):
+        """c x^p (1-x)^q into ``out``, with x = rho clamped to [0, 1].
+
+        The clamp sends -0.0 to 0.0 and NaN to 1, so the polynomial is +0.0
+        outside (0, 1) wherever its exponent at that end is positive; an end
+        with exponent 0 is zeroed by multiplying with the comparison there.
+        No ufunc is masked: ``where=`` costs more than the arithmetic.
+        """
+        p, q, c = self._poly
+        np.maximum(rho, 0.0, out=x)
+        np.fmin(x, 1.0, out=x)
+        if p:
+            np.multiply(x, c, out=out)
+        else:
+            out.fill(c)
+        for _ in range(p - 1):
+            np.multiply(out, x, out=out)
+        np.subtract(1.0, x, out=x)
+        for _ in range(q):
+            np.multiply(out, x, out=out)
+        if p == 0:
+            np.multiply(out, np.greater(rho, 0.0, out=inside), out=out)
+        if q == 0:
+            np.multiply(out, np.less(rho, 1.0, out=inside), out=out)
+
+    def _poly1(self, rho: float) -> float:
+        """The polynomial ``pdf`` at one float, by the array path's operations."""
+        if not 0.0 < rho < 1.0:
+            return 0.0
+        p, q, c = self._poly
+        v = rho * c if p else c
+        for _ in range(p - 1):
+            v *= rho
+        t = 1.0 - rho
+        for _ in range(q):
+            v *= t
+        return v
 
     def cdf(self, rho):
         out = special.betainc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))

@@ -10,6 +10,7 @@ the explicit minorant density nu assembled from compact-set constants
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -98,10 +99,27 @@ class EtaStarProfile:
     sweeps: int
     mass_weights: np.ndarray  # w(s) with pi* mass = int eta*(s) w(s) ds
 
+    def __post_init__(self):
+        self._tables = (self.s_nodes.tolist(), self.values.tolist())
+
     def __call__(self, s):
+        if type(s) is float:
+            return self._interp1(s)
         out = np.interp(np.asarray(s, dtype=float), self.s_nodes, self.values,
                         left=0.0, right=0.0)
         return out if out.ndim else float(out)
+
+    def _interp1(self, s: float) -> float:
+        """``__call__`` at one float, by ``np.interp``'s element operations."""
+        xs, ys = self._tables
+        if s != s:
+            return s
+        if not xs[0] <= s <= xs[-1]:
+            return 0.0
+        j = bisect.bisect_right(xs, s) - 1
+        if j == len(xs) - 1 or xs[j] == s:
+            return ys[j]
+        return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (s - xs[j]) + ys[j]
 
     @property
     def pi_mass(self) -> float:

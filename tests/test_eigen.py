@@ -6,7 +6,7 @@ from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
                      KernelAssembler, NoConvergence, PhasePoint, SizeGrid,
                      euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
-from malthus.eigen import ROOT_TOL
+from malthus.eigen import ROOT_TOL, WARM_START_OFFSET
 from malthus.renewal import KernelMatrix
 
 
@@ -80,11 +80,17 @@ class TestLeadingEigen:
         assert calls == [step["lam"] for step in res.diagnostics["trace"]]
         assert len(calls) == res.diagnostics["mu_evals"]
 
-    def test_root_find_diagnostics(self, eigen_r8):
+    def test_root_find_diagnostics(self, adder, eigen_r8):
         diag = eigen_r8.diagnostics
         trace = diag["trace"]
         assert diag["mu_evals"] == len(trace) >= 2
-        assert trace[0]["lam"] == 0.0 and trace[0]["mu"] > 1.0
+        warm = diag["warm_start"]
+        assert trace[0]["lam"] == warm["lambda"] - WARM_START_OFFSET and trace[0]["mu"] > 1.0
+        coarse_grid = SizeGrid.uniform(8.0, (eigen_r8.grid.n - 1) // 4)
+        coarse = solve_malthus(KernelAssembler(adder, coarse_grid))
+        assert coarse.grid.n == warm["n"] and coarse.lambda_R == warm["lambda"]
+        assert coarse.diagnostics["trace"][0]["lam"] == 0.0
+        assert coarse.diagnostics["trace"][0]["mu"] > 1.0
         assert trace[-1]["lam"] == eigen_r8.lambda_R
         assert abs(trace[-1]["mu"] - 1.0) < ROOT_TOL
         assert all(step["dmu"] < 0.0 for step in trace)
@@ -92,6 +98,27 @@ class TestLeadingEigen:
         assert lo <= eigen_r8.lambda_R <= hi
         # the closed-form Euler-Lotka equation at the root, independent of G
         assert abs(diag["euler_lotka_residual"]) < 1e-4
+
+    def test_warm_start_matches_cold_start(self, adder, eigen_r8, monkeypatch):
+        # the coarse solve saves fine-grid mu evaluations, not accuracy
+        warm = eigen_r8.diagnostics
+        assert warm["mu_evals"] <= 3
+        assert warm["warm_start"]["n"] == 65 and warm["warm_start"]["mu_evals"] >= 1
+        monkeypatch.setattr(malthus.eigen, "WARM_START_NODES", 10**9)
+        cold = solve_malthus(KernelAssembler(adder, SizeGrid.uniform(8.0, 256)))
+        assert "warm_start" not in cold.diagnostics
+        assert cold.diagnostics["trace"][0]["lam"] == 0.0
+        assert abs(eigen_r8.lambda_R - cold.lambda_R) < 1e-12
+        assert abs(eigen_r8.residual - cold.residual) < 1e-12
+
+    def test_start_above_root_keeps_bracket(self, adder, eigen_r8, monkeypatch):
+        # a warm start past the root (mu < 1) still converges to it
+        monkeypatch.setattr(malthus.eigen, "WARM_START_OFFSET", -0.05)
+        res = solve_malthus(KernelAssembler(adder, SizeGrid.uniform(8.0, 256)))
+        trace = res.diagnostics["trace"]
+        assert trace[0]["mu"] < 1.0
+        assert res.diagnostics["bracket"][1] == trace[0]["lam"]
+        assert abs(res.lambda_R - eigen_r8.lambda_R) < 1e-9
 
     def test_stalled_power_iteration_raises(self):
         # top eigenvalues 1 and 0.999 of a self-adjoint operator: the
@@ -138,10 +165,11 @@ class TestReconstruct:
             assert h / y == pytest.approx(1.0, abs=2e-3)
 
     def test_pinned_values(self, adder, law):
-        # values of the per-row formula before the shared row evaluator
+        # values of the per-row formula before the shared row evaluator,
+        # moved by at most 4.5e-16 relative by the polynomial Beta density
         res = solve_malthus(KernelAssembler(adder, SizeGrid.uniform(4.0, 48), law))
-        assert res.lambda_R == float.fromhex("0x1.fd09538fbb344p-1")
-        pins = {(0.0, 0.5): "0x1.01bb91a845e13p-1", (0.0, 1.0): "0x1.0000000000b50p+0",
-                (0.4, 1.3): "0x1.4bb8978598df0p+0", (1.0, 3.5): "0x1.ab0c0d09a0541p+1"}
+        assert res.lambda_R == float.fromhex("0x1.fd09538fbb345p-1")
+        pins = {(0.0, 0.5): "0x1.01bb91a845e11p-1", (0.0, 1.0): "0x1.0000000000b4ep+0",
+                (0.4, 1.3): "0x1.4bb8978598defp+0", (1.0, 3.5): "0x1.ab0c0d09a0541p+1"}
         for (a, y), h in pins.items():
             assert reconstruct_h(res, adder, PhasePoint(a, y), law) == float.fromhex(h)

@@ -13,6 +13,22 @@ from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
 from malthus.model import gauss_legendre
 
 
+def log_exp_pdf(F, rho):
+    """The Beta density by exp of its log, the form non-integer parameters use."""
+    inside = (rho > 0.0) & (rho < 1.0)
+    x = rho[inside]
+    out = np.zeros_like(rho)
+    out[inside] = np.exp((F.alpha - 1.0) * np.log(x) + (F.beta - 1.0) * np.log1p(-x)
+                         - F._log_norm)
+    return out
+
+
+def same_bits(scalars, array):
+    """Whether a list of Python floats has exactly the bits of a float array."""
+    assert all(type(v) is float for v in scalars)
+    return np.array_equal(np.array(scalars).view(np.uint64), np.asarray(array).view(np.uint64))
+
+
 class TestPhasePoint:
     def test_valid(self):
         p = PhasePoint(0.5, 2.0)
@@ -42,6 +58,18 @@ class TestConstantHazard:
         hz = ConstantHazard(0.7)
         H = np.linspace(0.0, 30.0, 100)
         assert np.allclose(hz.cumulative(hz.inverse_cumulative(H)), H)
+
+
+    @pytest.mark.parametrize("a_star", [0.0, 0.7])
+    def test_scalar_and_array_paths_agree_bitwise(self, a_star):
+        hz = ConstantHazard(1.5, a_star=a_star)
+        rng = np.random.default_rng(5)
+        a = np.concatenate([rng.uniform(-1.0, 9.0, 2000),
+                            [0.0, -0.0, a_star, np.nextafter(a_star, -1.0),
+                             np.nextafter(a_star, 2.0), -1.0, 1e300, -math.inf, math.inf,
+                             math.nan]])
+        assert same_bits([hz(x) for x in a.tolist()], hz(a))
+        assert same_bits([hz.cumulative(x) for x in a.tolist()], hz.cumulative(a))
 
 
 class TestTableHazard:
@@ -117,26 +145,50 @@ class TestFragmentation:
                            ((r > 0) & (r < 1)), atol=1e-12)
 
     @pytest.mark.parametrize("F", [BetaFragmentation(5, 5), BetaFragmentation(1, 1),
-                                   BetaFragmentation(0.5, 0.5), UniformFragmentation(),
+                                   BetaFragmentation(0.5, 0.5), BetaFragmentation(2.5, 5),
+                                   UniformFragmentation(),
                                    TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
-                             ids=["beta55", "beta11", "beta0505", "uniform", "table"])
+                             ids=["beta55", "beta11", "beta0505", "beta255", "uniform",
+                                  "table"])
     def test_pdf_into_buffer(self, F):
         rho = np.array([-0.5, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.5, np.nan])
         expected = np.array([F.pdf(r) for r in rho])
         if isinstance(F, BetaFragmentation):
-            # the gather/scatter formula the density replaced
-            inside = (rho > 0.0) & (rho < 1.0)
-            x = rho[inside]
-            ref = np.zeros_like(rho)
-            ref[inside] = np.exp((F.alpha - 1.0) * np.log(x) + (F.beta - 1.0) * np.log1p(-x)
-                                 - F._log_norm)
-            assert np.array_equal(expected, ref)
+            # the gather/scatter formula the density replaced; integer
+            # parameters take the polynomial form, within rounding of it
+            ref = log_exp_pdf(F, rho)
+            if F.alpha.is_integer() and F.beta.is_integer():
+                np.testing.assert_allclose(expected, ref, rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(expected, ref)
         out = np.full_like(rho, 7.0)
         work = (np.full_like(rho, 7.0), np.ones(rho.shape, dtype=bool))
         assert F.pdf(rho, out=out, work=work) is out
         assert np.array_equal(out, expected)
         assert np.array_equal(F.pdf(rho), expected)
         assert all(type(F.pdf(r)) is float for r in rho)
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (1, 3), (3, 1), (2, 2), (5, 5), (2, 7),
+                                             (20, 20)])
+    def test_polynomial_density(self, alpha, beta):
+        from scipy import stats
+        F = BetaFragmentation(alpha, beta)
+        rho = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 999), [1e-2, 0.25, 0.5, 0.9]])
+        dens = F.pdf(rho)
+        np.testing.assert_allclose(dens, stats.beta.pdf(rho, alpha, beta), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(dens, log_exp_pdf(F, rho), rtol=1e-13, atol=0.0)
+        outside = np.array([-0.5, 0.0, 1.0, 1.5, np.nan])
+        assert F.pdf(outside).tolist() == [0.0] * 5
+        assert [F.pdf(r) for r in outside.tolist()] == [0.0] * 5
+
+    @pytest.mark.parametrize("alpha, beta", [(5, 5), (1, 3), (20, 20), (2.5, 5)])
+    def test_scalar_pdf_matches_array_bits(self, alpha, beta):
+        F = BetaFragmentation(alpha, beta)
+        rng = np.random.default_rng(3)
+        rho = np.concatenate([rng.uniform(-0.2, 1.2, 2000),
+                              [0.0, 1.0, -0.0, 5e-324, 1e-300, 1.0 - 1e-16, 0.5, -math.inf,
+                               math.inf, math.nan]])
+        assert same_bits([F.pdf(r) for r in rho.tolist()], F.pdf(rho))
 
     @pytest.mark.parametrize("alpha, beta", [(-1, -1), (0, 5), (5, math.inf), (math.nan, 5)])
     def test_beta_rejects_bad_parameters(self, alpha, beta):
@@ -208,7 +260,8 @@ class TestModelSpec:
         pointwise = adder_d0.apply_generator(inner, 0.3, 1.5)
         nested = adder_d0.apply_generator(
             lambda A, Y: adder_d0.apply_generator(f, A, Y), 0.3, 1.5)
-        assert nested == pointwise == 1.8020990577070743
+        # re-pinned (6.2e-16 relative) when the Beta density became a polynomial
+        assert nested == pointwise == 1.8020990577070732
 
 
 class TestQuadratureRules:

@@ -95,21 +95,22 @@ class TestFirstJumpLaw:
         assert mass == pytest.approx(2.0, abs=1e-4)
 
     def test_kernel_K_pinned(self, law):
-        # values of the per-row formula before the shared row evaluator
+        # values of the per-row formula before the shared row evaluator,
+        # moved by at most 4.5e-16 relative by the polynomial Beta density
         z = np.array([0.0, 0.3, 0.8, 1.5, 3.0, 7.5])
         pins = [
             (PhasePoint(0.0, 1.0), 1.0,
-             ["0x0.0p+0", "0x1.01f01a453f02dp-1", "0x1.4be1e652b0669p+0",
-              "0x1.a48d1d3b2ab0fp-3", "0x1.258e56047e575p-7", "0x1.881c98f1a01e8p-18"],
-             "0x1.bc1bafedf4301p-2"),
+             ["0x0.0p+0", "0x1.01f01a453f02bp-1", "0x1.4be1e652b0669p+0",
+              "0x1.a48d1d3b2ab10p-3", "0x1.258e56047e574p-7", "0x1.881c98f1a01e8p-18"],
+             "0x1.bc1bafedf4300p-2"),
             (PhasePoint(0.3, 0.7), 0.0,
              ["0x0.0p+0", "0x1.913e3ec5cfad1p+0", "0x1.7e48d8088c05dp+0",
-              "0x1.9264bdcce19f0p-2", "0x1.f983bdd7d67e9p-6", "0x1.6d4139a93053fp-15"],
-             "0x1.5ea8cd325760bp-1"),
+              "0x1.9264bdcce19efp-2", "0x1.f983bdd7d67e9p-6", "0x1.6d4139a930540p-15"],
+             "0x1.5ea8cd325760ap-1"),
             (PhasePoint(0.2, 2.5), 0.9,
              ["0x0.0p+0", "0x1.5fff5bc6ac325p-6", "0x1.ce3473fa30fcfp-2",
-              "0x1.188dc55fb9f42p+0", "0x1.b4d53d1902d35p-4", "0x1.3b65a185ef65dp-14"],
-             "0x1.efcb0bb4dfb96p-1"),
+              "0x1.188dc55fb9f42p+0", "0x1.b4d53d1902d34p-4", "0x1.3b65a185ef65ep-14"],
+             "0x1.efcb0bb4dfb95p-1"),
         ]
         for x, lam, values, at_1_2 in pins:
             assert kernel_K(law, x, z, lam).tolist() == [float.fromhex(v) for v in values]
@@ -196,8 +197,14 @@ class TestKernelMatrix:
                 leak = coefs @ above / grid.R
                 corr[i] = leak[0]
                 M[i], dM[i] = coefs @ kvals + leak[:, None]
-            assert np.array_equal(mat.M, M)
-            assert np.array_equal(mat.dM, dM)
+            F = model.fragmentation
+            if isinstance(F, BetaFragmentation) and F.alpha.is_integer() and F.beta.is_integer():
+                # the polynomial density is within rounding of the log/exp formula
+                np.testing.assert_allclose(mat.M, M, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(mat.dM, dM, rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(mat.M, M)
+                assert np.array_equal(mat.dM, dM)
             assert np.array_equal(mat.correction, corr)
 
     def test_leak_correction_positive_near_boundary(self, adder):

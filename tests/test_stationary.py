@@ -28,6 +28,17 @@ class TestEtaStar:
         assert profile.values[0] == 0.0
         assert np.all(profile.values >= 0.0)
 
+    def test_scalar_and_array_paths_agree_bitwise(self, profile):
+        s_nodes = profile.s_nodes
+        rng = np.random.default_rng(11)
+        s = np.concatenate([rng.uniform(-1.0, 9.0, 2000), s_nodes,
+                            0.5 * (s_nodes[1:] + s_nodes[:-1]),
+                            [0.0, -0.0, s_nodes[-1], np.nextafter(s_nodes[-1], 9.0), -1.0,
+                             -math.inf, math.inf, math.nan]])
+        scalars = [profile(x) for x in s.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(np.array(scalars).view(np.uint64), profile(s).view(np.uint64))
+
     def test_pi_star_mass(self, profile):
         assert abs(profile.pi_mass - 1.0) < 1e-6
 
