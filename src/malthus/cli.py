@@ -263,6 +263,10 @@ def cmd_stationary(cfg, args, out_dir):
         raise ConfigError(f"stationary: {exc}") from None
     _write_csv(os.path.join(out_dir, "eta_star.csv"), ["s", "eta_star"],
                zip(profile.s_nodes, profile.values))
+    _write_json(os.path.join(out_dir, "eta_star.json"),
+                {"sweeps": profile.sweeps, "residual": profile.residual,
+                 "kappa": profile.kappa, "pi_mass": profile.pi_mass,
+                 "n": int(profile.s_nodes.size), "y_max": float(profile.s_nodes[-1])})
     a_c = np.linspace(0, box[0], bins[0] + 1)
     y_c = np.linspace(0, box[1], bins[1] + 1)
     a_c = 0.5 * (a_c[:-1] + a_c[1:])

@@ -35,9 +35,9 @@ def _panel_nodes(edges, n_per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _graded_edges(cut, n_panels):
+def _graded_edges(cut, n_panels, lo=0.5):
     """Panel edges packed near 0 where the hazard density concentrates."""
-    return np.concatenate([[0.0], np.geomspace(min(0.5, cut / 4), cut, n_panels)])
+    return np.concatenate([[0.0], np.geomspace(min(lo, cut / 4), cut, n_panels)])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
-from .renewal import FirstJumpLaw, HAZARD_CUTOFF
+from .renewal import FirstJumpLaw, HAZARD_CUTOFF, _graded_edges, _panel_nodes
 from .simulate import Trajectory, individual_rng, sample_division_age
 
 #: grid points per generator call in check_drift; the jump integral holds a
@@ -31,6 +31,15 @@ DRIFT_BLOCK = 1024
 #: observation box (a_max, y_max) and bins of ``pi_star.csv`` and the ergodicity report
 PROFILE_BOX = (4.0, 6.0)
 PROFILE_BINS = (20, 20)
+
+#: largest |kappa - 1| solve_eta_star accepts, kappa being the pi*-mass of the
+#: un-normalised sweep at the fixed point (-3.1e-5 on the default grid)
+KAPPA_TOL = 1e-3
+#: Gauss-Legendre panels of the pi*-mass weights, nodes per panel, and the
+#: first positive panel edge of their geometric grading
+MASS_PANELS = 24
+MASS_NODES = 16
+MASS_GRADE_LO = 1e-5
 
 
 def default_V(a, y):
@@ -91,12 +100,18 @@ def weighted_tv(u: Density2D, v: Density2D) -> float:
 
 @dataclass
 class EtaStarProfile:
-    """Solution of the boundary renewal fixed point, pi*-mass normalized."""
+    """Solution of the boundary renewal fixed point, pi*-mass normalized.
+
+    ``kappa`` is the pi*-mass of the un-normalised sweep T eta* at the fixed
+    point: 1 for the exact operator, off 1 where the grid truncates or
+    under-resolves eta*.
+    """
 
     s_nodes: np.ndarray
     values: np.ndarray
     residual: float
     sweeps: int
+    kappa: float
     mass_weights: np.ndarray  # w(s) with pi* mass = int eta*(s) w(s) ds
 
     def __post_init__(self):
@@ -123,28 +138,70 @@ class EtaStarProfile:
 
     @property
     def pi_mass(self) -> float:
-        from scipy import integrate
-        return float(integrate.simpson(self.values * self.mass_weights, x=self.s_nodes))
+        return float(simpson_weights(self.s_nodes) @ (self.values * self.mass_weights))
+
+
+def simpson_weights(s: np.ndarray) -> np.ndarray:
+    """Weights w such that ``w @ y`` is scipy's ``simpson(y, x=s)``, s increasing.
+
+    Composite Simpson on consecutive pairs of intervals, which may differ in
+    length.  For an even number of nodes the last interval takes Cartwright's
+    three-point correction, as scipy does; two nodes give the trapezoid.
+    """
+    n = s.size
+    h = np.diff(s)
+    w = np.zeros(n)
+    if n == 2:
+        w[:] = 0.5 * h[0]
+        return w
+    stop = n - 1 if n % 2 else n - 2  # Simpson pairs cover s[0 .. stop]
+    h0, h1 = h[0:stop:2], h[1:stop:2]
+    sixth = (h0 + h1) / 6.0
+    w[0:stop:2] += sixth * (2.0 - h1 / h0)
+    w[1:stop:2] += sixth * (h0 + h1) ** 2 / (h0 * h1)
+    w[2:stop + 1:2] += sixth * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
+        w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
+        w[-3] -= b ** 3 / (6.0 * a * (a + b))
+    return w
 
 
 def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
                   rho: np.ndarray, w_rho: np.ndarray):
-    """Discrete sweep eta -> 2 int F(rho) (psi * eta)(y / rho) drho."""
+    """Discrete sweep eta -> 2 int F(rho) (psi * eta)(s / rho) drho.
+
+    The inner integral is a trapezoid convolution of psi and eta with the
+    step of s, read at s_i / rho_r by linear interpolation and 0 past its
+    grid.  The interpolation is tabulated once as an (n, len(rho)) array of
+    left indices and two arrays of weights, each times 2 w_r F(rho_r) (0 past
+    the grid), so a sweep is one convolution, two gathers and a sum over
+    each row.
+    """
     h = s[1] - s[0]
     n = s.size
-    weights = w_rho * model.fragmentation.pdf(rho)
+    m = psi_vals.size + n - 1  # the length of the convolution
+    u = s[:, None] / rho / h  # s_i / rho_r in steps of the grid
+    left = np.minimum(u.astype(np.intp), m - 2)  # floors u >= 0; weighted 0 past the grid
+    c = 2.0 * w_rho * model.fragmentation.pdf(rho)
+    inside = u <= m - 1
+    w_hi = np.where(inside, c * (u - left), 0.0)
+    w_lo = np.where(inside, c - w_hi, 0.0)
+    edge = 0.5 * h * psi_vals[:n]
+    edge0 = 0.5 * h * psi_vals[0]
+    gathered = np.empty(left.shape)
 
     def apply(eta):
-        conv = np.convolve(psi_vals, eta)[: psi_vals.size + n - 1] * h
+        conv = np.convolve(psi_vals, eta)
+        conv *= h
         # trapezoid end corrections of the convolution quadrature
-        m = conv.size
-        conv[:n] -= 0.5 * h * psi_vals[:n] * eta[0]
-        conv -= 0.5 * h * psi_vals[0] * np.concatenate([eta, np.zeros(m - n)])
-        conv_grid = np.arange(m) * h
-        out = np.zeros(n)
-        for r, wf in zip(rho, weights):
-            out += wf * np.interp(s / r, conv_grid, conv, left=0.0, right=0.0)
-        return 2.0 * out
+        conv[:n] -= edge * eta[0]
+        conv[:n] -= edge0 * eta
+        # the indices are in range: "clip" only skips numpy's bounds-checked copy
+        out = np.einsum("ij,ij->i", np.take(conv, left, out=gathered, mode="clip"), w_lo)
+        return out + np.einsum("ij,ij->i", np.take(conv[1:], left, out=gathered, mode="clip"),
+                               w_hi)
 
     return apply
 
@@ -155,11 +212,13 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     Each sweep applies the renewal operator and renormalizes so the induced
     stationary density pi* has unit mass; iteration stops when successive
     sweeps differ by less than 1e-10 in sup norm (the renormalized sweep is
-    the operator whose residual is reported), within 10,000 sweeps.
+    the operator whose residual is reported), within 10,000 sweeps.  Raises
+    ``NoConvergence`` when the un-normalised sweep at the fixed point moves
+    pi*-mass by more than ``KAPPA_TOL``: the grid then cuts off or
+    under-resolves eta*, whatever the residual.
     """
     if not (y_max > 0 and n >= 2):
         raise ValueError(f"y_max = {y_max!r} must be positive and n = {n!r} at least 2")
-    from scipy import integrate  # ~0.3 s to import; only eta* and pi* use it
     hz = model.hazard
     s = np.linspace(0.0, y_max, n)
     h = s[1] - s[0]
@@ -169,9 +228,10 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     rho, w_rho = gl_nodes(0.0, 1.0, 256)
     apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
     mass_w = _pi_mass_weights(model, s, a_cut)
+    mass_dot = simpson_weights(s) * mass_w
 
     def normalize(eta):
-        m = float(integrate.simpson(eta * mass_w, x=s))
+        m = float(mass_dot @ eta)
         if m <= 0:
             raise NoConvergence("profile iteration lost positivity")
         return eta / m
@@ -187,26 +247,36 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
             break
     else:
         raise NoConvergence(f"profile iteration: 10000 sweeps, diff {diff:.2e}")
-    residual = float(np.max(np.abs(normalize(apply_T(eta)) - eta)) / np.max(np.abs(eta)))
-    return EtaStarProfile(s_nodes=s, values=eta, residual=residual,
-                          sweeps=sweep, mass_weights=mass_w)
+    swept = apply_T(eta)
+    kappa = float(mass_dot @ swept)
+    if not abs(kappa - 1.0) <= KAPPA_TOL:
+        raise NoConvergence(f"the sweep at the fixed point has pi* mass {kappa:.6g}, not 1: "
+                            f"the grid y_max = {y_max!r}, n = {n!r} truncates or "
+                            "under-resolves eta*")
+    residual = float(np.max(np.abs(normalize(swept) - eta)) / np.max(np.abs(eta)))
+    return EtaStarProfile(s_nodes=s, values=eta, residual=residual, sweeps=sweep,
+                          kappa=kappa, mass_weights=mass_w)
 
 
 def _pi_mass_weights(model: ModelSpec, s: np.ndarray, a_cut: float) -> np.ndarray:
     """w(s) = int_0^inf exp(-H(a)) / (s + a)^2 da = 1/s - int psi(a)/(s+a) da.
 
-    One adaptive quadrature integrates psi(a)/(s+a) at every positive node at
-    once; w is 0 at s <= 0.
+    Gauss-Legendre panels over [0, a_cut] integrate psi(a)/(s+a) at every
+    positive node at once.  They are graded geometrically down to
+    ``MASS_GRADE_LO``, which resolves the pole at a = -s for the smallest
+    positive s, and break at the hazard's knots, where psi has a kink or a
+    jump; w is 0 at s <= 0.
     """
-    from scipy import integrate
     hz = model.hazard
+    knots = np.asarray(getattr(hz, "a_knots", [hz.a_star]))
+    edges = np.union1d(_graded_edges(a_cut, MASS_PANELS, MASS_GRADE_LO),
+                       knots[(knots > 0) & (knots < a_cut)])
+    a, w_a = _panel_nodes(edges, MASS_NODES)
+    psi_w = hz(a) * np.exp(-hz.cumulative(a)) * w_a
     w = np.zeros_like(s)
     pos = s > 0
     sp = s[pos]
-    val, _ = integrate.quad_vec(
-        lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (sp + a),
-        0.0, a_cut, epsrel=1e-12, limit=2000)
-    w[pos] = 1.0 / sp - val
+    w[pos] = 1.0 / sp - (1.0 / (sp[:, None] + a)) @ psi_w
     return w
 
 

@@ -185,8 +185,11 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
       "minorant_constants.json":
           "8cc1e9282c598c52e1137a488ac100bb05af3a0d4b8c08862fa2c42628d6341d"}),
     (["stationary"], SMALL,
-     {"eta_star.csv": "97f707a484cff23325fdfcd107d927fabed2a9244ea20d081bb6199a37f733d1",
-      "pi_star.csv": "c62daab4e75dbd80234cdb3ed21c126e8517828bd725c58a634162e281fbb24d"}),
+     # the pin moved when the sweep became a gather and the Simpson and mass
+     # weights explicit (eta* by <= 1.9e-15 relative, pi* by <= 1.5e-15)
+     {"eta_star.csv": "52e67b44a2343b4564a30df737e6d3ee5c54e0582c5f184f78a794b1e923c004",
+      "eta_star.json": "ee27708fdaf956a512d66539904b5280b3988ab64e343b62e91d2f5a301cabf5",
+      "pi_star.csv": "654cdfdaa6ab26f8392b23daa7cdc46c2e2678081502ae1a0a918bb4d0e85195"}),
     (["eigen", "--R", "4"], SMALL,
      # the pin moved when diagnostics gained euler_lotka_residual, and when
      # they gained warm_start (the Beta density moved eta by <= 1.1e-15 relative)
@@ -245,6 +248,31 @@ class TestStationaryCommand:
         assert run(["stationary", "--config", config, "--out", out]) == 0
         assert (out / "eta_star.csv").exists()
         assert (out / "pi_star.csv").exists()
+        diag = json.loads((out / "eta_star.json").read_text())
+        assert sorted(diag) == ["kappa", "n", "pi_mass", "residual", "sweeps", "y_max"]
+        assert diag["n"] == 256 and diag["y_max"] == 8.0 and diag["sweeps"] == 41
+        assert diag["residual"] < 1e-8 and abs(diag["kappa"] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("stationary", [{"y_max": 0.5}, {"n": 3}, {"n": 2}],
+                             ids=["truncated", "three_nodes", "two_nodes"])
+    def test_coarse_grid_exits_5(self, tmp_path, capsys, stationary):
+        # each converges to a residual near 1e-11, yet the sweep at the fixed
+        # point moves pi* mass by 17% to 52%
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps({"model": MODEL, "stationary": stationary}))
+        out = tmp_path / "c"
+        assert run(["stationary", "--config", path, "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "truncates or under-resolves eta*" in err
+        assert not (out / "eta_star.csv").exists()
+
+    def test_default_grid_exits_0(self, tmp_path):
+        path = tmp_path / "default.json"
+        path.write_text(json.dumps({"model": MODEL}))
+        out = tmp_path / "d"
+        assert run(["stationary", "--config", path, "--out", out]) == 0
+        diag = json.loads((out / "eta_star.json").read_text())
+        assert diag["n"] == 1024 and abs(diag["kappa"] - 1.0) < 1e-4
 
 
 class TestDoeblinCommand:
@@ -328,17 +356,26 @@ class TestThreads:
         assert not [p for p in out.iterdir() if p.suffix == ".partial"]
 
 
-def test_import_skips_scipy_integrate():
-    # scipy.integrate costs ~0.3 s to import and only eta* and pi* use it;
-    # the simulation engine is compiled on first use as well
+def test_import_skips_scipy_integrate(tmp_path):
+    # scipy.integrate costs ~0.2 s and ~24 MB to import, and no command uses
+    # it; the simulation engine is compiled on first use
     src = str(Path(malthus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, malthus.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith(('scipy.', 'malthus.'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert "scipy.integrate" not in out and "scipy.special" in out
-    assert "malthus.engine" not in out and "malthus.streams" not in out
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(SMALL))
+    probe = ("import sys, malthus.cli\n"
+             "def loaded():\n"
+             "    print(sorted(m for m in sys.modules if m.startswith(('scipy.', 'malthus.'))))\n"
+             "loaded()\n"
+             "assert malthus.cli.main(sys.argv[1:]) == 0\n"
+             "loaded()\n")
+    out = subprocess.run([sys.executable, "-c", probe, "stationary", "--config", str(path),
+                            "--out", str(tmp_path / "out")],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    at_import, after_stationary = out.splitlines()
+    assert "scipy.integrate" not in at_import and "scipy.special" in at_import
+    assert "malthus.engine" not in at_import and "malthus.streams" not in at_import
+    assert "scipy.integrate" not in after_stationary
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):

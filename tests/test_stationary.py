@@ -6,15 +6,17 @@ import pytest
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D,
-                     EmptyMinorantWarning, GridMismatch, PhasePoint, SimConfig,
-                     TableHazard, UniformFragmentation, check_drift, default_V,
+                     EmptyMinorantWarning, GridMismatch, NoConvergence, PhasePoint,
+                     SimConfig, TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
                      MarkovModel, kernel_minorant_epsilon, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 import malthus.stationary
 from malthus.renewal import HAZARD_CUTOFF
-from malthus.stationary import _pi_mass_weights, advance_h_chain, reference_profile
+from malthus.model import gl_nodes
+from malthus.stationary import (_eta_operator, _pi_mass_weights, advance_h_chain,
+                                reference_profile, simpson_weights)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +27,40 @@ def profile(adder):
 class TestEtaStar:
     def test_converges(self, profile):
         assert profile.residual < 1e-8
+        assert profile.sweeps == 41
+        assert abs(profile.kappa - 1.0) < 1e-4
         assert profile.values[0] == 0.0
         assert np.all(profile.values >= 0.0)
+
+    def test_truncated_grid_raises(self, adder):
+        # converges to a residual near 1e-11, but the sweep loses half the mass
+        with pytest.raises(NoConvergence, match="pi\\* mass 0.478"):
+            solve_eta_star(adder, y_max=0.5)
+
+    def test_gathered_sweep_matches_interp_loop(self, adder, profile):
+        s = profile.s_nodes
+        h, n = s[1] - s[0], s.size
+        hz = adder.hazard
+        psi_grid = np.arange(0.0, s[-1] + float(hz.inverse_cumulative(HAZARD_CUTOFF)) + h, h)
+        psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
+        rho, w_rho = gl_nodes(0.0, 1.0, 256)
+        sweep = _eta_operator(adder, s, psi_vals, rho, w_rho)
+
+        def reference(eta):
+            # one np.interp per rho, as the sweep was before it was tabulated
+            conv = np.convolve(psi_vals, eta) * h
+            m = conv.size
+            conv[:n] -= 0.5 * h * psi_vals[:n] * eta[0]
+            conv -= 0.5 * h * psi_vals[0] * np.concatenate([eta, np.zeros(m - n)])
+            conv_grid = np.arange(m) * h
+            out = np.zeros(n)
+            for r, wf in zip(rho, w_rho * adder.fragmentation.pdf(rho)):
+                out += wf * np.interp(s / r, conv_grid, conv, left=0.0, right=0.0)
+            return 2.0 * out
+
+        rng = np.random.default_rng(5)
+        for eta in (profile.values, rng.uniform(0.5, 2.0, n)):
+            np.testing.assert_allclose(sweep(eta), reference(eta), rtol=1e-14, atol=0.0)
 
     def test_scalar_and_array_paths_agree_bitwise(self, profile):
         s_nodes = profile.s_nodes
@@ -43,18 +77,28 @@ class TestEtaStar:
         assert abs(profile.pi_mass - 1.0) < 1e-6
 
     @pytest.mark.parametrize("hz", [ConstantHazard(1.0),
-                                    TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])],
-                             ids=["constant", "table"])
+                                    TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]),
+                                    ConstantHazard(1.0, a_star=0.5)],
+                             ids=["constant", "table", "dead_zone"])
     def test_mass_weights_match_pointwise_quad(self, hz):
         model = make_adder(1.0, hz, BetaFragmentation(5, 5))
         a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
-        s = np.linspace(0.0, 8.0, 1024)[::31]
+        s = np.linspace(0.0, 8.0, 1024)
+        s = np.concatenate([s[::31], s[1:3]])  # and the poles nearest 0, 8/1023 and 16/1023
         w = _pi_mass_weights(model, s, a_cut)
         assert w[0] == 0.0
         for si, wi in zip(s[1:], w[1:]):
             val, _ = integrate.quad(lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (si + a),
                                     0.0, a_cut, epsabs=0.0, epsrel=1e-13, limit=400)
             assert wi == pytest.approx(1.0 / si - val, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 256, 1024, 1025])
+    def test_simpson_weights_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(0.5, 2.0, n)
+        for s in (np.linspace(0.0, 8.0, n), np.cumsum(rng.uniform(0.1, 1.0, n))):
+            ref = integrate.simpson(y, x=s)
+            assert simpson_weights(s) @ y == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     def test_fixed_point_against_direct_quadrature(self, adder, profile):
         # evaluate the renewal map by adaptive quadrature at spot values
