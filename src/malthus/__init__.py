@@ -10,8 +10,8 @@ from .errors import (BracketFailure, ConfigError, DegenerateData,
                      PopulationCapExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
                     PhasePoint, TableFragmentation, TableHazard,
-                    UniformFragmentation, ValidationReport,
-                    load_config, make_adder, model_from_config, validate)
+                    UniformFragmentation, ValidationReport, make_adder,
+                    validate)
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       RowQuadrature, SizeGrid)
 from .eigen import (EigenResult, euler_lotka_residual, leading_eigen,
@@ -29,3 +29,10 @@ from .stationary import (Density2D, DoeblinConstants, DriftReport,
                          kernel_minorant_epsilon, pi_star, pi_star_density,
                          reference_profile, skeleton_mc_density,
                          solve_eta_star, weighted_tv)
+
+
+def __getattr__(name):  # from cli on first use: `python -m malthus.cli` must find it unloaded
+    if name in ("load_config", "model_from_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module 'malthus' has no attribute {name!r}")

@@ -2,20 +2,24 @@
 
 Wires a single JSON configuration file (sections ``model``, ``grid``,
 ``sim``, ``doeblin``, ``drift``, ``stationary``) to the library operations
-and emits deterministic CSV/JSON artifacts.  Command-line flags override
-config keys, which override the library's defaults.  Every run first writes
-an atomic ``manifest.json``; outputs are staged with a ``.partial`` suffix.
+and emits deterministic CSV/JSON artifacts.  ``SCHEMA`` is the whole
+configuration format: ``main`` converts every section by it before any
+command runs.  Command-line flags override config keys, which override the
+library's defaults.  Every run first writes an atomic ``manifest.json``;
+outputs are staged with a ``.partial`` suffix.
 
 Exit codes: 0 success, 1 malformed configuration JSON, an unknown section or
-key, a missing ``model`` key or a bad value in any section, 2 invalid model,
-3 eigen solver failure, 4 simulation failure, 5 stationary failure, 6
-minorant failure.
+key, a missing ``model`` key or a bad value in any section, whatever the
+command, 2 invalid model, 3 eigen solver failure, 4 simulation failure, 5
+stationary failure, 6 minorant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import difflib
+import functools
 import json
 import math
 import os
@@ -27,8 +31,10 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import __version__
-from .errors import BracketFailure, ConfigError, InvalidModel, MalthusError, NoConvergence
-from .model import PhasePoint, _check_keys, load_config, model_from_config, validate
+from .errors import ConfigError, InvalidModel, MalthusError
+from .model import (BetaFragmentation, ConstantHazard, ModelSpec, PhasePoint,
+                    TableFragmentation, TableHazard, UniformFragmentation, make_adder,
+                    validate)
 from .renewal import KernelAssembler, SizeGrid
 from .eigen import solve_malthus
 from .simulate import SimConfig, empirical_functional, run_replicates
@@ -42,15 +48,172 @@ EXIT_SIM = 4
 EXIT_STATIONARY = 5
 EXIT_DOEBLIN = 6
 
-#: the keys of each configuration section but ``model``, which
-#: ``model_from_config`` checks
-SECTIONS = {
-    "grid": ("R", "n"),
-    "sim": ("seed", "t_end", "record_times", "cap", "replicates", "x0", "snapshots"),
-    "doeblin": ("compact", "delta", "Delta", "j_star", "domain", "grid_n"),
-    "drift": ("box", "grid_n", "c", "d"),
-    "stationary": ("y_max", "n", "box", "bins", "report"),
+
+# ---------------------------------------------------------------------------
+# Configuration format
+# ---------------------------------------------------------------------------
+
+
+def _count(v):
+    """A JSON integer; a float or a bool is an error, not truncated or coerced."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _real(v):
+    """A finite JSON number, as a float; a string, a bool, NaN or Infinity is an error."""
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"{v!r} is not a finite number")
+    return float(v)
+
+
+def _number(v):
+    """A JSON number, as a float; its range, NaN and Infinity included, is the model's to check."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{v!r} is not a number")
+    return float(v)
+
+
+def _flag(v):
+    """A JSON true or false."""
+    if type(v) is not bool:
+        raise ValueError(f"{v!r} is not true or false")
+    return v
+
+
+def _numbers(n=None, cast=_real):
+    """Conversion of a list of values (``n`` of them, if given) to a tuple, each by ``cast``."""
+    def convert(v):
+        if n is not None and len(v) != n:
+            raise ValueError(f"{v!r} must list {n} numbers")
+        return tuple(map(cast, v))
+    return convert
+
+
+def _component(section, raw):
+    """The hazard or fragmentation object that ``model.<section>`` describes."""
+    kinds = KINDS[section]
+    kind = (raw if isinstance(raw, dict) else {}).get("type", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidModel(f"unknown {section} type {kind!r}")
+    cls, schema, required = kinds[kind]
+    name = f"model.{section}"
+    given = _section(name, raw, {"type": str, **schema}, required, f"{name} (type {kind!r})")
+    given.pop("type", None)
+    try:
+        return cls(*[given.pop(k) for k in required], **given)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+#: per ``model.hazard`` and ``model.fragmentation`` type (the first is the
+#: default): the class built, the conversion of each key, and the required
+#: keys, passed to the class first and in this order
+KINDS = {
+    "hazard": {"constant": (ConstantHazard, {"b": _real, "a_star": _real}, ("b",)),
+               "table": (TableHazard, {"a": _numbers(), "B": _numbers()}, ("a", "B"))},
+    "fragmentation": {
+        "uniform": (UniformFragmentation, {}, ()),
+        "beta": (BetaFragmentation, {"alpha": _real, "beta": _real}, ("alpha", "beta")),
+        "table": (TableFragmentation, {"rho": _numbers(), "F": _numbers()}, ("rho", "F"))},
 }
+
+#: the configuration format: each section's keys and the conversion of each
+#: value; a value its conversion rejects is an error naming ``section.key``
+SCHEMA = {
+    "model": {"model_type": str, "lambda_growth": _number, "d0": _number,
+              "hazard": functools.partial(_component, "hazard"),
+              "fragmentation": functools.partial(_component, "fragmentation")},
+    "grid": {"R": lambda v: list(map(_real, v if isinstance(v, list) else [v])), "n": _count},
+    "sim": {"seed": _count, "t_end": _real, "record_times": _numbers(), "cap": _count,
+            "replicates": _count, "x0": _numbers(2), "snapshots": _flag},
+    "doeblin": {"compact": _numbers(4), "delta": _real, "Delta": _real, "j_star": _count,
+                "domain": _numbers(4), "grid_n": _count},
+    "drift": {"box": _numbers(2), "grid_n": _count, "c": _real, "d": _real},
+    "stationary": {"y_max": _real, "n": _count, "box": _numbers(2),
+                   "bins": _numbers(2, _count), "report": _flag},
+}
+
+#: the values a run takes for keys its config leaves out; a key in neither
+#: table is not passed on, so the library's own default applies
+DEFAULTS = {
+    "grid": {"R": [16.0], "n": None},
+    "sim": {"seed": 0, "t_end": 4.0, "record_times": (0.0, 1.0, 2.0, 3.0, 4.0),
+            "x0": (0.0, 1.0), "snapshots": False},
+    "doeblin": {"compact": (0.0, 1.0, 1.0, 2.0)},
+    "stationary": {"box": st.PROFILE_BOX, "bins": st.PROFILE_BINS, "report": False},
+}
+
+
+def _check_keys(label, raw, allowed, required=()):
+    """Raise ConfigError naming the first unknown (with a suggestion) or missing key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {raw!r}")
+    for key in raw:
+        if key not in allowed:
+            close = difflib.get_close_matches(key, allowed, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigError(f"{label}: unknown key {key!r}{hint}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{label}: missing required key {key!r}")
+
+
+def _section(name, raw, schema, required=(), label=None):
+    """``{k: schema[k](v)}`` for each key ``k`` that section ``name`` gives as ``v``; a key
+    error names ``label`` (default ``name``), a value its conversion rejects ``name.k``."""
+    _check_keys(label or name, raw, schema, required)
+    out = {}
+    for key, cast in schema.items():
+        if key in raw:
+            try:
+                out[key] = cast(raw[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}.{key}: {exc}") from None
+    return out
+
+
+def model_from_config(cfg: dict) -> ModelSpec:
+    """The ModelSpec of the ``model`` section ``cfg``: ConfigError for a bad key or value,
+    InvalidModel for a model that violates an assumption."""
+    given = _section("model", cfg, SCHEMA["model"])
+    if given.get("model_type", "adder") != "adder":
+        raise InvalidModel("only adder models can be built from configuration files")
+    return make_adder(given.get("lambda_growth", 1.0),
+                      given.get("hazard") or ConstantHazard(1.0),
+                      given.get("fragmentation") or BetaFragmentation(5, 5),
+                      given.get("d0", 0.0))
+
+
+def load_config(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def convert(cfg, args) -> dict:
+    """Every section of ``cfg`` converted by ``SCHEMA`` over ``DEFAULTS``, then ``args``:
+    ``model`` becomes the ModelSpec, ``sim`` a SimConfig ``config``, ``x0`` and ``snapshots``.
+    """
+    _check_keys("configuration", cfg, SCHEMA)
+    conf = {"model": model_from_config(cfg.get("model", {}))}
+    for name in list(SCHEMA)[1:]:
+        conf[name] = {**DEFAULTS.get(name, {}), **_section(name, cfg.get(name, {}), SCHEMA[name])}
+    grid, sim = conf["grid"], conf["sim"]
+    grid["R"] = args.R or grid["R"]
+    grid["n"] = grid["n"] if args.grid_n is None else args.grid_n
+    sim["seed"] = sim["seed"] if args.seed is None else args.seed
+    if not (grid["R"] and all(1.0 <= R < math.inf for R in grid["R"])):
+        raise ConfigError(f"grid.R: {grid['R']} must be finite and at least 1 (y = 1 is a node)")
+    x0, snapshots = sim.pop("x0"), sim.pop("snapshots")
+    try:
+        sim_config = SimConfig(**sim)
+        if not 0.0 <= x0[0] < x0[1]:
+            raise ValueError(f"x0 = {list(x0)!r} must be [a, y] with 0 <= a < y")
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from None
+    conf["sim"] = {"config": sim_config, "x0": PhasePoint(*x0), "snapshots": snapshots}
+    return conf
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +279,12 @@ def _spec(cls):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the converted configuration and the output directory
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    report = validate(model)
+def cmd_validate(conf, out_dir):
+    report = validate(conf["model"])
     _write_json(os.path.join(out_dir, "validate_report.json"), report.to_dict())
     if not report.all_passed:
         print("validation failed", file=sys.stderr)
@@ -130,102 +292,22 @@ def cmd_validate(cfg, args, out_dir):
     return EXIT_OK
 
 
-def cmd_eigen(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    gcfg = _given(cfg, "grid", R=lambda v: list(map(_real, v if isinstance(v, list) else [v])),
-                  n=_count)
-    radii = args.R or gcfg.get("R", [16.0])
-    if not all(1.0 <= R < math.inf for R in radii):
-        raise ConfigError(f"grid.R: {radii} must be finite and at least 1 (y = 1 is a node)")
-    grid_n = args.grid_n if args.grid_n is not None else gcfg.get("n")
+def cmd_eigen(conf, out_dir):
+    grid_n = conf["grid"]["n"]
     summary = []
-    try:
-        for R in radii:
-            try:
-                grid = SizeGrid.uniform(R, round(32 * R) if grid_n is None else grid_n)
-            except ValueError as exc:
-                raise ConfigError(f"grid: {exc}") from None
-            result = solve_malthus(KernelAssembler(model, grid))
-            tmp = os.path.join(out_dir, f"eigen_R{R:g}.json")
-            _write_json(tmp, result.to_dict())
-            summary.append((R, result.lambda_R, result.residual))
-    except (NoConvergence, BracketFailure) as exc:
-        print(f"eigen solve failed: {exc}", file=sys.stderr)
-        return EXIT_EIGEN
+    for R in conf["grid"]["R"]:
+        grid = SizeGrid.uniform(R, round(32 * R) if grid_n is None else grid_n)
+        result = solve_malthus(KernelAssembler(conf["model"], grid))
+        _write_json(os.path.join(out_dir, f"eigen_R{R:g}.json"), result.to_dict())
+        summary.append((R, result.lambda_R, result.residual))
     _write_csv(os.path.join(out_dir, "eigen_summary.csv"),
                ["R", "lambda_R", "mu_residual"], summary)
     return EXIT_OK
 
 
-def _given(cfg, name, **convert):
-    """``{k: convert[k](v)}`` for each key ``k`` that section ``name`` gives as ``v``;
-    a value that its conversion rejects raises ConfigError naming ``name.k``."""
-    section, out = cfg.get(name, {}), {}
-    for k, f in convert.items():
-        if k in section:
-            try:
-                out[k] = f(section[k])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}.{k}: {exc}") from None
-    return out
-
-
-def _count(v):
-    """A JSON integer; a float or a bool is an error, not truncated or coerced."""
-    if type(v) is not int:
-        raise ValueError(f"{v!r} is not an integer")
-    return v
-
-
-def _real(v):
-    """A finite JSON number, as a float; a string, a bool, NaN or Infinity is an error."""
-    if type(v) not in (int, float) or not math.isfinite(v):
-        raise ValueError(f"{v!r} is not a finite number")
-    return float(v)
-
-
-def _flag(v):
-    """A JSON true or false."""
-    if type(v) is not bool:
-        raise ValueError(f"{v!r} is not true or false")
-    return v
-
-
-def _numbers(n=None, cast=_real):
-    """Conversion of a list of values (``n`` of them, if given) to a tuple, each by ``cast``."""
-    def convert(v):
-        if n is not None and len(v) != n:
-            raise ValueError(f"{v!r} must list {n} numbers")
-        return tuple(map(cast, v))
-    return convert
-
-
-def _sim_config(cfg, args):
-    """(SimConfig, x0) from the ``sim`` section; a bad value raises ConfigError."""
-    scfg = cfg.get("sim", {})
-    given = _given(cfg, "sim", t_end=_real, record_times=_numbers(), x0=_numbers(2))
-    seed = args.seed if args.seed is not None else scfg.get("seed", 0)
-    x0 = given.get("x0", (0.0, 1.0))
-    try:
-        sim_cfg = SimConfig(seed=seed, t_end=given.get("t_end", 4.0),
-                            record_times=given.get("record_times", [0.0, 1.0, 2.0, 3.0, 4.0]),
-                            **{k: scfg[k] for k in ("cap", "replicates") if k in scfg})
-        if not 0.0 <= x0[0] < x0[1]:
-            raise ValueError(f"x0 = {list(x0)!r} must be [a, y] with 0 <= a < y")
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from None
-    return sim_cfg, PhasePoint(*x0)
-
-
-def cmd_simulate(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    sim_cfg, x0 = _sim_config(cfg, args)
-    snapshots = _given(cfg, "sim", snapshots=_flag).get("snapshots", False)
-    try:
-        trajectories = run_replicates(model, x0, sim_cfg)
-    except MalthusError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIM
+def cmd_simulate(conf, out_dir):
+    sim = conf["sim"]
+    trajectories = run_replicates(conf["model"], sim["x0"], sim["config"])
     rows = []
     for r, tr in enumerate(trajectories):
         for state in tr.states:
@@ -236,7 +318,7 @@ def cmd_simulate(cfg, args, out_dir):
             rows.append((r, state.t, n, sum_h, mean_a, mean_y))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
-    if snapshots:
+    if sim["snapshots"]:
         # rows are formatted as they are generated, never all held at once
         snap = chain.from_iterable(zip(repeat(r), repeat(s.t), s.a.tolist(), s.y.tolist())
                                    for r, tr in enumerate(trajectories) for s in tr.states)
@@ -245,22 +327,12 @@ def cmd_simulate(cfg, args, out_dir):
     return EXIT_OK
 
 
-def cmd_stationary(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    stcfg = _given(cfg, "stationary", y_max=_real, n=_count, box=_numbers(2),
-                   bins=_numbers(2, _count), report=_flag)
-    report = stcfg.pop("report", False)
-    box = stcfg.pop("box", st.PROFILE_BOX)
-    bins = stcfg.pop("bins", st.PROFILE_BINS)
+def cmd_stationary(conf, out_dir):
+    model, stcfg = conf["model"], dict(conf["stationary"])
+    box, bins, report = stcfg.pop("box"), stcfg.pop("bins"), stcfg.pop("report")
     if not (min(box) > 0 and min(bins) >= 1):
-        raise ConfigError(f"stationary: box = {box} and bins = {bins} must be positive")
-    try:
-        profile = st.solve_eta_star(model, **stcfg)
-    except MalthusError as exc:
-        print(f"stationary profile failed: {exc}", file=sys.stderr)
-        return EXIT_STATIONARY
-    except ValueError as exc:
-        raise ConfigError(f"stationary: {exc}") from None
+        raise ValueError(f"box = {box} and bins = {bins} must be positive")
+    profile = st.solve_eta_star(model, **stcfg)
     _write_csv(os.path.join(out_dir, "eta_star.csv"), ["s", "eta_star"],
                zip(profile.s_nodes, profile.values))
     _write_json(os.path.join(out_dir, "eta_star.json"),
@@ -276,29 +348,15 @@ def cmd_stationary(cfg, args, out_dir):
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
                zip(A.ravel(), Y.ravel(), ref.values.ravel()))
     if report:
-        sim_cfg, x0 = _sim_config(cfg, args)
-        try:
-            trajectories = run_replicates(model, x0, sim_cfg)
-            rep = st.ergodicity_report(trajectories, profile, model, box=box, bins=bins)
-        except MalthusError as exc:
-            print(f"ergodicity report failed: {exc}", file=sys.stderr)
-            return EXIT_STATIONARY
+        sim = conf["sim"]
+        trajectories = run_replicates(model, sim["x0"], sim["config"])
+        rep = st.ergodicity_report(trajectories, profile, model, box=box, bins=bins)
         _write_csv(os.path.join(out_dir, "decay.csv"), ["t", "distance"], rep.to_rows())
     return EXIT_OK
 
 
-def cmd_doeblin(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    dcfg = _given(cfg, "doeblin", compact=_numbers(4), delta=_real, Delta=_real, j_star=_count,
-                  domain=_numbers(4), grid_n=_count)
-    try:
-        nu, constants = st.doeblin_minorant(
-            model, dcfg.pop("compact", (0.0, 1.0, 1.0, 2.0)), **dcfg)
-    except MalthusError as exc:
-        print(f"minorant construction failed: {exc}", file=sys.stderr)
-        return EXIT_DOEBLIN
-    except ValueError as exc:
-        raise ConfigError(f"doeblin: {exc}") from None
+def cmd_doeblin(conf, out_dir):
+    nu, constants = st.doeblin_minorant(conf["model"], **conf["doeblin"])
     A, Y = np.meshgrid(nu.a_nodes, nu.y_nodes, indexing="ij")
     _write_csv(os.path.join(out_dir, "minorant.csv"), ["a", "y", "nu"],
                zip(A.ravel(), Y.ravel(), nu.values.ravel()))
@@ -308,24 +366,21 @@ def cmd_doeblin(cfg, args, out_dir):
     return EXIT_OK
 
 
-def cmd_drift(cfg, args, out_dir):
-    model = model_from_config(cfg.get("model", {}))
-    dcfg = _given(cfg, "drift", box=_numbers(2), grid_n=_count, c=_real, d=_real)
-    try:
-        report = st.check_drift(model, **dcfg)
-    except ValueError as exc:
-        raise ConfigError(f"drift: {exc}") from None
+def cmd_drift(conf, out_dir):
+    report = st.check_drift(conf["model"], **conf["drift"])
     _write_json(os.path.join(out_dir, "drift_report.json"), report.to_dict())
     return EXIT_OK if report.passed else EXIT_STATIONARY
 
 
+#: each command: its function, the section whose name prefixes a ValueError
+#: from the library (exit 1), and the exit code of a failed computation
 COMMANDS = {
-    "validate": cmd_validate,
-    "eigen": cmd_eigen,
-    "simulate": cmd_simulate,
-    "stationary": cmd_stationary,
-    "doeblin": cmd_doeblin,
-    "drift": cmd_drift,
+    "validate": (cmd_validate, "model", EXIT_INVALID_MODEL),
+    "eigen": (cmd_eigen, "grid", EXIT_EIGEN),
+    "simulate": (cmd_simulate, "sim", EXIT_SIM),
+    "stationary": (cmd_stationary, "stationary", EXIT_STATIONARY),
+    "doeblin": (cmd_doeblin, "doeblin", EXIT_DOEBLIN),
+    "drift": (cmd_drift, "drift", EXIT_STATIONARY),
 }
 
 
@@ -349,39 +404,36 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    cfg = {}
-    if args.config is not None:
-        try:
-            cfg = load_config(args.config)
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read configuration: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        if not isinstance(cfg, dict):
-            print("configuration must be a JSON object", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-
-    out_dir = args.out
+    command, section, exit_failed = COMMANDS[args.command]
     try:
-        _check_keys("configuration", cfg, ("model", *SECTIONS))
-        for name, keys in SECTIONS.items():
-            if name in cfg:
-                _check_keys(name, cfg[name], keys)
-        os.makedirs(out_dir, exist_ok=True)
+        cfg = {} if args.config is None else load_config(args.config)
+    except (ValueError, OSError) as exc:  # JSON, Unicode and file errors
+        print(f"cannot read configuration: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+
+    try:
+        conf = convert(cfg, args)
+        os.makedirs(args.out, exist_ok=True)
         RunManifest(
             config=args.config or "<defaults>",
             seed=args.seed if args.seed is not None else cfg.get("sim", {}).get("seed"),
             command=args.command,
-            out_dir=os.path.abspath(out_dir),
+            out_dir=os.path.abspath(args.out),
             version=__version__,
             wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        ).write(out_dir)
-        return COMMANDS[args.command](cfg, args, out_dir)
+        ).write(args.out)
+        return command(conf, args.out)
     except InvalidModel as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except MalthusError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return exit_failed
+    except ValueError as exc:
+        print(f"invalid configuration: {section}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

@@ -10,9 +10,7 @@ kernel is k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 from __future__ import annotations
 
 import bisect
-import difflib
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,10 +19,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .errors import ConfigError, InvalidModel
+from .errors import InvalidModel
 
 MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
+#: largest degree (alpha - 1) + (beta - 1) of the polynomial Beta density
+POLY_DEGREE = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,11 +233,11 @@ class BetaFragmentation:
 
     For integer alpha, beta the density is the polynomial
     c x^(alpha-1) (1-x)^(beta-1), formed by repeated multiplication with the
-    exact integer c = (alpha+beta-1) C(alpha+beta-2, alpha-1) while c < 2^53;
-    other parameters take exp of the log density.  The cdf and the
-    inverse-cdf draws are the regularised incomplete beta function and its
-    inverse, called directly: scipy's ``stats.beta`` uses the same routines,
-    at a large per-call overhead.
+    exact integer c = (alpha+beta-1) C(alpha+beta-2, alpha-1) while the
+    degree is at most ``POLY_DEGREE`` and c < 2^53; other parameters take exp
+    of the log density.  The cdf and the inverse-cdf draws are the regularised
+    incomplete beta function and its inverse, called directly: scipy's
+    ``stats.beta`` uses the same routines, at a large per-call overhead.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -250,8 +250,9 @@ class BetaFragmentation:
         self._log_norm = float(special.betaln(self.alpha, self.beta))
         # (alpha - 1, beta - 1, c) of the polynomial form, or None
         self._poly = None
-        if self.alpha.is_integer() and self.beta.is_integer():
-            p, q = int(self.alpha) - 1, int(self.beta) - 1
+        p, q = self.alpha - 1.0, self.beta - 1.0
+        if p.is_integer() and q.is_integer() and p + q <= POLY_DEGREE:
+            p, q = int(p), int(q)
             c = (p + q + 1) * math.comb(p + q, p)
             if c < 2**53:
                 self._poly = (p, q, float(c))
@@ -612,71 +613,3 @@ class MarkovModel:
         mass = self.base.jump_integral(lambda _, z: z, a, y)
         jump = self.base.beta(a, y) * (weighted - f(a, y) * mass) / y
         return transport + jump
-
-
-# ---------------------------------------------------------------------------
-# JSON configuration (External Interface)
-# ---------------------------------------------------------------------------
-
-#: keys of the ``model`` section; per ``hazard`` and ``fragmentation`` type
-#: (the first is the default), the class built and its (required, optional) keys
-_MODEL_KEYS = ("model_type", "lambda_growth", "d0", "hazard", "fragmentation")
-_KINDS = {
-    "hazard": {"constant": (ConstantHazard, ("b",), ("a_star",)),
-               "table": (TableHazard, ("a", "B"), ())},
-    "fragmentation": {"uniform": (UniformFragmentation, (), ()),
-                      "beta": (BetaFragmentation, ("alpha", "beta"), ()),
-                      "table": (TableFragmentation, ("rho", "F"), ())},
-}
-
-
-def _check_keys(section: str, cfg, allowed, required=()):
-    """Raise ConfigError naming the first unknown (with a suggestion) or missing key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {cfg!r}")
-    for key in cfg:
-        if key not in allowed:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(f"{section}: unknown key {key!r}{hint}")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"{section}: missing required key {key!r}")
-
-
-def _component_from_config(section: str, cfg):
-    """The hazard or fragmentation object that ``model.<section>`` describes."""
-    kinds = _KINDS[section]
-    kind = (cfg if isinstance(cfg, dict) else {}).get("type", next(iter(kinds)))
-    if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidModel(f"unknown {section} type {kind!r}")
-    cls, required, optional = kinds[kind]
-    _check_keys(f"model.{section} (type {kind!r})", cfg, ("type", *required, *optional), required)
-    try:
-        return cls(*(cfg[k] for k in required), **{k: cfg[k] for k in optional if k in cfg})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.{section}: {exc}") from None
-
-
-def model_from_config(cfg: dict) -> ModelSpec:
-    """Build a ModelSpec from the `model` section of a run configuration.
-
-    An unknown or missing key, or a value of the wrong type or range, raises
-    ConfigError; a model that violates an assumption raises InvalidModel.
-    """
-    _check_keys("model", cfg, _MODEL_KEYS)
-    if cfg.get("model_type", "adder") != "adder":
-        raise InvalidModel("only adder models can be built from configuration files")
-    hazard = _component_from_config("hazard", cfg.get("hazard", {"type": "constant", "b": 1.0}))
-    frag = _component_from_config(
-        "fragmentation", cfg.get("fragmentation", {"type": "beta", "alpha": 5, "beta": 5}))
-    try:
-        return make_adder(cfg.get("lambda_growth", 1.0), hazard, frag,
-                          **({"d0": cfg["d0"]} if "d0" in cfg else {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from None
-
-
-def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -130,6 +130,8 @@ class SimConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key != "seed" and value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
+        if not 0 <= self.seed < 1 << 64:  # streams are keyed on 64 bits: -1 is 2**64 - 1
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # the engine halves its time window until a window fits: an infinite
         # t_end would never fit
         if not (isinstance(self.t_end, Real) and 0 <= self.t_end < math.inf):

@@ -444,6 +444,8 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     if domain is None:
         domain = (0.0, y_hi, 0.0, y_hi)
     da_lo, da_hi, dy_lo, dy_hi = (float(v) for v in domain)
+    if not (da_lo < da_hi and dy_lo < dy_hi):  # decreasing axes get negative weights
+        raise ValueError(f"domain = {tuple(domain)!r} must satisfy da_lo < da_hi, dy_lo < dy_hi")
     a_nodes = np.linspace(da_lo, da_hi, grid_n)
     y_nodes = np.linspace(dy_lo, dy_hi, grid_n)
 

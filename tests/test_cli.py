@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +59,26 @@ class TestValidate:
         ({"hazard": {"type": "constant"}}, "missing required key 'b'"),
         ({"hazard": {"type": "table", "a": [0.0, 1.0]}}, "missing required key 'B'"),
         ({"hazard": {"b": -1}}, "model.hazard: hazard level b must be positive"),
-        ({"fragmentation": {"type": "beta", "alpha": 5, "beta": None}}, "model.fragmentation:"),
-        ({"lambda_growth": "fast"}, "model:"),
+        ({"fragmentation": {"type": "beta", "alpha": 5, "beta": None}},
+         "model.fragmentation.beta:"),
+        ({"lambda_growth": "fast"}, "model.lambda_growth:"),
         ({"hazard": [1.0]}, "model.hazard (type 'constant') must be a JSON object"),
         # Beta(-1, -1) has the closed-form moments 1, 1/2, -0 and used to validate
         ({"fragmentation": {"type": "beta", "alpha": -1, "beta": -1}},
          "model.fragmentation: Beta parameters must be positive"),
+        # booleans used to run as 1.0 or 0.0, and a NaN knot to validate
+        ({"lambda_growth": True}, "model.lambda_growth: True is not a number"),
+        ({"hazard": {"b": True}}, "model.hazard.b: True is not a finite number"),
+        ({"d0": False}, "model.d0: False is not a number"),
+        ({"hazard": {"b": 1.0, "a_star": True}}, "model.hazard.a_star: True is not"),
+        ({"hazard": {"type": "table", "a": [0.0, 1.0], "B": [True, True]}},
+         "model.hazard.B: True is not a finite number"),
+        ({"hazard": {"type": "table", "a": [0.0, math.nan], "B": [1.0, 1.0]}},
+         "model.hazard.a: nan is not a finite number"),
     ], ids=["bounds", "misspelled", "beta_without_type", "hazard_typo", "missing_b",
             "missing_B", "negative_b", "null_beta", "string_lambda", "hazard_not_object",
-            "negative_beta"])
+            "negative_beta", "bool_lambda", "bool_b", "bool_d0", "bool_a_star",
+            "bool_table_B", "nan_knot"])
     def test_bad_model_key_exits_1(self, tmp_path, capsys, model, expected):
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps({"model": model}))
@@ -147,6 +159,9 @@ class TestSimulate:
         # an infinite horizon used to hang the engine, a NaN time to run
         ({"t_end": math.inf, "record_times": [0.0]}, "sim.t_end"),
         ({"record_times": [math.nan]}, "sim.record_times"),
+        # the streams are keyed on the seed's 64 bits: -1 ran as 2**64 - 1
+        ({"seed": -1}, "sim: seed must lie in [0, 2**64)"),
+        ({"seed": 2**64}, "sim: seed must lie in [0, 2**64)"),
     ])
     def test_bad_sim_value_exits_1(self, tmp_path, capsys, sim, key):
         path = tmp_path / "bad_sim.json"
@@ -312,6 +327,7 @@ class TestStrictConfig:
         ("eigen", {"grid": {"R": 0.5}}, "grid.R: [0.5] must be finite and at least 1"),
         ("eigen", {"grid": {"R": math.inf}}, "grid.R: inf is not a finite number"),
         ("eigen --R inf", {}, "grid.R: [inf] must be finite"),
+        ("eigen", {"grid": {"R": []}}, "grid.R: [] must be finite"),  # wrote an empty summary
         # a grid of 0 nodes used to fall back to the default 32 R
         ("eigen", {"grid": {"n": 0}}, "grid: n = 0 must be at least 2"),
         # minorants of mass 0, or (j_star = 0) a false one
@@ -319,11 +335,18 @@ class TestStrictConfig:
         ("doeblin", {"doeblin": {"Delta": 0.0}}, "doeblin: delta = 3.0 and Delta = 0.0"),
         ("doeblin", {"doeblin": {"j_star": 0}}, "doeblin: j_star = 0 must be at least 1"),
         ("doeblin", {"doeblin": {"grid_n": 1}}, "grid_n = 1 at least 2"),
+        # a decreasing axis gave negative weights and a minorant of mass < 0
+        ("doeblin", {"doeblin": {"domain": [2, 0, 0, 2], "grid_n": 16}},
+         "doeblin: domain = (2.0, 0.0, 0.0, 2.0)"),
+        # every section is converted whatever the command
+        ("eigen", {"drift": {"grid_n": 7.5}}, "drift.grid_n: 7.5 is not an integer"),
+        ("drift", {"sim": {"seed": 1.5}}, "sim.seed: 1.5 is not an integer"),
     ], ids=["sim_key", "section", "grid_key", "section_not_object", "null_R", "null_grid_n",
             "short_box", "negative_box", "compact_order", "eta_n", "zero_bins",
             "fractional_grid_n", "fractional_bins", "string_real", "bool_real",
             "string_snapshots", "string_report", "small_R", "infinite_R", "infinite_R_flag",
-            "zero_grid_n", "negative_delta", "zero_Delta", "zero_j_star", "one_node_grid"])
+            "no_R", "zero_grid_n", "negative_delta", "zero_Delta", "zero_j_star",
+            "one_node_grid", "reversed_domain", "eigen_checks_drift", "drift_checks_sim"])
     def test_bad_config_exits_1(self, tmp_path, capsys, command, cfg, expected):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -336,6 +359,73 @@ class TestStrictConfig:
         path.write_text(json.dumps({"model": {**MODEL, "lambda_growth": math.inf}}))
         assert run(["validate", "--config", path, "--out", tmp_path / "b"]) == 2
         assert "lambda_growth must be positive and finite" in capsys.readouterr().err
+
+
+def test_validate_any_config_exits_cleanly(capsys):
+    # validate converts every section, so each schema key is drawn from values
+    # it accepts and, one time in five, from values of the wrong type or range
+    hypothesis = pytest.importorskip("hypothesis")
+    hs = hypothesis.strategies
+    bad = hs.sampled_from([True, False, "1", None, math.nan, math.inf, -math.inf, -1, 0, 7.5,
+                           10**30, 2**64, 1e308, 10**400, [], [1.0], [1.0, 2.0, 3.0], {}])
+
+    def mostly(good, rare=bad):
+        return hs.sampled_from([good] * 4 + [rare]).flatmap(lambda s: s)
+
+    def section(**keys):
+        given = hs.fixed_dictionaries({}, optional={k: mostly(v) for k, v in keys.items()})
+        return mostly(given, given.map(lambda d: {**d, "bogus": 1}) | bad)
+
+    count, real, flag = hs.integers(1, 64), hs.floats(0.1, 8.0), hs.booleans()
+    pair, quad = hs.lists(real, min_size=2, max_size=2), hs.lists(real, min_size=4, max_size=4)
+    hazard = hs.one_of(
+        hs.fixed_dictionaries({"type": hs.just("constant"), "b": mostly(real)},
+                              optional={"a_star": mostly(real)}),
+        hs.fixed_dictionaries({"type": hs.just("table"), "a": mostly(hs.just([0.0, 1.0])),
+                               "B": mostly(pair)}))
+    fragmentation = hs.one_of(
+        hs.just({"type": "uniform"}),
+        count.map(lambda k: {"type": "beta", "alpha": k, "beta": k}),
+        hs.fixed_dictionaries({"type": hs.just("beta"), "alpha": mostly(real),
+                               "beta": mostly(real)}),
+        hs.fixed_dictionaries({"type": hs.just("table"), "rho": hs.just([0.0, 0.5, 1.0]),
+                               "F": mostly(hs.just([0.0, 2.0, 0.0]) | quad)}))
+    configs = hs.fixed_dictionaries({}, optional={
+        "model": section(model_type=hs.just("adder"), lambda_growth=hs.floats(0.5, 2.0),
+                         d0=hs.floats(0.0, 0.4), hazard=hazard, fragmentation=fragmentation),
+        "grid": section(R=hs.floats(1.0, 16.0) | hs.lists(hs.floats(1.0, 16.0), max_size=3),
+                        n=count),
+        "sim": section(seed=hs.integers(0, 2**64 - 1), t_end=hs.floats(4.0, 8.0),
+                       record_times=hs.lists(hs.floats(0.0, 4.0), max_size=4), cap=count,
+                       replicates=count, x0=hs.tuples(real, real).map(sorted), snapshots=flag),
+        "doeblin": section(compact=quad, delta=real, Delta=real, j_star=count, domain=quad,
+                           grid_n=count),
+        "drift": section(box=pair, grid_n=count, c=real, d=real),
+        "stationary": section(y_max=real, n=count, box=pair,
+                              bins=hs.lists(count, min_size=2, max_size=2), report=flag),
+    })
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(mostly(configs, configs.map(lambda c: {**c, "bogus": {}})))
+    @hypothesis.example({"model": {"fragmentation": {"type": "beta", "alpha": 1e300,
+                                                     "beta": 1e300}}})
+    def check(cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            reports = []
+            for out in ("a", "b"):
+                code = main(["validate", "--config", path, "--out", os.path.join(tmp, out)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2)
+                assert len(err.splitlines()) == (code != 0)
+                report = Path(tmp, out, "validate_report.json")
+                reports.append(report.read_bytes() if report.exists() else None)
+            assert reports[0] == reports[1]
+            assert not list(Path(tmp).rglob("*.partial"))
+
+    check()
 
 
 class TestThreads:

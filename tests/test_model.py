@@ -181,7 +181,8 @@ class TestFragmentation:
         assert F.pdf(outside).tolist() == [0.0] * 5
         assert [F.pdf(r) for r in outside.tolist()] == [0.0] * 5
 
-    @pytest.mark.parametrize("alpha, beta", [(5, 5), (1, 3), (20, 20), (2.5, 5)])
+    # 1e300 used to ask math.comb for the polynomial's coefficient
+    @pytest.mark.parametrize("alpha, beta", [(5, 5), (1, 3), (20, 20), (2.5, 5), (1e300, 1e300)])
     def test_scalar_pdf_matches_array_bits(self, alpha, beta):
         F = BetaFragmentation(alpha, beta)
         rng = np.random.default_rng(3)
