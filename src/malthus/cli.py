@@ -37,7 +37,7 @@ from .model import (BetaFragmentation, ConstantHazard, ModelSpec, PhasePoint,
                     validate)
 from .renewal import KernelAssembler, SizeGrid
 from .eigen import solve_malthus
-from .simulate import SimConfig, empirical_functional, run_replicates
+from .simulate import STREAM_VERSION, SimConfig, empirical_functional, run_replicates
 from . import stationary as st
 
 EXIT_OK = 0
@@ -93,12 +93,12 @@ def _numbers(n=None, cast=_real):
 
 def _component(section, raw):
     """The hazard or fragmentation object that ``model.<section>`` describes."""
-    kinds = KINDS[section]
+    kinds, name = KINDS[section], f"model.{section}"
     kind = (raw if isinstance(raw, dict) else {}).get("type", next(iter(kinds)))
     if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidModel(f"unknown {section} type {kind!r}")
+        raise ConfigError(f"{name}.type: unknown {section} type {kind!r}"
+                          f"{_did_you_mean(str(kind), kinds)}")
     cls, schema, required = kinds[kind]
-    name = f"model.{section}"
     given = _section(name, raw, {"type": str, **schema}, required, f"{name} (type {kind!r})")
     given.pop("type", None)
     try:
@@ -146,15 +146,19 @@ DEFAULTS = {
 }
 
 
+def _did_you_mean(word, choices):
+    """`` (did you mean 'x'?)`` for the choice closest to ``word``, or ''."""
+    close = difflib.get_close_matches(word, choices, n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""
+
+
 def _check_keys(label, raw, allowed, required=()):
     """Raise ConfigError naming the first unknown (with a suggestion) or missing key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{label} must be a JSON object, got {raw!r}")
     for key in raw:
         if key not in allowed:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(f"{label}: unknown key {key!r}{hint}")
+            raise ConfigError(f"{label}: unknown key {key!r}{_did_you_mean(key, allowed)}")
     for key in required:
         if key not in raw:
             raise ConfigError(f"{label}: missing required key {key!r}")
@@ -229,6 +233,7 @@ class RunManifest:
     out_dir: str
     version: str
     wall_clock: str
+    stream: int = STREAM_VERSION  # the law of the random draws (simulate.STREAM_VERSION)
 
     def write(self, out_dir):
         _write_json(os.path.join(out_dir, "manifest.json"), dataclasses.asdict(self))

@@ -2,15 +2,15 @@
 
 A ``Block`` simulates a block of replicates one generation at a time.  For
 every newborn it computes the first Philox block of the individual's own
-stream (``malthus.streams``) and reads from it, in this order, the division
-exponential, the death exponential (when d0 > 0) and the fragment uniform,
-exactly as ``Generator.exponential``/``random`` would.  Divisions,
-virtual-birth shifts and phases call ``math.log1p``/``math.log``/``math.exp``
-element by element, because numpy's vectorised versions can differ from
-them in the last bit; the other operations are the event-by-event
-simulation's, element for element, so every draw, event log and state is
-bit-identical to it.  States are returned as arrays, slices of the block's
-own, and a replicate that outgrows the cap raises PopulationCapExceeded.
+stream (``malthus.streams``) and reads one word from it per draw, in this
+order: the division exponential, the death exponential (when d0 > 0) and the
+fragment uniform.  Divisions, virtual-birth shifts and phases call
+``math.log1p``/``math.log``/``math.exp`` element by element, because numpy's
+vectorised versions can differ from them in the last bit; the other
+operations are the event-by-event simulation's, element for element, so
+every draw, event log and state is bit-identical to it.  States are returned
+as arrays, slices of the block's own, and a replicate that outgrows the cap
+raises PopulationCapExceeded.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import simulate  # individual_rng is looked up at call time, where it can be wrapped
 from .errors import PopulationCapExceeded
 from .model import ModelSpec, PhasePoint
 from .simulate import MASK64, PopulationState, SimConfig, Trajectory
-from .streams import UNIT, exponential_fast, philox_block
+from .streams import exponential, philox_block, uniform
 
 
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
@@ -93,8 +92,10 @@ class Block:
     that explodes past the cap is never built in full; after a window, a
     replicate whose alive count could have passed the cap has its events
     replayed in (time, tree id) order, and PopulationCapExceeded is raised
-    if a division did pass it.  ``run`` returns one Trajectory per
-    replicate of ``reps``.
+    if a division did pass it.  The error names the first replicate of
+    ``reps`` that passes the cap, whenever it does: the replicates before
+    the one found are run again as a block of their own.  ``run`` returns
+    one Trajectory per replicate of ``reps``.
     """
 
     def __init__(self, model: ModelSpec, x0: PhasePoint, config: SimConfig, reps):
@@ -108,24 +109,10 @@ class Block:
 
     def _draws(self, rep, lo, hi):
         """(division exponential, death exponential, fragment uniform) per lane."""
-        seed, d0 = self.config.seed, self.model.d0
-        words = philox_block(seed & MASK64, self.keys[rep], (1, 0, lo, hi))
-        e_div, fast = exponential_fast(words[0])
-        e_die = None
-        if d0 > 0:
-            e_die, fast_die = exponential_fast(words[1])
-            fast &= fast_die
-        u = (words[2 if d0 > 0 else 1] >> 11).astype(float) * UNIT
-        rng = None
-        for i in np.flatnonzero(~fast).tolist():
-            # the ziggurat's slow path reads more words: replay the stream
-            tree_id = int(lo[i]) | int(hi[i]) << 64
-            rng = simulate.individual_rng(seed, self.reps[rep[i]], tree_id, reuse=rng)
-            e_div[i] = rng.exponential()
-            if d0 > 0:
-                e_die[i] = rng.exponential()
-            u[i] = rng.random()
-        return e_div, e_die, u
+        d0 = self.model.d0
+        words = philox_block(self.config.seed & MASK64, self.keys[rep], (1, 0, lo, hi))
+        e_die = exponential(words[1]) if d0 > 0 else None
+        return exponential(words[0]), e_die, uniform(words[2 if d0 > 0 else 1])
 
     def _newborns(self, rep, lo, hi, t0, a0, y0, tb, yb) -> _Lanes:
         """Lanes of individuals started at time t0 in state (a0, y0)."""
@@ -207,6 +194,8 @@ class Block:
             order = mine[np.lexsort((proc.lo[mine], proc.hi[mine], proc.t_ev[mine]))]
             running = alive[b] + np.cumsum(np.where(proc.div[order], 1, -1))
             if running.max() > cap:
+                if b:  # an earlier replicate may pass the cap later on: name the first
+                    Block(self.model, self.x0, self.config, self.reps[:b]).run()
                 raise PopulationCapExceeded(
                     f"replicate {self.reps[b]} exceeded the population cap of {cap}")
         settled.append(proc)

@@ -553,7 +553,8 @@ def validate(model: ModelSpec) -> ValidationReport:
     """Check the model assumptions; the hazard band is sampled on a grid over [0, 8]^2.
 
     Structural violations (nonpositive hazard bound, fragmentation mass away
-    from 1 or mean away from 1/2, death rate >= elongation rate) raise
+    from 1 or mean away from 1/2, a fragmentation density that is not finite
+    on a grid inside (0, 1), death rate >= elongation rate) raise
     InvalidModel naming the first one; m0 = 1 makes the offspring mass (iii)
     2 m0 = 2 everywhere.  Sampled conditions are reported pass/fail.
     """
@@ -568,6 +569,13 @@ def validate(model: ModelSpec) -> ValidationReport:
         raise InvalidModel(f"(A2) fragmentation mass m0 = {m0:.8f} != 1")
     if abs(m1 - 0.5) > MOMENT_TOL:
         raise InvalidModel(f"(A2) fragmentation mean m1 = {m1:.8f} != 1/2")
+    rho = np.linspace(0.0, 1.0, grid_n + 1)[1:-1]
+    with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
+        dens = np.asarray(F.pdf(rho), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(dens))
+    if bad.size:
+        raise InvalidModel(f"(A2) fragmentation density F({rho[bad[0]]:g}) = "
+                           f"{dens[bad[0]]} is not finite")
     if not (model.lambda_growth > model.d0):
         raise InvalidModel(
             f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"

@@ -40,6 +40,13 @@ def _graded_edges(cut, n_panels, lo=0.5):
     return np.concatenate([[0.0], np.geomspace(min(lo, cut / 4), cut, n_panels)])
 
 
+def _with_knots(edges, hazard, shift, cut):
+    """``edges`` and the hazard's knots (``a_knots``, or ``a_star``) minus
+    ``shift`` that lie in (0, cut), sorted: psi has a kink or a jump there."""
+    knots = np.asarray(getattr(hazard, "a_knots", [hazard.a_star])) - shift
+    return np.union1d(edges, knots[(knots > 0) & (knots < cut)])
+
+
 @dataclass(frozen=True)
 class RowQuadrature:
     """Cached first-jump quadrature along one orbit, reusable across lam.
@@ -81,7 +88,8 @@ class FirstJumpLaw:
     # -- quadrature along the orbit --------------------------------------
 
     def row_quadrature(self, x: PhasePoint) -> RowQuadrature:
-        """Graded Gauss-Legendre panels in the added size, up to HAZARD_CUTOFF."""
+        """Graded Gauss-Legendre panels in the added size, up to HAZARD_CUTOFF,
+        broken at the hazard's knots."""
         key = (x.a, x.y)
         cached = self._row_cache.get(key)
         if cached is not None:
@@ -90,7 +98,8 @@ class FirstJumpLaw:
         if x.y <= 0:
             raise ValueError("orbit from zero size never divides")
         a_cut = hz.inverse_cumulative(hz.cumulative(x.a) + HAZARD_CUTOFF) - x.a
-        aa, ww = _panel_nodes(_graded_edges(a_cut, N_PANELS), N_PER_PANEL)
+        edges = _with_knots(_graded_edges(a_cut, N_PANELS), hz, x.a, a_cut)
+        aa, ww = _panel_nodes(edges, N_PER_PANEL)
         # psi(t) dt = B(a0 + a) exp(-(H(a0+a) - H(a0))) da along the orbit
         dens = hz(x.a + aa) * np.exp(-(hz.cumulative(x.a + aa) - hz.cumulative(x.a)))
         u = x.y + aa
@@ -104,7 +113,7 @@ class KernelRowEvaluator:
 
     ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes ``u_r`` and
     the fixed sizes ``z``, evaluated in place into buffers that are
-    allocated once and reused by every later row of the same length.  With
+    allocated once and kept for every later row of the same length.  With
     a truncation level ``R`` each call also returns the leak mass
     ``above[r]`` of k(0, u_r, .) above R (None without ``R``).  The returned
     ``kvals`` is overwritten by the next call.

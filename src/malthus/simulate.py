@@ -12,14 +12,14 @@ trajectories are reproducible independently of event interleaving.
 An individual's draws are fixed at birth and its stream is its own, so
 ``simulate_population`` advances a block of replicates one generation at a
 time on arrays (``malthus.engine``): every newborn's first Philox block is
-computed in numpy (``malthus.streams``), and its division exponential,
-death exponential (when d0 > 0) and fragment uniform are read from it
-through numpy's ziggurat fast path.  The few individuals whose exponential
-leaves that path replay their stream through ``individual_rng``.  The
-stream layout is that of one fresh Philox generator per individual,
-so every draw is the one an event-by-event simulation makes.  It returns
-each recorded population as arrays of ages and sizes.  The one-step
-Kolmogorov check (``generator_consistency_check``) runs on the same engine.
+computed in numpy (``malthus.streams``), and each draw reads one word of it,
+in this order: the division exponential, the death exponential (when d0 > 0)
+and the fragment uniform.  An exponential is -log1p(-U) of the word's
+uniform U, as ``sample_division_age`` draws it (``STREAM_VERSION``).
+The stream layout is that of one fresh Philox generator per individual, so
+every draw is the one an event-by-event simulation makes.  It returns each
+recorded population as arrays of ages and sizes.  The one-step Kolmogorov
+check (``generator_consistency_check``) runs on the same engine.
 """
 
 from __future__ import annotations
@@ -38,41 +38,29 @@ from .errors import DegenerateData, InsufficientData
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
+#: the law of the draws: 1 was numpy's ziggurat exponential, 2 is one word
+#: per draw, exponentials by inversion; ``manifest.json`` records it
+STREAM_VERSION = 2
 #: individuals (lanes) a block of replicates holds, summed over its
 #: replicates: it bounds the engine's arrays at a few MB.  The number of
 #: replicates in the next block follows from the lanes per replicate so far.
 BLOCK_LANES = 1 << 14
 
 
-def individual_rng(seed: int, replicate: int, tree_id: int,
-                   reuse: Generator | None = None) -> Generator:
+def individual_rng(seed: int, replicate: int, tree_id: int) -> Generator:
     """Philox stream for one individual; ids are breadth-first (2i+1, 2i+2).
 
     The key is (seed, replicate) and the counter starts at
-    (0, 0, tree_id mod 2**64, tree_id div 2**64).  ``reuse``, a generator
-    returned by an earlier call, is reset in place to the state a new stream
-    has (empty output buffer), several times cheaper than building one.
-    Counter and key words are passed as uint64 arrays: from a list, numpy
-    rounds words of 2**63 and above through float64, aliasing streams.
-    ``simulate_population`` computes the first output block of these
-    streams on arrays and calls this only to replay the draws that read
-    further words.
+    (0, 0, tree_id mod 2**64, tree_id div 2**64).  Counter and key words are
+    passed as uint64 arrays: from a list, numpy rounds words of 2**63 and
+    above through float64, aliasing streams.  ``simulate_population``
+    computes the first output block of these streams on arrays instead.
     """
     if not 0 <= tree_id < 1 << 128:
         raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
     counter = np.array([0, 0, tree_id & MASK64, tree_id >> 64], dtype=np.uint64)
     key = np.array([seed & MASK64, replicate & MASK64], dtype=np.uint64)
-    if reuse is None:
-        return Generator(Philox(counter=counter, key=key))
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return reuse
+    return Generator(Philox(counter=counter, key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +72,10 @@ def sample_division_age(model: ModelSpec, x: PhasePoint, rng: Generator) -> floa
     """Added size at division, drawn from P(A >= a) = exp(-(H(a) - H(x.a))).
 
     Returns the absolute added-size coordinate of the division point
-    (>= x.a, and >= a_star when the hazard vanishes below a_star).
+    (>= x.a, and >= a_star when the hazard vanishes below a_star).  The
+    exponential is drawn by inversion from one uniform, as the engine draws it.
     """
-    e = rng.exponential()
+    e = -math.log1p(-rng.random())
     hz = model.hazard
     return float(hz.inverse_cumulative(hz.cumulative(x.a) + e))
 
@@ -159,8 +148,8 @@ def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
 
     ``replicate`` is one replicate index, giving one Trajectory, or a
     sequence of them (such as a ``range``), giving one Trajectory per index.
-    Raises PopulationCapExceeded, naming the replicate, at the division that
-    takes a population past ``config.cap``.
+    Raises PopulationCapExceeded, naming the first replicate in the order
+    given, at the division that takes its population past ``config.cap``.
 
     The event log lists (time, kind, tree id, y1, y2) in (time, tree id)
     order after the initial entry; a state holds the phases of the
@@ -189,7 +178,8 @@ def _blocks(model: ModelSpec, x0: PhasePoint, config: SimConfig, reps: list):
 def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
     """Replicates 0 .. ``config.replicates`` - 1, in order.
 
-    Raises PopulationCapExceeded when a replicate outgrows ``config.cap``.
+    Raises PopulationCapExceeded, naming the first replicate that outgrows
+    ``config.cap``.
     """
     return simulate_population(model, x0, config, range(config.replicates))
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
-from .renewal import FirstJumpLaw, HAZARD_CUTOFF, _graded_edges, _panel_nodes
+from .renewal import FirstJumpLaw, HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
 from .simulate import Trajectory, individual_rng, sample_division_age
 
 #: grid points per generator call in check_drift; the jump integral holds a
@@ -268,9 +268,7 @@ def _pi_mass_weights(model: ModelSpec, s: np.ndarray, a_cut: float) -> np.ndarra
     jump; w is 0 at s <= 0.
     """
     hz = model.hazard
-    knots = np.asarray(getattr(hz, "a_knots", [hz.a_star]))
-    edges = np.union1d(_graded_edges(a_cut, MASS_PANELS, MASS_GRADE_LO),
-                       knots[(knots > 0) & (knots < a_cut)])
+    edges = _with_knots(_graded_edges(a_cut, MASS_PANELS, MASS_GRADE_LO), hz, 0.0, a_cut)
     a, w_a = _panel_nodes(edges, MASS_NODES)
     psi_w = hz(a) * np.exp(-hz.cumulative(a)) * w_a
     w = np.zeros_like(s)

@@ -1,4 +1,4 @@
-"""numpy's Philox4x64-10 streams and exponential ziggurat, evaluated on arrays.
+"""numpy's Philox4x64-10 streams, evaluated on arrays, and the draws made from them.
 
 ``philox_block`` computes the first output block of many Philox streams at
 once (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
@@ -6,18 +6,16 @@ word for word what ``numpy.random.Philox.random_raw`` returns.  The 64x64 ->
 128-bit products are formed from 32-bit halves, so everything stays in
 ``uint64`` and wraps as the C code does.
 
-``exponential_fast`` is the fast path of ``Generator.exponential``, numpy's
-256-level ziggurat (Marsaglia & Tsang, J. Stat. Softw. 2000): one word ``w``
-gives ``(w >> 11) * WE[i]`` at level ``i = (w >> 3) & 0xFF`` whenever
-``w >> 11 < KE[i]``.  numpy does not expose its tables, so they are stored
-here.  ``WE[i]`` is the draw that numpy returns for a word with
-``w >> 11 == 1`` at level ``i``, and ``KE[i]`` is the least ``w >> 11`` at
-which the draw leaves the fast path (level 1 always leaves it).  Both were
-read off ``Generator.exponential`` by writing words into a Philox output
-buffer; the tests repeat that check at every threshold.
+Every draw reads exactly one word ``w``.  ``uniform`` is the uniform that
+``Generator.random`` gives for it, U = (w >> 11) 2**-53, and ``exponential``
+inverts the Exp(1) law on it, -log1p(-U) (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, section 2.1).  Its largest value is 53 ln 2, about
+36.74; the mass of the law beyond it is about 1e-16.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,163 +23,6 @@ MASK32 = 0xFFFFFFFF
 _M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
 _W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl key increments
 _ROUNDS = 10
-#: 2**-53, the scale of ``Generator.random``: ``(w >> 11) * 2**-53``
-UNIT = 1.0 / 9007199254740992.0
-
-WE = np.array([
-    9.655740063209183e-16, 7.089014243955414e-18, 1.1639412496691224e-17,
-    1.524391512353216e-17, 1.833284885723744e-17, 2.1089651094644866e-17,
-    2.3611280778431382e-17, 2.595595772310894e-17, 2.8161735541977523e-17,
-    3.0255041303213823e-17, 3.225508254836375e-17, 3.417632340185027e-17,
-    3.6029969787344525e-17, 3.782490776869649e-17, 3.956832198097553e-17,
-    4.1266117781759464e-17, 4.2923218084425256e-17, 4.4543777432823714e-17,
-    4.613133981483186e-17, 4.768895725264636e-17, 4.921928043727963e-17,
-    5.072462904503147e-17, 5.220704702792672e-17, 5.366834661718192e-17,
-    5.511014372835095e-17, 5.653388673239667e-17, 5.794088004852767e-17,
-    5.933230365208943e-17, 6.07092293284718e-17, 6.207263431163193e-17,
-    6.342341280303077e-17, 6.476238575956142e-17, 6.609030925769405e-17,
-    6.740788167872722e-17, 6.871574991183812e-17, 7.00145147340393e-17,
-    7.130473549660643e-17, 7.258693422414648e-17, 7.386159921381792e-17,
-    7.512918820723728e-17, 7.639013119550826e-17, 7.764483290797848e-17,
-    7.88936750272979e-17, 8.013701816675454e-17, 8.137520364041762e-17,
-    8.260855505210038e-17, 8.383737972539139e-17, 8.506196999385323e-17,
-    8.628260436784113e-17, 8.749954859216183e-17, 8.871305660690252e-17,
-    8.992337142215357e-17, 9.113072591597909e-17, 9.233534356381788e-17,
-    9.353743910649129e-17, 9.47372191631295e-17, 9.593488279457997e-17,
-    9.713062202221521e-17, 9.832462230649511e-17, 9.951706298915072e-17,
-    1.0070811770242949e-16, 1.0189795474846941e-16, 1.030867374515422e-16,
-    1.0427462448561886e-16, 1.0546177017945764e-16, 1.0664832480119147e-16,
-    1.0783443482419485e-16, 1.0902024317583505e-16, 1.1020588947055781e-16,
-    1.1139151022861975e-16, 1.1257723908165675e-16, 1.1376320696616847e-16,
-    1.1494954230590093e-16, 1.1613637118402183e-16, 1.1732381750590458e-16,
-    1.1851200315326694e-16, 1.1970104813034652e-16, 1.2089107070273855e-16,
-    1.2208218752947062e-16, 1.2327451378884152e-16, 1.2446816329851125e-16,
-    1.2566324863028985e-16, 1.2685988122003975e-16, 1.2805817147307494e-16,
-    1.2925822886541196e-16, 1.3046016204120288e-16, 1.3166407890665726e-16,
-    1.328700867207381e-16, 1.3407829218289994e-16, 1.3528880151811755e-16,
-    1.3650172055943978e-16, 1.377171548282881e-16, 1.389352096127064e-16,
-    1.4015599004375715e-16, 1.4137960117024852e-16, 1.4260614803196654e-16,
-    1.4383573573157902e-16, 1.4506846950536877e-16, 1.4630445479294757e-16,
-    1.4754379730609516e-16, 1.487866030968626e-16, 1.500329786250737e-16,
-    1.5128303082535394e-16, 1.5253686717381255e-16, 1.537945957544997e-16,
-    1.5505632532575771e-16, 1.5632216538658375e-16, 1.5759222624311761e-16,
-    1.5886661907536842e-16, 1.6014545600429167e-16, 1.6142885015932787e-16,
-    1.6271691574651305e-16, 1.640097681172718e-16, 1.653075238380037e-16,
-    1.666103007605742e-16, 1.6791821809382289e-16, 1.6923139647620223e-16,
-    1.7054995804966298e-16, 1.7187402653490317e-16, 1.7320372730810084e-16,
-    1.745391874792534e-16, 1.7588053597224914e-16, 1.7722790360680065e-16,
-    1.7858142318237326e-16, 1.7994122956424637e-16, 1.8130745977185016e-16,
-    1.8268025306952523e-16, 1.8405975105985878e-16, 1.8544609777975695e-16,
-    1.8683943979941927e-16, 1.882399263243892e-16, 1.8964770930086167e-16,
-    1.9106294352443765e-16, 1.9248578675252438e-16, 1.9391639982058994e-16,
-    1.9535494676249091e-16, 1.9680159493510374e-16, 1.982565151475019e-16,
-    1.997198817949342e-16, 2.0119187299787347e-16, 2.0267267074641983e-16,
-    2.0416246105035888e-16, 2.0566143409519179e-16, 2.071697844044737e-16,
-    2.0868771100881597e-16, 2.1021541762192928e-16, 2.117531128241076e-16,
-    2.133010102535779e-16, 2.1485932880616633e-16, 2.1642829284376047e-16,
-    2.180081324120784e-16, 2.1959908346828707e-16, 2.212013881190496e-16,
-    2.2281529486961805e-16, 2.2444105888463086e-16, 2.2607894226131737e-16,
-    2.277292143158621e-16, 2.2939215188373114e-16, 2.3106803963482133e-16,
-    2.3275717040435346e-16, 2.344598455404958e-16, 2.361763752697774e-16,
-    2.3790707908142767e-16, 2.3965228613186235e-16, 2.4141233567062933e-16,
-    2.431875774892256e-16, 2.44978372394307e-16, 2.4678509270692887e-16,
-    2.4860812278958517e-16, 2.504478596029557e-16, 2.523047132944217e-16,
-    2.541791078205812e-16, 2.560714816061771e-16, 2.579822882420531e-16,
-    2.599119972249747e-16, 2.618610947423924e-16, 2.638300845054943e-16,
-    2.658194886341845e-16, 2.678298485979525e-16, 2.698617262169489e-16,
-    2.7191570472798185e-16, 2.739923899205815e-16, 2.760924113487617e-16,
-    2.782164236246436e-16, 2.8036510780069835e-16, 2.825391728480253e-16,
-    2.847393572388174e-16, 2.8696643064198177e-16, 2.8922119574179956e-16,
-    2.915044901905293e-16, 2.9381718870700286e-16, 2.9616020533454657e-16,
-    2.9853449587300453e-16, 3.009410605012618e-16, 3.0338094660850034e-16,
-    3.058552518544861e-16, 3.08365127481531e-16, 3.1091178190342663e-16,
-    3.134964845996663e-16, 3.1612057034671057e-16, 3.187854438219713e-16,
-    3.2149258462067974e-16, 3.2424355273094516e-16, 3.2703999451822404e-16,
-    3.298836492772283e-16, 3.3277635641716714e-16, 3.357200633553244e-16,
-    3.387168342045505e-16, 3.417688593525637e-16, 3.448784660453424e-16,
-    3.4804813010374423e-16, 3.5128048892229794e-16, 3.545783559224792e-16,
-    3.5794473666042765e-16, 3.6138284682190606e-16, 3.6489613237645425e-16,
-    3.6848829220956213e-16, 3.7216330360802073e-16, 3.7592545104162565e-16,
-    3.7977935876688744e-16, 3.8373002787892137e-16, 3.8778287856078953e-16,
-    3.919437984311429e-16, 3.962191980786775e-16, 4.0061607510565417e-16,
-    4.051420882956573e-16, 4.0980564389030625e-16, 4.1461599642909046e-16,
-    4.195833672073399e-16, 4.247190841824385e-16, 4.3003574816674707e-16,
-    4.355474314693952e-16, 4.41269916903607e-16, 4.472209874259932e-16,
-    4.534207798565834e-16, 4.598922204905932e-16, 4.666615664711476e-16,
-    4.737590853262492e-16, 4.812199172829238e-16, 4.89085182739221e-16,
-    4.97403423619194e-16, 5.06232507214416e-16, 5.156421828878083e-16,
-    5.257175802022275e-16, 5.365640977112022e-16, 5.483144034258704e-16,
-    5.61138745467516e-16, 5.752606481503332e-16, 5.909817641652103e-16,
-    6.087231416180908e-16, 6.290979034877557e-16, 6.530492053564041e-16,
-    6.821393079028929e-16, 7.192444966089362e-16, 7.706095350032097e-16,
-    8.545517038584027e-16,
-])
-KE = np.array([
-    7971545857431494, 0, 5485857970336126, 6877400373607440,
-    7489560515621038, 7829793950745724, 8045251395085594, 8193552821270898,
-    8301707212298418, 8384003209374832, 8448689755168200, 8500854585063478,
-    8543802742323106, 8579772857648236, 8610334328270398, 8636619566280862,
-    8659465946817878, 8679505875409358, 8697225801520776, 8713005977443536,
-    8727147906454692, 8739893704890038, 8751440024696698, 8761948238062960,
-    8771552003860596, 8780362968290610, 8788475114930438, 8795968123070796,
-    8802909988292858, 8809359087581710, 8815365821575970, 8820973931588800,
-    8826221564107158, 8831142137483404, 8835765052397426, 8840116277974648,
-    8844218838221542, 8848093218006260, 8851757703688506, 8855228670347734,
-    8858520825126080, 8861647414312948, 8864620400320394, 8867450613535032,
-    8870147883110754, 8872721150032146, 8875178565190242, 8877527574738170,
-    8879774994610604, 8881927075778634, 8883989561556502, 8885967738067168,
-    8887866478800856, 8889690284057818, 8891443315947666, 8893129429518482,
-    8894752200505984, 8896314950123264, 8897820767252858, 8899272528353282,
-    8900672915349966, 8902024431744704, 8903329417147192, 8904590060406012,
-    8905808411494018, 8906986392283810, 8908125806332284, 8909228347778946,
-    8910295609450180, 8911329090250868, 8912330201915374, 8913300275181656,
-    8914240565445170, 8915152257942916, 8916036472512488, 8916894267966144,
-    8917726646115692, 8918534555480190, 8919318894705170, 8920080515719156,
-    8920820226650618, 8921538794526266, 8922236947769418, 8922915378515480,
-    8923574744759820, 8924215672351958, 8924838756848636, 8925444565237162,
-    8926033637539416, 8926606488305930, 8927163608008600, 8927705464339880,
-    8928232503425544, 8928745150957558, 8929243813252980, 8929728878244356,
-    8930200716406566, 8930659681624710, 8931106112007190, 8931540330647876,
-    8931962646340834, 8932373354250910, 8932772736543124, 8933161062973652,
-    8933538591444894, 8933905568527004, 8934262229948010, 8934608801054528,
-    8934945497244894, 8935272524376414, 8935590079148328, 8935898349461876,
-    8936197514758882, 8936487746340036, 8936769207664048, 8937042054628744,
-    8937306435835058, 8937562492834854, 8937810360363402, 8938050166557284,
-    8938282033158466, 8938506075705162, 8938722403710132, 8938931120826946,
-    8939132325004766, 8939326108632062, 8939512558669762, 8939691756774158,
-    8939863779409990, 8940028697953972, 8940186578789100, 8940337483389966,
-    8940481468399302, 8940618585695992, 8940748882454662, 8940872401197050,
-    8940989179835208, 8941099251706688, 8941202645601704, 8941299385782368,
-    8941389491993960, 8941472979468230, 8941549858918698, 8941620136527848,
-    8941683813926148, 8941740888162738, 8941791351667640, 8941835192205302,
-    8941872392819226, 8941902931767472, 8941926782448690, 8941943913318396,
-    8941954287795084, 8941957864155806, 8941954595420724, 8941944429226144,
-    8941927307685492, 8941903167237602, 8941871938481652, 8941833545998016,
-    8941787908154234, 8941734936895206, 8941674537516674, 8941606608420918,
-    8941531040853536, 8941447718620056, 8941356517781006, 8941257306323958,
-    8941149943810914, 8941034280999228, 8940910159434164, 8940777411010892,
-    8940635857503634, 8940485310059376, 8940325568653336, 8940156421503112,
-    8939977644438114, 8939789000220574, 8939590237814000, 8939381091594596,
-    8939161280500638, 8938930507114326, 8938688456670012, 8938434795982096,
-    8938169172285110, 8937891211977748, 8937600519261604, 8937296674664432,
-    8936979233436516, 8936647723807416, 8936301645088910, 8935940465608202,
-    8935563620453574, 8935170509012442, 8934760492279316, 8934332889908232,
-    8933886976981030, 8933421980459034, 8932937075281380, 8932431380068266,
-    8931903952381602, 8931353783488908, 8930779792568492, 8930180820284952,
-    8929555621653500, 8928902858099222, 8928221088602964, 8927508759808348,
-    8926764194944404, 8925985581394242, 8925170956711904, 8924318192855506,
-    8923424978364230, 8922488798157886, 8921506910578770, 8920476321224196,
-    8919393753031106, 8918255611967910, 8917057947558148, 8915796407299442,
-    8914466183841290, 8913061953535784, 8911577804662434, 8910007153233212,
-    8908342643782164, 8906576031902208, 8904698044465300, 8902698212389652,
-    8900564669414922, 8898283908495804, 8895840484961220, 8893216652275640,
-    8890391911743352, 8887342451323378, 8884040440144924, 8880453133239800,
-    8876541723776518, 8872259855113102, 8867551668208538, 8862349204777254,
-    8856568902200012, 8850106784293916, 8842831740745002, 8834575940248166,
-    8825120832349124, 8814176156651890, 8801347484544986, 8786084197194146,
-    8767592496903178, 8744682338845716, 8715480686119910, 8676850260251934,
-    8623083654098352, 8542525795804796, 8406823688997808, 8122426762520768,
-], dtype=np.uint64)
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -215,12 +56,17 @@ def philox_block(key0: int, key1: np.ndarray, counter: tuple) -> list:
     return [c0, c1, c2, c3]
 
 
-def exponential_fast(w: np.ndarray):
-    """Ziggurat fast-path draws from words ``w`` and the mask of lanes that took it.
+def uniform(w: np.ndarray) -> np.ndarray:
+    """``Generator.random`` of each word ``w``: its top 53 bits times 2**-53."""
+    return (w >> 11).astype(float) * 2.0**-53
 
-    Where the mask is False the value is meaningless: numpy would go on to
-    its slow path, which reads further words.
+
+def exponential(w: np.ndarray) -> np.ndarray:
+    """Exp(1) draws -log1p(-U) from words ``w``, U = ``uniform(w)``.
+
+    ``math.log1p`` is applied element by element: numpy's vectorised log1p
+    differs from it in the last bit on some CPUs, which would make the draws
+    depend on the machine.
     """
-    ri = w >> 11
-    level = ((w >> 3) & 0xFF).astype(np.intp)
-    return ri.astype(float) * WE[level], ri < KE[level]
+    u = uniform(w)
+    return -np.fromiter(map(math.log1p, (-u).tolist()), dtype=float, count=u.size)

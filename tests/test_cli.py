@@ -45,7 +45,8 @@ class TestValidate:
         assert run(["validate", "--config", config, "--out", out]) == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["all_passed"]
-        assert (out / "manifest.json").exists()
+        # the manifest says which stream a run's draws come from
+        assert json.loads((out / "manifest.json").read_text())["stream"] == 2
 
     @pytest.mark.parametrize("model, expected", [
         # the bounds derive from the hazard and F; a `bounds` block used to
@@ -75,10 +76,15 @@ class TestValidate:
          "model.hazard.B: True is not a finite number"),
         ({"hazard": {"type": "table", "a": [0.0, math.nan], "B": [1.0, 1.0]}},
          "model.hazard.a: nan is not a finite number"),
+        # a misspelled type used to exit 2 as an invalid model, with no suggestion
+        ({"hazard": {"type": "constnat", "b": 1}},
+         "model.hazard.type: unknown hazard type 'constnat' (did you mean 'constant'?)"),
+        ({"fragmentation": {"type": "betta"}},
+         "model.fragmentation.type: unknown fragmentation type 'betta' (did you mean 'beta'?)"),
     ], ids=["bounds", "misspelled", "beta_without_type", "hazard_typo", "missing_b",
             "missing_B", "negative_b", "null_beta", "string_lambda", "hazard_not_object",
             "negative_beta", "bool_lambda", "bool_b", "bool_d0", "bool_a_star",
-            "bool_table_B", "nan_knot"])
+            "bool_table_B", "nan_knot", "hazard_type_typo", "fragmentation_type_typo"])
     def test_bad_model_key_exits_1(self, tmp_path, capsys, model, expected):
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps({"model": model}))
@@ -105,6 +111,18 @@ class TestValidate:
         bad.write_text(json.dumps(cfg))
         assert run(["validate", "--config", bad, "--out", tmp_path / "vd"]) == 2
         assert "death rate" in capsys.readouterr().err
+
+    def test_split_density_not_finite_exit_2(self, config, tmp_path, capsys):
+        # the moments are exact, but the log density cancels terms of size 1e300
+        # into F = [0, inf, 0] at 1/4, 1/2, 3/4; this used to validate
+        cfg = json.loads(config.read_text())
+        cfg["model"]["fragmentation"] = {"type": "beta", "alpha": 1e300, "beta": 1e300}
+        bad = tmp_path / "huge_beta.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(["validate", "--config", bad, "--out", tmp_path / "vb"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "is not finite" in err
+        assert not (tmp_path / "vb" / "validate_report.json").exists()
 
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -187,12 +205,13 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
 
 
 @pytest.mark.parametrize("argv, cfg, digests", [
-    # populations pass 8 individuals, so a pairwise sum would change sum_h
+    # populations pass 8 individuals, so a pairwise sum would change sum_h;
+    # the pin moved with the stream (version 2: exponentials by inversion)
     (["simulate"],
      {"model": {**MODEL, "d0": 0.2},
       "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}},
-     {"trajectory.csv": "40987a78ce4169808b1136fdb078b6c7456891c55a6d2a4909d6a73bb9b3ff9e",
-      "snapshots.csv": "154b7d54cbeb1245ed26560064e0364444a598322ce7cccd86401571f48c8993"}),
+     {"trajectory.csv": "a9c556f26d21d992e54e41b15e5496bf5d1982b30c76a48c9e719e0a89a8b87e",
+      "snapshots.csv": "7712445fd6891e29c7ea5bd38f787029907b81810d3f6cdc1c6ce2128ffdccb5"}),
     (["drift"], SMALL,
      {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
     (["doeblin"], SMALL,

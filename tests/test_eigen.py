@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import malthus.eigen
 from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
-                     KernelAssembler, NoConvergence, PhasePoint, SizeGrid,
+                     FirstJumpLaw, KernelAssembler, NoConvergence, PhasePoint, SizeGrid,
                      euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
 from malthus.eigen import ROOT_TOL, WARM_START_OFFSET
-from malthus.renewal import KernelMatrix
+from malthus.renewal import HAZARD_CUTOFF, KernelMatrix
 
 
 class TestLeadingEigen:
@@ -133,6 +135,19 @@ class TestLeadingEigen:
                            dM=np.zeros((3, 3)))
         with pytest.raises(NoConvergence, match="residual"):
             leading_eigen(mat)
+
+
+class TestHazardWithJump:
+    @pytest.mark.parametrize("a_star", [0.3, 0.7])
+    def test_root_is_the_growth_rate(self, a_star):
+        # Lambda = lambda - d0 for every hazard; panels laid across the jump
+        # of psi at a_star lost 2e-3 of the row's mass and moved lambda_R by 4e-3
+        model = make_adder(1.0, ConstantHazard(1.0, a_star), BetaFragmentation(5, 5))
+        law = FirstJumpLaw(model)
+        row = law.row_quadrature(PhasePoint(0.0, 1.0))
+        assert abs(row.w.sum() - (1.0 - math.exp(-HAZARD_CUTOFF))) < 1e-12
+        res = solve_malthus(KernelAssembler(model, SizeGrid.uniform(8.0, 256), law))
+        assert abs(res.lambda_R - 1.0) < 3e-4
 
 
 class TestEulerLotka:
