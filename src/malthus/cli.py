@@ -374,7 +374,12 @@ def cmd_doeblin(conf, out_dir):
 def cmd_drift(conf, out_dir):
     report = st.check_drift(conf["model"], **conf["drift"])
     _write_json(os.path.join(out_dir, "drift_report.json"), report.to_dict())
-    return EXIT_OK if report.passed else EXIT_STATIONARY
+    if not report.passed:
+        a, y = report.worst_point
+        print(f"drift failed: margin AV + cV - d = {report.worst_margin:.6g} > 0 "
+              f"at (a, y) = ({a:g}, {y:g})", file=sys.stderr)
+        return EXIT_STATIONARY
+    return EXIT_OK
 
 
 #: each command: its function, the section whose name prefixes a ValueError

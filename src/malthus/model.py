@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .errors import InvalidModel
 
@@ -25,6 +24,9 @@ MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
 #: largest degree (alpha - 1) + (beta - 1) of the polynomial Beta density
 POLY_DEGREE = 64
+#: Newton steps of an integer-Beta draw, and table points per binade of x
+NEWTON_STEPS = 3
+TABLE_STEPS = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +219,9 @@ class UniformFragmentation:
         out = np.clip(rho, 0.0, 1.0)
         return out if out.ndim else float(out)
 
+    def sf(self, rho):
+        return 1.0 - self.cdf(rho)
+
     def moment(self, k: int) -> float:
         return 1.0 / (k + 1)
 
@@ -228,16 +233,173 @@ class UniformFragmentation:
         return np.sqrt(rng.random(n))
 
 
+def _special():
+    """``scipy.special``, imported on first use: only Beta laws without the
+    polynomial form need it, and the import costs more than most commands."""
+    from scipy import special
+    return special
+
+
+def _poly_form(alpha: float, beta: float):
+    """(alpha - 1, beta - 1, c) of the polynomial Beta density c x^(alpha-1)
+    (1-x)^(beta-1), or None: integer parameters with degree at most
+    ``POLY_DEGREE`` and an exact c = (alpha+beta-1) C(alpha+beta-2, alpha-1) < 2^53."""
+    p, q = alpha - 1.0, beta - 1.0
+    if not (p.is_integer() and q.is_integer() and p + q <= POLY_DEGREE):
+        return None
+    p, q = int(p), int(q)
+    c = (p + q + 1) * math.comb(p + q, p)
+    return (p, q, float(c)) if c < 2**53 else None
+
+
+class _BinomialTail:
+    """One tail of an integer Beta law as a binomial sum, and its inverse.
+
+    The sum is T(x) = sum_{j >= a} C(n, j) x^j w^(n-j), n = a + b - 1, at
+    (x, w) = (x, 1 - x) for the lower tail I_x(a, b) (``upper`` False), and
+    at (1 - x, x) for the upper tail 1 - I_x(b, a) (``upper`` True).  It is
+    x^a w^(b-1) S(x/w), with S Horner's polynomial in x/w, and has no
+    cancelling terms.  The argument x is exact; the rounding d = (1 - w) - x
+    of the other, computed exactly, is corrected to first order with the
+    partial derivative nT -+ x c P (Euler's identity for the homogeneous T),
+    where c P = c x^(a-1) w^(b-1) is the density.
+
+    ``solve`` inverts T on v in [0, 1/2]: the tail is tabulated once on the
+    points 2^-k (1 + j/128) and 1 minus those, graded toward both ends, from
+    where it falls below 2^-53 to where it passes 1/2; a draw brackets
+    v with ``searchsorted``, starts from the linear interpolant and takes
+    ``NEWTON_STEPS`` Newton steps clamped to the bracket.  Only + - * /,
+    comparisons and the table lookup are used, no ``np.power``, ``np.log``
+    or ``np.exp``, so the bits do not depend on the CPU's vector libm;
+    ``solve1`` takes the same steps on one Python float.
+    """
+
+    def __init__(self, a: int, b: int, upper: bool):
+        n = a + b - 1
+        self.n, self.c, self.sign = float(n), float(a * math.comb(n, a)), 1.0 if upper else -1.0
+        self.coef = [float(math.comb(n, a + k)) for k in range(b)]
+        self.factors = (a - 1, b - 1)
+        e = 1
+        while self.value(1.0 - math.ldexp(1.0, -e) if upper else math.ldexp(1.0, -e)) > 2.0**-53:
+            e += 1
+        # binades down to 2^-e at the end the tail starts from, and down to
+        # 2^-7 at the other: every median within the cap lies in (2^-7, 1 - 2^-7);
+        # ldexp, unlike a vectorised power, is exact on every CPU
+        steps = 1.0 + np.arange(TABLE_STEPS) / TABLE_STEPS
+        g = np.ldexp(1.0, -np.arange(max(e, 7), 0, -1))[:, None] * steps
+        t = np.sort(np.concatenate([[0.0], g[-e:].ravel(), 1.0 - g[-7:].ravel()]))
+        x = 1.0 - t if upper else t
+        x = x[np.concatenate([[True], x[1:] != x[:-1]])]  # 1 - t rounds to 1 near 1
+        F = self.value(x)
+        stop = int(np.argmax(F >= 0.5)) + 1
+        self.x, self.F = x[:stop], F[:stop]
+        self.slope = np.diff(self.x) / np.diff(self.F)
+        self.lo = np.minimum(self.x[:-1], self.x[1:])
+        self.hi = np.maximum(self.x[:-1], self.x[1:])
+        self._lists = [t.tolist() for t in (self.x, self.F, self.slope, self.lo, self.hi)]
+
+    def _eval(self, x):
+        """(T, c P) at x: an array or a float, by the same operations."""
+        w = 1.0 - x
+        p, q = (w, x) if self.sign > 0 else (x, w)
+        fs = [p] * self.factors[0] + [q] * self.factors[1]
+        P = fs[0] if fs else 1.0
+        for f in fs[1:]:
+            P = P * f
+        r = p / q
+        S = self.coef[-1]
+        for c in self.coef[-2::-1]:
+            S = S * r + c
+        cP = self.c * P
+        T = p * P * S
+        return T + ((1.0 - w) - x) * (self.n * T + self.sign * x * cP), cP
+
+    def value(self, x):
+        return self._eval(x)[0]
+
+    def solve(self, v):
+        """x with T(x) = v, elementwise over a float array v in [0, 1/2]."""
+        k = np.minimum(np.searchsorted(self.F, v, side="right") - 1, self.F.size - 2)
+        lo, hi = self.lo[k], self.hi[k]
+        x = self.x[k] + (v - self.F[k]) * self.slope[k]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at v = 0 clamps to 0
+            for _ in range(NEWTON_STEPS):
+                T, cP = self._eval(x)
+                x = np.fmin(np.fmax(x + self.sign * (T - v) / cP, lo), hi)
+        return x
+
+    def solve1(self, v: float) -> float:
+        """``solve`` at one float, by the array path's operations."""
+        xs, F, slope, los, his = self._lists
+        k = min(bisect.bisect_right(F, v) - 1, len(F) - 2)
+        lo, hi, x = los[k], his[k], xs[k] + (v - F[k]) * slope[k]
+        if v == 0.0:
+            return x
+        for _ in range(NEWTON_STEPS):
+            T, cP = self._eval(x)
+            x = min(max(x + self.sign * (T - v) / cP, lo), hi)
+        return x
+
+
+class _IntegerBeta:
+    """cdf, upper tail and inverse-cdf draws of Beta(a, b), integers a, b >= 1.
+
+    Each tail is summed directly below the median and taken as 1 minus the
+    other above it, so the smaller one never cancels.  A uniform u < 1/2
+    solves I_x(a, b) = u, and u >= 1/2 the upper tail = 1 - u, which is
+    exact there; for a = b the draw is 1 - x of the lower solve at 1 - u.
+    """
+
+    def __init__(self, a: int, b: int):
+        self.lower, self.upper = _BinomialTail(a, b, False), _BinomialTail(b, a, True)
+        self.split = float(self.lower.x[-1])
+        self.symmetric = a == b
+
+    def tail(self, x, upper: bool):
+        """The cdf (``upper`` False) or upper tail at ``x`` clipped to [0, 1]."""
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        below = x < self.split
+        out = np.empty_like(x)
+        out[below] = self.lower.value(x[below])
+        out[~below] = self.upper.value(x[~below])
+        out = np.where(below == upper, 1.0 - out, out)
+        return out if out.ndim else float(out)
+
+    def ppf(self, u):
+        """The draws of the uniforms ``u``, a float array."""
+        if u.size == 1:
+            return np.array([self.ppf1(float(u[0]))])
+        up = u >= 0.5
+        if self.symmetric:
+            x = self.lower.solve(np.where(up, 1.0 - u, u))
+            return np.where(up, 1.0 - x, x)
+        x = np.empty_like(u)
+        x[~up] = self.lower.solve(u[~up])
+        x[up] = self.upper.solve(1.0 - u[up])
+        return x
+
+    def ppf1(self, u: float) -> float:
+        if u < 0.5:
+            return self.lower.solve1(u)
+        if self.symmetric:
+            return 1.0 - self.lower.solve1(1.0 - u)
+        return self.upper.solve1(1.0 - u)
+
+
 class BetaFragmentation:
     """F given by a Beta(alpha, beta) density; symmetric choices have m1 = 1/2.
 
     For integer alpha, beta the density is the polynomial
     c x^(alpha-1) (1-x)^(beta-1), formed by repeated multiplication with the
     exact integer c = (alpha+beta-1) C(alpha+beta-2, alpha-1) while the
-    degree is at most ``POLY_DEGREE`` and c < 2^53; other parameters take exp
-    of the log density.  The cdf and the inverse-cdf draws are the regularised
-    incomplete beta function and its inverse, called directly: scipy's
-    ``stats.beta`` uses the same routines, at a large per-call overhead.
+    degree is at most ``POLY_DEGREE`` and c < 2^53, and the cdf, the upper
+    tail ``sf`` and the inverse-cdf draws are numpy arithmetic on binomial
+    tails (``_IntegerBeta``): a tail table brackets each uniform, and
+    Newton steps clamped to the bracket solve it.  The size-biased draws
+    take Beta(alpha + 1, beta) the same way when that law has the
+    polynomial form too.  Other parameters take exp of the log density, and
+    the regularised incomplete beta function and its inverse from
+    ``scipy.special``, imported on first use.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -247,15 +409,23 @@ class BetaFragmentation:
             raise ValueError(f"Beta parameters must be positive and finite, "
                              f"got alpha={alpha!r}, beta={beta!r}")
         self.name = f"beta({alpha},{beta})"
-        self._log_norm = float(special.betaln(self.alpha, self.beta))
-        # (alpha - 1, beta - 1, c) of the polynomial form, or None
-        self._poly = None
-        p, q = self.alpha - 1.0, self.beta - 1.0
-        if p.is_integer() and q.is_integer() and p + q <= POLY_DEGREE:
-            p, q = int(p), int(q)
-            c = (p + q + 1) * math.comb(p + q, p)
-            if c < 2**53:
-                self._poly = (p, q, float(c))
+        self._poly = _poly_form(self.alpha, self.beta)
+
+    @functools.cached_property
+    def _log_norm(self) -> float:
+        """log B(alpha, beta), which is -log c in the polynomial form."""
+        if self._poly is not None:
+            return 0.0 - math.log(self._poly[2])
+        return float(_special().betaln(self.alpha, self.beta))
+
+    @functools.cached_property
+    def _law(self):
+        return None if self._poly is None else _IntegerBeta(self._poly[0] + 1, self._poly[1] + 1)
+
+    @functools.cached_property
+    def _biased_law(self):
+        biased = _poly_form(self.alpha + 1.0, self.beta)
+        return None if biased is None else _IntegerBeta(biased[0] + 1, biased[1] + 1)
 
     def pdf(self, rho, out=None, work=None):
         """Beta density at ``rho``, zero outside the open interval (0, 1).
@@ -332,7 +502,16 @@ class BetaFragmentation:
         return v
 
     def cdf(self, rho):
-        out = special.betainc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
+        if self._law is not None:
+            return self._law.tail(rho, upper=False)
+        out = _special().betainc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
+        return out if np.ndim(out) else float(out)
+
+    def sf(self, rho):
+        """1 - cdf, summed as its own tail: no cancellation where it is small."""
+        if self._law is not None:
+            return self._law.tail(rho, upper=True)
+        out = _special().betaincc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
         return out if np.ndim(out) else float(out)
 
     def moment(self, k: int) -> float:
@@ -342,11 +521,17 @@ class BetaFragmentation:
         return m
 
     def sample(self, rng, n):
-        return special.betaincinv(self.alpha, self.beta, rng.random(n))
+        u = rng.random(n)
+        if self._law is not None:
+            return self._law.ppf(u)
+        return _special().betaincinv(self.alpha, self.beta, u)
 
     def sample_size_biased(self, rng, n):
         # rho * Beta(a, b) density is proportional to Beta(a + 1, b)
-        return special.betaincinv(self.alpha + 1.0, self.beta, rng.random(n))
+        u = rng.random(n)
+        if self._biased_law is not None:
+            return self._biased_law.ppf(u)
+        return _special().betaincinv(self.alpha + 1.0, self.beta, u)
 
 
 class TableFragmentation:
@@ -391,6 +576,9 @@ class TableFragmentation:
         out = np.interp(rho, self.rho_knots, self._cdf_knots)
         out = np.where(rho >= self.rho_knots[-1], 1.0, np.where(rho <= self.rho_knots[0], 0.0, out))
         return out if out.ndim else float(out)
+
+    def sf(self, rho):
+        return 1.0 - self.cdf(rho)
 
     def moment(self, k: int) -> float:
         return float(np.trapezoid(self.rho_knots**k * self.F_values, self.rho_knots))
@@ -509,8 +697,9 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     """Adder model: g = (lam*y, lam*y), beta = lam*y*B(a), children (rho*y, (1-rho)*y).
 
     ``B`` is a hazard object (ConstantHazard/TableHazard) or a plain positive
-    number (constant hazard).  ``F`` is a fragmentation density object.
-    ``d0`` is the constant death rate.
+    number (constant hazard).  ``F`` is a fragmentation density object, which
+    must be finite on 63 points inside (0, 1) (InvalidModel otherwise: every
+    command builds its model here).  ``d0`` is the constant death rate.
     """
     if not 0 < lambda_growth < math.inf:
         raise InvalidModel(f"lambda_growth must be positive and finite, got {lambda_growth!r}")
@@ -519,6 +708,13 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
         raise InvalidModel(f"death rate d0 must be finite and nonnegative, got {d0}")
     if isinstance(B, (int, float)):
         B = ConstantHazard(float(B))
+    rho = np.linspace(0.0, 1.0, 65)[1:-1]
+    with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
+        dens = np.asarray(F.pdf(rho), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(dens))
+    if bad.size:
+        raise InvalidModel(f"(A2) fragmentation density F({rho[bad[0]]:g}) = "
+                           f"{dens[bad[0]]} is not finite")
     return ModelSpec(lambda_growth=float(lambda_growth), d0=d0, hazard=B, fragmentation=F)
 
 
@@ -553,10 +749,10 @@ def validate(model: ModelSpec) -> ValidationReport:
     """Check the model assumptions; the hazard band is sampled on a grid over [0, 8]^2.
 
     Structural violations (nonpositive hazard bound, fragmentation mass away
-    from 1 or mean away from 1/2, a fragmentation density that is not finite
-    on a grid inside (0, 1), death rate >= elongation rate) raise
+    from 1 or mean away from 1/2, death rate >= elongation rate) raise
     InvalidModel naming the first one; m0 = 1 makes the offspring mass (iii)
-    2 m0 = 2 everywhere.  Sampled conditions are reported pass/fail.
+    2 m0 = 2 everywhere.  ``make_adder`` has already checked that F is
+    finite inside (0, 1).  Sampled conditions are reported pass/fail.
     """
     grid_n = 64
     report = ValidationReport(grid=(grid_n, grid_n))
@@ -569,13 +765,6 @@ def validate(model: ModelSpec) -> ValidationReport:
         raise InvalidModel(f"(A2) fragmentation mass m0 = {m0:.8f} != 1")
     if abs(m1 - 0.5) > MOMENT_TOL:
         raise InvalidModel(f"(A2) fragmentation mean m1 = {m1:.8f} != 1/2")
-    rho = np.linspace(0.0, 1.0, grid_n + 1)[1:-1]
-    with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
-        dens = np.asarray(F.pdf(rho), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(dens))
-    if bad.size:
-        raise InvalidModel(f"(A2) fragmentation density F({rho[bad[0]]:g}) = "
-                           f"{dens[bad[0]]} is not finite")
     if not (model.lambda_growth > model.d0):
         raise InvalidModel(
             f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"

@@ -15,7 +15,7 @@ from the inner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,11 @@ def _graded_edges(cut, n_panels, lo=0.5):
 
 def _with_knots(edges, hazard, shift, cut):
     """``edges`` and the hazard's knots (``a_knots``, or ``a_star``) minus
-    ``shift`` that lie in (0, cut), sorted: psi has a kink or a jump there."""
+    ``shift`` that lie in (0, cut), sorted, once each: psi has a kink or a
+    jump there.  (``np.union1d`` would import ``numpy.ma`` on first use.)"""
     knots = np.asarray(getattr(hazard, "a_knots", [hazard.a_star])) - shift
-    return np.union1d(edges, knots[(knots > 0) & (knots < cut)])
+    out = np.sort(np.concatenate([edges, knots[(knots > 0) & (knots < cut)]]))
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,15 @@ class RowQuadrature:
     """Cached first-jump quadrature along one orbit, reusable across lam.
 
     ``t`` are jump times, ``w`` the psi-measure weights (sum ~ 1),
-    ``u`` the current sizes at the jump times.
+    ``u`` the current sizes at the jump times.  ``leak`` caches, per
+    truncation level R, the lam-independent leak mass of the row's kernel
+    (``KernelRowEvaluator``), so the rows' cache holds it too.
     """
 
     t: np.ndarray
     w: np.ndarray
     u: np.ndarray
+    leak: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class FirstJumpLaw:
@@ -115,8 +120,10 @@ class KernelRowEvaluator:
     the fixed sizes ``z``, evaluated in place into buffers that are
     allocated once and kept for every later row of the same length.  With
     a truncation level ``R`` each call also returns the leak mass
-    ``above[r]`` of k(0, u_r, .) above R (None without ``R``).  The returned
-    ``kvals`` is overwritten by the next call.
+    ``above[r]`` = 2 sf(R / u_r) of k(0, u_r, .) above R (None without
+    ``R``), computed once per row and R and kept in ``q.leak`` (read-only);
+    ``fill_leaks`` computes it for many rows in one evaluation of sf.
+    The returned ``kvals`` is overwritten by the next call.
     """
 
     def __init__(self, model: ModelSpec, z, R: float | None = None):
@@ -139,10 +146,23 @@ class KernelRowEvaluator:
         np.divide(self.z, q.u[:, None], out=ratio)
         frag.pdf(ratio, out=kvals, work=(x, mask))
         np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
-        above = None
-        if R is not None:
-            above = np.where(q.u > R, 2.0 * (1.0 - frag.cdf(np.minimum(R / q.u, 1.0))), 0.0)
-        return kvals, above
+        if R is None:
+            return kvals, None
+        if R not in q.leak:
+            self.fill_leaks([q])
+        return kvals, q.leak[R]
+
+    def fill_leaks(self, rows):
+        """Store the leak mass in ``q.leak[R]`` for each row ``q`` without it;
+        sf is elementwise, so one call over all their sizes gives each row's bits."""
+        R = self.R
+        rows = [q for q in rows if R not in q.leak]
+        if rows:
+            u = np.concatenate([q.u for q in rows])
+            above = np.where(u > R, 2.0 * self.model.fragmentation.sf(np.minimum(R / u, 1.0)), 0.0)
+            above.flags.writeable = False
+            for q, part in zip(rows, np.split(above, np.cumsum([q.u.size for q in rows[:-1]]))):
+                q.leak[R] = part
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +266,11 @@ class KernelAssembler:
         dM = np.zeros((n, n))
         corr = np.zeros(n)
         rows = KernelRowEvaluator(self.model, grid.nodes, grid.R)
-        for i, y in enumerate(grid.nodes.tolist()):
-            if y <= 0:
-                continue  # zero-size orbit never divides
-            q = self.law.row_quadrature(PhasePoint(0.0, y))
+        # a zero-size orbit never divides: its row stays empty
+        qs = {i: self.law.row_quadrature(PhasePoint(0.0, y))
+              for i, y in enumerate(grid.nodes.tolist()) if y > 0}
+        rows.fill_leaks(qs.values())
+        for i, q in qs.items():
             coef = q.w * np.exp(-lam * q.t)
             coefs = np.stack([coef, -q.t * coef])
             kvals, above = rows(q)

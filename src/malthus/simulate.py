@@ -4,7 +4,8 @@ Each individual carries an exact division time (its added size at division
 is drawn once by inverse-CDF from the hazard law and converted through the
 closed-form flow) and an independent exponential death clock; the earlier
 clock fires.  Fragments are drawn by inverse-CDF as well: for Beta splits,
-the inverse regularised incomplete beta function of one uniform.
+the inverse regularised incomplete beta function of one uniform, solved in
+numpy arithmetic for integer parameters.
 Randomness comes from counter-based Philox streams keyed on (seed,
 replicate) with the individual's breadth-first tree id in the counter, so
 trajectories are reproducible independently of event interleaving.
@@ -38,9 +39,11 @@ from .errors import DegenerateData, InsufficientData
 from .model import ModelSpec, PhasePoint
 
 MASK64 = (1 << 64) - 1
-#: the law of the draws: 1 was numpy's ziggurat exponential, 2 is one word
-#: per draw, exponentials by inversion; ``manifest.json`` records it
-STREAM_VERSION = 2
+#: the law of the draws: 1 was numpy's ziggurat exponential, 2 one word per
+#: draw with exponentials by inversion, 3 adds integer-Beta fragments by
+#: Newton steps on binomial tails (``model.BetaFragmentation``);
+#: ``manifest.json`` records it
+STREAM_VERSION = 3
 #: individuals (lanes) a block of replicates holds, summed over its
 #: replicates: it bounds the engine's arrays at a few MB.  The number of
 #: replicates in the next block follows from the lanes per replicate so far.

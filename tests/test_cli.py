@@ -46,7 +46,7 @@ class TestValidate:
         report = json.loads((out / "validate_report.json").read_text())
         assert report["all_passed"]
         # the manifest says which stream a run's draws come from
-        assert json.loads((out / "manifest.json").read_text())["stream"] == 2
+        assert json.loads((out / "manifest.json").read_text())["stream"] == 3
 
     @pytest.mark.parametrize("model, expected", [
         # the bounds derive from the hazard and F; a `bounds` block used to
@@ -206,12 +206,13 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
 
 @pytest.mark.parametrize("argv, cfg, digests", [
     # populations pass 8 individuals, so a pairwise sum would change sum_h;
-    # the pin moved with the stream (version 2: exponentials by inversion)
+    # the pin moved with the stream (version 2: exponentials by inversion;
+    # version 3: integer-Beta fragments without scipy)
     (["simulate"],
      {"model": {**MODEL, "d0": 0.2},
       "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}},
-     {"trajectory.csv": "a9c556f26d21d992e54e41b15e5496bf5d1982b30c76a48c9e719e0a89a8b87e",
-      "snapshots.csv": "7712445fd6891e29c7ea5bd38f787029907b81810d3f6cdc1c6ce2128ffdccb5"}),
+     {"trajectory.csv": "5d5e63d5905fe20bed2e5e9e51df5980092000fd1c01a5434c4ef4c168245c62",
+      "snapshots.csv": "e784d9eabc1e25d555412c91c096645bb0ae20bbe9b3932558a9f46ea1e9c3c5"}),
     (["drift"], SMALL,
      {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
     (["doeblin"], SMALL,
@@ -225,9 +226,11 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
       "eta_star.json": "ee27708fdaf956a512d66539904b5280b3988ab64e343b62e91d2f5a301cabf5",
       "pi_star.csv": "654cdfdaa6ab26f8392b23daa7cdc46c2e2678081502ae1a0a918bb4d0e85195"}),
     (["eigen", "--R", "4"], SMALL,
-     # the pin moved when diagnostics gained euler_lotka_residual, and when
-     # they gained warm_start (the Beta density moved eta by <= 1.1e-15 relative)
-     {"eigen_R4.json": "e8a58293e2ccf671534548b7c191f320e5f93aa7f306146279de1267989e9c5f",
+     # the pin moved when diagnostics gained euler_lotka_residual, when
+     # they gained warm_start (the Beta density moved eta by <= 1.1e-15
+     # relative), and when the leak mass became 2 sf(R/u) (lambda_R kept its
+     # bits; eta moved by <= 5.8e-16 relative)
+     {"eigen_R4.json": "b4c085aa86f05a7552dc27e5f7ef21dcf2c8c61178a36f7b3e6ee6966cfcba80",
       "eigen_summary.csv": "c82796942d630ee8304f39ce157c561ea9e7c0ad4f8be88bfb9be4cf5050c79c"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
@@ -467,7 +470,8 @@ class TestThreads:
 
 def test_import_skips_scipy_integrate(tmp_path):
     # scipy.integrate costs ~0.2 s and ~24 MB to import, and no command uses
-    # it; the simulation engine is compiled on first use
+    # it; scipy.special (~0.3 s, ~25 MB) is imported only by Beta laws without
+    # the polynomial form; the simulation engine is compiled on first use
     src = str(Path(malthus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     path = tmp_path / "small.json"
@@ -482,9 +486,51 @@ def test_import_skips_scipy_integrate(tmp_path):
                             "--out", str(tmp_path / "out")],
                            env=env, capture_output=True, text=True, check=True).stdout
     at_import, after_stationary = out.splitlines()
-    assert "scipy.integrate" not in at_import and "scipy.special" in at_import
+    assert "scipy.integrate" not in at_import and "scipy.special" not in at_import
     assert "malthus.engine" not in at_import and "malthus.streams" not in at_import
     assert "scipy.integrate" not in after_stationary
+
+
+def test_reference_config_runs_without_scipy(tmp_path):
+    # integer Beta laws draw, and sum their tails, in numpy arithmetic
+    src = str(Path(malthus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({**SMALL, "sim": {"replicates": 4, "t_end": 2.0,
+                                                 "record_times": [1.0, 2.0]}}))
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None  # any scipy import raises ImportError\n"
+             "import malthus.cli\n"
+             "for argv in sys.argv[1:]:\n"
+             "    assert malthus.cli.main(argv.split()) == 0, argv\n")
+    commands = [f"{command} --config {path} --out {tmp_path / command}" for command in
+                ("eigen --R 2", "simulate", "stationary", "drift", "doeblin", "validate")]
+    subprocess.run([sys.executable, "-c", probe, *commands], env=env, check=True)
+
+
+@pytest.mark.parametrize("command", ["eigen --R 2", "simulate", "drift"])
+def test_split_density_not_finite_exits_2_for_every_command(tmp_path, capsys, command):
+    # eigen used to exit 3 after numpy's two-line overflow warning, and
+    # simulate to exit 0 with a trajectory of that model
+    path = tmp_path / "huge_beta.json"
+    path.write_text(json.dumps({"model": {"fragmentation": {"type": "beta", "alpha": 1e300,
+                                                            "beta": 1e300}}}))
+    out = tmp_path / "out"
+    assert run([*command.split(), "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "is not finite" in err
+    assert not out.exists()
+
+
+def test_failed_drift_names_its_margin(tmp_path, capsys):
+    # d = 0 leaves no offset for A V <= -c V + d; drift used to exit 5 silently
+    path = tmp_path / "no_offset.json"
+    path.write_text(json.dumps({"drift": {"d": 0.0, "grid_n": 8}}))
+    out = tmp_path / "out"
+    assert run(["drift", "--config", path, "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("drift failed: margin")
+    assert json.loads((out / "drift_report.json").read_text())["pass"] is False
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):

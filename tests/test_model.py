@@ -10,6 +10,7 @@ from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
                      MarkovModel, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder,
                      model_from_config, validate)
+from malthus.engine import _FixedUniforms
 from malthus.model import gauss_legendre
 
 
@@ -215,6 +216,119 @@ class TestFragmentation:
         sb = F.sample_size_biased(rng, 20000)
         # size-biased mean = m2 / m1 = 6/11
         assert abs(np.mean(sb) - 6.0 / 11.0) < 0.005
+
+
+def ulp_shift(x, k):
+    """x moved by k units in the last place, within [0, 1]."""
+    bits = np.clip(x.view(np.int64) + k, 0, np.float64(1.0).view(np.int64))
+    return bits.view(np.float64)
+
+
+def bisect_draws(F, u):
+    """64 halvings over the bit patterns of [0, 1]: the least x with
+    cdf(x) >= u for u < 1/2, and with sf(x) <= 1 - u for u >= 1/2."""
+    up = u >= 0.5
+    v = np.where(up, 1.0 - u, u)
+    lo = np.zeros(u.size, dtype=np.int64)
+    hi = np.full(u.size, np.float64(1.0).view(np.int64))
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        x = mid.view(np.float64)
+        right = np.empty(u.size, dtype=bool)
+        right[~up] = F.cdf(x[~up]) < v[~up]
+        right[up] = F.sf(x[up]) > v[up]
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return hi.view(np.float64)
+
+
+def exact_tails(alpha, beta, x):
+    """(cdf, sf) of integer Beta(alpha, beta) at the float x, as exact fractions."""
+    from fractions import Fraction
+    m, d = float(x).as_integer_ratio()
+    n = alpha + beta - 1
+    terms = [math.comb(n, j) * m**j * (d - m)**(n - j) for j in range(n + 1)]
+    return Fraction(sum(terms[alpha:]), d**n), Fraction(sum(terms[:alpha]), d**n)
+
+
+#: the integer laws of the acceptance criteria, the workloads and the default
+#: config, Beta(1, 1), and Beta(6, 5), the size-biased law of Beta(5, 5)
+INTEGER_LAWS = [(5, 5), (20, 20), (1, 1), (6, 5)]
+
+
+class TestIntegerBeta:
+    """Binomial-tail cdf and draws, without scipy, for integer parameters."""
+
+    @pytest.mark.parametrize("alpha, beta", INTEGER_LAWS)
+    def test_draws_within_4_ulp_of_bisection(self, alpha, beta):
+        rng = np.random.default_rng(17)
+        words = np.concatenate([[0, 1, 2**53 - 1], rng.integers(0, 2**53, 10**6)])
+        u = words * 2.0**-53  # Generator.random()'s uniforms
+        F = BetaFragmentation(alpha, beta)
+        x = F.sample(_FixedUniforms(u), u.size)
+        assert x[0] == 0.0 and 0.0 < x[1] < x[2] < 1.0
+        # every draw: the tail it solves crosses its target within 4 ulp
+        up, below, above = u >= 0.5, ulp_shift(x, -4), ulp_shift(x, 4)
+        low = ~up & (u > 0.0)
+        assert np.all(F.cdf(below[low]) < u[low]) and np.all(F.cdf(above[~up]) >= u[~up])
+        assert np.all(F.sf(below[up]) > 1.0 - u[up]) and np.all(F.sf(above[up]) <= 1.0 - u[up])
+        # the first 20,000 draws, the extreme words included: 64-step bisection
+        n = 20_003
+        ref = bisect_draws(F, u[:n])
+        assert np.abs(x[:n].view(np.int64) - ref.view(np.int64)).max() <= 4
+
+    @pytest.mark.parametrize("alpha, beta", INTEGER_LAWS)
+    def test_tails_against_exact_sums_and_scipy(self, alpha, beta):
+        from scipy import special
+        F = BetaFragmentation(alpha, beta)
+        x = np.linspace(0.0, 1.0, 10**5 + 1)
+        cdf, sf = F.cdf(x), F.sf(x)
+        # the exact binomial sums at 1,001 of the points
+        for i in range(0, x.size, 100):
+            c, s = exact_tails(alpha, beta, float(x[i]))
+            for value, exact in ((cdf[i], c), (sf[i], s)):
+                # one rounding a factor: Beta(20, 20) multiplies 37 of them
+                assert abs(value - exact) <= (1e-15 if alpha + beta < 40 else 2e-15) * exact
+        # scipy's own relative error against the exact sums reaches 7e-16 for
+        # Beta(5, 5) and 2.7e-15 for Beta(20, 20) on this grid
+        tol = 4e-15 if alpha == 20 else 2e-15
+        np.testing.assert_allclose(cdf, special.betainc(alpha, beta, x), rtol=tol, atol=0.0)
+        np.testing.assert_allclose(sf, special.betaincc(alpha, beta, x), rtol=tol, atol=0.0)
+        assert F.cdf([-1.0, 0.0, 1.0, 2.0]).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert F.sf([-1.0, 0.0, 1.0, 2.0]).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert math.isnan(F.cdf(math.nan)) and type(F.cdf(0.25)) is float
+
+    @pytest.mark.parametrize("alpha, beta", INTEGER_LAWS)
+    def test_one_draw_has_the_bits_of_an_array_draw(self, alpha, beta):
+        # the scalar path serves single draws, such as the h-chain's
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.random(3000), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        F = BetaFragmentation(alpha, beta)
+        for sample in (F.sample, F.sample_size_biased):
+            whole = sample(_FixedUniforms(u), u.size)
+            single = [sample(_FixedUniforms(np.array([v])), 1)[0] for v in u.tolist()]
+            assert np.array_equal(np.array(single).view(np.int64), whole.view(np.int64))
+
+    def test_size_biased_draws_are_beta_alpha_plus_1(self):
+        u = np.random.default_rng(8).random(2000)
+        biased = BetaFragmentation(5, 5).sample_size_biased(_FixedUniforms(u), u.size)
+        assert np.array_equal(biased, BetaFragmentation(6, 5).sample(_FixedUniforms(u), u.size))
+
+    @pytest.mark.parametrize("alpha, beta", [(2.5, 2.5), (1, 65)])
+    def test_other_laws_keep_scipy_bits(self, alpha, beta):
+        # Beta(1, 65) has the polynomial form, its size-biased Beta(2, 65) not
+        from scipy import special
+        u = np.random.default_rng(9).random(5000)
+        F = BetaFragmentation(alpha, beta)
+        biased = special.betaincinv(alpha + 1.0, beta, u)
+        assert np.array_equal(F.sample_size_biased(_FixedUniforms(u), u.size), biased)
+        if alpha == 2.5:
+            draws = F.sample(_FixedUniforms(u), u.size)
+            assert np.array_equal(draws, special.betaincinv(2.5, 2.5, u))
+            x = np.linspace(-0.5, 1.5, 101)
+            assert np.array_equal(F.cdf(x), special.betainc(2.5, 2.5, np.clip(x, 0.0, 1.0)))
+            assert np.array_equal(F.sf(x), special.betaincc(2.5, 2.5, np.clip(x, 0.0, 1.0)))
+            assert F._log_norm == special.betaln(2.5, 2.5)
 
 
 class TestModelSpec:

@@ -32,7 +32,7 @@ def reference_kvals(model, q, z, R):
     else:
         dens = F.pdf(ratio)
     kvals = (2.0 / q.u)[:, None] * dens
-    above = np.where(q.u > R, 2.0 * (1.0 - F.cdf(np.minimum(R / q.u, 1.0))), 0.0)
+    above = np.where(q.u > R, 2.0 * F.sf(np.minimum(R / q.u, 1.0)), 0.0)
     return kvals, above
 
 

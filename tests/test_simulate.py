@@ -49,24 +49,25 @@ class TestRngStreams:
 class TestStreamPins:
     """Draws recorded from the reference implementation; they must never move.
 
-    They record stream version 2 (``simulate.STREAM_VERSION``): one word per
-    draw, exponentials by inversion.
+    They record stream version 3 (``simulate.STREAM_VERSION``): one word per
+    draw, exponentials by inversion, integer-Beta fragments by Newton steps
+    on binomial tails.
     """
 
     EVENT_LOG = [
         (0.0, 'init', 0, 0.0, 1.0),
-        (1.0562644539559853, 'division', 0, 1.3438223727892538, 1.5317865583447794),
-        (1.381738999636235, 'division', 2, 1.7869713622309664, 0.33407447197261986),
-        (1.4200112010371448, 'division', 1, 0.8204137426603033, 1.112956688718883),
-        (1.6676645985499166, 'division', 3, 0.6009879690859958, 0.44997504042632475),
-        (1.9545606046971034, 'division', 4, 1.3815242008859299, 0.5179356584521808),
-        (1.9857809284084187, 'division', 5, 1.278755185751631, 1.9905063821973232),
-        (2.0595785760304963, 'division', 9, 1.1245506367054838, 0.4099505284659397),
-        (2.0852230205510285, 'division', 7, 0.39840062738714466, 0.5140494170869366),
-        (2.225749831262163, 'division', 20, 0.2660401117801256, 0.2180193457806216),
-        (2.3230521098930685, 'division', 8, 0.5372596129413406, 0.3293422221243628),
-        (2.3584855465277417, 'division', 6, 0.4261395457112074, 0.4610959864339239),
-        (2.460188056668658, 'division', 19, 0.8062772162501057, 0.8723779934649409),
+        (1.0562644539559853, 'division', 0, 1.3438223727892535, 1.5317865583447796),
+        (1.381738999636235, 'division', 2, 1.7869713622309669, 0.33407447197261986),
+        (1.4200112010371448, 'division', 1, 0.8204137426603032, 1.1129566887188829),
+        (1.6676645985499166, 'division', 3, 0.6009879690859957, 0.44997504042632464),
+        (1.9545606046971034, 'division', 4, 1.38152420088593, 0.5179356584521804),
+        (1.9857809284084187, 'division', 5, 1.2787551857516315, 1.9905063821973237),
+        (2.0595785760304963, 'division', 9, 1.1245506367054847, 0.40995052846593927),
+        (2.0852230205510285, 'division', 7, 0.39840062738714466, 0.5140494170869364),
+        (2.225749831262163, 'division', 20, 0.2660401117801253, 0.21801934578062132),
+        (2.3230521098930685, 'division', 8, 0.5372596129413405, 0.3293422221243627),
+        (2.3584855465277417, 'division', 6, 0.4261395457112073, 0.46109598643392397),
+        (2.4601880566686574, 'division', 19, 0.8062772162501061, 0.872377993464941),
     ]
 
     def test_event_log(self, adder_d0):
@@ -95,7 +96,7 @@ class TestStreamPins:
 
     def test_h_chain_endpoint(self, adder):
         p = advance_h_chain(adder, PhasePoint(0.0, 1.0), 3.0, individual_rng(3, 0, 0))
-        assert (p.a, p.y) == (0.039139296760718756, 0.6851713075360844)
+        assert (p.a, p.y) == (0.03913929676071906, 0.685171307536085)
 
 
 class TestClocks:
@@ -296,20 +297,21 @@ TABLE_FRAG = TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
 RECORD = [0.0, 0.5, 1.5, 2.5, 4.0]
 
 #: name -> (hazard, fragmentation, d0, x0, seed, replicate, extra config,
-#: sha256 of (event log, states, cap hit) over RECORD to t = 4)
+#: sha256 of (event log, states, cap hit) over RECORD to t = 4); the Beta
+#: pins moved with stream version 3 (integer-Beta draws without scipy)
 PINS = {
     "constant_beta": (CONSTANT, BETA, 0.0, (0.0, 1.0), 7, 3, {},
-                      "2aa4f21e90f7adbca4d38d59b2929d40bed60598bc3716ab1ac6d0c5ff31acec"),
+                      "09bfebbf9bb603a94426973cba34f563cba422944000b2518ac10fbdb4d65745"),
     "constant_beta_deaths": (CONSTANT, BETA, 0.2, (0.0, 1.0), 7, 3, {},
-                             "148d46f9f02a12615e8b8d92cb34f789b775eb92a9ce57e6143da48a30f5cd40"),
+                             "98a0390d519000dd7322564b35e7cb6a4614527efbc47b9a77dc0dbd49a4925e"),
     "table_uniform_deaths": (TABLE_HAZARD, UniformFragmentation(), 0.2, (0.0, 1.0), 3, 1, {},
                              "5ee926239a68ee4e35bbec624a6e63661f53687de2e9c81423614a109fa4b8ef"),
     "table_table": (TABLE_HAZARD, TABLE_FRAG, 0.0, (0.0, 1.0), 5, 0, {},
                     "0a5ab850fa98edfba107da17e15c267a40cc4a2347a77ddb8b2d4176d7af27a0"),
     "mid_orbit": (CONSTANT, BETA, 0.2, (0.3, 1.2), 11, 4, {},
-                  "dfeb5e173de92bf32b7557d7deb6720a7ada2c6069e064d5b236a9570d6f9dce"),
+                  "52ed10210c3d29db3219874ecb4d378cc7ddf3a0f04f04d826e94798ac26b7e6"),
     "seed_max": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2**64 - 1, 2**64 - 1, {},
-                 "c1ac43a105c7aeeaf90516972e373d84ecd0f255674ce0c164474a1b65735be5"),
+                 "dbca3e03922a62c404f2eac76097a971ba58973212cd7476dd2c02205682a4f7"),
 }
 
 
