@@ -270,8 +270,7 @@ class _BinomialTail:
     v with ``searchsorted``, starts from the linear interpolant and takes
     ``NEWTON_STEPS`` Newton steps clamped to the bracket.  Only + - * /,
     comparisons and the table lookup are used, no ``np.power``, ``np.log``
-    or ``np.exp``, so the bits do not depend on the CPU's vector libm;
-    ``solve1`` takes the same steps on one Python float.
+    or ``np.exp``, so the bits do not depend on the CPU's vector libm.
     """
 
     def __init__(self, a: int, b: int, upper: bool):
@@ -296,7 +295,6 @@ class _BinomialTail:
         self.slope = np.diff(self.x) / np.diff(self.F)
         self.lo = np.minimum(self.x[:-1], self.x[1:])
         self.hi = np.maximum(self.x[:-1], self.x[1:])
-        self._lists = [t.tolist() for t in (self.x, self.F, self.slope, self.lo, self.hi)]
 
     def _eval(self, x):
         """(T, c P) at x: an array or a float, by the same operations."""
@@ -318,7 +316,7 @@ class _BinomialTail:
         return self._eval(x)[0]
 
     def solve(self, v):
-        """x with T(x) = v, elementwise over a float array v in [0, 1/2]."""
+        """x with T(x) = v for v in [0, 1/2], an array or a numpy scalar."""
         k = np.minimum(np.searchsorted(self.F, v, side="right") - 1, self.F.size - 2)
         lo, hi = self.lo[k], self.hi[k]
         x = self.x[k] + (v - self.F[k]) * self.slope[k]
@@ -328,18 +326,6 @@ class _BinomialTail:
                 x = np.fmin(np.fmax(x + self.sign * (T - v) / cP, lo), hi)
         return x
 
-    def solve1(self, v: float) -> float:
-        """``solve`` at one float, by the array path's operations."""
-        xs, F, slope, los, his = self._lists
-        k = min(bisect.bisect_right(F, v) - 1, len(F) - 2)
-        lo, hi, x = los[k], his[k], xs[k] + (v - F[k]) * slope[k]
-        if v == 0.0:
-            return x
-        for _ in range(NEWTON_STEPS):
-            T, cP = self._eval(x)
-            x = min(max(x + self.sign * (T - v) / cP, lo), hi)
-        return x
-
 
 class _IntegerBeta:
     """cdf, upper tail and inverse-cdf draws of Beta(a, b), integers a, b >= 1.
@@ -347,13 +333,12 @@ class _IntegerBeta:
     Each tail is summed directly below the median and taken as 1 minus the
     other above it, so the smaller one never cancels.  A uniform u < 1/2
     solves I_x(a, b) = u, and u >= 1/2 the upper tail = 1 - u, which is
-    exact there; for a = b the draw is 1 - x of the lower solve at 1 - u.
+    exact there.
     """
 
     def __init__(self, a: int, b: int):
         self.lower, self.upper = _BinomialTail(a, b, False), _BinomialTail(b, a, True)
         self.split = float(self.lower.x[-1])
-        self.symmetric = a == b
 
     def tail(self, x, upper: bool):
         """The cdf (``upper`` False) or upper tail at ``x`` clipped to [0, 1]."""
@@ -368,22 +353,15 @@ class _IntegerBeta:
     def ppf(self, u):
         """The draws of the uniforms ``u``, a float array."""
         if u.size == 1:
-            return np.array([self.ppf1(float(u[0]))])
+            # one draw, such as the h-chain's: the same solve on a numpy
+            # scalar, at a quarter of a size-1 array's ufunc overhead
+            v = u[0]
+            return np.array([self.lower.solve(v) if v < 0.5 else self.upper.solve(1.0 - v)])
         up = u >= 0.5
-        if self.symmetric:
-            x = self.lower.solve(np.where(up, 1.0 - u, u))
-            return np.where(up, 1.0 - x, x)
         x = np.empty_like(u)
         x[~up] = self.lower.solve(u[~up])
         x[up] = self.upper.solve(1.0 - u[up])
         return x
-
-    def ppf1(self, u: float) -> float:
-        if u < 0.5:
-            return self.lower.solve1(u)
-        if self.symmetric:
-            return 1.0 - self.lower.solve1(1.0 - u)
-        return self.upper.solve1(1.0 - u)
 
 
 class BetaFragmentation:
@@ -413,9 +391,7 @@ class BetaFragmentation:
 
     @functools.cached_property
     def _log_norm(self) -> float:
-        """log B(alpha, beta), which is -log c in the polynomial form."""
-        if self._poly is not None:
-            return 0.0 - math.log(self._poly[2])
+        """log B(alpha, beta), for the log density of non-polynomial laws."""
         return float(_special().betaln(self.alpha, self.beta))
 
     @functools.cached_property

@@ -121,8 +121,7 @@ class KernelRowEvaluator:
     allocated once and kept for every later row of the same length.  With
     a truncation level ``R`` each call also returns the leak mass
     ``above[r]`` = 2 sf(R / u_r) of k(0, u_r, .) above R (None without
-    ``R``), computed once per row and R and kept in ``q.leak`` (read-only);
-    ``fill_leaks`` computes it for many rows in one evaluation of sf.
+    ``R``), computed once per row and R and kept in ``q.leak`` (read-only).
     The returned ``kvals`` is overwritten by the next call.
     """
 
@@ -149,20 +148,10 @@ class KernelRowEvaluator:
         if R is None:
             return kvals, None
         if R not in q.leak:
-            self.fill_leaks([q])
-        return kvals, q.leak[R]
-
-    def fill_leaks(self, rows):
-        """Store the leak mass in ``q.leak[R]`` for each row ``q`` without it;
-        sf is elementwise, so one call over all their sizes gives each row's bits."""
-        R = self.R
-        rows = [q for q in rows if R not in q.leak]
-        if rows:
-            u = np.concatenate([q.u for q in rows])
-            above = np.where(u > R, 2.0 * self.model.fragmentation.sf(np.minimum(R / u, 1.0)), 0.0)
+            above = np.where(q.u > R, 2.0 * frag.sf(np.minimum(R / q.u, 1.0)), 0.0)
             above.flags.writeable = False
-            for q, part in zip(rows, np.split(above, np.cumsum([q.u.size for q in rows[:-1]]))):
-                q.leak[R] = part
+            q.leak[R] = above
+        return kvals, q.leak[R]
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +255,10 @@ class KernelAssembler:
         dM = np.zeros((n, n))
         corr = np.zeros(n)
         rows = KernelRowEvaluator(self.model, grid.nodes, grid.R)
-        # a zero-size orbit never divides: its row stays empty
-        qs = {i: self.law.row_quadrature(PhasePoint(0.0, y))
-              for i, y in enumerate(grid.nodes.tolist()) if y > 0}
-        rows.fill_leaks(qs.values())
-        for i, q in qs.items():
+        for i, y in enumerate(grid.nodes.tolist()):
+            if y <= 0:
+                continue  # zero-size orbit never divides
+            q = self.law.row_quadrature(PhasePoint(0.0, y))
             coef = q.w * np.exp(-lam * q.t)
             coefs = np.stack([coef, -q.t * coef])
             kvals, above = rows(q)

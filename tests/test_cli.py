@@ -211,8 +211,8 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
     (["simulate"],
      {"model": {**MODEL, "d0": 0.2},
       "sim": {"seed": 7, "replicates": 20, "t_end": 4.0, "snapshots": True}},
-     {"trajectory.csv": "5d5e63d5905fe20bed2e5e9e51df5980092000fd1c01a5434c4ef4c168245c62",
-      "snapshots.csv": "e784d9eabc1e25d555412c91c096645bb0ae20bbe9b3932558a9f46ea1e9c3c5"}),
+     {"trajectory.csv": "48f805820418c24eef66ee5aaf1ffa26f3401528ac8cf3577b495e0ff484bc96",
+      "snapshots.csv": "e859ba12add37a3e11c8c7ac6edcf5951398b51bca8dbf98db731602751d0ed0"}),
     (["drift"], SMALL,
      {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
     (["doeblin"], SMALL,

@@ -300,9 +300,9 @@ class TestIntegerBeta:
 
     @pytest.mark.parametrize("alpha, beta", INTEGER_LAWS)
     def test_one_draw_has_the_bits_of_an_array_draw(self, alpha, beta):
-        # the scalar path serves single draws, such as the h-chain's
+        # a single draw, such as the h-chain's, solves on a numpy scalar
         rng = np.random.default_rng(5)
-        u = np.concatenate([rng.random(3000), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        u = np.concatenate([rng.random(300), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
         F = BetaFragmentation(alpha, beta)
         for sample in (F.sample, F.sample_size_biased):
             whole = sample(_FixedUniforms(u), u.size)
