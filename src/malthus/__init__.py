@@ -13,7 +13,7 @@ from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
                     UniformFragmentation, ValidationReport, make_adder,
                     validate)
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
-                      RowQuadrature, SizeGrid)
+                      OrbitRule, RowQuadrature, SizeGrid)
 from .eigen import (EigenResult, euler_lotka_residual, leading_eigen,
                     reconstruct_h, solve_malthus, spectral_value)
 from .simulate import (ConsistencyReport, PopulationState,

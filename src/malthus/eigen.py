@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BracketFailure, NoConvergence
 from .model import ModelSpec, PhasePoint, gl_nodes
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
-                      KernelRowEvaluator, SizeGrid)
+                      KernelRowEvaluator, SizeGrid, leak_mass)
 
 RAYLEIGH_TOL = 1e-12
 #: bound on the relative eigen residual max|G eta - mu eta| / max|eta|
@@ -34,6 +34,8 @@ LAM_CAP = 100.0
 #: uniform grid, then starts Newton WARM_START_OFFSET below that root
 WARM_START_NODES = 128
 WARM_START_OFFSET = 1e-3
+#: bound on the orbit rule's mass error (``OrbitRule.mass_error``)
+ROW_MASS_TOL = 1e-8
 
 
 @dataclass
@@ -44,10 +46,13 @@ class EigenResult:
     ``kr_factor`` recovers the Krein-Rutman scaling <nu, eta> = 1.
     ``lambda_malthus`` subtracts the model's constant death rate.
     ``diagnostics`` holds the root find's trace of (lam, mu, dmu/dlam) per
-    mu evaluation, the evaluation count, the final bracket [lo, hi], the
-    closed-form Euler-Lotka residual at (lambda_R, y = 1), an independent
-    check of the root, and on fine grids the coarse solve that gave the
-    warm start (``warm_start``: its node count, root and mu evaluations).
+    mu evaluation, each with the centre lam0 of the kernel pass its matrix
+    was expanded from, the evaluation count, the number of direct kernel
+    passes (``kernel_passes``), the final bracket [lo, hi], the mass error
+    of the rows' orbit rule (``row_mass_error``), the closed-form
+    Euler-Lotka residual at (lambda_R, y = 1), an independent check of the
+    root, and on fine grids the coarse solve that gave the warm start
+    (``warm_start``: its node count, root, mu evaluations and kernel passes).
     """
 
     R: float
@@ -132,14 +137,15 @@ def leading_eigen(matrix: KernelMatrix):
 
 
 def spectral_value(assembler: KernelAssembler, lam: float):
-    """(mu, dmu/dlam, eta, nu, residual) at lam: the leading eigenvalue of
-    G_lam^R, its slope by first-order perturbation from the eigenpair and the
-    derivative matrix, and the rest as ``leading_eigen`` returns them.
+    """(mu, dmu/dlam, eta, nu, residual, centre) at lam: the leading
+    eigenvalue of G_lam^R, its slope by first-order perturbation from the
+    eigenpair and the derivative matrix, the next three as ``leading_eigen``
+    returns them, and the centre of the kernel pass the matrix came from.
     """
     matrix = assembler.matrix(lam)
     mu, eta, nu, residual = leading_eigen(matrix)
     dmu = float(np.dot(nu, matrix.derivative_apply(eta))) / float(np.dot(nu, eta))
-    return mu, dmu, eta, nu, residual
+    return mu, dmu, eta, nu, residual, matrix.centre
 
 
 def solve_malthus(assembler: KernelAssembler) -> EigenResult:
@@ -158,16 +164,26 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
     nodes, WARM_START_OFFSET below the root of this function on
     ``SizeGrid.uniform(R, (n - 1) // 4)``: a start below the root keeps the
     climb, and from one just below it Newton needs fewer fine-grid steps.
+
+    NoConvergence is raised first if the rows' orbit rule misses the
+    first-jump mass by more than ROW_MASS_TOL: every row shares that rule,
+    so its error would bias every entry of G alike.
     """
     model = assembler.model
     grid = assembler.grid
+    mass_error = assembler.law.orbit_rule(0.0).mass_error
+    if not mass_error <= ROW_MASS_TOL:
+        raise NoConvergence(f"orbit rule mass error {mass_error:.2e} > {ROW_MASS_TOL:g}")
+    passes = assembler.passes
     cap = LAM_CAP * max(model.lambda_growth, 1.0)
     lam, lo, hi = 0.0, 0.0, LAM_HI
     diagnostics = {}
     if grid.n >= WARM_START_NODES:
-        coarse = solve_malthus(KernelAssembler(model, SizeGrid.uniform(grid.R, (grid.n - 1) // 4)))
+        coarse_grid = SizeGrid.uniform(grid.R, (grid.n - 1) // 4)
+        coarse = solve_malthus(KernelAssembler(model, coarse_grid, assembler.law))
         diagnostics["warm_start"] = {"n": coarse.grid.n, "lambda": coarse.lambda_R,
-                                     "mu_evals": coarse.diagnostics["mu_evals"]}
+                                     "mu_evals": coarse.diagnostics["mu_evals"],
+                                     "kernel_passes": coarse.diagnostics["kernel_passes"]}
         lam = max(coarse.lambda_R - WARM_START_OFFSET, 0.0)
         while hi <= lam:
             hi *= 2.0
@@ -177,8 +193,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
 
     def evaluate(lam):
         nonlocal last
-        mu, dmu, *last = spectral_value(assembler, lam)
-        trace.append({"lam": lam, "mu": mu, "dmu": dmu})
+        mu, dmu, *last, centre = spectral_value(assembler, lam)
+        trace.append({"lam": lam, "mu": mu, "dmu": dmu, "centre": centre})
         return mu, dmu
 
     mu, dmu = evaluate(lam)
@@ -220,7 +236,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         kr_factor=1.0 / float(np.dot(nu, eta)) if np.dot(nu, eta) > 0 else math.nan,
         nu_eta=float(np.dot(nu, eta)),
         grid=assembler.grid,
-        diagnostics={"mu_evals": len(trace), "trace": trace, "bracket": [lo, hi],
+        diagnostics={"mu_evals": len(trace), "kernel_passes": assembler.passes - passes,
+                     "trace": trace, "bracket": [lo, hi], "row_mass_error": mass_error,
                      "euler_lotka_residual": euler_lotka_residual(model, lam, 1.0,
                                                                   assembler.law),
                      **diagnostics},
@@ -238,6 +255,11 @@ def euler_lotka_residual(model: ModelSpec, lam: float, y: float, law: FirstJumpL
     Vanishes at the Malthus exponent; equals C - 1 at lam = 0.  The orbit
     time from y to z is log(z / y) / lambda_growth, so the expectation
     reduces to the fragmentation moment of order s = lam / lambda_growth.
+
+    It integrates over the jump with the same orbit rule as the kernel
+    matrix, so it cannot detect an error of that rule: a rule that loses
+    first-jump mass moves G and this residual alike, and it stays small at
+    the biased root.  ``OrbitRule.mass_error`` (``row_mass_error``) does.
     """
     q = law.row_quadrature(PhasePoint(0.0, float(y)))
     coef = q.w * np.exp(-lam * q.t)
@@ -263,6 +285,7 @@ def reconstruct_h(result: EigenResult, model: ModelSpec, x: PhasePoint,
     grid = result.grid
     q = law.row_quadrature(x)
     coef = q.w * np.exp(-result.lambda_R * q.t)
-    kvals, above = KernelRowEvaluator(model, grid.nodes, grid.R)(q)
+    kvals = KernelRowEvaluator(model, grid.nodes)(q)
+    above = leak_mass(model.fragmentation, q.u, grid.R)
     row = coef @ kvals + float(np.dot(coef, above)) / grid.R
     return float(np.dot(grid.weights, row * result.eta))

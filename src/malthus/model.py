@@ -267,8 +267,9 @@ class _BinomialTail:
     ``solve`` inverts T on v in [0, 1/2]: the tail is tabulated once on the
     points 2^-k (1 + j/128) and 1 minus those, graded toward both ends, from
     where it falls below 2^-53 to where it passes 1/2; a draw brackets
-    v with ``searchsorted``, starts from the linear interpolant and takes
-    ``NEWTON_STEPS`` Newton steps clamped to the bracket.  Only + - * /,
+    v with ``searchsorted`` (``bisect`` in ``solve1``, for one float),
+    starts from the linear interpolant and takes ``NEWTON_STEPS`` Newton
+    steps clamped to the bracket.  Only + - * /,
     comparisons and the table lookup are used, no ``np.power``, ``np.log``
     or ``np.exp``, so the bits do not depend on the CPU's vector libm.
     """
@@ -300,10 +301,11 @@ class _BinomialTail:
         """(T, c P) at x: an array or a float, by the same operations."""
         w = 1.0 - x
         p, q = (w, x) if self.sign > 0 else (x, w)
-        fs = [p] * self.factors[0] + [q] * self.factors[1]
-        P = fs[0] if fs else 1.0
-        for f in fs[1:]:
-            P = P * f
+        P = 1.0  # 1 * p is p exactly
+        for _ in range(self.factors[0]):
+            P = P * p
+        for _ in range(self.factors[1]):
+            P = P * q
         r = p / q
         S = self.coef[-1]
         for c in self.coef[-2::-1]:
@@ -316,7 +318,7 @@ class _BinomialTail:
         return self._eval(x)[0]
 
     def solve(self, v):
-        """x with T(x) = v for v in [0, 1/2], an array or a numpy scalar."""
+        """x with T(x) = v for an array of v in [0, 1/2]."""
         k = np.minimum(np.searchsorted(self.F, v, side="right") - 1, self.F.size - 2)
         lo, hi = self.lo[k], self.hi[k]
         x = self.x[k] + (v - self.F[k]) * self.slope[k]
@@ -324,6 +326,32 @@ class _BinomialTail:
             for _ in range(NEWTON_STEPS):
                 T, cP = self._eval(x)
                 x = np.fmin(np.fmax(x + self.sign * (T - v) / cP, lo), hi)
+        return x
+
+    @functools.cached_property
+    def _F_list(self):
+        return self.F.tolist()
+
+    def solve1(self, v: float) -> float:
+        """``solve`` at one Python float, by the same operations and clamps.
+
+        The bracket comes from ``bisect`` on a list copy of the tail values
+        (a copy of all five table arrays would hold ~0.2 MB of Python
+        floats a tail).  Where cP = 0 the array path's step is +-inf or
+        0/0 = NaN, which ``np.fmax`` and ``np.fmin`` clamp to ``hi`` (+inf)
+        or ``lo`` (-inf, NaN).
+        """
+        k = min(bisect.bisect_right(self._F_list, v) - 1, self.F.size - 2)
+        lo, hi, sign = self.lo.item(k), self.hi.item(k), self.sign
+        x = self.x.item(k) + (v - self.F.item(k)) * self.slope.item(k)
+        for _ in range(NEWTON_STEPS):
+            T, cP = self._eval(x)
+            step = sign * (T - v)
+            if cP == 0.0:
+                x = hi if step > 0.0 else lo
+                continue
+            x = x + step / cP
+            x = lo if x < lo else hi if x > hi else x
         return x
 
 
@@ -353,10 +381,10 @@ class _IntegerBeta:
     def ppf(self, u):
         """The draws of the uniforms ``u``, a float array."""
         if u.size == 1:
-            # one draw, such as the h-chain's: the same solve on a numpy
-            # scalar, at a quarter of a size-1 array's ufunc overhead
-            v = u[0]
-            return np.array([self.lower.solve(v) if v < 0.5 else self.upper.solve(1.0 - v)])
+            # one draw, such as the h-chain's: the same solve on Python
+            # floats, without a size-1 array's ufunc overhead
+            v = float(u[0])
+            return np.array([self.lower.solve1(v) if v < 0.5 else self.upper.solve1(1.0 - v)])
         up = u >= 0.5
         x = np.empty_like(u)
         x[~up] = self.lower.solve(u[~up])

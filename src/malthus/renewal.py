@@ -15,7 +15,8 @@ from the inner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +51,48 @@ def _with_knots(edges, hazard, shift, cut):
 
 
 @dataclass(frozen=True)
+class OrbitRule:
+    """First-jump quadrature from one starting age, in the added size.
+
+    ``a`` are the added sizes at the jump and ``w`` the psi-measure weights;
+    exactly integrated, ``w`` sums to 1 - e^{-HAZARD_CUTOFF}.
+    """
+
+    a: np.ndarray
+    w: np.ndarray
+
+    @property
+    def mass_error(self) -> float:
+        """|sum(w) - (1 - e^{-HAZARD_CUTOFF})|: the mass the rule loses or adds."""
+        return abs(float(np.sum(self.w)) - (1.0 - math.exp(-HAZARD_CUTOFF)))
+
+
+@dataclass(frozen=True)
 class RowQuadrature:
-    """Cached first-jump quadrature along one orbit, reusable across lam.
+    """First-jump quadrature along one orbit, reusable across lam.
 
     ``t`` are jump times, ``w`` the psi-measure weights (sum ~ 1),
-    ``u`` the current sizes at the jump times.  ``leak`` caches, per
-    truncation level R, the lam-independent leak mass of the row's kernel
-    (``KernelRowEvaluator``), so the rows' cache holds it too.
+    ``u`` the current sizes at the jump times.
     """
 
     t: np.ndarray
     w: np.ndarray
     u: np.ndarray
-    leak: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class FirstJumpLaw:
-    """Survival, jump-time density and orbit quadrature of the first division."""
+    """Survival, jump-time density and orbit quadrature of the first division.
+
+    The hazard acts on the added size, so the quadrature nodes and
+    psi-weights of the first jump from (a, y) depend on the age a only:
+    ``orbit_rule`` builds them once per starting age, and ``row_quadrature``
+    maps that rule onto the orbit from y, u = y + added size and
+    t = log(u / y) / lambda_growth.
+    """
 
     def __init__(self, model: ModelSpec):
         self.model = model
-        self._row_cache: dict = {}
+        self._rules: dict = {}
 
     # -- survival -------------------------------------------------------
 
@@ -92,25 +114,32 @@ class FirstJumpLaw:
 
     # -- quadrature along the orbit --------------------------------------
 
+    def orbit_rule(self, a0: float) -> OrbitRule:
+        """Graded Gauss-Legendre panels in the added size from age ``a0``, up to
+        HAZARD_CUTOFF, broken at the hazard's knots; built once per ``a0``."""
+        rule = self._rules.get(a0)
+        if rule is None:
+            hz = self.model.hazard
+            a_cut = hz.inverse_cumulative(hz.cumulative(a0) + HAZARD_CUTOFF) - a0
+            edges = _with_knots(_graded_edges(a_cut, N_PANELS), hz, a0, a_cut)
+            aa, ww = _panel_nodes(edges, N_PER_PANEL)
+            # psi(t) dt = B(a0 + a) exp(-(H(a0+a) - H(a0))) da along the orbit
+            dens = hz(a0 + aa) * np.exp(-(hz.cumulative(a0 + aa) - hz.cumulative(a0)))
+            rule = self._rules[a0] = OrbitRule(a=aa, w=ww * dens)
+        return rule
+
     def row_quadrature(self, x: PhasePoint) -> RowQuadrature:
-        """Graded Gauss-Legendre panels in the added size, up to HAZARD_CUTOFF,
-        broken at the hazard's knots."""
-        key = (x.a, x.y)
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        hz = self.model.hazard
+        """The orbit rule of ``x.a`` along the orbit from ``x.y``."""
         if x.y <= 0:
             raise ValueError("orbit from zero size never divides")
-        a_cut = hz.inverse_cumulative(hz.cumulative(x.a) + HAZARD_CUTOFF) - x.a
-        edges = _with_knots(_graded_edges(a_cut, N_PANELS), hz, x.a, a_cut)
-        aa, ww = _panel_nodes(edges, N_PER_PANEL)
-        # psi(t) dt = B(a0 + a) exp(-(H(a0+a) - H(a0))) da along the orbit
-        dens = hz(x.a + aa) * np.exp(-(hz.cumulative(x.a + aa) - hz.cumulative(x.a)))
-        u = x.y + aa
-        t = np.log(u / x.y) / self.model.lambda_growth
-        row = self._row_cache[key] = RowQuadrature(t=t, w=ww * dens, u=u)
-        return row
+        rule = self.orbit_rule(x.a)
+        u = x.y + rule.a
+        return RowQuadrature(t=np.log(u / x.y) / self.model.lambda_growth, w=rule.w, u=u)
+
+
+def leak_mass(fragmentation, u, R: float):
+    """2 sf(R / u), the mass of k(0, u, .) above R, at every size of ``u``."""
+    return np.where(u > R, 2.0 * fragmentation.sf(np.minimum(R / u, 1.0)), 0.0)
 
 
 class KernelRowEvaluator:
@@ -118,17 +147,13 @@ class KernelRowEvaluator:
 
     ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes ``u_r`` and
     the fixed sizes ``z``, evaluated in place into buffers that are
-    allocated once and kept for every later row of the same length.  With
-    a truncation level ``R`` each call also returns the leak mass
-    ``above[r]`` = 2 sf(R / u_r) of k(0, u_r, .) above R (None without
-    ``R``), computed once per row and R and kept in ``q.leak`` (read-only).
+    allocated once and kept for every later row of the same length.
     The returned ``kvals`` is overwritten by the next call.
     """
 
-    def __init__(self, model: ModelSpec, z, R: float | None = None):
+    def __init__(self, model: ModelSpec, z):
         self.model = model
         self.z = np.asarray(z, dtype=float)
-        self.R = R
         self._buffers = None
 
     def _workspace(self, n_t: int):
@@ -140,18 +165,11 @@ class KernelRowEvaluator:
         return self._buffers
 
     def __call__(self, q: RowQuadrature):
-        frag, R = self.model.fragmentation, self.R
         ratio, kvals, x, mask = self._workspace(q.u.size)
         np.divide(self.z, q.u[:, None], out=ratio)
-        frag.pdf(ratio, out=kvals, work=(x, mask))
+        self.model.fragmentation.pdf(ratio, out=kvals, work=(x, mask))
         np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
-        if R is None:
-            return kvals, None
-        if R not in q.leak:
-            above = np.where(q.u > R, 2.0 * frag.sf(np.minimum(R / q.u, 1.0)), 0.0)
-            above.flags.writeable = False
-            q.leak[R] = above
-        return kvals, q.leak[R]
+        return kvals
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +229,8 @@ class KernelMatrix:
     including the uniform 1/R leak correction; ``correction`` records the
     per-row leak mass (1/R) int e^{-lam t} psi * (mass of k above R) dt.
     ``dM`` is the entrywise derivative of ``M`` in lam (the same integrals
-    weighted by -t), leak correction included.
+    weighted by -t), leak correction included.  ``centre`` is the lam of
+    the direct pass the matrix was expanded from (``KernelAssembler``).
     """
 
     lam: float
@@ -219,6 +238,7 @@ class KernelMatrix:
     M: np.ndarray
     correction: np.ndarray
     dM: np.ndarray
+    centre: float | None = None
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(G_lam^R f)(y_i) = int_0^R f(z) K_lam^R(0, y_i, z) dz."""
@@ -233,36 +253,92 @@ class KernelMatrix:
         return self.grid.weights * (np.asarray(w, dtype=float) @ self.M)
 
 
-class KernelAssembler:
-    """Builds a KernelMatrix per call; it caches nothing itself.
+def _series_radius(terms: int) -> float:
+    """The largest r, to rounding, with r^terms e^r / terms! <= 2^-53."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid**terms * math.exp(mid) / math.factorial(terms) <= 2.0**-53:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-    A row's orbit quadrature does not depend on the spectral shift lam, and
-    ``law.row_quadrature`` caches it, so each assembly in the Newton root
-    find only pays for the kernel-density evaluations.  Every row's kernel
-    values are contracted twice, with the weights w e^{-lam t} and
-    -t w e^{-lam t}, so one pass yields both G_lam and its lam-derivative.
+
+#: Taylor terms of G_lam about a direct pass at lam0, and the radius
+#: |lam - lam0| t_max within which they suffice: every entry is a positive
+#: mixture of e^{-lam t} over node times t <= t_max, so the remainder after
+#: SERIES_TERMS terms is at most r^K e^r / K! of the entry at r = |lam - lam0| t_max.
+SERIES_TERMS = 6
+SERIES_RADIUS = _series_radius(SERIES_TERMS)
+
+
+def _taylor(moments: np.ndarray, d: float, first: int) -> np.ndarray:
+    """sum_{m >= first} d^(m - first) / (m - first)! moments[m], by Horner;
+    at d = 0 a copy of ``moments[first]``."""
+    if d == 0.0:
+        return moments[first].copy()
+    out = moments[-1].copy()
+    for m in range(len(moments) - 2, first - 1, -1):
+        out *= d / (m + 1 - first)
+        out += moments[m]
+    return out
+
+
+class KernelAssembler:
+    """Builds the KernelMatrix of G_lam^R from lam-moments of one kernel pass.
+
+    G_lam depends on lam only through the factor e^{-lam t} of its time
+    integral, so a direct pass at a centre lam0 contracts every row's kernel
+    values once with the weights w e^{-lam0 t} (-t)^m, m < SERIES_TERMS,
+    into moment matrices M_m, and takes the leak mass of all rows in one
+    ``sf`` call.  ``matrix(lam)`` returns M = sum d^m / m! M_m and
+    dM = sum d^(m-1) / (m-1)! M_m at d = lam - lam0 while
+    |d| t_max <= SERIES_RADIUS (t_max the largest node time of the rows),
+    and otherwise makes a new pass centred at lam.  M_0 and M_1 are
+    contracted as a pair apart from the higher moments, so the M and dM of
+    a centre do not depend on SERIES_TERMS.  ``passes`` counts the direct
+    passes; which centre serves a lam depends on the calls before, to
+    rounding.
     """
 
     def __init__(self, model: ModelSpec, grid: SizeGrid, law: FirstJumpLaw | None = None):
         self.model = model
         self.grid = grid
         self.law = law or FirstJumpLaw(model)
+        self.passes = 0
+        self.t_max = None  # the largest node time of the rows, from the first pass
+        self._centre = None  # (lam0, moments of M, moments of the leak)
 
     def matrix(self, lam: float) -> KernelMatrix:
+        lam = float(lam)
+        if self._centre is None or abs(lam - self._centre[0]) * self.t_max > SERIES_RADIUS:
+            self._centre = None  # free the old moments before the new pass
+            self._centre = self._direct_pass(lam)
+        lam0, moments, leak = self._centre
+        d = lam - lam0
+        return KernelMatrix(lam=lam, grid=self.grid, M=_taylor(moments, d, 0),
+                            correction=_taylor(leak, d, 0), dM=_taylor(moments, d, 1),
+                            centre=lam0)
+
+    def _direct_pass(self, lam0: float):
         grid = self.grid
-        n = grid.n
-        M = np.zeros((n, n))
-        dM = np.zeros((n, n))
-        corr = np.zeros(n)
-        rows = KernelRowEvaluator(self.model, grid.nodes, grid.R)
-        for i, y in enumerate(grid.nodes.tolist()):
-            if y <= 0:
-                continue  # zero-size orbit never divides
-            q = self.law.row_quadrature(PhasePoint(0.0, y))
-            coef = q.w * np.exp(-lam * q.t)
-            coefs = np.stack([coef, -q.t * coef])
-            kvals, above = rows(q)
-            leak = coefs @ above / grid.R
-            corr[i] = leak[0]
-            M[i], dM[i] = coefs @ kvals + leak[:, None]
-        return KernelMatrix(lam=float(lam), grid=grid, M=M, correction=corr, dM=dM)
+        n, R = grid.n, grid.R
+        moments = np.zeros((SERIES_TERMS, n, n))
+        leak = np.zeros((SERIES_TERMS, n))
+        index = np.flatnonzero(grid.nodes > 0)  # a zero-size orbit never divides
+        rows = [self.law.row_quadrature(PhasePoint(0.0, y)) for y in grid.nodes[index].tolist()]
+        above = leak_mass(self.model.fragmentation, np.stack([q.u for q in rows]), R)
+        kernel = KernelRowEvaluator(self.model, grid.nodes)
+        for i, q, row_above in zip(index.tolist(), rows, above):
+            weights = [q.w * np.exp(-lam0 * q.t)]
+            for _ in range(SERIES_TERMS - 1):
+                weights.append(-q.t * weights[-1])
+            kvals = kernel(q)
+            for m in (slice(0, 2), slice(2, None)):
+                c = np.stack(weights[m])
+                leak[m, i] = c @ row_above / R
+                moments[m, i] = c @ kvals + leak[m, i][:, None]
+        self.passes += 1
+        self.t_max = max(float(q.t.max()) for q in rows)
+        return lam0, moments, leak

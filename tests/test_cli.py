@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import malthus
+import malthus.renewal
 from malthus.cli import _write_csv, main
 
 
@@ -228,10 +229,13 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
     (["eigen", "--R", "4"], SMALL,
      # the pin moved when diagnostics gained euler_lotka_residual, when
      # they gained warm_start (the Beta density moved eta by <= 1.1e-15
-     # relative), and when the leak mass became 2 sf(R/u) (lambda_R kept its
-     # bits; eta moved by <= 5.8e-16 relative)
-     {"eigen_R4.json": "b4c085aa86f05a7552dc27e5f7ef21dcf2c8c61178a36f7b3e6ee6966cfcba80",
-      "eigen_summary.csv": "c82796942d630ee8304f39ce157c561ea9e7c0ad4f8be88bfb9be4cf5050c79c"}),
+     # relative), when the leak mass became 2 sf(R/u) (lambda_R kept its
+     # bits; eta moved by <= 5.8e-16 relative), and when Newton steps took G
+     # from the lam-series of one kernel pass and the diagnostics gained
+     # kernel_passes, row_mass_error and each step's centre (lambda_R kept
+     # its bits; eta moved by <= 7.8e-16 relative, nu by <= 5.6e-16)
+     {"eigen_R4.json": "6cbb32423a4adad934644cc370ca7cf46d976989a7707ac94d4dbe08b7364107",
+      "eigen_summary.csv": "5b84b3df88a75d2433e70bbf83eaa525d818fc4632fc925ab4ffab693d0cafca"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
     path = tmp_path / "pin.json"
@@ -268,6 +272,28 @@ class TestEigen:
         assert diag["trace"][-1]["lam"] == payload["lambda_R"]
         lo, hi = diag["bracket"]
         assert lo <= payload["lambda_R"] <= hi
+
+    def test_reference_grid_makes_one_kernel_pass(self, config, tmp_path):
+        # eigen --R 8 (257 nodes): every fine Newton step is a lam-series of
+        # the warm start's kernel pass; the 65-node coarse solve makes three
+        out = tmp_path / "e"
+        assert run(["eigen", "--config", config, "--out", out, "--R", 8]) == 0
+        payload = json.loads((out / "eigen_R8.json").read_text())
+        diag = payload["diagnostics"]
+        assert len(payload["grid"]) == 257 and diag["kernel_passes"] == 1
+        assert diag["warm_start"]["n"] == 65 and diag["warm_start"]["kernel_passes"] == 3
+        assert {step["centre"] for step in diag["trace"]} == {diag["trace"][0]["lam"]}
+        assert diag["mu_evals"] == 3 and diag["row_mass_error"] < 1e-12
+
+    def test_row_mass_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(malthus.renewal, "_with_knots",
+                            lambda edges, hazard, shift, cut: edges)
+        model = {**MODEL, "hazard": {"type": "constant", "b": 1.0, "a_star": 0.3}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        assert run(["eigen", "--config", path, "--out", tmp_path / "e",
+                    "--R", 4, "--grid-n", 32]) == 3
+        assert "mass error" in capsys.readouterr().err
 
 
 class TestDriftCommand:

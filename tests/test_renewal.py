@@ -6,8 +6,9 @@ from scipy import integrate
 
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
                      KernelAssembler, PhasePoint, SizeGrid, TableFragmentation,
-                     TableHazard, make_adder)
-from malthus.renewal import KernelRowEvaluator
+                     TableHazard, UniformFragmentation, make_adder)
+from malthus.renewal import (SERIES_RADIUS, SERIES_TERMS, KernelRowEvaluator,
+                             leak_mass)
 
 
 def kernel_K(law, x, z, lam):
@@ -15,7 +16,7 @@ def kernel_K(law, x, z, lam):
     contraction coef @ kvals with coef = w e^{-lam t}."""
     q = law.row_quadrature(x)
     coef = q.w * np.exp(-lam * q.t)
-    out = coef @ KernelRowEvaluator(law.model, np.atleast_1d(z))(q)[0]
+    out = coef @ KernelRowEvaluator(law.model, np.atleast_1d(z))(q)
     return out if np.ndim(z) else float(out[0])
 
 
@@ -167,9 +168,13 @@ class TestKernelMatrix:
     def test_rows_nonnegative_and_cached(self, assembler_r8):
         mat = assembler_r8.matrix(0.5)
         assert np.all(mat.M >= 0.0)
-        # the rows are the law's, cached by (a, y): one entry per positive node
-        nodes, cache = assembler_r8.grid.nodes, assembler_r8.law._row_cache
-        assert all((0.0, y) in cache for y in nodes[nodes > 0].tolist())
+        # every row starts at a = 0: all rows share the law's one orbit rule
+        law, nodes = assembler_r8.law, assembler_r8.grid.nodes
+        rule = law.orbit_rule(0.0)
+        assert law.orbit_rule(0.0) is rule
+        for y in nodes[[1, -1]].tolist():
+            q = law.row_quadrature(PhasePoint(0.0, y))
+            assert q.w is rule.w and np.array_equal(q.u, y + rule.a)
 
     def test_zero_size_row_is_empty(self, assembler_r8):
         mat = assembler_r8.matrix(1.0)
@@ -206,6 +211,50 @@ class TestKernelMatrix:
                 assert np.array_equal(mat.M, M)
                 assert np.array_equal(mat.dM, dM)
             assert np.array_equal(mat.correction, corr)
+
+    def test_series_radius_bounds_the_remainder(self):
+        r, K = SERIES_RADIUS, SERIES_TERMS
+        bound = lambda r: r**K * math.exp(r) / math.factorial(K)
+        assert bound(r) <= 2.0**-53 < bound(r * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("hazard, F", [
+        (ConstantHazard(1.0), BetaFragmentation(5, 5)),
+        (ConstantHazard(1.0), UniformFragmentation()),
+        (ConstantHazard(1.0), TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])),
+        (ConstantHazard(1.0, 0.3), BetaFragmentation(5, 5)),
+        (ConstantHazard(1.0, 0.7), BetaFragmentation(5, 5)),
+        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), BetaFragmentation(5, 5)),
+    ], ids=["beta55", "uniform", "table", "a_star_0.3", "a_star_0.7", "table_hazard"])
+    def test_series_matches_direct_pass(self, hazard, F):
+        """The lam-series of a kernel pass at lam0 against a direct pass at lam.
+
+        A fresh pass at lam rounds its own 192-term contractions, and differs
+        from the centre's by up to ~26 2^-53 relative in rounding alone; so
+        the direct pass here keeps the centre's contraction with e^{-lam0 t}
+        and adds the rest, e^{-lam0 t} expm1(-(lam - lam0) t), row by row.
+        What is left is the series' truncation and its Horner rounding.
+        """
+        model = make_adder(1.0, hazard, F)
+        grid = SizeGrid.uniform(3.0, 24)
+        law = FirstJumpLaw(model)
+        assembler = KernelAssembler(model, grid, law)
+        lam0 = 0.9
+        centre = assembler.matrix(lam0)
+        rows = KernelRowEvaluator(model, grid.nodes)
+        for r in (0.5, 1.0, -0.5, -1.0):
+            lam = lam0 + r * SERIES_RADIUS / assembler.t_max
+            while abs(lam - lam0) * assembler.t_max > SERIES_RADIUS:  # rounded past it
+                lam = float(np.nextafter(lam, lam0))
+            mat = assembler.matrix(lam)
+            assert mat.centre == lam0 and assembler.passes == 1
+            d = lam - lam0
+            M = centre.M.copy()
+            for i, y in enumerate(grid.nodes[1:].tolist(), start=1):
+                q = law.row_quadrature(PhasePoint(0.0, y))
+                rest = q.w * np.exp(-lam0 * q.t) * np.expm1(-d * q.t)
+                M[i] += rest @ rows(q) + rest @ leak_mass(F, q.u, grid.R) / grid.R
+            assert np.array_equal(mat.M == 0.0, M == 0.0)
+            assert np.all(np.abs(mat.M - M) <= 4 * 2.0**-53 * M)
 
     def test_leak_correction_positive_near_boundary(self, adder):
         grid = SizeGrid.uniform(4.0, 64)
