@@ -31,9 +31,13 @@ MAX_ROOT_STEPS = 100
 LAM_HI = 4.0
 LAM_CAP = 100.0
 #: a grid of at least WARM_START_NODES nodes first solves on a 4x coarser
-#: uniform grid, then starts Newton WARM_START_OFFSET below that root
+#: uniform grid, then starts Newton WARM_START_OFFSET below that root.  The
+#: offset lies above the gap between the coarse and the fine root (at most
+#: 4.6e-5 on the CLI grids), so Newton starts below the root and climbs, and
+#: below renewal.SERIES_RADIUS / t_max (about 9.6e-4, t_max = 6.8 on the CLI
+#: grids), so every fine step stays within the series of the first kernel pass
 WARM_START_NODES = 128
-WARM_START_OFFSET = 1e-3
+WARM_START_OFFSET = 5e-4
 #: bound on the orbit rule's mass error (``OrbitRule.mass_error``)
 ROW_MASS_TOL = 1e-8
 

@@ -9,7 +9,6 @@ kernel is k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -62,16 +61,11 @@ class ConstantHazard:
         self.upper = float(b)
 
     def __call__(self, a):
-        if type(a) is float:  # the array path's result, without array overhead
-            return self.b if a >= self.a_star else 0.0
         a = np.asarray(a, dtype=float)
         out = np.where(a >= self.a_star, self.b, 0.0)
         return out if out.ndim else float(out)
 
     def cumulative(self, a):
-        if type(a) is float:
-            d = a - self.a_star  # np.maximum's choice: NaN passes, -0.0 gives 0.0
-            return self.b * (d if not d <= 0.0 else 0.0)
         a = np.asarray(a, dtype=float)
         out = self.b * np.maximum(a - self.a_star, 0.0)
         return out if out.ndim else float(out)
@@ -113,7 +107,7 @@ class TableHazard:
         # exact prefix integral of the piecewise-linear interpolant
         seg = 0.5 * (B[1:] + B[:-1]) * np.diff(a)
         self._H_knots = np.concatenate([[0.0], np.cumsum(seg)])
-        self._tables = (a.tolist(), B.tolist(), self._H_knots.tolist())
+        self._slope = np.diff(B) / np.diff(a)
 
     def __call__(self, a):
         a = np.asarray(a, dtype=float)
@@ -121,26 +115,16 @@ class TableHazard:
         return out if out.ndim else float(out)
 
     def cumulative(self, a):
-        if np.ndim(a) == 0:
-            return self._cumulative1(float(a))
         a = np.asarray(a, dtype=float)
         knots, B, H = self.a_knots, self.B_values, self._H_knots
-        # exact integral: quadratic within each linear segment
-        i = np.clip(np.searchsorted(knots, a, side="right") - 1, 0, knots.size - 2)
+        # exact integral: quadratic within each linear segment; the segment
+        # index, found among the inner knots, lies in [0, knots.size - 2]
+        i = np.searchsorted(knots[1:-1], a, side="right")
         t = np.clip(a, knots[0], knots[-1]) - knots[i]
-        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
-        inside = H[i] + B[i] * t + 0.5 * slope * t * t
+        inside = H[i] + B[i] * t + 0.5 * self._slope[i] * t * t
         # beyond the table, extrapolate with the final constant level
-        return inside + B[-1] * np.maximum(a - knots[-1], 0.0)
-
-    def _cumulative1(self, a: float) -> float:
-        """``cumulative`` at one float, by the array path's element operations."""
-        knots, B, H = self._tables
-        i = min(max(bisect.bisect_right(knots, a) - 1, 0), len(knots) - 2)
-        t = min(max(a, knots[0]), knots[-1]) - knots[i]
-        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
-        inside = H[i] + B[i] * t + 0.5 * slope * t * t
-        return inside + B[-1] * max(a - knots[-1], 0.0)
+        out = inside + B[-1] * np.maximum(a - knots[-1], 0.0)
+        return out if out.ndim else float(out)
 
     def inverse_cumulative(self, H):
         """Added size at which the cumulative hazard reaches ``H``.
@@ -148,42 +132,23 @@ class TableHazard:
         On segment i the cumulative hazard is H_i + B_i t + s_i t^2 / 2, with
         t the distance past the knot and s_i the slope, so t is a root of a
         quadratic, taken as 2 dH / (B_i + sqrt(B_i^2 + 2 s_i dH)): that form
-        does not cancel for either sign of s_i.  A scalar argument takes a
-        pure-Python path with the array path's element operations, so scalar
-        and array calls agree bit for bit.
+        does not cancel for either sign of s_i.  A scalar ``H`` gives a float.
         """
-        if np.ndim(H) == 0:
-            return self._inverse1(float(H))
-        H = np.asarray(H, dtype=float)
+        H0 = np.asarray(H, dtype=float)
+        H = np.atleast_1d(H0)  # ``out[over]`` needs an array
         knots, B, Hk = self.a_knots, self.B_values, self._H_knots
         over = H > Hk[-1]
-        if np.any(over) and B[-1] <= 0:
+        if B[-1] <= 0 and over.any():
             raise ValueError("cumulative hazard saturates; cannot invert beyond table")
-        i = np.clip(np.searchsorted(Hk, H, side="right") - 1, 0, knots.size - 2)
-        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
+        i = np.searchsorted(Hk[1:-1], H, side="right")  # as in ``cumulative``
         dH = H - Hk[i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(np.maximum(B[i] * B[i] + 2.0 * slope * dH, 0.0))
+            root = np.sqrt(np.maximum(B[i] * B[i] + 2.0 * self._slope[i] * dH, 0.0))
             t = np.where(dH > 0.0, 2.0 * dH / (B[i] + root), 0.0)
         out = knots[i] + t
         # beyond the table the final constant level continues
         out[over] = knots[-1] + (H[over] - Hk[-1]) / B[-1]
-        return out
-
-    def _inverse1(self, H: float) -> float:
-        """``inverse_cumulative`` at one float, by the array path's element operations."""
-        knots, B, Hk = self._tables
-        if H > Hk[-1]:
-            if B[-1] <= 0:
-                raise ValueError("cumulative hazard saturates; cannot invert beyond table")
-            return knots[-1] + (H - Hk[-1]) / B[-1]
-        i = min(max(bisect.bisect_right(Hk, H) - 1, 0), len(knots) - 2)
-        slope = (B[i + 1] - B[i]) / (knots[i + 1] - knots[i])
-        dH = H - Hk[i]
-        if not dH > 0.0:
-            return knots[i] + 0.0
-        root = math.sqrt(max(B[i] * B[i] + 2.0 * slope * dH, 0.0))
-        return knots[i] + 2.0 * dH / (B[i] + root)
+        return out if H0.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +232,8 @@ class _BinomialTail:
     ``solve`` inverts T on v in [0, 1/2]: the tail is tabulated once on the
     points 2^-k (1 + j/128) and 1 minus those, graded toward both ends, from
     where it falls below 2^-53 to where it passes 1/2; a draw brackets
-    v with ``searchsorted`` (``bisect`` in ``solve1``, for one float),
-    starts from the linear interpolant and takes ``NEWTON_STEPS`` Newton
-    steps clamped to the bracket.  Only + - * /,
+    v with ``searchsorted``, starts from the linear interpolant and takes
+    ``NEWTON_STEPS`` Newton steps clamped to the bracket.  Only + - * /,
     comparisons and the table lookup are used, no ``np.power``, ``np.log``
     or ``np.exp``, so the bits do not depend on the CPU's vector libm.
     """
@@ -328,32 +292,6 @@ class _BinomialTail:
                 x = np.fmin(np.fmax(x + self.sign * (T - v) / cP, lo), hi)
         return x
 
-    @functools.cached_property
-    def _F_list(self):
-        return self.F.tolist()
-
-    def solve1(self, v: float) -> float:
-        """``solve`` at one Python float, by the same operations and clamps.
-
-        The bracket comes from ``bisect`` on a list copy of the tail values
-        (a copy of all five table arrays would hold ~0.2 MB of Python
-        floats a tail).  Where cP = 0 the array path's step is +-inf or
-        0/0 = NaN, which ``np.fmax`` and ``np.fmin`` clamp to ``hi`` (+inf)
-        or ``lo`` (-inf, NaN).
-        """
-        k = min(bisect.bisect_right(self._F_list, v) - 1, self.F.size - 2)
-        lo, hi, sign = self.lo.item(k), self.hi.item(k), self.sign
-        x = self.x.item(k) + (v - self.F.item(k)) * self.slope.item(k)
-        for _ in range(NEWTON_STEPS):
-            T, cP = self._eval(x)
-            step = sign * (T - v)
-            if cP == 0.0:
-                x = hi if step > 0.0 else lo
-                continue
-            x = x + step / cP
-            x = lo if x < lo else hi if x > hi else x
-        return x
-
 
 class _IntegerBeta:
     """cdf, upper tail and inverse-cdf draws of Beta(a, b), integers a, b >= 1.
@@ -379,12 +317,7 @@ class _IntegerBeta:
         return out if out.ndim else float(out)
 
     def ppf(self, u):
-        """The draws of the uniforms ``u``, a float array."""
-        if u.size == 1:
-            # one draw, such as the h-chain's: the same solve on Python
-            # floats, without a size-1 array's ufunc overhead
-            v = float(u[0])
-            return np.array([self.lower.solve1(v) if v < 0.5 else self.upper.solve1(1.0 - v)])
+        """The draws of the uniforms ``u``, a float array of any size."""
         up = u >= 0.5
         x = np.empty_like(u)
         x[~up] = self.lower.solve(u[~up])
@@ -438,8 +371,6 @@ class BetaFragmentation:
         density; ``work`` lends a float and a bool array of that shape as
         scratch, so a caller that passes both allocates nothing.
         """
-        if type(rho) is float and out is None and self._poly is not None:
-            return self._poly1(rho)
         rho = np.asarray(rho, dtype=float)
         scalar = out is None and rho.ndim == 0
         if out is None:
@@ -491,19 +422,6 @@ class BetaFragmentation:
             np.multiply(out, np.greater(rho, 0.0, out=inside), out=out)
         if q == 0:
             np.multiply(out, np.less(rho, 1.0, out=inside), out=out)
-
-    def _poly1(self, rho: float) -> float:
-        """The polynomial ``pdf`` at one float, by the array path's operations."""
-        if not 0.0 < rho < 1.0:
-            return 0.0
-        p, q, c = self._poly
-        v = rho * c if p else c
-        for _ in range(p - 1):
-            v *= rho
-        t = 1.0 - rho
-        for _ in range(q):
-            v *= t
-        return v
 
     def cdf(self, rho):
         if self._law is not None:

@@ -226,17 +226,16 @@ class KernelMatrix:
     """Discretized truncated operator G_lam^R on a SizeGrid.
 
     ``M[i, j]`` approximates the kernel K_lam^R(0, y_i, z_j), already
-    including the uniform 1/R leak correction; ``correction`` records the
-    per-row leak mass (1/R) int e^{-lam t} psi * (mass of k above R) dt.
-    ``dM`` is the entrywise derivative of ``M`` in lam (the same integrals
-    weighted by -t), leak correction included.  ``centre`` is the lam of
+    including the uniform 1/R leak correction, the row's leak mass
+    (1/R) int e^{-lam t} psi * (mass of k above R) dt.  ``dM`` is the
+    entrywise derivative of ``M`` in lam (the same integrals weighted by
+    -t), leak correction included.  ``centre`` is the lam of
     the direct pass the matrix was expanded from (``KernelAssembler``).
     """
 
     lam: float
     grid: SizeGrid
     M: np.ndarray
-    correction: np.ndarray
     dM: np.ndarray
     centre: float | None = None
 
@@ -308,24 +307,22 @@ class KernelAssembler:
         self.law = law or FirstJumpLaw(model)
         self.passes = 0
         self.t_max = None  # the largest node time of the rows, from the first pass
-        self._centre = None  # (lam0, moments of M, moments of the leak)
+        self._centre = None  # (lam0, moments of M)
 
     def matrix(self, lam: float) -> KernelMatrix:
         lam = float(lam)
         if self._centre is None or abs(lam - self._centre[0]) * self.t_max > SERIES_RADIUS:
             self._centre = None  # free the old moments before the new pass
             self._centre = self._direct_pass(lam)
-        lam0, moments, leak = self._centre
+        lam0, moments = self._centre
         d = lam - lam0
         return KernelMatrix(lam=lam, grid=self.grid, M=_taylor(moments, d, 0),
-                            correction=_taylor(leak, d, 0), dM=_taylor(moments, d, 1),
-                            centre=lam0)
+                            dM=_taylor(moments, d, 1), centre=lam0)
 
     def _direct_pass(self, lam0: float):
         grid = self.grid
         n, R = grid.n, grid.R
         moments = np.zeros((SERIES_TERMS, n, n))
-        leak = np.zeros((SERIES_TERMS, n))
         index = np.flatnonzero(grid.nodes > 0)  # a zero-size orbit never divides
         rows = [self.law.row_quadrature(PhasePoint(0.0, y)) for y in grid.nodes[index].tolist()]
         above = leak_mass(self.model.fragmentation, np.stack([q.u for q in rows]), R)
@@ -337,8 +334,7 @@ class KernelAssembler:
             kvals = kernel(q)
             for m in (slice(0, 2), slice(2, None)):
                 c = np.stack(weights[m])
-                leak[m, i] = c @ row_above / R
-                moments[m, i] = c @ kvals + leak[m, i][:, None]
+                moments[m, i] = c @ kvals + (c @ row_above / R)[:, None]
         self.passes += 1
         self.t_max = max(float(q.t.max()) for q in rows)
-        return lam0, moments, leak
+        return lam0, moments

@@ -10,7 +10,6 @@ the explicit minorant density nu assembled from compact-set constants
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
                      InvalidModel, NoConvergence)
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 from .renewal import FirstJumpLaw, HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
-from .simulate import Trajectory, individual_rng, sample_division_age
+from .simulate import Trajectory
 
 #: grid points per generator call in check_drift; the jump integral holds a
 #: few (points x JUMP_NODES) float arrays, so this bounds its memory at a few MB
@@ -114,27 +113,10 @@ class EtaStarProfile:
     kappa: float
     mass_weights: np.ndarray  # w(s) with pi* mass = int eta*(s) w(s) ds
 
-    def __post_init__(self):
-        self._tables = (self.s_nodes.tolist(), self.values.tolist())
-
     def __call__(self, s):
-        if type(s) is float:
-            return self._interp1(s)
         out = np.interp(np.asarray(s, dtype=float), self.s_nodes, self.values,
                         left=0.0, right=0.0)
         return out if out.ndim else float(out)
-
-    def _interp1(self, s: float) -> float:
-        """``__call__`` at one float, by ``np.interp``'s element operations."""
-        xs, ys = self._tables
-        if s != s:
-            return s
-        if not xs[0] <= s <= xs[-1]:
-            return 0.0
-        j = bisect.bisect_right(xs, s) - 1
-        if j == len(xs) - 1 or xs[j] == s:
-            return ys[j]
-        return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (s - xs[j]) + ys[j]
 
     @property
     def pi_mass(self) -> float:
@@ -536,23 +518,41 @@ def _jacobian_envelope(Y, Z, valid):
 # ---------------------------------------------------------------------------
 
 
-def advance_h_chain(model: ModelSpec, x: PhasePoint, t_end: float, rng) -> PhasePoint:
-    """Run the size-harmonic single-particle chain from x for time t_end.
+def _h_chain_endpoints(model: ModelSpec, x0: PhasePoint, t_end, seed: int):
+    """Endpoints (a, y) of the size-harmonic chain run from x0, one per sample.
 
-    Flow as the base model; divisions at rate beta(x); the survivor size is
-    drawn from the size-biased fragmentation law; no deaths.
+    Sample i runs for time ``t_end[i]``: flow as the base model, divisions at
+    rate beta(x), the survivor's size drawn from the size-biased
+    fragmentation law, no deaths.  All samples advance one jump at a time;
+    the k-th jump of sample i (k >= 1) reads the Philox block at counter
+    (k, 0, 0, 0) under key (seed, i): word 0 for the division exponential,
+    word 1 for the uniform of the size-biased fragment.
     """
-    lam = model.lambda_growth
-    t, a, y = 0.0, x.a, x.y
-    while True:
-        a_div = sample_division_age(model, PhasePoint(a, y), rng)
-        t_div = t + math.log1p((a_div - a) / y) / lam
-        if t_div >= t_end:
-            e = math.exp(lam * (t_end - t))
-            return PhasePoint(a + y * (e - 1.0), y * e)
-        y_div = y + (a_div - a)
-        rho = float(model.fragmentation.sample_size_biased(rng, 1)[0])
-        t, a, y = t_div, 0.0, rho * y_div
+    # the engine and the streams are compiled on first use, as in simulate._blocks
+    from .engine import _FixedUniforms, _math_map
+    from .streams import exponential, philox_block, uniform
+
+    lam, hz = model.lambda_growth, model.hazard
+    t_end = np.asarray(t_end, dtype=float)
+    a_end, y_end = np.empty(t_end.size), np.empty(t_end.size)
+    live = np.arange(t_end.size)  # the samples still jumping
+    t, a, y = np.zeros(live.size), np.full(live.size, x0.a), np.full(live.size, x0.y)
+    k = 0
+    while live.size:
+        k += 1
+        words = philox_block(seed, live.astype(np.uint64), (k, 0, 0, 0))
+        a_div = hz.inverse_cumulative(hz.cumulative(a) + exponential(words[0]))
+        t_div = t + _math_map(math.log1p, (a_div - a) / y) / lam
+        stop = t_div >= t_end[live]
+        done = live[stop]
+        e = _math_map(math.exp, lam * (t_end[done] - t[stop]))
+        a_end[done], y_end[done] = a[stop] + y[stop] * (e - 1.0), y[stop] * e
+        go = ~stop
+        live = live[go]
+        rho = model.fragmentation.sample_size_biased(_FixedUniforms(uniform(words[1][go])),
+                                                     live.size)
+        t, a, y = t_div[go], np.zeros(live.size), rho * (y[go] + (a_div[go] - a[go]))
+    return a_end, y_end
 
 
 def skeleton_mc_density(model: ModelSpec, x0: PhasePoint, Delta: float,
@@ -563,19 +563,22 @@ def skeleton_mc_density(model: ModelSpec, x0: PhasePoint, Delta: float,
     Samples j from the (truncated, renormalized) geometric weights, runs the
     size-harmonic chain for time j*Delta, and bins the endpoints; returns
     (Density2D estimate, Density2D of cell standard errors) on the
-    cell-centered grid induced by the given bin edges.
+    cell-centered grid induced by the given bin edges.  Sample i draws j from
+    word 0 of the Philox block at counter (0, 0, 0, 0) under key (seed, i),
+    by inversion of the weights' cdf as ``Generator.choice`` inverts it, and
+    its chain reads the blocks after it (``_h_chain_endpoints``); ``seed``
+    lies in [0, 2**64).
     """
+    from .streams import philox_block, uniform
+
     mu = (1.0 - mu_q) * mu_q ** np.arange(j_star + 1)
-    mu = mu / mu.sum()
+    cdf = np.cumsum(mu)
+    cdf /= cdf[-1]
     a_edges = np.asarray(a_nodes, dtype=float)
     y_edges = np.asarray(y_nodes, dtype=float)
-    rng = individual_rng(seed, 0, 0)
-    pts_a = np.empty(n_samples)
-    pts_y = np.empty(n_samples)
-    for i in range(n_samples):
-        j = int(rng.choice(mu.size, p=mu))
-        p = advance_h_chain(model, x0, j * Delta, rng)
-        pts_a[i], pts_y[i] = p.a, p.y
+    u = uniform(philox_block(seed, np.arange(n_samples, dtype=np.uint64), (0, 0, 0, 0))[0])
+    j = np.searchsorted(cdf, u, side="right")
+    pts_a, pts_y = _h_chain_endpoints(model, x0, j * Delta, seed)
     hist, _, _ = np.histogram2d(pts_a, pts_y, bins=[a_edges, y_edges])
     area = np.outer(np.diff(a_edges), np.diff(y_edges))
     dens = hist / (n_samples * area)

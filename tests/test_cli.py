@@ -233,9 +233,12 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
      # bits; eta moved by <= 5.8e-16 relative), and when Newton steps took G
      # from the lam-series of one kernel pass and the diagnostics gained
      # kernel_passes, row_mass_error and each step's centre (lambda_R kept
-     # its bits; eta moved by <= 7.8e-16 relative, nu by <= 5.6e-16)
-     {"eigen_R4.json": "6cbb32423a4adad934644cc370ca7cf46d976989a7707ac94d4dbe08b7364107",
-      "eigen_summary.csv": "5b84b3df88a75d2433e70bbf83eaa525d818fc4632fc925ab4ffab693d0cafca"}),
+     # its bits; eta moved by <= 7.8e-16 relative, nu by <= 5.6e-16), and
+     # when the warm start moved from 1e-3 to 5e-4 below the coarse root
+     # (lambda_R by -1.1e-16, the residual by -2.4e-16, eta and nu by
+     # <= 7.5e-16 relative)
+     {"eigen_R4.json": "327133b02918e465f5be1eb1634d51ebc4a41d8aff45d9debcdf1f294ac80f34",
+      "eigen_summary.csv": "19996a7883e657332e7544141e6341e8bed4144a3842fcdfa929151e20110a80"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
     path = tmp_path / "pin.json"
@@ -273,15 +276,19 @@ class TestEigen:
         lo, hi = diag["bracket"]
         assert lo <= payload["lambda_R"] <= hi
 
-    def test_reference_grid_makes_one_kernel_pass(self, config, tmp_path):
-        # eigen --R 8 (257 nodes): every fine Newton step is a lam-series of
-        # the warm start's kernel pass; the 65-node coarse solve makes three
+    @pytest.mark.parametrize("R, n, coarse_n, coarse_passes",
+                             [(8, 257, 65, 3), (16, 513, 129, 2)], ids=["R8", "R16"])
+    def test_reference_grid_makes_one_kernel_pass(self, config, tmp_path, R, n, coarse_n,
+                                                  coarse_passes):
+        # eigen --R 8 and 16: every fine Newton step is a lam-series of the
+        # warm start's kernel pass; the coarse solve makes its own passes
         out = tmp_path / "e"
-        assert run(["eigen", "--config", config, "--out", out, "--R", 8]) == 0
-        payload = json.loads((out / "eigen_R8.json").read_text())
+        assert run(["eigen", "--config", config, "--out", out, "--R", R]) == 0
+        payload = json.loads((out / f"eigen_R{R}.json").read_text())
         diag = payload["diagnostics"]
-        assert len(payload["grid"]) == 257 and diag["kernel_passes"] == 1
-        assert diag["warm_start"]["n"] == 65 and diag["warm_start"]["kernel_passes"] == 3
+        assert len(payload["grid"]) == n and diag["kernel_passes"] == 1
+        assert diag["warm_start"]["n"] == coarse_n
+        assert diag["warm_start"]["kernel_passes"] == coarse_passes
         assert {step["centre"] for step in diag["trace"]} == {diag["trace"][0]["lam"]}
         assert diag["mu_evals"] == 3 and diag["row_mass_error"] < 1e-12
 

@@ -132,8 +132,7 @@ class TestLeadingEigen:
         r = 1.0 / np.sqrt(grid.weights[1:])
         M = np.zeros((3, 3))
         M[1:, 1:] = r[:, None] * S * r[None, :]
-        mat = KernelMatrix(lam=0.0, grid=grid, M=M, correction=np.zeros(3),
-                           dM=np.zeros((3, 3)))
+        mat = KernelMatrix(lam=0.0, grid=grid, M=M, dM=np.zeros((3, 3)))
         with pytest.raises(NoConvergence, match="residual"):
             leading_eigen(mat)
 

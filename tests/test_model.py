@@ -300,7 +300,7 @@ class TestIntegerBeta:
 
     @pytest.mark.parametrize("alpha, beta", INTEGER_LAWS)
     def test_one_draw_has_the_bits_of_an_array_draw(self, alpha, beta):
-        # a single draw, such as the h-chain's, solves on Python floats
+        # a draw of a size-1 array takes the whole array's bits
         rng = np.random.default_rng(5)
         u = np.concatenate([rng.random(300), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
         F = BetaFragmentation(alpha, beta)
@@ -308,18 +308,6 @@ class TestIntegerBeta:
             whole = sample(_FixedUniforms(u), u.size)
             single = [sample(_FixedUniforms(np.array([v])), 1)[0] for v in u.tolist()]
             assert np.array_equal(np.array(single).view(np.int64), whole.view(np.int64))
-
-    def test_one_draw_bits_on_many_words(self):
-        # the reference law and its size-biased law: 10^5 words and the words
-        # 0 (v = 0, where the Newton step is 0/0), 1 and 2^53 - 1
-        rng = np.random.default_rng(23)
-        words = np.concatenate([[0, 1, 2**53 - 1], rng.integers(0, 2**53, 10**5)])
-        u = words * 2.0**-53
-        for law in (BetaFragmentation(5, 5)._law, BetaFragmentation(6, 5)._law):
-            whole = law.ppf(u)
-            single = np.concatenate([law.ppf(u[i:i + 1]) for i in range(u.size)])
-            assert single[0] == 0.0
-            assert np.array_equal(single.view(np.int64), whole.view(np.int64))
 
     def test_size_biased_draws_are_beta_alpha_plus_1(self):
         u = np.random.default_rng(8).random(2000)

@@ -193,14 +193,12 @@ class TestKernelMatrix:
         for lam in (0.0, 0.9):
             mat = assembler.matrix(lam)
             M, dM = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
-            corr = np.zeros(grid.n)
             for i, y in enumerate(grid.nodes[1:], start=1):
                 q = assembler.law.row_quadrature(PhasePoint(0.0, float(y)))
                 coef = q.w * np.exp(-lam * q.t)
                 coefs = np.stack([coef, -q.t * coef])
                 kvals, above = reference_kvals(model, q, grid.nodes, grid.R)
                 leak = coefs @ above / grid.R
-                corr[i] = leak[0]
                 M[i], dM[i] = coefs @ kvals + leak[:, None]
             F = model.fragmentation
             if isinstance(F, BetaFragmentation) and F.alpha.is_integer() and F.beta.is_integer():
@@ -210,7 +208,6 @@ class TestKernelMatrix:
             else:
                 assert np.array_equal(mat.M, M)
                 assert np.array_equal(mat.dM, dM)
-            assert np.array_equal(mat.correction, corr)
 
     def test_series_radius_bounds_the_remainder(self):
         r, K = SERIES_RADIUS, SERIES_TERMS
@@ -256,8 +253,17 @@ class TestKernelMatrix:
             assert np.array_equal(mat.M == 0.0, M == 0.0)
             assert np.all(np.abs(mat.M - M) <= 4 * 2.0**-53 * M)
 
-    def test_leak_correction_positive_near_boundary(self, adder):
+    def test_leak_correction_positive_near_boundary(self, adder, law):
+        # a row's leak mass (1/R) int e^{-lam t} psi (mass of k above R) dt,
+        # which M adds to every entry of the row
         grid = SizeGrid.uniform(4.0, 64)
-        mat = KernelAssembler(adder, grid).matrix(1.0)
-        assert mat.correction[-1] > 0.0  # orbits from y = R leak past R
-        assert mat.correction[1] < mat.correction[-1]
+        mat = KernelAssembler(adder, grid, law).matrix(1.0)
+
+        def leak(y):
+            q = law.row_quadrature(PhasePoint(0.0, y))
+            return float(q.w * np.exp(-q.t) @ leak_mass(adder.fragmentation, q.u, grid.R)) / grid.R
+
+        first, last = leak(grid.nodes[1].item()), leak(grid.nodes[-1].item())
+        assert last > 0.0  # orbits from y = R leak past R
+        assert first < last
+        assert mat.M[-1, 0] == pytest.approx(last, rel=1e-14)  # F(0) = 0: the leak alone

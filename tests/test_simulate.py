@@ -16,7 +16,7 @@ from malthus import (BetaFragmentation, ConstantHazard, InsufficientData,
 from malthus import engine, simulate, streams
 from malthus.engine import children_ids
 from malthus.simulate import division_age_cdf
-from malthus.stationary import advance_h_chain
+from malthus.stationary import skeleton_mc_density
 
 
 class TestRngStreams:
@@ -51,7 +51,9 @@ class TestStreamPins:
 
     They record stream version 3 (``simulate.STREAM_VERSION``): one word per
     draw, exponentials by inversion, integer-Beta fragments by Newton steps
-    on binomial tails.
+    on binomial tails.  The skeleton sampler draws on arrays as well: sample
+    i reads the Philox blocks at counters (k, 0, 0, 0) under key (seed, i),
+    k = 0 for its skeleton index and k >= 1 for its k-th jump.
     """
 
     EVENT_LOG = [
@@ -94,9 +96,12 @@ class TestStreamPins:
                 for s in (0, 2**64 - 1)]
         assert sims[0] != sims[1]
 
-    def test_h_chain_endpoint(self, adder):
-        p = advance_h_chain(adder, PhasePoint(0.0, 1.0), 3.0, individual_rng(3, 0, 0))
-        assert (p.a, p.y) == (0.03913929676071906, 0.685171307536085)
+    def test_skeleton_density(self, adder):
+        est, _ = skeleton_mc_density(adder, PhasePoint(0.5, 1.5), 0.5, 4, 0.5,
+                                     np.linspace(0, 4, 9), np.linspace(0, 4, 9),
+                                     n_samples=2000, seed=3)
+        assert hashlib.sha256(est.values.tobytes()).hexdigest() == (
+            "1a6f16f28c784c9c7a98b89dec6e87a6dd76f3a95256fd1b4730db4ab2e7e38f")
 
 
 class TestClocks:

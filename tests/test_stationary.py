@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D,
@@ -13,15 +14,40 @@ from malthus import (BetaFragmentation, ConstantHazard, Density2D,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 import malthus.stationary
+from malthus.engine import _FixedUniforms
 from malthus.renewal import HAZARD_CUTOFF
 from malthus.model import gl_nodes
-from malthus.stationary import (_eta_operator, _pi_mass_weights, advance_h_chain,
+from malthus.stationary import (_eta_operator, _h_chain_endpoints, _pi_mass_weights,
                                 reference_profile, simpson_weights)
 
 
 @pytest.fixture(scope="module")
 def profile(adder):
     return solve_eta_star(adder)
+
+
+def h_chain_loop(model, x0, t_end, seed, i):
+    """Sample i of the size-harmonic chain, jump by jump on numpy's Philox.
+
+    The reference for ``_h_chain_endpoints``: jump k reads the block at
+    counter (k, 0, 0, 0), which ``Philox(counter=(k - 1, 0, 0, 0))`` returns
+    first.
+    """
+    lam, hz = model.lambda_growth, model.hazard
+    t, a, y, k = 0.0, x0.a, x0.y, 0
+    while True:
+        k += 1
+        w = Philox(counter=np.array([k - 1, 0, 0, 0], dtype=np.uint64),
+                   key=np.array([seed, i], dtype=np.uint64)).random_raw(2)
+        e = -math.log1p(-float(w[0] >> 11) * 2.0**-53)
+        a_div = hz.inverse_cumulative(hz.cumulative(a) + e)
+        t_div = t + math.log1p((a_div - a) / y) / lam
+        if t_div >= t_end:
+            g = math.exp(lam * (t_end - t))
+            return a + y * (g - 1.0), y * g
+        u = np.array([float(w[1] >> 11) * 2.0**-53])
+        rho = float(model.fragmentation.sample_size_biased(_FixedUniforms(u), 1)[0])
+        t, a, y = t_div, 0.0, rho * (y + (a_div - a))
 
 
 class TestEtaStar:
@@ -101,17 +127,20 @@ class TestEtaStar:
             assert simpson_weights(s) @ y == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     def test_fixed_point_against_direct_quadrature(self, adder, profile):
-        # evaluate the renewal map by adaptive quadrature at spot values
+        # evaluate the renewal map by adaptive quadrature at spot values; the
+        # inner integrand, called ~2.7 million times, is on Python floats:
+        # psi(a) = b e^{-b a} of the fixture's constant hazard, and eta* by np.interp
         F = adder.fragmentation.pdf
-        hz = adder.hazard
-        psi = lambda a: hz(a) * np.exp(-hz.cumulative(a))
+        b = adder.hazard.b
+        assert adder.hazard.a_star == 0.0
+        s_nodes, values = profile.s_nodes, profile.values
 
         def T(s):
             def inner(rho):
                 u = s / rho
                 val, _ = integrate.quad(
-                    lambda z: psi(u - z) * profile(z), 0.0,
-                    min(u, profile.s_nodes[-1]), limit=200)
+                    lambda z: b * math.exp(-b * (u - z)) * np.interp(z, s_nodes, values),
+                    0.0, min(u, s_nodes[-1]), limit=200)
                 return F(rho) * val
 
             with warnings.catch_warnings():
@@ -255,14 +284,51 @@ class TestDoeblin:
                              domain=(1.0, 2.0, 0.1, 0.9))
 
     def test_h_chain_and_mc_density(self, adder):
-        rng = np.random.default_rng(0)
-        p = advance_h_chain(adder, PhasePoint(0.0, 1.0), 2.0, rng)
-        assert p.y > 0 and p.a >= 0
+        a, y = _h_chain_endpoints(adder, PhasePoint(0.0, 1.0), np.array([0.0, 2.0, 2.0]), 0)
+        assert (a[0], y[0]) == (0.0, 1.0)  # no time, no flow
+        assert np.all(y > a) and np.all(a >= 0.0)
         est, se = skeleton_mc_density(adder, PhasePoint(0.5, 1.5), 0.5, 4, 0.5,
                                       np.linspace(0, 4, 9), np.linspace(0, 4, 9),
                                       n_samples=2000, seed=1)
         assert est.mass == pytest.approx(1.0, abs=0.2)
         assert np.all(se.values > 0.0)
+
+    @pytest.mark.parametrize("hz, F", [
+        (ConstantHazard(1.0), BetaFragmentation(5, 5)),
+        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), UniformFragmentation()),
+    ], ids=["constant_beta", "table_uniform"])
+    def test_h_chain_matches_a_loop_on_numpy_philox(self, hz, F):
+        model = make_adder(1.0, hz, F)
+        x0, seed = PhasePoint(0.5, 1.5), 2**64 - 1
+        t_end = np.linspace(0.0, 3.0, 40)
+        a, y = _h_chain_endpoints(model, x0, t_end, seed)
+        loop = np.array([h_chain_loop(model, x0, t, seed, i)
+                         for i, t in enumerate(t_end.tolist())])
+        assert np.array_equal(np.column_stack([a, y]).view(np.int64), loop.view(np.int64))
+
+    def test_mc_density_depends_on_the_seed_only(self, adder):
+        args = (adder, PhasePoint(0.5, 1.5), 0.5, 4, 0.5, np.linspace(0, 4, 9),
+                np.linspace(0, 4, 9))
+        first, again, other = (skeleton_mc_density(*args, n_samples=2000, seed=s)
+                               for s in (1, 1, 2))
+        for d, e in zip(first, again):
+            assert d.values.tobytes() == e.values.tobytes()
+        assert not np.array_equal(first[0].values, other[0].values)
+
+    def test_h_chain_is_the_size_weighted_population(self, adder):
+        # many-to-one: with d0 = 0 the population's total size is y0 e^{lam t}
+        # exactly, so the h-chain's law at t is the population's size-weighted law
+        x0, t = PhasePoint(0.5, 1.5), 1.5
+        a, y = _h_chain_endpoints(adder, x0, np.full(20_000, t), 1)
+        trs = run_replicates(adder, x0, SimConfig(seed=2, t_end=t, record_times=[t],
+                                                  replicates=2000))
+        states = [tr.states[0] for tr in trs]
+        for f in (lambda a, y: y, lambda a, y: a, lambda a, y: 1.0 / y):
+            chain = f(a, y)
+            pop = np.array([np.sum(s.y * f(s.a, s.y)) / np.sum(s.y) for s in states])
+            se = math.hypot(chain.std(ddof=1) / math.sqrt(chain.size),
+                            pop.std(ddof=1) / math.sqrt(pop.size))
+            assert abs(chain.mean() - pop.mean()) < 4.0 * se
 
 
 class TestErgodicity:
