@@ -228,7 +228,7 @@ def convert(cfg, args) -> dict:
 @dataclass
 class RunManifest:
     config: str
-    seed: int | None
+    seed: int
     command: str
     out_dir: str
     version: str
@@ -344,10 +344,7 @@ def cmd_stationary(conf, out_dir):
                 {"sweeps": profile.sweeps, "residual": profile.residual,
                  "kappa": profile.kappa, "pi_mass": profile.pi_mass,
                  "n": int(profile.s_nodes.size), "y_max": float(profile.s_nodes[-1])})
-    a_c = np.linspace(0, box[0], bins[0] + 1)
-    y_c = np.linspace(0, box[1], bins[1] + 1)
-    a_c = 0.5 * (a_c[:-1] + a_c[1:])
-    y_c = 0.5 * (y_c[:-1] + y_c[1:])
+    a_c, y_c = (st.bin_centers(np.linspace(0.0, b, n + 1)) for b, n in zip(box, bins))
     ref = st.pi_star_density(profile, model, a_c, y_c)
     A, Y = np.meshgrid(a_c, y_c, indexing="ij")
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
@@ -426,7 +423,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         RunManifest(
             config=args.config or "<defaults>",
-            seed=args.seed if args.seed is not None else cfg.get("sim", {}).get("seed"),
+            seed=conf["sim"]["config"].seed,
             command=args.command,
             out_dir=os.path.abspath(args.out),
             version=__version__,

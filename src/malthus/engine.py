@@ -5,12 +5,12 @@ every newborn it computes the first Philox block of the individual's own
 stream (``malthus.streams``) and reads one word from it per draw, in this
 order: the division exponential, the death exponential (when d0 > 0) and the
 fragment uniform.  Divisions, virtual-birth shifts and phases call
-``math.log1p``/``math.log``/``math.exp`` element by element, because numpy's
-vectorised versions can differ from them in the last bit; the other
-operations are the event-by-event simulation's, element for element, so
-every draw, event log and state is bit-identical to it.  States are returned
-as arrays, slices of the block's own, and a replicate that outgrows the cap
-raises PopulationCapExceeded.
+``math.log1p``/``math.log``/``math.exp`` element by element
+(``streams.math_map``), because numpy's vectorised versions can differ from
+them in the last bit; the other operations are the event-by-event
+simulation's, element for element, so every draw, event log and state is
+bit-identical to it.  States are returned as arrays, slices of the block's
+own, and a replicate that outgrows the cap raises PopulationCapExceeded.
 """
 
 from __future__ import annotations
@@ -23,22 +23,7 @@ import numpy as np
 from .errors import PopulationCapExceeded
 from .model import ModelSpec, PhasePoint
 from .simulate import MASK64, PopulationState, SimConfig, Trajectory
-from .streams import exponential, philox_block, uniform
-
-
-def _math_map(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` (a ``math`` function) applied to every element of ``x``."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-
-
-class _FixedUniforms:
-    """Adapter feeding fixed uniform draws into a fragmentation sampler."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n=None):
-        return self.u
+from .streams import exponential, math_map, philox_block, uniform
 
 
 @dataclass
@@ -120,7 +105,7 @@ class Block:
         lam, d0, hz = model.lambda_growth, model.d0, model.hazard
         e_div, e_die, u = self._draws(rep, lo, hi)
         a_div = hz.inverse_cumulative(hz.cumulative(a0) + e_div)
-        t_ev = t0 + _math_map(math.log1p, (a_div - a0) / y0) / lam
+        t_ev = t0 + math_map(math.log1p, (a_div - a0) / y0) / lam
         div = np.ones(rep.size, dtype=bool)
         if d0 > 0:
             t_die = t0 + e_die / d0
@@ -151,8 +136,8 @@ class Block:
         kid_lo, kid_hi = children_ids(lanes.lo[d], lanes.hi[d])
         t = lanes.t_ev[d]
         lam = self.model.lambda_growth
-        y = lanes.yb[d] * _math_map(math.exp, lam * (t - lanes.tb[d]))
-        rho = self.model.fragmentation.sample(_FixedUniforms(lanes.u[d]), d.size)
+        y = lanes.yb[d] * math_map(math.exp, lam * (t - lanes.tb[d]))
+        rho = self.model.fragmentation.sample(lanes.u[d])
         y1 = rho * y
         y2 = y - y1
         lanes.y1[d], lanes.y2[d] = y1, y2
@@ -246,7 +231,7 @@ class Block:
         states = [[] for _ in range(n)]
         for t in self.config.record_times:
             sel = np.flatnonzero(((tb < t) | root) & (t_ev >= t))
-            e = _math_map(math.exp, lam * (t - tb[sel]))
+            e = math_map(math.exp, lam * (t - tb[sel]))
             ybs = yb[sel]
             a, y = ybs * (e - 1.0), ybs * e
             ends = np.cumsum(np.bincount(rep[sel], minlength=n)).tolist()

@@ -154,6 +154,9 @@ class TableHazard:
 # ---------------------------------------------------------------------------
 # Fragmentation densities F on [0, 1]
 # ---------------------------------------------------------------------------
+# Every law draws by inversion: ``sample(u)`` and ``sample_size_biased(u)``
+# map a float array of uniforms to the quantiles of F and of the size-biased
+# density rho F(rho) / m1, one draw per uniform.
 
 
 def _into(values, out):
@@ -190,12 +193,12 @@ class UniformFragmentation:
     def moment(self, k: int) -> float:
         return 1.0 / (k + 1)
 
-    def sample(self, rng, n):
-        return rng.random(n)
+    def sample(self, u):
+        return u
 
-    def sample_size_biased(self, rng, n):
+    def sample_size_biased(self, u):
         # density 2*rho on [0,1]
-        return np.sqrt(rng.random(n))
+        return np.sqrt(u)
 
 
 def _special():
@@ -442,15 +445,13 @@ class BetaFragmentation:
             m *= (self.alpha + j) / (self.alpha + self.beta + j)
         return m
 
-    def sample(self, rng, n):
-        u = rng.random(n)
+    def sample(self, u):
         if self._law is not None:
             return self._law.ppf(u)
         return _special().betaincinv(self.alpha, self.beta, u)
 
-    def sample_size_biased(self, rng, n):
+    def sample_size_biased(self, u):
         # rho * Beta(a, b) density is proportional to Beta(a + 1, b)
-        u = rng.random(n)
         if self._biased_law is not None:
             return self._biased_law.ppf(u)
         return _special().betaincinv(self.alpha + 1.0, self.beta, u)
@@ -505,11 +506,11 @@ class TableFragmentation:
     def moment(self, k: int) -> float:
         return float(np.trapezoid(self.rho_knots**k * self.F_values, self.rho_knots))
 
-    def sample(self, rng, n):
-        return np.interp(rng.random(n), self._cdf_knots, self.rho_knots)
+    def sample(self, u):
+        return np.interp(u, self._cdf_knots, self.rho_knots)
 
-    def sample_size_biased(self, rng, n):
-        return np.interp(rng.random(n), self._biased_cdf, self.rho_knots)
+    def sample_size_biased(self, u):
+        return np.interp(u, self._biased_cdf, self.rho_knots)
 
 
 # ---------------------------------------------------------------------------

@@ -96,20 +96,18 @@ class FirstJumpLaw:
 
     # -- survival -------------------------------------------------------
 
-    def survival(self, x: PhasePoint, t) -> float:
-        """P(no division before t from x) = exp(-int_0^t beta(phi^s x) ds) = exp(H(a) - H(a_t))."""
-        lam = self.model.lambda_growth
-        a_t = x.a + x.y * (np.exp(lam * np.asarray(t, dtype=float)) - 1.0)
+    def survival(self, a, y, t):
+        """P(no division before t from x = (a, y)) = exp(-int_0^t beta(phi^s x) ds)
+        = exp(H(a) - H(a_t)), elementwise over broadcastable ``a``, ``y``, ``t``."""
+        a_t = a + y * (np.exp(self.model.lambda_growth * np.asarray(t, dtype=float)) - 1.0)
         H = self.model.hazard.cumulative
-        out = np.exp(-np.asarray(H(a_t) - H(x.a)))
+        out = np.exp(-np.asarray(H(a_t) - H(a)))
         return out if out.ndim else float(out)
 
-    def jump_time_density(self, x: PhasePoint, t) -> float:
-        """psi(t|x) = beta(phi^t x) * survival(x, t)."""
-        tt = np.asarray(t, dtype=float)
-        e = np.exp(self.model.lambda_growth * tt)
-        a_t, y_t = x.a + x.y * (e - 1.0), x.y * e
-        out = self.model.beta(a_t, y_t) * self.survival(x, tt)
+    def jump_time_density(self, a, y, t):
+        """psi(t|x) = beta(phi^t x) * survival(a, y, t), x = (a, y), broadcast as there."""
+        e = np.exp(self.model.lambda_growth * np.asarray(t, dtype=float))
+        out = self.model.beta(a + y * (e - 1.0), y * e) * self.survival(a, y, t)
         return out if np.ndim(out) else float(out)
 
     # -- quadrature along the orbit --------------------------------------

@@ -71,14 +71,14 @@ def individual_rng(seed: int, replicate: int, tree_id: int) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def sample_division_age(model: ModelSpec, x: PhasePoint, rng: Generator) -> float:
-    """Added size at division, drawn from P(A >= a) = exp(-(H(a) - H(x.a))).
+def sample_division_age(model: ModelSpec, x: PhasePoint, u: float) -> float:
+    """Added size at division of the uniform ``u``, P(A >= a) = exp(-(H(a) - H(x.a))).
 
     Returns the absolute added-size coordinate of the division point
     (>= x.a, and >= a_star when the hazard vanishes below a_star).  The
-    exponential is drawn by inversion from one uniform, as the engine draws it.
+    exponential is -log1p(-u), by inversion, as the engine draws it.
     """
-    e = -math.log1p(-rng.random())
+    e = -math.log1p(-u)
     hz = model.hazard
     return float(hz.inverse_cumulative(hz.cumulative(x.a) + e))
 

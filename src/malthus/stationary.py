@@ -81,6 +81,17 @@ class Density2D:
                 and np.allclose(self.y_nodes, other.y_nodes))
 
 
+def bin_centers(edges) -> np.ndarray:
+    """Centers of the cells between consecutive bin ``edges``."""
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _histogram(a, y, a_edges, y_edges):
+    """(counts of the points (a, y) in each cell of the edges, the cell areas)."""
+    hist, _, _ = np.histogram2d(a, y, bins=[a_edges, y_edges])
+    return hist, np.outer(np.diff(a_edges), np.diff(y_edges))
+
+
 def weighted_tv(u: Density2D, v: Density2D) -> float:
     """Integral of (1 + V) |u - v| over the common grid, V = ``default_V``."""
     if not u.same_grid(v):
@@ -441,24 +452,19 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     # with y(t) = y0 + a(t) - a0 <= y_hi + a(t) <= c1 (1 + a(t))
     c1 = lam * max(y_hi, 1.0)
 
-    # fit (A0, B0) with psi(t|x) >= A0 exp(-B0 (1+t) e^{c1 t}) on the horizon
+    # fit (A0, B0) with psi(t|x) >= A0 exp(-B0 (1+t) e^{c1 t}) on the horizon;
+    # psi in one call on axes [a0, y0, t]: 16 x 16 starting points x 128 times
     tt = np.linspace(0.0, horizon, 128)
-    ax = np.linspace(a_lo, a_hi, 16) if a_hi > a_lo else np.array([a_lo])
-    yx = np.linspace(y_lo, y_hi, 16) if y_hi > y_lo else np.array([y_lo])
-    m_t = np.full(tt.size, math.inf)
-    c0_sup = 0.0
-    h0_sup = 0.0
-    for a0 in ax:
-        for y0 in yx:
-            x = PhasePoint(float(a0), float(y0))
-            psi = np.asarray(law.jump_time_density(x, tt), dtype=float)
-            m_t = np.minimum(m_t, psi)
-            # C0: sup of (int z k(phi^t x, z) dz = 2 m1 y_t) psi e^{-lam_m t} / y0
-            e = np.exp(lam * tt)
-            y_t = y0 * e
-            hk = 2.0 * model.fragmentation.moment(1) * y_t
-            c0_sup = max(c0_sup, float(np.max(hk * psi * np.exp(-lam_m * tt) / float(y0))))
-            h0_sup = max(h0_sup, float(y0))
+    a0 = np.linspace(a_lo, a_hi, 16)[:, None, None]
+    y0 = np.linspace(y_lo, y_hi, 16)[:, None]
+    psi = law.jump_time_density(a0, y0, tt)
+    m_t = psi.min(axis=(0, 1))
+    # C0: sup of (int z k(phi^t x, z) dz = 2 m1 y_t) psi e^{-lam_m t} / y0; a
+    # starting point with a NaN anywhere on the horizon does not count
+    hk = 2.0 * model.fragmentation.moment(1) * (y0 * np.exp(lam * tt))
+    c0_x = np.max(hk * psi * np.exp(-lam_m * tt) / y0, axis=-1)
+    C0 = max(float(np.fmax.reduce(c0_x, axis=None, initial=0.0)), 1e-300)
+    H0 = y_hi
     if np.any(m_t <= 0):
         warnings.warn("first-jump density vanishes on the compact; minorant is empty",
                       EmptyMinorantWarning)
@@ -469,7 +475,6 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     slope = np.polyfit(shape[pos], np.log(m_t[pos]), 1)[0]
     B0 = max(-float(slope), 1e-12)
     A0 = float(np.min(m_t[pos] * np.exp(B0 * shape[pos]))) if np.any(pos) else 0.0
-    C0, H0 = max(c0_sup, 1e-300), max(h0_sup, 1e-300)
 
     beta_tilde = 2.0 * B0 + lam_m
     log_sf = -(2.0 * B0 * (1.0 + horizon) * math.exp(c1 * horizon) + lam_m * horizon)
@@ -528,9 +533,8 @@ def _h_chain_endpoints(model: ModelSpec, x0: PhasePoint, t_end, seed: int):
     (k, 0, 0, 0) under key (seed, i): word 0 for the division exponential,
     word 1 for the uniform of the size-biased fragment.
     """
-    # the engine and the streams are compiled on first use, as in simulate._blocks
-    from .engine import _FixedUniforms, _math_map
-    from .streams import exponential, philox_block, uniform
+    # the streams are imported on first use, as in simulate._blocks
+    from .streams import exponential, math_map, philox_block, uniform
 
     lam, hz = model.lambda_growth, model.hazard
     t_end = np.asarray(t_end, dtype=float)
@@ -542,15 +546,14 @@ def _h_chain_endpoints(model: ModelSpec, x0: PhasePoint, t_end, seed: int):
         k += 1
         words = philox_block(seed, live.astype(np.uint64), (k, 0, 0, 0))
         a_div = hz.inverse_cumulative(hz.cumulative(a) + exponential(words[0]))
-        t_div = t + _math_map(math.log1p, (a_div - a) / y) / lam
+        t_div = t + math_map(math.log1p, (a_div - a) / y) / lam
         stop = t_div >= t_end[live]
         done = live[stop]
-        e = _math_map(math.exp, lam * (t_end[done] - t[stop]))
+        e = math_map(math.exp, lam * (t_end[done] - t[stop]))
         a_end[done], y_end[done] = a[stop] + y[stop] * (e - 1.0), y[stop] * e
         go = ~stop
         live = live[go]
-        rho = model.fragmentation.sample_size_biased(_FixedUniforms(uniform(words[1][go])),
-                                                     live.size)
+        rho = model.fragmentation.sample_size_biased(uniform(words[1][go]))
         t, a, y = t_div[go], np.zeros(live.size), rho * (y[go] + (a_div[go] - a[go]))
     return a_end, y_end
 
@@ -578,15 +581,10 @@ def skeleton_mc_density(model: ModelSpec, x0: PhasePoint, Delta: float,
     y_edges = np.asarray(y_nodes, dtype=float)
     u = uniform(philox_block(seed, np.arange(n_samples, dtype=np.uint64), (0, 0, 0, 0))[0])
     j = np.searchsorted(cdf, u, side="right")
-    pts_a, pts_y = _h_chain_endpoints(model, x0, j * Delta, seed)
-    hist, _, _ = np.histogram2d(pts_a, pts_y, bins=[a_edges, y_edges])
-    area = np.outer(np.diff(a_edges), np.diff(y_edges))
-    dens = hist / (n_samples * area)
-    stderr = np.sqrt(np.maximum(hist, 1.0)) / (n_samples * area)
-    centers_a = 0.5 * (a_edges[:-1] + a_edges[1:])
-    centers_y = 0.5 * (y_edges[:-1] + y_edges[1:])
-    return (Density2D(centers_a, centers_y, dens),
-            Density2D(centers_a, centers_y, stderr))
+    hist, area = _histogram(*_h_chain_endpoints(model, x0, j * Delta, seed), a_edges, y_edges)
+    centers = bin_centers(a_edges), bin_centers(y_edges)
+    return (Density2D(*centers, hist / (n_samples * area)),
+            Density2D(*centers, np.sqrt(np.maximum(hist, 1.0)) / (n_samples * area)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +612,9 @@ def empirical_profile(trajectories: Sequence[Trajectory], time_index: int,
     states = [tr.states[time_index] for tr in trajectories]
     if not sum(s.count for s in states):
         raise InsufficientData("no individuals recorded at the requested time")
-    pts_a = np.concatenate([s.a for s in states])
-    pts_y = np.concatenate([s.y for s in states])
-    hist, _, _ = np.histogram2d(pts_a, pts_y, bins=[a_edges, y_edges])
-    area = np.outer(np.diff(a_edges), np.diff(y_edges))
-    dens = hist / area
-    centers_a = 0.5 * (a_edges[:-1] + a_edges[1:])
-    centers_y = 0.5 * (y_edges[:-1] + y_edges[1:])
-    d = Density2D(centers_a, centers_y, dens)
+    hist, area = _histogram(np.concatenate([s.a for s in states]),
+                            np.concatenate([s.y for s in states]), a_edges, y_edges)
+    d = Density2D(bin_centers(a_edges), bin_centers(y_edges), hist / area)
     if d.mass <= 0:
         raise InsufficientData("empty empirical profile")
     d.values = d.values / d.mass
@@ -646,9 +639,7 @@ def reference_profile(profile: EtaStarProfile, model: ModelSpec, box, bins) -> D
     A, Y = np.meshgrid(sub_a, sub_y, indexing="ij")
     fine = pi_star(profile, model, A, Y)
     cell = fine.reshape(bins[0], subsample, bins[1], subsample).mean(axis=(1, 3))
-    centers_a = 0.5 * (a_edges[:-1] + a_edges[1:])
-    centers_y = 0.5 * (y_edges[:-1] + y_edges[1:])
-    ref = Density2D(centers_a, centers_y, cell)
+    ref = Density2D(bin_centers(a_edges), bin_centers(y_edges), cell)
     ref.values = ref.values / ref.mass
     return ref
 

@@ -61,12 +61,15 @@ def uniform(w: np.ndarray) -> np.ndarray:
     return (w >> 11).astype(float) * 2.0**-53
 
 
-def exponential(w: np.ndarray) -> np.ndarray:
-    """Exp(1) draws -log1p(-U) from words ``w``, U = ``uniform(w)``.
+def math_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied to every element of the 1-D ``x``.
 
-    ``math.log1p`` is applied element by element: numpy's vectorised log1p
-    differs from it in the last bit on some CPUs, which would make the draws
-    depend on the machine.
+    numpy's vectorised log1p, exp and log differ from ``math``'s in the last
+    bit on some CPUs, which would make draws and phases depend on the machine.
     """
-    u = uniform(w)
-    return -np.fromiter(map(math.log1p, (-u).tolist()), dtype=float, count=u.size)
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def exponential(w: np.ndarray) -> np.ndarray:
+    """Exp(1) draws -log1p(-U) from words ``w``, U = ``uniform(w)``, by ``math.log1p``."""
+    return -math_map(math.log1p, -uniform(w))

@@ -191,7 +191,7 @@ def test_criterion_07_division_age_law():
         model = make_adder(1.0, hz, BetaFragmentation(5, 5))
         rng = individual_rng(123, 0, 0)
         x = PhasePoint(0.0, 1.0)
-        samples = np.array([sample_division_age(model, x, rng)
+        samples = np.array([sample_division_age(model, x, rng.random())
                             for _ in range(100_000)])
         pvals[label] = stats.kstest(
             samples, lambda a: division_age_cdf(model, x, a)).pvalue

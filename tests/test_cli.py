@@ -251,6 +251,15 @@ def test_outputs_pinned(tmp_path, argv, cfg, digests):
             for name in written} == digests
 
 
+@pytest.mark.parametrize("flags, seed", [([], 0), (["--seed", 5], 5)])
+def test_manifest_records_the_seed_drawn_with(tmp_path, flags, seed):
+    # without sim.seed the draws use seed 0, and the manifest must say so, not null
+    path = tmp_path / "no_seed.json"
+    path.write_text(json.dumps({"model": MODEL}))
+    assert run(["validate", "--config", path, "--out", tmp_path, *flags]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == seed
+
+
 class TestEigen:
     def test_summary(self, config, tmp_path):
         out = tmp_path / "e"

@@ -10,7 +10,6 @@ from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
                      MarkovModel, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder,
                      model_from_config, validate)
-from malthus.engine import _FixedUniforms
 from malthus.model import gauss_legendre
 
 
@@ -211,9 +210,9 @@ class TestFragmentation:
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)
         F = BetaFragmentation(5, 5)
-        s = F.sample(rng, 20000)
+        s = F.sample(rng.random(20000))
         assert abs(np.mean(s) - 0.5) < 0.005
-        sb = F.sample_size_biased(rng, 20000)
+        sb = F.sample_size_biased(rng.random(20000))
         # size-biased mean = m2 / m1 = 6/11
         assert abs(np.mean(sb) - 6.0 / 11.0) < 0.005
 
@@ -265,7 +264,7 @@ class TestIntegerBeta:
         words = np.concatenate([[0, 1, 2**53 - 1], rng.integers(0, 2**53, 10**6)])
         u = words * 2.0**-53  # Generator.random()'s uniforms
         F = BetaFragmentation(alpha, beta)
-        x = F.sample(_FixedUniforms(u), u.size)
+        x = F.sample(u)
         assert x[0] == 0.0 and 0.0 < x[1] < x[2] < 1.0
         # every draw: the tail it solves crosses its target within 4 ulp
         up, below, above = u >= 0.5, ulp_shift(x, -4), ulp_shift(x, 4)
@@ -305,14 +304,14 @@ class TestIntegerBeta:
         u = np.concatenate([rng.random(300), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
         F = BetaFragmentation(alpha, beta)
         for sample in (F.sample, F.sample_size_biased):
-            whole = sample(_FixedUniforms(u), u.size)
-            single = [sample(_FixedUniforms(np.array([v])), 1)[0] for v in u.tolist()]
+            whole = sample(u)
+            single = [sample(np.array([v]))[0] for v in u.tolist()]
             assert np.array_equal(np.array(single).view(np.int64), whole.view(np.int64))
 
     def test_size_biased_draws_are_beta_alpha_plus_1(self):
         u = np.random.default_rng(8).random(2000)
-        biased = BetaFragmentation(5, 5).sample_size_biased(_FixedUniforms(u), u.size)
-        assert np.array_equal(biased, BetaFragmentation(6, 5).sample(_FixedUniforms(u), u.size))
+        biased = BetaFragmentation(5, 5).sample_size_biased(u)
+        assert np.array_equal(biased, BetaFragmentation(6, 5).sample(u))
 
     @pytest.mark.parametrize("alpha, beta", [(2.5, 2.5), (1, 65)])
     def test_other_laws_keep_scipy_bits(self, alpha, beta):
@@ -321,9 +320,9 @@ class TestIntegerBeta:
         u = np.random.default_rng(9).random(5000)
         F = BetaFragmentation(alpha, beta)
         biased = special.betaincinv(alpha + 1.0, beta, u)
-        assert np.array_equal(F.sample_size_biased(_FixedUniforms(u), u.size), biased)
+        assert np.array_equal(F.sample_size_biased(u), biased)
         if alpha == 2.5:
-            draws = F.sample(_FixedUniforms(u), u.size)
+            draws = F.sample(u)
             assert np.array_equal(draws, special.betaincinv(2.5, 2.5, u))
             x = np.linspace(-0.5, 1.5, 101)
             assert np.array_equal(F.cdf(x), special.betainc(2.5, 2.5, np.clip(x, 0.0, 1.0)))

@@ -108,14 +108,14 @@ class TestClocks:
     def test_division_age_exponential_for_constant_hazard(self, adder):
         rng = individual_rng(0, 0, 0)
         x = PhasePoint(0.0, 1.0)
-        s = np.array([sample_division_age(adder, x, rng) for _ in range(20000)])
+        s = np.array([sample_division_age(adder, x, rng.random()) for _ in range(20000)])
         # B = 1: the added size at division is Exp(1)
         assert stats.kstest(s, "expon").pvalue > 0.01
 
     def test_division_age_respects_current_age(self, adder):
         rng = individual_rng(0, 0, 1)
         x = PhasePoint(0.7, 1.0)
-        s = np.array([sample_division_age(adder, x, rng) for _ in range(2000)])
+        s = np.array([sample_division_age(adder, x, rng.random()) for _ in range(2000)])
         assert np.all(s >= 0.7)
 
 
@@ -216,7 +216,7 @@ class TestDivisionAgeCdf:
         m = make_adder(1.0, hz, BetaFragmentation(5, 5))
         rng = individual_rng(8, 0, 0)
         x = PhasePoint(0.0, 1.0)
-        s = np.array([sample_division_age(m, x, rng) for _ in range(20000)])
+        s = np.array([sample_division_age(m, x, rng.random()) for _ in range(20000)])
         res = stats.kstest(s, lambda a: division_age_cdf(m, x, a))
         assert res.pvalue > 0.01
 
@@ -238,7 +238,7 @@ def reference_population(model, x0, config, replicate):
 
     def add(tree_id, t0, a0, y0):
         rng = individual_rng(config.seed, replicate, tree_id)
-        a_div = sample_division_age(model, PhasePoint(a0, y0), rng)
+        a_div = sample_division_age(model, PhasePoint(a0, y0), rng.random())
         t_div = t0 + math.log1p((a_div - a0) / y0) / lam
         t_die = t0 - math.log1p(-rng.random()) / d0 if d0 > 0 else math.inf
         u = rng.random()
@@ -272,7 +272,7 @@ def reference_population(model, x0, config, replicate):
             continue
         y = phase(tree_id, t_ev).y
         alive.pop(tree_id)
-        rho = float(model.fragmentation.sample(engine._FixedUniforms(np.full(1, u)), 1)[0])
+        rho = float(model.fragmentation.sample(np.full(1, u))[0])
         y1 = rho * y
         log.append((t_ev, "division", tree_id, y1, y - y1))
         add(2 * tree_id + 1, t_ev, 0.0, y1)

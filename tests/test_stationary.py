@@ -14,8 +14,7 @@ from malthus import (BetaFragmentation, ConstantHazard, Density2D,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 import malthus.stationary
-from malthus.engine import _FixedUniforms
-from malthus.renewal import HAZARD_CUTOFF
+from malthus.renewal import HAZARD_CUTOFF, FirstJumpLaw
 from malthus.model import gl_nodes
 from malthus.stationary import (_eta_operator, _h_chain_endpoints, _pi_mass_weights,
                                 reference_profile, simpson_weights)
@@ -46,7 +45,7 @@ def h_chain_loop(model, x0, t_end, seed, i):
             g = math.exp(lam * (t_end - t))
             return a + y * (g - 1.0), y * g
         u = np.array([float(w[1] >> 11) * 2.0**-53])
-        rho = float(model.fragmentation.sample_size_biased(_FixedUniforms(u), 1)[0])
+        rho = float(model.fragmentation.sample_size_biased(u)[0])
         t, a, y = t_div, 0.0, rho * (y + (a_div - a))
 
 
@@ -276,6 +275,52 @@ class TestDoeblin:
             nu, _ = doeblin_minorant(m, (0.0, 1.0, 1.0, 2.0), grid_n=32)
             masses.append(nu.mass)
         assert masses[0] > masses[1] > masses[2] > 0.0
+
+    @pytest.mark.parametrize("hz", [
+        ConstantHazard(1.0), ConstantHazard(1.0, a_star=0.3),
+        TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]),
+    ], ids=["constant", "a_star", "table"])
+    @pytest.mark.parametrize("d0", [0.0, 0.2])
+    @pytest.mark.parametrize("compact", [
+        (0.0, 1.0, 1.0, 2.0), (0.5, 0.5, 1.0, 2.0), (0.0, 1.0, 1.5, 1.5), (0.2, 0.2, 0.7, 0.7),
+    ], ids=["box", "a_point", "y_point", "point"])
+    @pytest.mark.filterwarnings("ignore::malthus.errors.EmptyMinorantWarning")  # a_star
+    def test_psi_sweep_matches_a_loop_over_starting_points(self, hz, d0, compact,
+                                                           monkeypatch):
+        model = make_adder(1.0, hz, BetaFragmentation(5, 5), d0)
+        nu, c = doeblin_minorant(model, compact, grid_n=32)
+        sweep = FirstJumpLaw.jump_time_density
+        rows = []
+
+        def per_point(law, a, y, t):
+            # one call per starting point (a0, y0) of the compact, t along the last axis
+            shape = np.broadcast_shapes(np.shape(a), np.shape(y), np.shape(t))
+            a, y = (v[..., 0].ravel().tolist() for v in np.broadcast_arrays(a, y))
+            rows.extend((a0, y0, sweep(law, a0, y0, t)) for a0, y0 in zip(a, y))
+            return np.reshape([psi for _, _, psi in rows], shape)
+
+        monkeypatch.setattr(FirstJumpLaw, "jump_time_density", per_point)
+        nu_loop, c_loop = doeblin_minorant(model, compact, grid_n=32)
+        assert nu.values.tobytes() == nu_loop.values.tobytes()
+        assert repr(c.to_dict()) == repr(c_loop.to_dict())
+        # the loop's 16 x 16 starting points, its running inf of psi (A0, B0)
+        # and its running sups C0 and H0
+        a_lo, a_hi, y_lo, y_hi = compact
+        assert [r[:2] for r in rows] == [(a0, y0) for a0 in np.linspace(a_lo, a_hi, 16).tolist()
+                                         for y0 in np.linspace(y_lo, y_hi, 16).tolist()]
+        tt = np.linspace(0.0, c.j_star * c.Delta, 128)
+        m_t = np.full(tt.size, math.inf)
+        c0_sup = h0_sup = 0.0
+        for _, y0, psi in rows:
+            m_t = np.minimum(m_t, psi)
+            hk = 2.0 * model.fragmentation.moment(1) * (y0 * np.exp(tt))
+            c0_sup = max(c0_sup, float(np.max(hk * psi * np.exp(-(1.0 - d0) * tt) / y0)))
+            h0_sup = max(h0_sup, y0)
+        shape, pos = (1.0 + tt) * np.exp(c.c1 * tt), m_t > 0
+        B0 = max(-float(np.polyfit(shape[pos], np.log(m_t[pos]), 1)[0]), 1e-12)
+        A0 = float(np.min(m_t[pos] * np.exp(B0 * shape[pos])))
+        assert (c.A0, c.B0, c.C0) == (A0, B0, max(c0_sup, 1e-300))
+        assert c.H0 == h0_sup == y_hi
 
     def test_empty_minorant_warns(self, adder):
         with pytest.warns(EmptyMinorantWarning):
