@@ -168,6 +168,30 @@ class TestFragmentation:
         assert np.array_equal(F.pdf(rho), expected)
         assert all(type(F.pdf(r)) is float for r in rho)
 
+    # F at the signed zeros, the least subnormal, 1e-300, 1/2, 1 - 1e-16, 1,
+    # 1.5, +-inf and NaN: as an array and point by point, sign of zero included
+    PDF_POINTS = [-0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.5, math.inf,
+                  -math.inf, math.nan]
+
+    @pytest.mark.parametrize("F, values", [
+        (BetaFragmentation(5, 5), {4: "0x1.3b00000000000p+1", 5: "0x1.3affffffffffcp-203"}),
+        (BetaFragmentation(2, 7), {2: "0x0.0000000000038p-1022", 3: "0x1.2c05bca99d4eep-991",
+                                   4: "0x1.c000000000000p-2", 5: "0x1.bffffffffffffp-313"}),
+        (BetaFragmentation(2.5, 5), {4: "0x1.4bc9aaa36c231p+0", 5: "0x1.d537ffffffff5p-207"}),
+        (UniformFragmentation(), dict.fromkeys(range(7), "0x1.0000000000000p+0")),
+        (TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
+         {2: "0x0.0000000000004p-1022", 3: "0x1.56e1fc2f8f359p-995", 4: "0x1.0000000000000p+1",
+          5: "0x1.0000000000000p-51"}),
+    ], ids=["beta55", "beta27", "beta255", "uniform", "table"])
+    def test_pdf_pinned(self, F, values):
+        """``values`` maps the index of each nonzero point to its hex value;
+        every other point is +0.0."""
+        expected = [values.get(i, "0x0.0p+0") for i in range(len(self.PDF_POINTS))]
+        assert [v.hex() for v in F.pdf(np.array(self.PDF_POINTS)).tolist()] == expected
+        scalars = [F.pdf(r) for r in self.PDF_POINTS]
+        assert all(type(v) is float for v in scalars)
+        assert [v.hex() for v in scalars] == expected
+
     @pytest.mark.parametrize("alpha, beta", [(1, 1), (1, 3), (3, 1), (2, 2), (5, 5), (2, 7),
                                              (20, 20)])
     def test_polynomial_density(self, alpha, beta):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -208,6 +209,31 @@ class TestKernelMatrix:
             else:
                 assert np.array_equal(mat.M, M)
                 assert np.array_equal(mat.dM, dM)
+
+    # sha256 of the bytes of M and dM at lam = 0.9 on SizeGrid.uniform(3, 24):
+    # the polynomial Beta density (integer parameters), its log form
+    # (Beta(2.5, 5)), the uniform and the tabulated law
+    @pytest.mark.parametrize("F, M_sha, dM_sha", [
+        (BetaFragmentation(5, 5),
+         "643e461d59c4ad752e0bc2987773a0af95c401f50dcfab3aed27406d166ce593",
+         "bf2b991dcfdf7a3708a443bdbc89cb105645ebecac04df76515ff3e8249cffae"),
+        (BetaFragmentation(2, 7),
+         "37af8088408c7acf50d03f2ae7a2060baa9049761cf6cf14ff24074a2bc33a72",
+         "3175a6fc129c31ef70e55375a77b28cf453d9eef59bea30420597430c428e321"),
+        (BetaFragmentation(2.5, 5),
+         "1bb206a8c719ecace305b2c4a32edd30a087f4a37410dee02e8190bd3799e505",
+         "f952ba7a49901b2e943aed2122eab287825d53aabd12eb4bc83f0143c3d8696a"),
+        (UniformFragmentation(),
+         "f2bffb687c16d402197b5898966d5ff7b6d34de6e4621fff5b4105d5c8edc8ab",
+         "c60ec165ad49665521b5c736c5f1c1d1cf3a2343454f4ced674b805e9b9c2fb0"),
+        (TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
+         "7b19e17c37d8ac4c5f43323fe6c1a305d8d29b7a848e7e28875445b86d62d290",
+         "d26db9d390c73a5ed5a1c863bd4f4f1d01f8d478c77a354f0b9979795ddd3ec3"),
+    ], ids=["beta55", "beta27", "beta255", "uniform", "table"])
+    def test_matrix_bits_pinned(self, F, M_sha, dM_sha):
+        mat = KernelAssembler(make_adder(1, 1, F), SizeGrid.uniform(3, 24)).matrix(0.9)
+        assert hashlib.sha256(mat.M.tobytes()).hexdigest() == M_sha
+        assert hashlib.sha256(mat.dM.tobytes()).hexdigest() == dM_sha
 
     def test_series_radius_bounds_the_remainder(self):
         r, K = SERIES_RADIUS, SERIES_TERMS
