@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import BracketFailure, NoConvergence
 from .model import ModelSpec, PhasePoint, gl_nodes
-from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
-                      KernelRowEvaluator, SizeGrid, leak_mass)
+from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix, SizeGrid,
+                      kernel_row, leak_mass)
 
 RAYLEIGH_TOL = 1e-12
 #: bound on the relative eigen residual max|G eta - mu eta| / max|eta|
@@ -289,7 +289,7 @@ def reconstruct_h(result: EigenResult, model: ModelSpec, x: PhasePoint,
     grid = result.grid
     q = law.row_quadrature(x)
     coef = q.w * np.exp(-result.lambda_R * q.t)
-    kvals = KernelRowEvaluator(model, grid.nodes)(q)
+    kvals = kernel_row(model, q, grid.nodes)
     above = leak_mass(model.fragmentation, q.u, grid.R)
     row = coef @ kvals + float(np.dot(coef, above)) / grid.R
     return float(np.dot(grid.weights, row * result.eta))

@@ -154,23 +154,11 @@ class TableHazard:
 # ---------------------------------------------------------------------------
 # Fragmentation densities F on [0, 1]
 # ---------------------------------------------------------------------------
+# Every law evaluates its density as ``pdf(rho)``: a new float array of
+# rho's shape, or a Python float for a scalar rho, zero outside [0, 1].
 # Every law draws by inversion: ``sample(u)`` and ``sample_size_biased(u)``
 # map a float array of uniforms to the quantiles of F and of the size-biased
 # density rho F(rho) / m1, one draw per uniform.
-
-
-def _into(values, out):
-    """Return ``values`` as a pdf result: copied into ``out`` when one is given.
-
-    Every fragmentation ``pdf(rho, out=None, work=None)`` follows one
-    convention: with ``out`` the density is written there and ``out`` is
-    returned (``work`` is optional scratch that only the Beta density uses);
-    without it a scalar ``rho`` gives a float.
-    """
-    if out is not None:
-        np.copyto(out, values)
-        return out
-    return values if values.ndim else float(values)
 
 
 class UniformFragmentation:
@@ -178,9 +166,10 @@ class UniformFragmentation:
 
     name = "uniform"
 
-    def pdf(self, rho, out=None, work=None):
+    def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return _into(np.where((rho >= 0) & (rho <= 1), 1.0, 0.0), out)
+        out = np.where((rho >= 0) & (rho <= 1), 1.0, 0.0)
+        return out if out.ndim else float(out)
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -367,64 +356,38 @@ class BetaFragmentation:
         biased = _poly_form(self.alpha + 1.0, self.beta)
         return None if biased is None else _IntegerBeta(biased[0] + 1, biased[1] + 1)
 
-    def pdf(self, rho, out=None, work=None):
-        """Beta density at ``rho``, zero outside the open interval (0, 1).
+    def pdf(self, rho):
+        """Beta density at ``rho``: ``scipy.stats.beta``'s on [0, 1], less an
+        end where the exponent is negative (an infinite density), and 0 there.
 
-        ``out`` (a float array of rho's shape, not rho itself) receives the
-        density; ``work`` lends a float and a bool array of that shape as
-        scratch, so a caller that passes both allocates nothing.
+        The polynomial is c x^p (1-x)^q at x = rho clamped to [0, 1]: the
+        clamp sends -0.0 to 0.0 and NaN to 1, so it is +0.0 outside [0, 1]
+        wherever its exponent at that end is positive; an end with exponent 0
+        is cut off by multiplying with the comparison.
         """
         rho = np.asarray(rho, dtype=float)
-        scalar = out is None and rho.ndim == 0
-        if out is None:
-            out = np.empty_like(rho)
-        x, inside = work if work is not None else (np.empty_like(rho),
-                                                    np.empty(rho.shape, dtype=bool))
-        if self._poly is not None:
-            self._poly_into(rho, out, x, inside)
-            return float(out) if scalar else out
-        np.greater(rho, 0.0, out=inside)
-        np.less(rho, 1.0, out=inside, where=inside)
-        # unmasked ufuncs on x = rho inside, 1/2 outside, zeroed at the end:
-        # exp((alpha - 1) log(x) + (beta - 1) log1p(-x) - log B(alpha, beta))
-        x.fill(0.5)
-        np.copyto(x, rho, where=inside)
-        np.log(x, out=out)
-        np.multiply(out, self.alpha - 1.0, out=out)
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        np.multiply(x, self.beta - 1.0, out=x)
-        np.add(out, x, out=out)
-        np.subtract(out, self._log_norm, out=out)
-        np.exp(out, out=out)
-        np.logical_not(inside, out=inside)
-        np.copyto(out, 0.0, where=inside)
-        return float(out) if scalar else out
-
-    def _poly_into(self, rho, out, x, inside):
-        """c x^p (1-x)^q into ``out``, with x = rho clamped to [0, 1].
-
-        The clamp sends -0.0 to 0.0 and NaN to 1, so the polynomial is +0.0
-        outside (0, 1) wherever its exponent at that end is positive; an end
-        with exponent 0 is zeroed by multiplying with the comparison there.
-        No ufunc is masked: ``where=`` costs more than the arithmetic.
-        """
+        if self._poly is None:
+            p, q = self.alpha - 1.0, self.beta - 1.0
+            inside = (rho >= 0.0 if p >= 0 else rho > 0) & (rho <= 1.0 if q >= 0 else rho < 1)
+            x = np.where(inside, rho, 0.5)
+            with np.errstate(divide="ignore"):  # log(0) = -inf; 0 * -inf would be NaN
+                log_f = (p * np.log(x) if p else 0.0) + (q * np.log1p(-x) if q else 0.0)
+                out = np.where(inside, np.exp(log_f - self._log_norm), 0.0)
+            return out if out.ndim else float(out)
         p, q, c = self._poly
-        np.maximum(rho, 0.0, out=x)
+        x = np.maximum(np.atleast_1d(rho), 0.0)  # 1-d: ufuncs on 0-d give scalars
         np.fmin(x, 1.0, out=x)
-        if p:
-            np.multiply(x, c, out=out)
-        else:
-            out.fill(c)
+        out = x * c if p else np.full(x.shape, c)
         for _ in range(p - 1):
-            np.multiply(out, x, out=out)
+            out *= x
         np.subtract(1.0, x, out=x)
         for _ in range(q):
-            np.multiply(out, x, out=out)
+            out *= x
         if p == 0:
-            np.multiply(out, np.greater(rho, 0.0, out=inside), out=out)
+            out *= rho >= 0.0
         if q == 0:
-            np.multiply(out, np.less(rho, 1.0, out=inside), out=out)
+            out *= rho <= 1.0
+        return out if rho.ndim else float(out[0])
 
     def cdf(self, rho):
         if self._law is not None:
@@ -486,13 +449,11 @@ class TableFragmentation:
         cb = np.concatenate([[0.0], np.cumsum(segb)])
         self._biased_cdf = cb / cb[-1] if cb[-1] > 0 else cb
 
-    def pdf(self, rho, out=None, work=None):
+    def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return _into(np.where(
-            (rho >= self.rho_knots[0]) & (rho <= self.rho_knots[-1]),
-            np.interp(rho, self.rho_knots, self.F_values),
-            0.0,
-        ), out)
+        out = np.where((rho >= self.rho_knots[0]) & (rho <= self.rho_knots[-1]),
+                       np.interp(rho, self.rho_knots, self.F_values), 0.0)
+        return out if out.ndim else float(out)
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)

@@ -140,34 +140,12 @@ def leak_mass(fragmentation, u, R: float):
     return np.where(u > R, 2.0 * fragmentation.sf(np.minimum(R / u, 1.0)), 0.0)
 
 
-class KernelRowEvaluator:
-    """Offspring-kernel values k(0, u_r, z_j) along one orbit row.
-
-    ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` at the row's sizes ``u_r`` and
-    the fixed sizes ``z``, evaluated in place into buffers that are
-    allocated once and kept for every later row of the same length.
-    The returned ``kvals`` is overwritten by the next call.
-    """
-
-    def __init__(self, model: ModelSpec, z):
-        self.model = model
-        self.z = np.asarray(z, dtype=float)
-        self._buffers = None
-
-    def _workspace(self, n_t: int):
-        shape = (n_t, self.z.size)
-        if self._buffers is None or self._buffers[0].shape != shape:
-            # ratio, kvals, and the float/bool scratch of the density
-            self._buffers = (np.empty(shape), np.empty(shape), np.empty(shape),
-                             np.empty(shape, dtype=bool))
-        return self._buffers
-
-    def __call__(self, q: RowQuadrature):
-        ratio, kvals, x, mask = self._workspace(q.u.size)
-        np.divide(self.z, q.u[:, None], out=ratio)
-        self.model.fragmentation.pdf(ratio, out=kvals, work=(x, mask))
-        np.multiply(kvals, (2.0 / q.u)[:, None], out=kvals)
-        return kvals
+def kernel_row(model: ModelSpec, q: RowQuadrature, z):
+    """Offspring-kernel values ``kvals[r, j] = (2 / u_r) F(z_j / u_r)`` =
+    k(0, u_r, z_j) at the sizes ``u_r`` of one orbit row and the sizes ``z``."""
+    kvals = model.fragmentation.pdf(z / q.u[:, None])
+    kvals *= (2.0 / q.u)[:, None]
+    return kvals
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +302,15 @@ class KernelAssembler:
         index = np.flatnonzero(grid.nodes > 0)  # a zero-size orbit never divides
         rows = [self.law.row_quadrature(PhasePoint(0.0, y)) for y in grid.nodes[index].tolist()]
         above = leak_mass(self.model.fragmentation, np.stack([q.u for q in rows]), R)
-        kernel = KernelRowEvaluator(self.model, grid.nodes)
         for i, q, row_above in zip(index.tolist(), rows, above):
             weights = [q.w * np.exp(-lam0 * q.t)]
             for _ in range(SERIES_TERMS - 1):
                 weights.append(-q.t * weights[-1])
-            kvals = kernel(q)
+            kvals = kernel_row(self.model, q, grid.nodes)
             for m in (slice(0, 2), slice(2, None)):
                 c = np.stack(weights[m])
                 moments[m, i] = c @ kvals + (c @ row_above / R)[:, None]
+            del kvals  # free the row before the next: one row's arrays fewer in cache
         self.passes += 1
         self.t_max = max(float(q.t.max()) for q in rows)
         return lam0, moments

@@ -137,6 +137,18 @@ class TestLeadingEigen:
             leading_eigen(mat)
 
 
+def test_beta_1_1_is_the_uniform_law(adder_uniform):
+    """Beta(1, 1) and the uniform law are one density on [0, 1], ends
+    included, so the root, eta and nu agree to the bit."""
+    grid = SizeGrid.uniform(4.0, 48)
+    beta = solve_malthus(KernelAssembler(make_adder(1.0, ConstantHazard(1.0),
+                                                    BetaFragmentation(1, 1)), grid))
+    uniform = solve_malthus(KernelAssembler(adder_uniform, grid))
+    assert beta.lambda_R == uniform.lambda_R
+    assert np.array_equal(beta.eta, uniform.eta)
+    assert np.array_equal(beta.nu_dual, uniform.nu_dual)
+
+
 class TestHazardWithJump:
     @pytest.mark.parametrize("a_star", [0.3, 0.7])
     def test_root_is_the_growth_rate(self, a_star):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -150,21 +151,21 @@ class TestFragmentation:
                                    TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
                              ids=["beta55", "beta11", "beta0505", "beta255", "uniform",
                                   "table"])
-    def test_pdf_into_buffer(self, F):
+    def test_pdf_matches_reference_as_array_and_float(self, F):
+        from scipy import stats
         rho = np.array([-0.5, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.5, np.nan])
         expected = np.array([F.pdf(r) for r in rho])
         if isinstance(F, BetaFragmentation):
             # the gather/scatter formula the density replaced; integer
-            # parameters take the polynomial form, within rounding of it
+            # parameters take the polynomial form, within rounding of it,
+            # and keep scipy's value at an end of [0, 1] with exponent 0
             ref = log_exp_pdf(F, rho)
             if F.alpha.is_integer() and F.beta.is_integer():
+                ends = (rho == 0.0) | (rho == 1.0)
+                ref[ends] = stats.beta.pdf(rho[ends], F.alpha, F.beta)
                 np.testing.assert_allclose(expected, ref, rtol=1e-13, atol=0.0)
             else:
                 assert np.array_equal(expected, ref)
-        out = np.full_like(rho, 7.0)
-        work = (np.full_like(rho, 7.0), np.ones(rho.shape, dtype=bool))
-        assert F.pdf(rho, out=out, work=work) is out
-        assert np.array_equal(out, expected)
         assert np.array_equal(F.pdf(rho), expected)
         assert all(type(F.pdf(r)) is float for r in rho)
 
@@ -201,9 +202,23 @@ class TestFragmentation:
         dens = F.pdf(rho)
         np.testing.assert_allclose(dens, stats.beta.pdf(rho, alpha, beta), rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(dens, log_exp_pdf(F, rho), rtol=1e-13, atol=0.0)
-        outside = np.array([-0.5, 0.0, 1.0, 1.5, np.nan])
-        assert F.pdf(outside).tolist() == [0.0] * 5
-        assert [F.pdf(r) for r in outside.tolist()] == [0.0] * 5
+        # an end with exponent 0 has scipy's value c there, the rest 0
+        edges = np.array([-0.5, 0.0, 1.0, 1.5, np.nan])
+        expected = np.nan_to_num(stats.beta.pdf(edges, alpha, beta)).tolist()
+        assert F.pdf(edges).tolist() == expected
+        assert [F.pdf(r) for r in edges.tolist()] == expected
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 2.5), (2.5, 1), (2.5, 5), (0.5, 3)])
+    def test_log_density_at_the_ends(self, alpha, beta):
+        # an end with exponent 0 has scipy's value there, one with a
+        # positive exponent 0, and one with a negative exponent (scipy's inf) 0
+        from scipy import stats
+        F = BetaFragmentation(alpha, beta)
+        ends = np.array([0.0, 1.0])
+        ref = stats.beta.pdf(ends, alpha, beta)
+        expected = np.where(np.isinf(ref), 0.0, ref)
+        np.testing.assert_allclose(F.pdf(ends), expected, rtol=1e-14, atol=0.0)
+        assert [F.pdf(r) for r in ends.tolist()] == F.pdf(ends).tolist()
 
     # 1e300 used to ask math.comb for the polynomial's coefficient
     @pytest.mark.parametrize("alpha, beta", [(5, 5), (1, 3), (20, 20), (2.5, 5), (1e300, 1e300)])
@@ -213,7 +228,11 @@ class TestFragmentation:
         rho = np.concatenate([rng.uniform(-0.2, 1.2, 2000),
                               [0.0, 1.0, -0.0, 5e-324, 1e-300, 1.0 - 1e-16, 0.5, -math.inf,
                                math.inf, math.nan]])
-        assert same_bits([F.pdf(r) for r in rho.tolist()], F.pdf(rho))
+        # Beta(1e300, 1e300): p log(x) overflows to -inf, and the density to 0
+        with (pytest.warns(RuntimeWarning, match="overflow") if alpha == 1e300
+              else contextlib.nullcontext()):
+            scalars, array = [F.pdf(r) for r in rho.tolist()], F.pdf(rho)
+        assert same_bits(scalars, array)
 
     @pytest.mark.parametrize("alpha, beta", [(-1, -1), (0, 5), (5, math.inf), (math.nan, 5)])
     def test_beta_rejects_bad_parameters(self, alpha, beta):

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
                      KernelAssembler, PhasePoint, SizeGrid, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder)
-from malthus.renewal import (SERIES_RADIUS, SERIES_TERMS, KernelRowEvaluator,
-                             leak_mass)
+from malthus.renewal import SERIES_RADIUS, SERIES_TERMS, kernel_row, leak_mass
 
 
 def kernel_K(law, x, z, lam):
@@ -17,7 +16,7 @@ def kernel_K(law, x, z, lam):
     contraction coef @ kvals with coef = w e^{-lam t}."""
     q = law.row_quadrature(x)
     coef = q.w * np.exp(-lam * q.t)
-    out = coef @ KernelRowEvaluator(law.model, np.atleast_1d(z))(q)
+    out = coef @ kernel_row(law.model, q, np.atleast_1d(z))
     return out if np.ndim(z) else float(out[0])
 
 
@@ -31,6 +30,9 @@ def reference_kvals(model, q, z, R):
         dens = np.zeros_like(ratio)
         dens[inside] = np.exp((F.alpha - 1.0) * np.log(x)
                               + (F.beta - 1.0) * np.log1p(-x) - F._log_norm)
+        # scipy's value at the ends of [0, 1]: c where the exponent is 0
+        ends = (ratio == 0.0) | (ratio == 1.0)
+        dens[ends] = stats.beta.pdf(ratio[ends], F.alpha, F.beta)
     else:
         dens = F.pdf(ratio)
     kvals = (2.0 / q.u)[:, None] * dens
@@ -263,7 +265,6 @@ class TestKernelMatrix:
         assembler = KernelAssembler(model, grid, law)
         lam0 = 0.9
         centre = assembler.matrix(lam0)
-        rows = KernelRowEvaluator(model, grid.nodes)
         for r in (0.5, 1.0, -0.5, -1.0):
             lam = lam0 + r * SERIES_RADIUS / assembler.t_max
             while abs(lam - lam0) * assembler.t_max > SERIES_RADIUS:  # rounded past it
@@ -275,7 +276,8 @@ class TestKernelMatrix:
             for i, y in enumerate(grid.nodes[1:].tolist(), start=1):
                 q = law.row_quadrature(PhasePoint(0.0, y))
                 rest = q.w * np.exp(-lam0 * q.t) * np.expm1(-d * q.t)
-                M[i] += rest @ rows(q) + rest @ leak_mass(F, q.u, grid.R) / grid.R
+                M[i] += (rest @ kernel_row(model, q, grid.nodes)
+                         + rest @ leak_mass(F, q.u, grid.R) / grid.R)
             assert np.array_equal(mat.M == 0.0, M == 0.0)
             assert np.all(np.abs(mat.M - M) <= 4 * 2.0**-53 * M)
 
