@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -196,6 +198,38 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", out2]) == 0
         assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("d0, sim", [
+        # d0 = 1.5 > lambda: most recorded populations die out (no snapshot
+        # rows, nan means); t = 0.1 prints as 0.10000000000000001
+        (1.5, {"seed": 7, "t_end": 2.5, "record_times": [0.1, 0.7, 1.5, 2.5], "replicates": 8}),
+        # one state of 5,484 individuals, written in more than one string
+        (0.0, {"seed": 7, "t_end": 8.6, "record_times": [0.1, 8.6], "replicates": 1}),
+    ], ids=["die_out", "past_4096_rows"])
+    def test_csvs_match_per_row_reference(self, tmp_path, d0, sim):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {**MODEL, "d0": d0},
+                                    "sim": {**sim, "snapshots": True}}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", path, "--out", out]) == 0
+        model = malthus.make_adder(1.0, malthus.ConstantHazard(1.0),
+                                   malthus.BetaFragmentation(5, 5), d0=d0)
+        trajectories = malthus.run_replicates(model, malthus.PhasePoint(0.0, 1.0),
+                                              malthus.SimConfig(**sim))
+        traj = ["replicate,t,count,sum_h,mean_a,mean_y\n"]
+        snap = ["replicate,t,a,y\n"]
+        for r, tr in enumerate(trajectories):
+            for s in tr.states:
+                a, y = s.a.tolist(), s.y.tolist()
+                n = len(a)
+                sum_a, sum_h = (functools.reduce(operator.add, v, 0.0) for v in (a, y))
+                means = (sum_a / n, sum_h / n) if n else (math.nan, math.nan)
+                traj.append("%d,%.17g,%d,%.17g,%.17g,%.17g\n" % (r, s.t, n, sum_h, *means))
+                snap += ["%d,%.17g,%.17g,%.17g\n" % (r, s.t, ai, yi) for ai, yi in zip(a, y)]
+        counts = [s.count for tr in trajectories for s in tr.states]
+        assert (0 in counts) if d0 else max(counts) > 4096
+        assert any(row.startswith("0,0.10000000000000001,") for row in snap)
+        assert (out / "trajectory.csv").read_bytes() == "".join(traj).encode()
+        assert (out / "snapshots.csv").read_bytes() == "".join(snap).encode()
 
 MODEL = {"model_type": "adder", "lambda_growth": 1.0, "d0": 0.0,
          "hazard": {"type": "constant", "b": 1.0},
