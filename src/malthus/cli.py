@@ -26,7 +26,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -260,6 +259,7 @@ def _write_csv(path, header, rows):
 
     Each row is formatted by one ``%`` string, built once per tuple of
     column types: ``%d`` for ints, ``%.17g`` for floats, ``%s`` otherwise.
+    ``cmd_simulate`` writes snapshots.csv in this format, one string per state.
     """
     formats = {}
 
@@ -324,11 +324,16 @@ def cmd_simulate(conf, out_dir):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
     if sim["snapshots"]:
-        # rows are formatted as they are generated, never all held at once
-        snap = chain.from_iterable(zip(repeat(r), repeat(s.t), s.a.tolist(), s.y.tolist())
-                                   for r, tr in enumerate(trajectories) for s in tr.states)
-        _write_csv(os.path.join(out_dir, "snapshots.csv"),
-                   ["replicate", "t", "a", "y"], snap)
+        def snapshots(fh):
+            # the rows _write_csv would write, one % string per state (4,096 rows at most)
+            fh.write("replicate,t,a,y\n")
+            for r, tr in enumerate(trajectories):
+                for s in tr.states:
+                    row = "%d,%.17g," % (r, s.t) + "%.17g,%.17g\n"
+                    for i in range(0, s.count, 4096):
+                        ay = np.column_stack((s.a[i:i + 4096], s.y[i:i + 4096])).ravel()
+                        fh.write(row * (ay.size // 2) % tuple(ay.tolist()))
+        _atomic_write(os.path.join(out_dir, "snapshots.csv"), snapshots)
     return EXIT_OK
 
 

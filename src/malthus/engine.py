@@ -9,8 +9,8 @@ fragment uniform.  Divisions, virtual-birth shifts and phases call
 (``streams.math_map``), because numpy's vectorised versions can differ from
 them in the last bit; the other operations are the event-by-event
 simulation's, element for element, so every draw, event log and state is
-bit-identical to it.  States are returned as arrays, slices of the block's
-own, and a replicate that outgrows the cap raises PopulationCapExceeded.
+bit-identical to it.  States and event logs are slices of the block's
+arrays, and a replicate that outgrows the cap raises PopulationCapExceeded.
 """
 
 from __future__ import annotations
@@ -206,23 +206,18 @@ class Block:
     # -- output ----------------------------------------------------------
 
     def _trajectories(self, lanes: _Lanes) -> list:
-        """One Trajectory per replicate from all lanes of the block."""
-        n, x0 = len(self.reps), self.x0
+        """One Trajectory per replicate from all lanes of the block; its events
+        are slices of the block's event columns, listed only when read."""
+        n = len(self.reps)
         self.lanes = lanes.size
         # (birth time, tree id) order within each replicate, as states list them
         lanes.reorder(np.lexsort((lanes.lo, lanes.hi, lanes.tb, lanes.rep)))
-        # event logs, (time, tree id) order within each replicate
+        # events, (time, tree id) order within each replicate
         ev = np.flatnonzero(lanes.t_ev <= self.config.t_end)
         ev = ev[np.lexsort((lanes.lo[ev], lanes.hi[ev], lanes.t_ev[ev], lanes.rep[ev]))]
-        kinds = [("death", "division")[d] for d in lanes.div[ev].tolist()]
-        lo, hi = lanes.lo[ev].tolist(), lanes.hi[ev].tolist()
-        ids = [a | b << 64 for a, b in zip(lo, hi)] if any(hi) else lo  # tree ids
-        entries = list(zip(lanes.t_ev[ev].tolist(), kinds, ids,
-                           lanes.y1[ev].tolist(), lanes.y2[ev].tolist()))
+        cols = [getattr(lanes, k)[ev] for k in ("t_ev", "div", "lo", "hi", "y1", "y2")]
         ends = np.cumsum(np.bincount(lanes.rep[ev], minlength=n)).tolist()
-        logs = [[(0.0, "init", 0, x0.a, x0.y)] + entries[a:b]
-                for a, b in zip([0] + ends, ends)]
-        del entries, ev, ids, lo, hi
+        events = [tuple(c[a:b] for c in cols) for a, b in zip([0] + ends, ends)]
         # alive at t: born before t (the root always) and its event not before t
         rep, t_ev, tb, yb = lanes.rep, lanes.t_ev, lanes.tb, lanes.yb
         root = (lanes.lo == 0) & (lanes.hi == 0)
@@ -237,7 +232,7 @@ class Block:
             ends = np.cumsum(np.bincount(rep[sel], minlength=n)).tolist()
             for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
                 states[b].append(PopulationState(t, a[lo:hi], y[lo:hi]))
-        return [Trajectory(states=s, event_log=log) for s, log in zip(states, logs)]
+        return [Trajectory(s, self.x0, e) for s, e in zip(states, events)]
 
 
 def children_ids(lo: np.ndarray, hi: np.ndarray):

@@ -25,9 +25,7 @@ check (``generator_consistency_check``) runs on the same engine.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Sequence
@@ -141,8 +139,20 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """One replicate: its recorded states, and its events as the arrays (time, division
+    flag, low and high uint64 words of the tree id, y1, y2), listed on read."""
+
     states: list
-    event_log: list
+    x0: PhasePoint
+    events: tuple
+
+    @property
+    def event_log(self) -> list:
+        """[(0.0, "init", 0, x0.a, x0.y), (t, kind, tree id, y1, y2), ...], Python scalars."""
+        t, div, lo, hi, y1, y2 = (col.tolist() for col in self.events)
+        ids = [a | b << 64 for a, b in zip(lo, hi)] if any(hi) else lo
+        kinds = [("death", "division")[d] for d in div]
+        return [(0.0, "init", 0, self.x0.a, self.x0.y), *zip(t, kinds, ids, y1, y2)]
 
 
 def simulate_population(model: ModelSpec, x0: PhasePoint, config: SimConfig,
@@ -195,11 +205,15 @@ def run_replicates(model: ModelSpec, x0: PhasePoint, config: SimConfig):
 def empirical_functional(state: PopulationState, f: Callable) -> float:
     """<Z_t, f>: ``f(a, y)``, called once on the state's arrays, summed in order.
 
-    The sum is plain left-to-right float addition: builtin ``sum`` of floats
-    is compensated from Python 3.12 on, so its bits depend on the interpreter.
+    The last running sum of ``np.add.accumulate``, plus 0.0, is the sum of
+    Python floats added in order from 0.0: builtin ``sum`` is compensated
+    from Python 3.12 on, and ``np.sum`` is pairwise.
     """
     values = np.broadcast_to(f(state.a, state.y), state.a.shape)
-    return float(functools.reduce(operator.add, values.tolist(), 0.0))
+    if not values.size:
+        return 0.0
+    with np.errstate(all="ignore"):
+        return float(np.add.accumulate(values, dtype=float)[-1]) + 0.0
 
 
 def estimate_malthus(trajectories) -> tuple:

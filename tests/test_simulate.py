@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import heapq
 import math
+import operator
+import struct
 import time
 
 import numpy as np
@@ -15,7 +18,7 @@ from malthus import (BetaFragmentation, ConstantHazard, InsufficientData,
                      run_replicates, sample_division_age, simulate_population)
 from malthus import engine, simulate, streams
 from malthus.engine import children_ids
-from malthus.simulate import division_age_cdf
+from malthus.simulate import Trajectory, division_age_cdf
 from malthus.stationary import skeleton_mc_density
 
 
@@ -152,6 +155,27 @@ class TestSimulation:
         monkeypatch.setattr(simulate, "sum", math.fsum, raising=False)
         assert empirical_functional(state, lambda a, y: y) == 0.0
 
+    @pytest.mark.parametrize("values", [[], [-0.0, -0.0], [1e16, 1.0, -1e16],
+                                        [1.0, math.nan, -2.0], [math.inf, -math.inf],
+                                        [1e308, 1e308, -1e308]],
+                             ids=["empty", "negative_zeros", "cancelling", "nan", "inf_minus_inf",
+                                  "overflow"])
+    def test_functional_matches_left_to_right_reference(self, values):
+        y = np.array(values, dtype=float)
+        state = simulate.PopulationState(t=0.0, a=np.zeros(y.size), y=y)
+        assert bits(empirical_functional(state, lambda a, y: y)) == bits(left_to_right(y))
+
+    def test_functional_matches_reference_on_the_pinned_run(self, adder_d0):
+        # every state of tests/test_cli.py::test_outputs_pinned[simulate]
+        cfg = SimConfig(seed=7, t_end=4.0, record_times=[0.0, 1.0, 2.0, 3.0, 4.0],
+                        replicates=20)
+        states = [s for tr in run_replicates(adder_d0, PhasePoint(0.0, 1.0), cfg)
+                  for s in tr.states]
+        assert max(s.count for s in states) > 8  # np.sum adds more than 8 values pairwise
+        for s in states:
+            for f in (lambda a, y: a, lambda a, y: y, lambda a, y: y * y):
+                assert bits(empirical_functional(s, f)) == bits(left_to_right(f(s.a, s.y)))
+
     def test_reproducible(self, adder):
         cfg = SimConfig(seed=11, t_end=2.5, record_times=[2.5], replicates=3)
         runs1 = run_replicates(adder, PhasePoint(0.0, 1.0), cfg)
@@ -185,6 +209,22 @@ class TestSimulation:
         tr = simulate_population(m, PhasePoint(0.0, 1.0), cfg)
         kinds = {e[1] for e in tr.event_log}
         assert "death" in kinds
+
+    def test_event_log_built_from_columns(self):
+        m = make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(5, 5), d0=1.0)
+        cfg = SimConfig(seed=9, t_end=3.0, record_times=[3.0], replicates=4)
+        logs = [tr.event_log for tr in run_replicates(m, PhasePoint(0.0, 1.0), cfg)]
+        again = [tr.event_log for tr in run_replicates(m, PhasePoint(0.0, 1.0), cfg)]
+        assert logs == again
+        entries = [e for log in logs for e in log]
+        assert {e[1] for e in entries} == {"init", "division", "death"}
+        # Python scalars only: the digests hash the log's repr
+        assert {tuple(map(type, e)) for e in entries} == {(float, str, int, float, float)}
+
+    def test_event_log_joins_id_words(self):
+        one, word = np.ones(1), np.ones(1, dtype=np.uint64)
+        tr = Trajectory([], PhasePoint(0.0, 1.0), (one, one > 0, 5 * word, word, one, one))
+        assert tr.event_log[1][2] == 5 + 2**64
 
 
 class TestEstimation:
@@ -282,6 +322,15 @@ def reference_population(model, x0, config, replicate):
             break
     flush(config.t_end)
     return log, states, cap_hit
+
+
+def left_to_right(values):
+    """The reference sum: Python floats added in order, starting from 0.0."""
+    return functools.reduce(operator.add, np.asarray(values, dtype=float).tolist(), 0.0)
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 def flat(tr):
