@@ -285,6 +285,37 @@ def test_outputs_pinned(tmp_path, argv, cfg, digests):
             for name in written} == digests
 
 
+@pytest.mark.parametrize("argv, cfg, name, digest", [
+    # three times, each distance a float; 1.0 prints as 1
+    (["stationary"],
+     {**SMALL, "stationary": {"n": 256, "report": True},
+      "sim": {"seed": 7, "t_end": 2.0, "record_times": [1.0, 1.5, 2.0], "replicates": 200}},
+     "decay.csv", "778f2481cde261b4d47ed36cfe5ecd223c3c08d519b488c13cc42bcb73f0065f"),
+    (["eigen", "--R", "4", "--R", "5"], SMALL,
+     "eigen_summary.csv", "d94c5891def3855f211484f8187196640e93cf4d0bbc06a6389a2340f0a7cea7"),
+], ids=["decay", "eigen_summary_two_rows"])
+def test_more_outputs_pinned(tmp_path, argv, cfg, name, digest):
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([argv[0], "--config", path, "--out", out, *argv[1:]]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_manifest_pinned(tmp_path, monkeypatch):
+    # the bytes of manifest.json but for its two lines that vary by run
+    monkeypatch.chdir(tmp_path)
+    Path("pin.json").write_text(json.dumps({"model": MODEL, "sim": {"seed": 7}}))
+    assert run(["stationary", "--config", "pin.json", "--out", "out"]) == 0
+    text = Path("out", "manifest.json").read_text()
+    kept = [line for line in text.split("\n")
+            if not line.lstrip().startswith(('"wall_clock"', '"out_dir"'))]
+    assert "\n".join(kept) == (f'{{\n  "command": "stationary",\n  "config": "pin.json",\n'
+                               f'  "seed": 7,\n  "stream": 3,\n'
+                               f'  "version": "{malthus.__version__}",\n}}')
+    assert json.loads(text)["out_dir"] == str(tmp_path / "out")
+
+
 @pytest.mark.parametrize("flags, seed", [([], 0), (["--seed", 5], 5)])
 def test_manifest_records_the_seed_drawn_with(tmp_path, flags, seed):
     # without sim.seed the draws use seed 0, and the manifest must say so, not null
