@@ -10,14 +10,13 @@ outputs are staged with a ``.partial`` suffix.
 
 Exit codes: 0 success, 1 malformed configuration JSON, an unknown section or
 key, a missing ``model`` key or a bad value in any section, whatever the
-command, 2 invalid model, 3 eigen solver failure, 4 simulation failure, 5
-stationary failure, 6 minorant failure.
+command, or an output that cannot be written, 2 invalid model, 3 eigen solver
+failure, 4 simulation failure, 5 stationary failure, 6 minorant failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import difflib
 import functools
 import json
@@ -25,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,6 +206,10 @@ def convert(cfg, args) -> dict:
     sim["seed"] = sim["seed"] if args.seed is None else args.seed
     if not (grid["R"] and all(1.0 <= R < math.inf for R in grid["R"])):
         raise ConfigError(f"grid.R: {grid['R']} must be finite and at least 1 (y = 1 is a node)")
+    for R in grid["R"]:  # eigen writes one eigen_R{R:g}.json per R
+        other = next(S for S in grid["R"] if f"{S:g}" == f"{R:g}")
+        if other != R:
+            raise ConfigError(f"grid.R: {other!r} and {R!r} both name eigen_R{R:g}.json")
     x0, snapshots = sim.pop("x0"), sim.pop("snapshots")
     try:
         sim_config = SimConfig(**sim)
@@ -220,22 +222,8 @@ def convert(cfg, args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Manifest and atomic output helpers
+# Atomic output helpers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunManifest:
-    config: str
-    seed: int
-    command: str
-    out_dir: str
-    version: str
-    wall_clock: str
-    stream: int = STREAM_VERSION  # the law of the random draws (simulate.STREAM_VERSION)
-
-    def write(self, out_dir):
-        _write_json(os.path.join(out_dir, "manifest.json"), dataclasses.asdict(self))
 
 
 def _atomic_write(path, writer):
@@ -254,33 +242,28 @@ def _write_json(path, obj):
     _atomic_write(path, lambda fh: json.dump(obj, fh, indent=2, sort_keys=True))
 
 
-def _write_csv(path, header, rows):
-    """CSV with ints in decimal and floats as ``%.17g`` (exact round trip).
+def _write_csv(path, header, tables):
+    """CSV of ``header`` and then the rows of each ``(row, array)`` in ``tables``.
 
-    Each row is formatted by one ``%`` string, built once per tuple of
-    column types: ``%d`` for ints, ``%.17g`` for floats, ``%s`` otherwise.
-    ``cmd_simulate`` writes snapshots.csv in this format, one string per state.
+    ``row`` is one row's ``%`` string, ``%.17g`` (an exact round trip) for a
+    float and ``%d`` for a count, and ``array`` a 2-D array with one column
+    per field (a float array holds each count up to 2**53 exactly).  Rows are
+    formatted at most 4,096 to a string, never a whole population at the cap.
     """
-    formats = {}
-
     def writer(fh):
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            key = tuple(map(type, row))
-            fmt = formats.get(key)
-            if fmt is None:
-                fmt = formats[key] = ",".join(map(_spec, key)) + "\n"
-            fh.write(fmt % tuple(row))
+        for row, table in tables:
+            for i in range(0, len(table), 4096):
+                chunk = table[i:i + 4096]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     _atomic_write(path, writer)
 
 
-def _spec(cls):
-    if issubclass(cls, (int, np.integer)):
-        return "%d"
-    if issubclass(cls, float):
-        return "%.17g"
-    return "%s"
+def _grid_table(density):
+    """The (a, y, value) rows of a Density2D, a-major."""
+    A, Y = np.meshgrid(density.a_nodes, density.y_nodes, indexing="ij")
+    return np.column_stack((A.ravel(), Y.ravel(), density.values.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +288,27 @@ def cmd_eigen(conf, out_dir):
         result = solve_malthus(KernelAssembler(conf["model"], grid))
         _write_json(os.path.join(out_dir, f"eigen_R{R:g}.json"), result.to_dict())
         summary.append((R, result.lambda_R, result.residual))
-    _write_csv(os.path.join(out_dir, "eigen_summary.csv"),
-               ["R", "lambda_R", "mu_residual"], summary)
+    _write_csv(os.path.join(out_dir, "eigen_summary.csv"), ["R", "lambda_R", "mu_residual"],
+               [("%.17g,%.17g,%.17g\n", np.array(summary))])
     return EXIT_OK
 
 
 def cmd_simulate(conf, out_dir):
     sim = conf["sim"]
     trajectories = run_replicates(conf["model"], sim["x0"], sim["config"])
-    rows = []
-    for r, tr in enumerate(trajectories):
-        for state in tr.states:
-            n = state.count
-            sum_h = empirical_functional(state, lambda a, y: y)
-            mean_a = empirical_functional(state, lambda a, y: a) / n if n else math.nan
-            mean_y = sum_h / n if n else math.nan
-            rows.append((r, state.t, n, sum_h, mean_a, mean_y))
+    rows = np.array([(r, s.t, s.count, empirical_functional(s, lambda a, y: y),
+                      empirical_functional(s, lambda a, y: a))
+                     for r, tr in enumerate(trajectories) for s in tr.states]).reshape(-1, 5)
+    with np.errstate(invalid="ignore"):  # the means of an empty state are 0 / 0 = nan
+        means = rows[:, [4, 3]] / rows[:, 2:3]
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"], rows)
+               ["replicate", "t", "count", "sum_h", "mean_a", "mean_y"],
+               [("%d,%.17g,%d,%.17g,%.17g,%.17g\n", np.column_stack((rows[:, :4], means)))])
     if sim["snapshots"]:
-        def snapshots(fh):
-            # the rows _write_csv would write, one % string per state (4,096 rows at most)
-            fh.write("replicate,t,a,y\n")
-            for r, tr in enumerate(trajectories):
-                for s in tr.states:
-                    row = "%d,%.17g," % (r, s.t) + "%.17g,%.17g\n"
-                    for i in range(0, s.count, 4096):
-                        ay = np.column_stack((s.a[i:i + 4096], s.y[i:i + 4096])).ravel()
-                        fh.write(row * (ay.size // 2) % tuple(ay.tolist()))
-        _atomic_write(os.path.join(out_dir, "snapshots.csv"), snapshots)
+        # replicate and t are formatted once per state, not once per row
+        _write_csv(os.path.join(out_dir, "snapshots.csv"), ["replicate", "t", "a", "y"],
+                   (("%d,%.17g," % (r, s.t) + "%.17g,%.17g\n", np.column_stack((s.a, s.y)))
+                    for r, tr in enumerate(trajectories) for s in tr.states))
     return EXIT_OK
 
 
@@ -344,32 +319,30 @@ def cmd_stationary(conf, out_dir):
         raise ValueError(f"box = {box} and bins = {bins} must be positive")
     profile = st.solve_eta_star(model, **stcfg)
     _write_csv(os.path.join(out_dir, "eta_star.csv"), ["s", "eta_star"],
-               zip(profile.s_nodes, profile.values))
+               [("%.17g,%.17g\n", np.column_stack((profile.s_nodes, profile.values)))])
     _write_json(os.path.join(out_dir, "eta_star.json"),
                 {"sweeps": profile.sweeps, "residual": profile.residual,
                  "kappa": profile.kappa, "pi_mass": profile.pi_mass,
                  "n": int(profile.s_nodes.size), "y_max": float(profile.s_nodes[-1])})
     a_c, y_c = (st.bin_centers(np.linspace(0.0, b, n + 1)) for b, n in zip(box, bins))
     ref = st.pi_star_density(profile, model, a_c, y_c)
-    A, Y = np.meshgrid(a_c, y_c, indexing="ij")
     _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
-               zip(A.ravel(), Y.ravel(), ref.values.ravel()))
+               [("%.17g,%.17g,%.17g\n", _grid_table(ref))])
     if report:
         sim = conf["sim"]
         trajectories = run_replicates(model, sim["x0"], sim["config"])
         rep = st.ergodicity_report(trajectories, profile, model, box=box, bins=bins)
-        _write_csv(os.path.join(out_dir, "decay.csv"), ["t", "distance"], rep.to_rows())
+        _write_csv(os.path.join(out_dir, "decay.csv"), ["t", "distance"],
+                   [("%.17g,%.17g\n", np.column_stack((rep.times, rep.distances)))])
     return EXIT_OK
 
 
 def cmd_doeblin(conf, out_dir):
     nu, constants = st.doeblin_minorant(conf["model"], **conf["doeblin"])
-    A, Y = np.meshgrid(nu.a_nodes, nu.y_nodes, indexing="ij")
     _write_csv(os.path.join(out_dir, "minorant.csv"), ["a", "y", "nu"],
-               zip(A.ravel(), Y.ravel(), nu.values.ravel()))
-    out = constants.to_dict()
-    out["mass"] = nu.mass
-    _write_json(os.path.join(out_dir, "minorant_constants.json"), out)
+               [("%.17g,%.17g,%.17g\n", _grid_table(nu))])
+    _write_json(os.path.join(out_dir, "minorant_constants.json"),
+                {**constants.to_dict(), "mass": nu.mass})
     return EXIT_OK
 
 
@@ -426,14 +399,11 @@ def main(argv=None) -> int:
     try:
         conf = convert(cfg, args)
         os.makedirs(args.out, exist_ok=True)
-        RunManifest(
-            config=args.config or "<defaults>",
-            seed=conf["sim"]["config"].seed,
-            command=args.command,
-            out_dir=os.path.abspath(args.out),
-            version=__version__,
-            wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        ).write(args.out)
+        _write_json(os.path.join(args.out, "manifest.json"), {
+            "command": args.command, "config": args.config or "<defaults>",
+            "out_dir": os.path.abspath(args.out), "seed": conf["sim"]["config"].seed,
+            "stream": STREAM_VERSION, "version": __version__,  # stream: the draws' law
+            "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())})
         return command(conf, args.out)
     except InvalidModel as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
@@ -446,6 +416,9 @@ def main(argv=None) -> int:
         return exit_failed
     except ValueError as exc:
         print(f"invalid configuration: {section}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except OSError as exc:  # --out is a file, or an output cannot be created or replaced
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

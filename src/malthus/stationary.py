@@ -600,9 +600,6 @@ class ErgodicityReport:
     box: tuple
     bins: tuple
 
-    def to_rows(self):
-        return list(zip(self.times.tolist(), self.distances.tolist()))
-
 
 def empirical_profile(trajectories: Sequence[Trajectory], time_index: int,
                       box, bins) -> Density2D:

@@ -640,20 +640,59 @@ def test_failed_drift_names_its_margin(tmp_path, capsys):
     assert json.loads((out / "drift_report.json").read_text())["pass"] is False
 
 
-def test_csv_rows_match_per_value_formatting(tmp_path):
-    def fmt(v):
-        # the per-value formatter that the per-row format strings replaced
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
+def test_csv_tables_match_per_value_formatting(tmp_path):
+    def fmt(template, v):
+        # the per-value formatting that each table's row template stands for
+        return str(int(v)) if template == "%d" else format(v, ".17g")
 
-    rows = [(1, np.int64(-7), np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, 1e-300),
-            (2**70, 3, 2.5, 1.0, 0.1 + 0.2, np.float64(-1e300), 5e-324, 7),
-            (True, np.int32(4), "x", np.float32(0.1), None, np.bool_(False), 1, 2.0)]
-    path = tmp_path / "rows.csv"
-    _write_csv(str(path), [f"c{i}" for i in range(8)], rows)
-    expected = ",".join(f"c{i}" for i in range(8)) + "\n" + "".join(
-        ",".join(fmt(v) for v in row) + "\n" for row in rows)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 0.1 + 0.2, -1e300]
+    counts = [0.0, 1.0, 7.0, 4096.0, 2.0**31, 2.0**53 - 1, 2.0**53]
+    tables = [
+        (["%d", "%.17g", "%.17g"],
+         np.array([(c, v, -v) for c, v in zip(counts + counts[:1], special)])),
+        (["%d", "%.17g"], np.column_stack((np.arange(4097.0), np.linspace(0.0, 1.0, 4097)))),
+        (["%d", "%.17g"], np.empty((0, 2))),
+        (["%.17g", "%d"], np.array([(0.1, 2.0**53)])),
+    ]
+    path = tmp_path / "tables.csv"
+    _write_csv(str(path), ["c0", "c1", "c2"],
+               ((",".join(t) + "\n", table) for t, table in tables))  # a generator
+    expected = "c0,c1,c2\n" + "".join(
+        ",".join(fmt(t, v) for t, v in zip(templates, row)) + "\n"
+        for templates, table in tables for row in table.tolist())
     assert path.read_text() == expected
+    assert expected.count("\n") == 1 + 8 + 4097 + 0 + 1
+
+
+@pytest.mark.parametrize("clash", ["file_as_out", "artifact_is_a_directory"])
+def test_unwritable_output_exits_1(config, tmp_path, capsys, clash):
+    # --out naming a file used to end in a FileExistsError traceback
+    out = tmp_path / "out"
+    if clash == "file_as_out":
+        out.write_text("keep")
+    else:
+        (out / "validate_report.json").mkdir(parents=True)
+    assert run(["validate", "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("cannot write output: ")
+    assert not list(tmp_path.rglob("*.partial"))
+    if clash == "file_as_out":
+        assert out.read_text() == "keep"
+    else:
+        assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["--R", "4", "--R", "4.0000001"], {}),
+    ([], {"grid": {"R": [4, 4.0000001]}}),
+], ids=["flags", "config"])
+def test_radii_with_one_file_name_exit_1(tmp_path, capsys, argv, cfg):
+    # both wrote eigen_R4.json, which kept only the second radius's result
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": MODEL, **cfg}))
+    out = tmp_path / "out"
+    assert run(["eigen", "--config", path, "--out", out, *argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "grid.R: 4.0 and 4.0000001 both name eigen_R4.json" in err
+    assert not out.exists()
