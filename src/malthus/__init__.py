@@ -5,7 +5,7 @@ exponent, Monte Carlo simulation, drift checks and explicit minorants.
 __version__ = "0.1.0"
 
 from .errors import (BracketFailure, ConfigError, DegenerateData,
-                     EmptyMinorantWarning, GridMismatch, InsufficientData,
+                     EmptyMinorant, GridMismatch, InsufficientData,
                      InvalidModel, MalthusError, NoConvergence,
                      PopulationCapExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
@@ -26,7 +26,7 @@ from .stationary import (Density2D, DoeblinConstants, DriftReport,
                          ErgodicityReport, EtaStarProfile, check_drift,
                          default_V, doeblin_minorant, drift_offset,
                          empirical_profile, ergodicity_report,
-                         kernel_minorant_epsilon, pi_star, pi_star_density,
+                         pi_star, pi_star_density,
                          reference_profile, skeleton_mc_density,
                          solve_eta_star, weighted_tv)
 

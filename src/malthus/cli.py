@@ -125,8 +125,8 @@ SCHEMA = {
     "grid": {"R": lambda v: list(map(_real, v if isinstance(v, list) else [v])), "n": _count},
     "sim": {"seed": _count, "t_end": _real, "record_times": _numbers(), "cap": _count,
             "replicates": _count, "x0": _numbers(2), "snapshots": _flag},
-    "doeblin": {"compact": _numbers(4), "delta": _real, "Delta": _real, "j_star": _count,
-                "domain": _numbers(4), "grid_n": _count},
+    "doeblin": {"compact": _numbers(4), "Delta": _real, "domain": _numbers(4),
+                "grid_n": _count},
     "drift": {"box": _numbers(2), "grid_n": _count, "c": _real, "d": _real},
     "stationary": {"y_max": _real, "n": _count, "box": _numbers(2),
                    "bins": _numbers(2, _count), "report": _flag},

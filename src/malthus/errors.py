@@ -37,5 +37,5 @@ class InsufficientData(MalthusError):
     """Not enough snapshots or replicates for the requested report."""
 
 
-class EmptyMinorantWarning(UserWarning):
-    """The assembled Doeblin minorant is identically zero (diagnostic, not fatal)."""
+class EmptyMinorant(MalthusError):
+    """The Doeblin minorant has mass 0 on its evaluation domain."""

@@ -81,7 +81,7 @@ class RowQuadrature:
 
 
 class FirstJumpLaw:
-    """Survival, jump-time density and orbit quadrature of the first division.
+    """Orbit quadrature of the first division.
 
     The hazard acts on the added size, so the quadrature nodes and
     psi-weights of the first jump from (a, y) depend on the age a only:
@@ -93,24 +93,6 @@ class FirstJumpLaw:
     def __init__(self, model: ModelSpec):
         self.model = model
         self._rules: dict = {}
-
-    # -- survival -------------------------------------------------------
-
-    def survival(self, a, y, t):
-        """P(no division before t from x = (a, y)) = exp(-int_0^t beta(phi^s x) ds)
-        = exp(H(a) - H(a_t)), elementwise over broadcastable ``a``, ``y``, ``t``."""
-        a_t = a + y * (np.exp(self.model.lambda_growth * np.asarray(t, dtype=float)) - 1.0)
-        H = self.model.hazard.cumulative
-        out = np.exp(-np.asarray(H(a_t) - H(a)))
-        return out if out.ndim else float(out)
-
-    def jump_time_density(self, a, y, t):
-        """psi(t|x) = beta(phi^t x) * survival(a, y, t), x = (a, y), broadcast as there."""
-        e = np.exp(self.model.lambda_growth * np.asarray(t, dtype=float))
-        out = self.model.beta(a + y * (e - 1.0), y * e) * self.survival(a, y, t)
-        return out if np.ndim(out) else float(out)
-
-    # -- quadrature along the orbit --------------------------------------
 
     def orbit_rule(self, a0: float) -> OrbitRule:
         """Graded Gauss-Legendre panels in the added size from age ``a0``, up to

@@ -4,23 +4,22 @@ Contains: the boundary-profile fixed point eta* and the stationary density
 pi*(a, y) = exp(-H(a)) / y^2 * eta*(y - a); weighted total-variation
 distances with weight 1 + V, V(a, y) = 1/y + y; the Foster-Lyapunov drift
 check A V <= -c V + d for the size-harmonic transform of the dynamics; and
-the explicit minorant density nu assembled from compact-set constants
-(one-jump lower bound of the transition kernel averaged over a skeleton).
+the Doeblin minorant nu of its skeleton kernel, the closed-form one-jump
+density minimised over a compact set of starting points.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (EmptyMinorantWarning, GridMismatch, InsufficientData,
-                     InvalidModel, NoConvergence)
+from .errors import (EmptyMinorant, GridMismatch, InsufficientData, InvalidModel,
+                     NoConvergence)
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
-from .renewal import FirstJumpLaw, HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
+from .renewal import HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
 from .simulate import Trajectory
 
 #: grid points per generator call in check_drift; the jump integral holds a
@@ -363,54 +362,56 @@ def check_drift(model: ModelSpec, box=(10.0, 10.0), grid_n: int = 64,
 
 @dataclass
 class DoeblinConstants:
-    A0: float
-    B0: float
-    C0: float
-    H0: float
-    c1: float
-    delta: float
     Delta: float
     j_star: int
-    beta_tilde: float
-    skeleton_factor: float
-    mu_min: float
-    mu_weights: np.ndarray
+    mu_weights: np.ndarray  # mu_j = 2^-(j+1), j = 0 .. j_star
 
     def to_dict(self):
         return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                 for k, v in self.__dict__.items()}
 
 
-def kernel_minorant_epsilon(model: ModelSpec, z, delta: float):
-    """epsilon(z) = min over z' in [2z, 2z+delta] of F(z/z')/z'.
-
-    Lower bound of the offspring kernel on the window D(z) = [2z, 2z+delta].
-    """
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros_like(zz)
-    pos = zz > 0
-    zi = zz[pos]
-    eps = np.full_like(zi, np.inf)
-    # one window offset at a time over all points keeps memory O(points); a
-    # (points, 64) block needs ~8 MB of pdf temporaries on a 64^2 grid
-    for t in np.linspace(0.0, 1.0, 64):
-        zp = 2.0 * zi + delta * t
-        eps = np.minimum(eps, model.fragmentation.pdf(zi / zp) / zp)
-    out[pos] = eps
-    return out if np.ndim(z) else float(out[0])
+def _interval_min(f, lo, hi, knots):
+    """min of f over each interval [lo_i, hi_i], for an f whose minimum on an
+    interval lies at an end or at one of ``knots``: f at both ends and at each
+    knot clipped into the interval."""
+    points = np.vstack([lo, hi, np.clip(np.reshape(knots, (-1, 1)), lo, hi)])
+    return f(points).min(axis=0)
 
 
-def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
-                     Delta: float | None = None, j_star: int | None = None,
+def doeblin_minorant(model: ModelSpec, compact, Delta: float | None = None,
                      domain=None, grid_n: int = 64):
-    """Assemble the explicit minorant density nu over a (a, y) grid.
+    """Minorant density nu over an (a, y) grid of the Delta-skeleton kernel.
 
     ``compact`` is (a_lo, a_hi, y_lo, y_hi): the set of starting points the
-    bound must hold for.  Every factor is a certified lower bound: survival
-    and first-jump constants fitted as grid infima over the compact and the
-    skeleton horizon, the kernel window minorant epsilon, the Jacobian
-    envelope, and the sampling weights of the Delta-skeleton.  It is built for
-    the transform h(a, y) = y, whose Malthus exponent is lambda_growth - d0.
+    bound must hold for.  The chain is the size-harmonic one (``MarkovModel``:
+    the transform h(a, y) = y, no deaths, jumps at rate 2 m1 beta(x) to
+    (0, rho u) with rho of density rho F(rho) / m1).  Its kernel P^t(x0, .)
+    is at least the density p1_t of the paths that jump exactly once before
+    t.  From x0 = (a0, y0) such a path grows to u = y0 e^{lam s}, added size
+    a_pre = a0 + u - y0, jumps at time s with density
+    2 m1 lam u B(a_pre) e^{-2 m1 (H(a_pre) - H(a0))}, lands at z = rho u with
+    density rho F(rho) / (m1 u), and then flows to (a, y) = (y - z, y) without
+    a jump, with probability e^{-2 m1 H(a)}.  The map (s, z) -> (a, y) has
+    Jacobian lam y, so with z = y - a and s = t - log(y / z) / lam >= 0
+
+        p1_t(x0; a, y) = 2 rho F(rho) B(a_pre) e^{-2 m1 (H(a_pre) - H(a0))}
+                         e^{-2 m1 H(a)} / y,   rho = z / u.
+
+    Over the compact each factor that depends on x0 has a certified minimum:
+    rho F(rho) on [z / (y_hi e^{lam s}), z / (y_lo e^{lam s})], where it is
+    monotone or log-concave on each piece (uniform, Beta and table laws), so
+    its minimum lies at an end or a table knot; B on the range
+    [a_lo + y_lo (e^{lam s} - 1), a_hi + y_hi (e^{lam s} - 1)] of a_pre, at
+    an end or a hazard knot; and H(a_pre) - H(a0) <= B.upper y_hi (e^{lam s} - 1).
+    Their product bounds p1_t below at every x0 of the compact (with equality
+    at a point compact and a constant hazard), and
+
+        nu = sum_{j=1}^{j_star} 2^-(j+1) min p1_{j Delta} <= sum_j mu_j P^{j Delta}(x0, .)
+
+    for every x0 of the compact.  ``Delta`` defaults to the doubling time
+    ln 2 / lam; j_star is the first j whose term changes no value of a
+    nonzero nu, at most 64.  ``EmptyMinorant`` if nu has mass 0.
 
     Returns (Density2D nu, DoeblinConstants).
     """
@@ -418,20 +419,13 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     if not (0 <= a_lo <= a_hi and 0 < y_lo <= y_hi):
         raise ValueError(f"compact = {tuple(compact)!r} must satisfy "
                          "0 <= a_lo <= a_hi, 0 < y_lo <= y_hi")
-    lam = model.lambda_growth
-    lam_m = model.lambda_growth - model.d0
-    law = FirstJumpLaw(model)
-
-    delta = 3.0 * y_lo if delta is None else float(delta)
-    Delta = delta if Delta is None else float(Delta)
-    # a window or skeleton step <= 0, a zero horizon or a one-node grid gives a
-    # minorant of mass 0, or a false one: the identity kernel has no density
-    if not (delta > 0 and Delta > 0):
-        raise ValueError(f"delta = {delta!r} and Delta = {Delta!r} must be positive")
-    if not ((j_star is None or j_star >= 1) and grid_n >= 2):
-        raise ValueError(f"j_star = {j_star!r} must be at least 1 and grid_n = {grid_n!r} "
-                         "at least 2")
-
+    lam, hz, F = model.lambda_growth, model.hazard, model.fragmentation
+    Delta = math.log(2.0) / lam if Delta is None else float(Delta)
+    # a skeleton step <= 0 or a one-node grid gives a minorant of mass 0, or a
+    # false one: the identity kernel has no density
+    if not (0 < Delta < math.inf and grid_n >= 2):
+        raise ValueError(f"Delta = {Delta!r} must be positive and finite and "
+                         f"grid_n = {grid_n!r} at least 2")
     if domain is None:
         domain = (0.0, y_hi, 0.0, y_hi)
     da_lo, da_hi, dy_lo, dy_hi = (float(v) for v in domain)
@@ -440,82 +434,36 @@ def doeblin_minorant(model: ModelSpec, compact, delta: float | None = None,
     a_nodes = np.linspace(da_lo, da_hi, grid_n)
     y_nodes = np.linspace(dy_lo, dy_hi, grid_n)
 
-    # skeleton horizon: smallest j with j*Delta past the exit time of every
-    # window D(z) = [2z, 2z+delta] reachable from the evaluation domain
-    z_max = max(dy_hi - da_lo, y_lo)
-    t_exit = math.log((2.0 * z_max + delta) / y_lo) / lam
-    if j_star is None:
-        j_star = min(64, max(1, math.ceil(t_exit / Delta)))
-    horizon = j_star * Delta
-
-    # one valid Gronwall rate for orbits leaving the compact: g1 = lam*y
-    # with y(t) = y0 + a(t) - a0 <= y_hi + a(t) <= c1 (1 + a(t))
-    c1 = lam * max(y_hi, 1.0)
-
-    # fit (A0, B0) with psi(t|x) >= A0 exp(-B0 (1+t) e^{c1 t}) on the horizon;
-    # psi in one call on axes [a0, y0, t]: 16 x 16 starting points x 128 times
-    tt = np.linspace(0.0, horizon, 128)
-    a0 = np.linspace(a_lo, a_hi, 16)[:, None, None]
-    y0 = np.linspace(y_lo, y_hi, 16)[:, None]
-    psi = law.jump_time_density(a0, y0, tt)
-    m_t = psi.min(axis=(0, 1))
-    # C0: sup of (int z k(phi^t x, z) dz = 2 m1 y_t) psi e^{-lam_m t} / y0; a
-    # starting point with a NaN anywhere on the horizon does not count
-    hk = 2.0 * model.fragmentation.moment(1) * (y0 * np.exp(lam * tt))
-    c0_x = np.max(hk * psi * np.exp(-lam_m * tt) / y0, axis=-1)
-    C0 = max(float(np.fmax.reduce(c0_x, axis=None, initial=0.0)), 1e-300)
-    H0 = y_hi
-    if np.any(m_t <= 0):
-        warnings.warn("first-jump density vanishes on the compact; minorant is empty",
-                      EmptyMinorantWarning)
-    shape = (1.0 + tt) * np.exp(c1 * tt)
-    pos = m_t > 0
-    # least-squares fit of ln psi_min ~ ln A0 - B0 * shape, then a downward
-    # shift of A0 to make the envelope a true lower bound
-    slope = np.polyfit(shape[pos], np.log(m_t[pos]), 1)[0]
-    B0 = max(-float(slope), 1e-12)
-    A0 = float(np.min(m_t[pos] * np.exp(B0 * shape[pos]))) if np.any(pos) else 0.0
-
-    beta_tilde = 2.0 * B0 + lam_m
-    log_sf = -(2.0 * B0 * (1.0 + horizon) * math.exp(c1 * horizon) + lam_m * horizon)
-    skeleton_factor = math.exp(log_sf) if log_sf > -700 else 0.0
-    mu_weights = 0.5 * 0.5 ** np.arange(j_star + 1)  # geometric (1 - q) q^j, q = 1/2
-    mu_min = float(np.min(mu_weights))
-
     A, Y = np.meshgrid(a_nodes, y_nodes, indexing="ij")
-    Z = Y - A
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        valid = (Z > 0) & (Y > 0)
-        tau = np.where(valid, np.log(np.maximum(Y, 1e-300) / np.maximum(Z, 1e-300)) / lam, np.inf)
-        surv = np.where(valid, np.exp(-model.hazard.cumulative(A)), 0.0)  # transit survival from (0,z)
-        h0z = np.where(valid, Z, 0.0)
-        g_norm = lam * Y * math.sqrt(2.0)
-        E0 = _jacobian_envelope(Y, Z, valid)
-        zeta = np.where(valid & (g_norm > 0) & (E0 > 0),
-                        (A0 ** 2 / (C0 * H0)) * surv * h0z / (g_norm * E0), 0.0)
-        eps = np.zeros_like(Z)
-        eps[valid] = kernel_minorant_epsilon(model, Z[valid], delta)
-        nu_vals = np.where(valid & (tau <= horizon),
-                           zeta * eps * skeleton_factor * mu_min, 0.0)
-    nu_vals = np.clip(np.nan_to_num(nu_vals, nan=0.0, posinf=0.0, neginf=0.0), 0.0, None)
-    nu = Density2D(a_nodes, y_nodes, nu_vals)
-    if nu.mass == 0.0:
-        warnings.warn("assembled minorant is identically zero", EmptyMinorantWarning)
-    constants = DoeblinConstants(A0=A0, B0=B0, C0=C0, H0=H0, c1=c1, delta=delta,
-                                 Delta=Delta, j_star=int(j_star), beta_tilde=beta_tilde,
-                                 skeleton_factor=skeleton_factor, mu_min=mu_min,
-                                 mu_weights=mu_weights)
-    return nu, constants
-
-
-def _jacobian_envelope(Y, Z, valid):
-    """Spectral norm of the transit-time flow Jacobian [[1, r-1], [0, r]], r = y/z."""
-    r = np.where(valid, Y / np.maximum(Z, 1e-300), 1.0)
-    # largest singular value of the 2x2 matrix, in closed form
-    f = 1.0 + (r - 1.0) ** 2 + r**2
-    det = r
-    s_max = np.sqrt(0.5 * (f + np.sqrt(np.maximum(f**2 - 4.0 * det**2, 0.0))))
-    return np.where(valid, s_max, 0.0)
+    inside = (A >= 0) & (Y > A)  # one jump reaches ages a >= 0 below the size
+    a, y = A[inside], Y[inside]
+    z = y - a
+    age_time = np.log(y / z) / lam  # time since the jump
+    m = 2.0 * F.moment(1)  # the jump-rate factor of the size-harmonic chain
+    after = 2.0 * np.exp(-m * hz.cumulative(a)) / y
+    nu = np.zeros(a.size)
+    for j_star in range(1, 65):
+        s = j_star * Delta - age_time
+        with np.errstate(over="ignore"):  # a long step: e^{lam s} = inf gives a term of 0
+            grow = np.exp(lam * np.maximum(s, 0.0))
+        term = np.where(s >= 0, 0.5 ** (j_star + 1) * after, 0.0)
+        term *= _interval_min(lambda rho: rho * F.pdf(rho), z / (y_hi * grow),
+                              z / (y_lo * grow), getattr(F, "rho_knots", ()))
+        term *= _interval_min(hz, a_lo + y_lo * (grow - 1.0), a_hi + y_hi * (grow - 1.0),
+                              getattr(hz, "a_knots", [hz.a_star]))
+        term *= np.exp(-m * hz.upper * y_hi * (grow - 1.0))
+        if nu.any() and np.array_equal(nu + term, nu):
+            break
+        nu += term
+    values = np.zeros(A.shape)
+    values[inside] = nu
+    density = Density2D(a_nodes, y_nodes, values)
+    if not density.mass > 0:
+        raise EmptyMinorant(f"the minorant has mass 0: one jump from compact = "
+                            f"{(a_lo, a_hi, y_lo, y_hi)} reaches no point of domain = "
+                            f"{(da_lo, da_hi, dy_lo, dy_hi)} within {j_star} skeleton steps")
+    return density, DoeblinConstants(Delta=Delta, j_star=j_star,
+                                     mu_weights=0.5 * 0.5 ** np.arange(j_star + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +545,6 @@ class ErgodicityReport:
     times: np.ndarray
     distances: np.ndarray
     omega_hat: float
-    box: tuple
-    bins: tuple
 
 
 def empirical_profile(trajectories: Sequence[Trajectory], time_index: int,
@@ -663,5 +609,4 @@ def ergodicity_report(trajectories: Sequence[Trajectory], profile: EtaStarProfil
         omega = math.inf
     else:
         omega = -float(np.polyfit(times, np.log(dists), 1)[0])
-    return ErgodicityReport(times=times, distances=dists, omega_hat=omega,
-                            box=tuple(box), bins=tuple(bins))
+    return ErgodicityReport(times=times, distances=dists, omega_hat=omega)

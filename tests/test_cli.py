@@ -251,9 +251,10 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
     (["drift"], SMALL,
      {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
     (["doeblin"], SMALL,
-     {"minorant.csv": "b58baf2931ad143fdd22068293aa12d602a076abb48f2f68abca6faec81cb04b",
+     # the pin moved when the minorant became the closed-form one-jump bound
+     {"minorant.csv": "8e13fc0cb9cb67951e5893f88904dccd0a36722971c43a23d3d7561eb01c0b90",
       "minorant_constants.json":
-          "8cc1e9282c598c52e1137a488ac100bb05af3a0d4b8c08862fa2c42628d6341d"}),
+          "581f155b9ca6f109eb131e81f96f686896d4919627a25e5e1ee2c72604930b52"}),
     (["stationary"], SMALL,
      # the pin moved when the sweep became a gather and the Simpson and mass
      # weights explicit (eta* by <= 1.9e-15 relative, pi* by <= 1.5e-15)
@@ -428,6 +429,16 @@ class TestDoeblinCommand:
         lines = (out / "minorant.csv").read_text().splitlines()
         assert lines[0] == "a,y,nu" and len(lines) == 1 + 16 * 16
 
+    def test_empty_minorant_exits_6(self, tmp_path, capsys):
+        # a domain below the age diagonal: no point is reached in one jump
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"doeblin": {"domain": [1, 2, 0.1, 0.9], "grid_n": 16}}))
+        out = tmp_path / "db"
+        assert run(["doeblin", "--config", path, "--out", out]) == 6
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "doeblin failed: the minorant has mass 0" in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
 
 class TestStrictConfig:
     @pytest.mark.parametrize("command, cfg, expected", [
@@ -459,10 +470,10 @@ class TestStrictConfig:
         ("eigen", {"grid": {"R": []}}, "grid.R: [] must be finite"),  # wrote an empty summary
         # a grid of 0 nodes used to fall back to the default 32 R
         ("eigen", {"grid": {"n": 0}}, "grid: n = 0 must be at least 2"),
-        # minorants of mass 0, or (j_star = 0) a false one
-        ("doeblin", {"doeblin": {"delta": -1.0}}, "doeblin: delta = -1.0"),
-        ("doeblin", {"doeblin": {"Delta": 0.0}}, "doeblin: delta = 3.0 and Delta = 0.0"),
-        ("doeblin", {"doeblin": {"j_star": 0}}, "doeblin: j_star = 0 must be at least 1"),
+        # minorants of mass 0; the window delta and the horizon j_star are gone
+        ("doeblin", {"doeblin": {"delta": -1.0}}, "doeblin: unknown key 'delta'"),
+        ("doeblin", {"doeblin": {"Delta": 0.0}}, "doeblin: Delta = 0.0 must be positive"),
+        ("doeblin", {"doeblin": {"j_star": 0}}, "doeblin: unknown key 'j_star'"),
         ("doeblin", {"doeblin": {"grid_n": 1}}, "grid_n = 1 at least 2"),
         # a decreasing axis gave negative weights and a minorant of mass < 0
         ("doeblin", {"doeblin": {"domain": [2, 0, 0, 2], "grid_n": 16}},
@@ -527,8 +538,7 @@ def test_validate_any_config_exits_cleanly(capsys):
         "sim": section(seed=hs.integers(0, 2**64 - 1), t_end=hs.floats(4.0, 8.0),
                        record_times=hs.lists(hs.floats(0.0, 4.0), max_size=4), cap=count,
                        replicates=count, x0=hs.tuples(real, real).map(sorted), snapshots=flag),
-        "doeblin": section(compact=quad, delta=real, Delta=real, j_star=count, domain=quad,
-                           grid_n=count),
+        "doeblin": section(compact=quad, Delta=real, domain=quad, grid_n=count),
         "drift": section(box=pair, grid_n=count, c=real, d=real),
         "stationary": section(y_max=real, n=count, box=pair,
                               bins=hs.lists(count, min_size=2, max_size=2), report=flag),

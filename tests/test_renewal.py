@@ -41,25 +41,6 @@ def reference_kvals(model, q, z, R):
 
 
 class TestFirstJumpLaw:
-    def test_survival_closed_form(self, adder, law):
-        # B = 1: survival from (0, y) is exp(-y (e^{t} - 1))
-        x = PhasePoint(0.0, 1.5)
-        for t in [0.1, 0.5, 1.0, 2.0]:
-            ref = math.exp(-1.5 * (math.exp(t) - 1.0))
-            assert law.survival(x.a, x.y, t) == pytest.approx(ref, rel=1e-12)
-
-    def test_density_integrates_to_one(self, law):
-        x = PhasePoint(0.3, 0.7)
-        val, _ = integrate.quad(lambda t: law.jump_time_density(x.a, x.y, t), 0.0, 12.0,
-                                limit=200)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_density_is_survival_derivative(self, law):
-        x = PhasePoint(0.0, 2.0)
-        t, h = 0.4, 1e-6
-        fd = -(law.survival(x.a, x.y, t + h) - law.survival(x.a, x.y, t - h)) / (2.0 * h)
-        assert law.jump_time_density(x.a, x.y, t) == pytest.approx(fd, rel=1e-8)
-
     def test_row_quadrature_total_mass(self, law):
         # weights integrate the jump-time density: total mass 1 up to the tail
         q = law.row_quadrature(PhasePoint(0.0, 1.0))
@@ -119,15 +100,6 @@ class TestFirstJumpLaw:
         for x, lam, values, at_1_2 in pins:
             assert kernel_K(law, x, z, lam).tolist() == [float.fromhex(v) for v in values]
             assert kernel_K(law, x, 1.2, lam) == float.fromhex(at_1_2)
-
-    def test_tabulated_hazard_consistency(self):
-        hz = TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])
-        m = make_adder(1.0, hz, BetaFragmentation(5, 5))
-        law = FirstJumpLaw(m)
-        x = PhasePoint(0.0, 1.0)
-        val, _ = integrate.quad(lambda t: law.jump_time_density(x.a, x.y, t), 0.0, 8.0,
-                                limit=200)
-        assert val == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSizeGrid:

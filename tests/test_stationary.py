@@ -6,15 +6,15 @@ import pytest
 from numpy.random import Philox
 from scipy import integrate
 
-from malthus import (BetaFragmentation, ConstantHazard, Density2D,
-                     EmptyMinorantWarning, GridMismatch, NoConvergence, PhasePoint,
-                     SimConfig, TableHazard, UniformFragmentation, check_drift, default_V,
+from malthus import (BetaFragmentation, ConstantHazard, Density2D, EmptyMinorant,
+                     GridMismatch, NoConvergence, PhasePoint, SimConfig, TableFragmentation,
+                     TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
-                     MarkovModel, kernel_minorant_epsilon, make_adder, pi_star,
+                     MarkovModel, make_adder, pi_star,
                      pi_star_density, run_replicates, skeleton_mc_density,
                      solve_eta_star, weighted_tv)
 import malthus.stationary
-from malthus.renewal import HAZARD_CUTOFF, FirstJumpLaw
+from malthus.renewal import HAZARD_CUTOFF
 from malthus.model import gl_nodes
 from malthus.stationary import (_eta_operator, _h_chain_endpoints, _pi_mass_weights,
                                 reference_profile, simpson_weights)
@@ -232,40 +232,67 @@ class TestDrift:
         assert rep.worst_point == (a0, y0)
 
 
+HAZARDS = {"constant": ConstantHazard(1.0), "a_star": ConstantHazard(1.0, a_star=0.3),
+           "b2": ConstantHazard(2.0),
+           "table": TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])}
+# the table law has a dip at its knot 0.5, where rho F(rho) takes its minimum
+LAWS = [UniformFragmentation(), BetaFragmentation(5, 5), BetaFragmentation(20, 20),
+        BetaFragmentation(0.5, 0.5), BetaFragmentation(2.5, 0.7),
+        TableFragmentation([0.0, 0.2, 0.5, 1.0], [0.0, 2.0, 0.2, 1.68])]
+
+
+def one_jump_density(model, a0, y0, t, a, y):
+    """p1_t((a0, y0); a, y): the density at (a, y) of the size-harmonic chain
+    from (a0, y0) over the paths with exactly one jump before t.
+
+    The chain grows to u = y0 e^{lam s}, jumps at time s at rate
+    2 m1 lam u B(a_pre), a_pre = a0 + u - y0, to (0, z), z = rho u with rho of
+    density rho F(rho) / m1, and flows to (y - z, y) without a jump; the
+    Jacobian of (s, z) -> (a, y) is lam y.  Broadcasts; 0 off y > a >= 0.
+    """
+    lam, hz, F = model.lambda_growth, model.hazard, model.fragmentation
+    m = 2.0 * F.moment(1)
+    a, y = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(y, dtype=float))
+    ok = (a >= 0) & (y > a)
+    z = np.where(ok, y - a, 1.0)
+    s = t - np.log(np.where(ok, y, 2.0) / z) / lam
+    u = y0 * np.exp(lam * s)
+    a_pre = a0 + u - y0
+    rho = z / u
+    jump = 2.0 * rho * F.pdf(rho) * hz(a_pre) / np.where(ok, y, 1.0)
+    survive = np.exp(-m * (hz.cumulative(a_pre) - hz.cumulative(a0) + hz.cumulative(a)))
+    return np.where(ok & (s >= 0), jump * survive, 0.0)
+
+
+def skeleton_one_jump_min(model, compact, consts, a_nodes, y_nodes):
+    """min over a 41 x 41 grid of starting points of the compact of
+    sum_{j=1}^{j_star} mu_j p1_{j Delta}, on the (a, y) grid."""
+    a_lo, a_hi, y_lo, y_hi = compact
+    A, Y = np.meshgrid(a_nodes, y_nodes, indexing="ij")
+    starts = np.meshgrid(np.linspace(a_lo, a_hi, 41), np.linspace(y_lo, y_hi, 41))
+    a0, y0 = np.unique(np.column_stack([g.ravel() for g in starts]), axis=0).T[..., None, None]
+    total = sum(consts.mu_weights[j] * one_jump_density(model, a0, y0, j * consts.Delta, A, Y)
+                for j in range(1, consts.j_star + 1))
+    return total.min(axis=0)
+
+
 class TestDoeblin:
-    def test_epsilon_window_minimum(self, adder):
-        # symmetric F: the minimum over [2z, 2z+delta] sits at the wide end
-        z, delta = 1.0, 0.5
-        zp = 2.0 * z + delta
-        ref = adder.fragmentation.pdf(z / zp) / zp
-        assert kernel_minorant_epsilon(adder, z, delta) == pytest.approx(ref, rel=1e-6)
-
-    @pytest.mark.parametrize("name", ["adder", "adder_uniform"])
-    def test_epsilon_array_matches_scalar(self, request, name):
-        model = request.getfixturevalue(name)
-        z, delta = np.linspace(-0.5, 3.0, 36), 0.7
-        eps = kernel_minorant_epsilon(model, z, delta)
-        ts = np.linspace(0.0, 1.0, 64)
-        for zi, e in zip(z, eps):
-            zp = 2.0 * zi + delta * ts
-            ref = float(np.min(model.fragmentation.pdf(zi / zp) / zp)) if zi > 0 else 0.0
-            assert e == ref == kernel_minorant_epsilon(model, zi, delta)
-
     def test_minorant_positive_and_bounded(self, adder):
         nu, c = doeblin_minorant(adder, (0.0, 1.0, 1.0, 2.0))
-        assert nu.mass > 0.0
-        assert c.A0 > 0.0 and c.B0 > 0.0 and c.skeleton_factor > 0.0
+        assert nu.mass >= 1e-3
+        assert c.Delta == math.log(2.0) and 1 <= c.j_star <= 64
+        assert c.mu_weights.tolist() == [0.5 ** (j + 1) for j in range(c.j_star + 1)]
         assert np.all(nu.values >= 0.0)
-        # certified lower-bound property is checked against MC in acceptance
 
-    @pytest.mark.parametrize("kwargs", [
-        {"delta": -1.0}, {"delta": 0.0}, {"delta": math.nan}, {"Delta": 0.0},
-        {"j_star": 0}, {"grid_n": 1},
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"delta": -1.0}, TypeError), ({"delta": 0.0}, TypeError), ({"delta": math.nan}, TypeError),
+        ({"Delta": 0.0}, ValueError), ({"j_star": 0}, TypeError), ({"grid_n": 1}, ValueError),
     ], ids=["negative_delta", "zero_delta", "nan_delta", "zero_Delta", "zero_j_star",
             "one_node"])
-    def test_vacuous_arguments_raise(self, adder, kwargs):
-        # each used to give a minorant of mass 0, or (j_star = 0) a false one
-        with pytest.raises(ValueError):
+    def test_vacuous_arguments_raise(self, adder, kwargs, error):
+        # a step Delta <= 0 or a one-node grid gave a minorant of mass 0; the
+        # window delta and the horizon j_star are no longer arguments
+        with pytest.raises(error):
             doeblin_minorant(adder, (0.0, 1.0, 1.0, 2.0), **kwargs)
 
     def test_mass_ordering(self):
@@ -276,55 +303,56 @@ class TestDoeblin:
             masses.append(nu.mass)
         assert masses[0] > masses[1] > masses[2] > 0.0
 
-    @pytest.mark.parametrize("hz", [
-        ConstantHazard(1.0), ConstantHazard(1.0, a_star=0.3),
-        TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]),
-    ], ids=["constant", "a_star", "table"])
+    @pytest.mark.parametrize("hz", list(HAZARDS.values()), ids=list(HAZARDS))
     @pytest.mark.parametrize("d0", [0.0, 0.2])
     @pytest.mark.parametrize("compact", [
         (0.0, 1.0, 1.0, 2.0), (0.5, 0.5, 1.0, 2.0), (0.0, 1.0, 1.5, 1.5), (0.2, 0.2, 0.7, 0.7),
     ], ids=["box", "a_point", "y_point", "point"])
-    @pytest.mark.filterwarnings("ignore::malthus.errors.EmptyMinorantWarning")  # a_star
-    def test_psi_sweep_matches_a_loop_over_starting_points(self, hz, d0, compact,
-                                                           monkeypatch):
-        model = make_adder(1.0, hz, BetaFragmentation(5, 5), d0)
-        nu, c = doeblin_minorant(model, compact, grid_n=32)
-        sweep = FirstJumpLaw.jump_time_density
-        rows = []
+    def test_minorant_below_one_jump_density(self, hz, d0, compact):
+        # nu is a lower bound of the skeleton's one-jump density at every
+        # starting point of the compact; the size-harmonic chain has no deaths,
+        # so d0 changes nothing
+        for F in LAWS:
+            model = make_adder(1.0, hz, F, d0)
+            nu, c = doeblin_minorant(model, compact, grid_n=12)
+            ref = skeleton_one_jump_min(model, compact, c, nu.a_nodes, nu.y_nodes)
+            assert np.all(nu.values <= (1.0 + 1e-12) * ref), F
+            if compact[0] == compact[1] and compact[2] == compact[3] and hz is HAZARDS["constant"]:
+                # at a point each factor's minimum is its value: the bound is tight
+                np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
 
-        def per_point(law, a, y, t):
-            # one call per starting point (a0, y0) of the compact, t along the last axis
-            shape = np.broadcast_shapes(np.shape(a), np.shape(y), np.shape(t))
-            a, y = (v[..., 0].ravel().tolist() for v in np.broadcast_arrays(a, y))
-            rows.extend((a0, y0, sweep(law, a0, y0, t)) for a0, y0 in zip(a, y))
-            return np.reshape([psi for _, _, psi in rows], shape)
+    @pytest.mark.parametrize("hz", list(HAZARDS.values()), ids=list(HAZARDS))
+    def test_one_jump_density_matches_monte_carlo(self, hz):
+        # one-jump paths of the size-harmonic chain from (0.5, 1.5) over t = 1,
+        # binned, against the cell averages of p1 (8 x 8 midpoints a cell)
+        model = make_adder(1.0, hz, BetaFragmentation(5, 5))
+        a0, y0, t, n = 0.5, 1.5, 1.0, 400_000
+        rng = np.random.default_rng(20240)
+        e1, e2 = rng.exponential(size=(2, n))
+        # jump rate 2 m1 lam y B(a) = lam y B(a) for Beta(5, 5): the cumulative
+        # hazard in the added size is H(a) - H(a0) until the jump
+        a_div = hz.inverse_cumulative(hz.cumulative(a0) + e1)
+        s = np.log1p((a_div - a0) / y0)
+        z = rng.beta(6.0, 5.0, size=n) * (y0 + a_div - a0)  # size-biased Beta(5, 5)
+        grow = np.exp(np.maximum(t - s, 0.0))
+        a, y = z * (grow - 1.0), z * grow
+        one = (s < t) & (hz.cumulative(a) < e2)  # a jump before t, none after it
+        edges = np.linspace(0.0, 4.2, 29)
+        count, _, _ = np.histogram2d(a[one], y[one], bins=[edges, edges])
+        sub = (edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(8) + 0.5) / 8).ravel()
+        A, Y = np.meshgrid(sub, sub, indexing="ij")
+        cell = one_jump_density(model, a0, y0, t, A, Y).reshape(28, 8, 28, 8).mean(axis=(1, 3))
+        expected = n * cell * (edges[1] - edges[0]) ** 2
+        full = count >= 200
+        assert full.sum() >= 50
+        ratio = count[full] / expected[full]
+        assert 0.99 <= np.median(ratio) <= 1.01
+        z_score = (count[full] - expected[full]) / np.sqrt(expected[full])
+        assert np.max(np.abs(z_score)) <= 5.0
 
-        monkeypatch.setattr(FirstJumpLaw, "jump_time_density", per_point)
-        nu_loop, c_loop = doeblin_minorant(model, compact, grid_n=32)
-        assert nu.values.tobytes() == nu_loop.values.tobytes()
-        assert repr(c.to_dict()) == repr(c_loop.to_dict())
-        # the loop's 16 x 16 starting points, its running inf of psi (A0, B0)
-        # and its running sups C0 and H0
-        a_lo, a_hi, y_lo, y_hi = compact
-        assert [r[:2] for r in rows] == [(a0, y0) for a0 in np.linspace(a_lo, a_hi, 16).tolist()
-                                         for y0 in np.linspace(y_lo, y_hi, 16).tolist()]
-        tt = np.linspace(0.0, c.j_star * c.Delta, 128)
-        m_t = np.full(tt.size, math.inf)
-        c0_sup = h0_sup = 0.0
-        for _, y0, psi in rows:
-            m_t = np.minimum(m_t, psi)
-            hk = 2.0 * model.fragmentation.moment(1) * (y0 * np.exp(tt))
-            c0_sup = max(c0_sup, float(np.max(hk * psi * np.exp(-(1.0 - d0) * tt) / y0)))
-            h0_sup = max(h0_sup, y0)
-        shape, pos = (1.0 + tt) * np.exp(c.c1 * tt), m_t > 0
-        B0 = max(-float(np.polyfit(shape[pos], np.log(m_t[pos]), 1)[0]), 1e-12)
-        A0 = float(np.min(m_t[pos] * np.exp(B0 * shape[pos])))
-        assert (c.A0, c.B0, c.C0) == (A0, B0, max(c0_sup, 1e-300))
-        assert c.H0 == h0_sup == y_hi
-
-    def test_empty_minorant_warns(self, adder):
-        with pytest.warns(EmptyMinorantWarning):
-            # evaluation domain entirely below the age diagonal (y <= a)
+    def test_empty_minorant_raises(self, adder):
+        # evaluation domain entirely below the age diagonal (y <= a)
+        with pytest.raises(EmptyMinorant, match="mass 0"):
             doeblin_minorant(adder, (0.0, 1.0, 1.0, 2.0), grid_n=16,
                              domain=(1.0, 2.0, 0.1, 0.9))
 
