@@ -44,11 +44,6 @@ class _Lanes:
     def take(self, idx) -> "_Lanes":
         return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-    def reorder(self, idx) -> None:
-        """``take`` in place, one array at a time."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name)[idx])
-
     @staticmethod
     def concat(parts: list) -> "_Lanes":
         """The lanes of ``parts`` in order; empties the list as it copies,
@@ -210,17 +205,22 @@ class Block:
         are slices of the block's event columns, listed only when read."""
         n = len(self.reps)
         self.lanes = lanes.size
-        # (birth time, tree id) order within each replicate, as states list them
-        lanes.reorder(np.lexsort((lanes.lo, lanes.hi, lanes.tb, lanes.rep)))
         # events, (time, tree id) order within each replicate
         ev = np.flatnonzero(lanes.t_ev <= self.config.t_end)
         ev = ev[np.lexsort((lanes.lo[ev], lanes.hi[ev], lanes.t_ev[ev], lanes.rep[ev]))]
         cols = [getattr(lanes, k)[ev] for k in ("t_ev", "div", "lo", "hi", "y1", "y2")]
         ends = np.cumsum(np.bincount(lanes.rep[ev], minlength=n)).tolist()
         events = [tuple(c[a:b] for c in cols) for a, b in zip([0] + ends, ends)]
-        # alive at t: born before t (the root always) and its event not before t
-        rep, t_ev, tb, yb = lanes.rep, lanes.t_ev, lanes.tb, lanes.yb
+        # alive at t: born before t (the root always) and its event not before t;
+        # a lane alive at some record time is alive at the first one after its birth
+        rt = np.asarray(self.config.record_times)
         root = (lanes.lo == 0) & (lanes.hi == 0)
+        first = np.append(rt, np.inf)[np.where(root, 0, np.searchsorted(rt, lanes.tb, "right"))]
+        keep = np.flatnonzero(first <= lanes.t_ev)
+        # those lanes in (birth time, tree id) order within each replicate, as states list them
+        keep = keep[np.lexsort((lanes.lo[keep], lanes.hi[keep], lanes.tb[keep], lanes.rep[keep]))]
+        rep, t_ev, tb, yb, root = (x[keep] for x in (lanes.rep, lanes.t_ev, lanes.tb,
+                                                      lanes.yb, root))
         del lanes
         lam = self.model.lambda_growth
         states = [[] for _ in range(n)]

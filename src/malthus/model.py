@@ -465,7 +465,10 @@ class TableFragmentation:
         return 1.0 - self.cdf(rho)
 
     def moment(self, k: int) -> float:
-        return float(np.trapezoid(self.rho_knots**k * self.F_values, self.rho_knots))
+        """Integral of rho^k F, exact: rho^k F is a polynomial of degree k + 1
+        on each linear piece, which (k + 3) // 2 Gauss-Legendre nodes integrate."""
+        rho, w = gl_nodes(self.rho_knots[:-1, None], self.rho_knots[1:, None], (k + 3) // 2)
+        return float(np.sum(w * rho**k * self.pdf(rho)))
 
     def sample(self, u):
         return np.interp(u, self._cdf_knots, self.rho_knots)
@@ -518,25 +521,17 @@ class ModelSpec:
         """Q f at (a, y): transport + branching jump term - d0 * f.
 
         ``a`` and ``y`` may be arrays of one shape; ``f`` must then accept
-        arrays.  See ``_transport`` for the gradient.
+        arrays.  The transport g1 * df/da + g2 * df/dy, g1 = g2 = lam * y,
+        takes its gradient by central finite differences with the default
+        step 1e-6 * (1 + |coordinate|).
         """
-        transport = _transport(self, f, a, y, fd_step)
+        ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
+        hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
+        fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
+        fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
+        g = self.lambda_growth * np.asarray(y, dtype=float)
         jump = self.beta(a, y) * (self.jump_integral(f, a, y) - f(a, y))
-        return transport + jump - self.d0 * f(a, y)
-
-
-def _transport(model: ModelSpec, f, a, y, fd_step):
-    """g1 * df/da + g2 * df/dy at (a, y), g1 = g2 = lam * y.
-
-    The gradient is taken by central finite differences with the default
-    step 1e-6 * (1 + |coordinate|).
-    """
-    ha = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(a))
-    hy = fd_step if fd_step is not None else 1e-6 * (1.0 + abs(y))
-    fa = (f(a + ha, y) - f(a - ha, y)) / (2.0 * ha)
-    fy = (f(a, y + hy) - f(a, y - hy)) / (2.0 * hy)
-    g = model.lambda_growth * np.asarray(y, dtype=float)
-    return g * fa + g * fy
+        return g * fa + g * fy + jump - self.d0 * f(a, y)
 
 
 # ---------------------------------------------------------------------------
@@ -676,21 +671,22 @@ def validate(model: ModelSpec) -> ValidationReport:
 class MarkovModel:
     """Conservative dynamics of the Doob transform by h(a, y) = y.
 
-    h = y is the adder's eigenfunction (eigenvalue lambda_growth - d0).  Same
-    flow as the base model; jumps at rate beta(x) * int z k(x, z) dz / y to
-    a point (0, Z) with Z drawn from the size-weighted kernel.  There is no
-    death term.
+    h = y is the adder's eigenfunction (eigenvalue lambda_growth - d0), and
+    the generator is the base model's conjugated by it:
+    A f = (Q(y f) - f Q(y)) / y.  Same flow as the base model; jumps at rate
+    beta(x) * int z k(x, z) dz / y to a point (0, Z) with Z drawn from the
+    size-weighted kernel.  The death terms cancel.
     """
 
     base: ModelSpec
 
     def apply_generator(self, f, a, y, fd_step=None):
-        """A f at (a, y) for the transformed (conservative) dynamics.
+        """A f at (a, y), both Q terms from ``ModelSpec.apply_generator``.
 
-        Elementwise over (a, y) arrays, as ``ModelSpec.apply_generator``.
+        Q(y) is taken by the same jump quadrature as Q(y f), not from the
+        closed form 2 m1 y of the kernel's mass: the two quadrature errors
+        then cancel in the difference.  Elementwise over (a, y) arrays.
         """
-        transport = _transport(self.base, f, a, y, fd_step)
-        weighted = self.base.jump_integral(lambda _, z: f(0.0, z) * z, a, y)
-        mass = self.base.jump_integral(lambda _, z: z, a, y)
-        jump = self.base.beta(a, y) * (weighted - f(a, y) * mass) / y
-        return transport + jump
+        q = self.base.apply_generator
+        qyf = q(lambda A, Y: Y * f(A, Y), a, y, fd_step)
+        return (qyf - f(a, y) * q(lambda A, Y: Y, a, y, fd_step)) / y

@@ -3,8 +3,9 @@
 Contains: the boundary-profile fixed point eta* and the stationary density
 pi*(a, y) = exp(-H(a)) / y^2 * eta*(y - a); weighted total-variation
 distances with weight 1 + V, V(a, y) = 1/y + y; the Foster-Lyapunov drift
-check A V <= -c V + d for the size-harmonic transform of the dynamics; and
-the Doeblin minorant nu of its skeleton kernel, the closed-form one-jump
+check A V <= -c V + d for the size-harmonic transform of the dynamics, at
+the ages where the hazard is extreme and on a grid of sizes; and the
+Doeblin minorant nu of its skeleton kernel, the closed-form one-jump
 density minimised over a compact set of starting points.
 """
 
@@ -21,10 +22,6 @@ from .errors import (EmptyMinorant, GridMismatch, InsufficientData, InvalidModel
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
 from .renewal import HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
 from .simulate import Trajectory
-
-#: grid points per generator call in check_drift; the jump integral holds a
-#: few (points x JUMP_NODES) float arrays, so this bounds its memory at a few MB
-DRIFT_BLOCK = 1024
 
 #: observation box (a_max, y_max) and bins of ``pi_star.csv`` and the ergodicity report
 PROFILE_BOX = (4.0, 6.0)
@@ -303,7 +300,7 @@ class DriftReport:
     worst_point: tuple
     worst_margin: float
     grid: tuple
-    #: AV + cV - d on the grid, indexed [a, y]; not written to JSON
+    #: AV + cV - d, indexed [age, y]; not written to JSON
     margins: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -317,42 +314,40 @@ class DriftReport:
 
 
 def drift_offset(model: ModelSpec) -> float:
-    """Offset d = lam * (b_bar + 1 / (b_bar * (1 - 2 m2))) for V = 1/y + y, b_bar = B.upper."""
+    """d = lam * max over b in {B.lower, B.upper} of (b + 1 / (b (1 - 2 m2))):
+    the supremum over y of the margin for V = 1/y + y, c = lam, m1 = 1/2 and
+    B = b, which is convex in b and so largest at an end of the hazard's range."""
     m2 = model.fragmentation.moment(2)
-    b_bar = model.hazard.upper
     if m2 >= 0.5:
         raise InvalidModel("drift offset needs m2 < 1/2")
-    return model.lambda_growth * (b_bar + 1.0 / (b_bar * (1.0 - 2.0 * m2)))
+    hz = model.hazard
+    return model.lambda_growth * max(b + 1.0 / (b * (1.0 - 2.0 * m2))
+                                     for b in (hz.lower, hz.upper))
 
 
 def check_drift(model: ModelSpec, box=(10.0, 10.0), grid_n: int = 64,
                 c: float | None = None, d: float | None = None) -> DriftReport:
-    """Verify A V <= -c V + d, V = ``default_V``, on a grid of (0, box], A being
-    the size-harmonic dynamics (ValueError for a box side <= 0 or grid_n < 1).
+    """Verify A V <= -c V + d, V = ``default_V``, A the size-harmonic dynamics,
+    over [0, a_max] x (0, y_max] (ValueError for a box side <= 0 or grid_n < 1).
 
-    The generator is applied numerically (finite-difference transport,
-    quadrature jump term) to blocks of ``DRIFT_BLOCK`` grid points per call;
-    the report records the worst margin max(AV + cV - d) and the first grid
-    point (a-major order) attaining it.  A NaN margin anywhere is the worst
-    margin, and fails the report.
+    At a fixed size the margin AV + cV - d is affine in B(a), so its largest
+    value over the ages is at 0, a_max or a hazard knot.  The generator
+    (finite-difference transport, quadrature jump term) takes those ages
+    times ``grid_n`` sizes y_max / grid_n .. y_max in one call; the report
+    records the worst margin and the first point (age-major order) attaining
+    it.  A NaN margin anywhere is the worst margin, and fails the report.
     """
     if not (len(box) == 2 and min(box) > 0 and grid_n >= 1):
         raise ValueError(f"box = {tuple(box)!r} needs sides > 0 and grid_n = {grid_n!r} >= 1")
-    markov = MarkovModel(model)
     c = model.lambda_growth if c is None else float(c)
     d = drift_offset(model) if d is None else float(d)
-    aa = np.linspace(box[0] / grid_n, box[0], grid_n)
+    aa = _with_knots(np.array([0.0, box[0]]), model.hazard, 0.0, box[0])
     yy = np.linspace(box[1] / grid_n, box[1], grid_n)
-    A, Y = (g.ravel() for g in np.meshgrid(aa, yy, indexing="ij"))
-    margin = np.empty(A.size)
-    for lo in range(0, A.size, DRIFT_BLOCK):
-        a, y = A[lo:lo + DRIFT_BLOCK], Y[lo:lo + DRIFT_BLOCK]
-        margin[lo:lo + DRIFT_BLOCK] = (markov.apply_generator(default_V, a, y)
-                                       + c * default_V(a, y) - d)
-    k = int(np.argmax(margin))  # argmax stops at the first NaN
+    A, Y = np.meshgrid(aa, yy, indexing="ij")
+    margin = MarkovModel(model).apply_generator(default_V, A, Y) + c * default_V(A, Y) - d
+    k = np.unravel_index(np.argmax(margin), margin.shape)  # argmax stops at the first NaN
     return DriftReport(c=c, d=d, worst_point=(float(A[k]), float(Y[k])),
-                       worst_margin=float(margin[k]), grid=(grid_n, grid_n),
-                       margins=margin.reshape(grid_n, grid_n))
+                       worst_margin=float(margin[k]), grid=margin.shape, margins=margin)
 
 
 # ---------------------------------------------------------------------------

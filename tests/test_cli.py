@@ -249,7 +249,10 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
      {"trajectory.csv": "48f805820418c24eef66ee5aaf1ffa26f3401528ac8cf3577b495e0ff484bc96",
       "snapshots.csv": "e859ba12add37a3e11c8c7ac6edcf5951398b51bca8dbf98db731602751d0ed0"}),
     (["drift"], SMALL,
-     {"drift_report.json": "1171dd81f6078060202c8dd58e66e2be2a914a17150b58977e1fb628106d89b5"}),
+     # the pin moved when the ages became 0, a_max and the hazard's knots
+     # (grid [2, 8], worst point (0, 2.5)) and the generator the Doob
+     # transform of Q (worst margin by +5.7e-11)
+     {"drift_report.json": "89193cb34d96fe63e81d4c161f41f50e6ca5df5c18e861dbffd52c4f6824a128"}),
     (["doeblin"], SMALL,
      # the pin moved when the minorant became the closed-form one-jump bound
      {"minorant.csv": "8e13fc0cb9cb67951e5893f88904dccd0a36722971c43a23d3d7561eb01c0b90",
@@ -648,6 +651,39 @@ def test_failed_drift_names_its_margin(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("drift failed: margin")
     assert json.loads((out / "drift_report.json").read_text())["pass"] is False
+
+
+TABLE_HAZARD = {"type": "table", "a": [0.0, 1.0, 2.0, 4.0], "B": [0.5, 1.5, 2.0, 2.0]}
+
+
+@pytest.mark.parametrize("model, drift, point", [
+    # B = 0 below a_star: the margin at age 0 is 2 y - d
+    ({**MODEL, "hazard": {"type": "constant", "b": 1.0, "a_star": 0.3}}, {"grid_n": 32},
+     "(0, 10)"),
+    # d = 4.01 is below the offset 4.9 of B(0) = 0.5
+    ({**MODEL, "hazard": TABLE_HAZARD}, {"d": 4.01}, "(0, 4.375)"),
+], ids=["dead_zone", "table_hazard"])
+def test_drift_fails_at_the_hazards_extreme_age(tmp_path, capsys, model, drift, point):
+    # both passed with exit 0 while the first age node was a_max / grid_n
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "drift": drift}))
+    out = tmp_path / "out"
+    assert run(["drift", "--config", path, "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.rstrip().endswith(f"at (a, y) = {point}")
+    rep = json.loads((out / "drift_report.json").read_text())
+    assert rep["pass"] is False and rep["worst_point"][0] == 0.0
+
+
+def test_drift_offset_spans_the_table_hazard(tmp_path):
+    # the default offset took B.upper alone, d = 3.1, and the check failed at B = 0.5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {**MODEL, "hazard": TABLE_HAZARD}}))
+    out = tmp_path / "out"
+    assert run(["drift", "--config", path, "--out", out]) == 0
+    rep = json.loads((out / "drift_report.json").read_text())
+    assert rep["pass"] is True and rep["d"] == pytest.approx(4.9)
+    assert rep["grid"] == [5, 64]
 
 
 def test_csv_tables_match_per_value_formatting(tmp_path):

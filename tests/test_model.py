@@ -249,6 +249,14 @@ class TestFragmentation:
         F = TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
         assert F.moment(0) == pytest.approx(1.0)
         assert F.moment(1) == pytest.approx(0.5)
+        # m2 = 1/4 + 1/24 and m3 = 1/8 + (3/2) (1/24), exactly; a trapezoid
+        # sum over the knots read m2 = 1/4
+        assert F.moment(2) == pytest.approx(7.0 / 24.0, rel=1e-14)
+        assert F.moment(3) == pytest.approx(3.0 / 16.0, rel=1e-14)
+        # an asymmetric law, integrated piece by piece in exact fractions
+        G = TableFragmentation([0.0, 0.2, 0.5, 1.0], [0.0, 2.0, 0.2, 1.68])
+        assert [G.moment(k) for k in range(4)] == pytest.approx(
+            [1.0, 64 / 125, 671 / 1875, 17859 / 62500], rel=1e-14)
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)

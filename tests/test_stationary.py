@@ -180,8 +180,15 @@ class TestWeightedTV:
 
 class TestDrift:
     def test_offsets(self, adder, adder_uniform):
-        assert drift_offset(adder) == pytest.approx(3.2)
+        assert drift_offset(adder) == 3.1999999999999997
         assert drift_offset(adder_uniform) == pytest.approx(4.0)
+        # lam max over B in {0.5, 2} of (B + 1 / (B (1 - 2 m2))), m2 = 3/11;
+        # B.upper alone gave 3.1
+        table = make_adder(1.0, HAZARDS["table"], BetaFragmentation(5, 5))
+        assert drift_offset(table) == pytest.approx(4.9)
+        # the triangle law: m2 = 7/24, so d = 1 + 1 / (1 - 7/12) = 3.4
+        triangle = TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+        assert drift_offset(make_adder(1.0, 1.0, triangle)) == pytest.approx(3.4)
 
     @pytest.mark.parametrize("kwargs", [{"box": (10.0, -1.0)}, {"box": (0.0, 10.0)},
                                         {"grid_n": 0}])
@@ -199,29 +206,22 @@ class TestDrift:
 
     @pytest.mark.parametrize("name", ["adder", "adder_uniform"])
     def test_grid_margins_match_pointwise(self, request, name):
+        # B is constant: the ages are the ends of [0, a_max]
         model = request.getfixturevalue(name)
         rep = check_drift(model, grid_n=8)
         markov = MarkovModel(model)
-        nodes = np.linspace(10.0 / 8, 10.0, 8)
+        ages, sizes = [0.0, 10.0], np.linspace(10.0 / 8, 10.0, 8)
         expected = np.array([[markov.apply_generator(default_V, a, y)
-                              + rep.c * default_V(a, y) - rep.d for y in nodes]
-                             for a in nodes])
+                              + rep.c * default_V(a, y) - rep.d for y in sizes]
+                             for a in ages])
+        assert rep.grid == (2, 8)
         assert np.array_equal(rep.margins, expected)
         i, j = np.unravel_index(np.argmax(expected), expected.shape)
-        assert rep.worst_point == (nodes[i], nodes[j])
+        assert rep.worst_point == (ages[i], sizes[j])
         assert rep.worst_margin == expected[i, j]
 
-    def test_blocks_match_single_call(self, adder, monkeypatch):
-        whole = check_drift(adder, grid_n=8)
-        monkeypatch.setattr(malthus.stationary, "DRIFT_BLOCK", 7)
-        blocked = check_drift(adder, grid_n=8)
-        assert np.array_equal(blocked.margins, whole.margins)
-        assert blocked.worst_point == whole.worst_point
-        assert blocked.worst_margin == whole.worst_margin
-
     def test_nan_margin_fails(self, adder, monkeypatch):
-        nodes = np.linspace(10.0 / 8, 10.0, 8)
-        a0, y0 = nodes[2], nodes[5]
+        a0, y0 = 10.0, np.linspace(10.0 / 8, 10.0, 8)[5]
 
         def V(a, y):
             return np.where((a == a0) & (y == y0), np.nan, default_V(a, y))
@@ -239,6 +239,41 @@ HAZARDS = {"constant": ConstantHazard(1.0), "a_star": ConstantHazard(1.0, a_star
 LAWS = [UniformFragmentation(), BetaFragmentation(5, 5), BetaFragmentation(20, 20),
         BetaFragmentation(0.5, 0.5), BetaFragmentation(2.5, 0.7),
         TableFragmentation([0.0, 0.2, 0.5, 1.0], [0.0, 2.0, 0.2, 1.68])]
+
+
+#: the ages ``check_drift`` takes on [0, 10] for each of ``HAZARDS``: the ends and the knots
+DRIFT_AGES = {"constant": [0.0, 10.0], "a_star": [0.0, 0.3, 10.0], "b2": [0.0, 10.0],
+              "table": [0.0, 1.0, 2.0, 4.0, 10.0]}
+
+
+class TestDriftReference:
+    """``check_drift`` against the closed form of AV + cV - d for V = 1/y + y:
+    lam (y - 1/y) + c (y + 1/y) + lam B(a) (2 - 2 m1 - 2 (m1 - m2) y^2) - d."""
+
+    @pytest.mark.parametrize("law", LAWS[:3], ids=["uniform", "beta5", "beta20"])
+    @pytest.mark.parametrize("hazard", HAZARDS)
+    def test_margins_match_closed_form(self, hazard, law):
+        model = make_adder(1.0, HAZARDS[hazard], law)
+        rep = check_drift(model, grid_n=16)
+        a = np.array(DRIFT_AGES[hazard])[:, None]
+        y = np.linspace(10.0 / 16, 10.0, 16)
+        lam, m1, m2 = model.lambda_growth, law.moment(1), law.moment(2)
+        exact = (lam * (y - 1.0 / y) + rep.c * (y + 1.0 / y)
+                 + lam * model.hazard(a) * (2.0 - 2.0 * m1 - 2.0 * (m1 - m2) * y**2) - rep.d)
+        assert rep.margins.shape == exact.shape
+        assert np.all(np.abs(rep.margins - exact) <= 1e-8 * (1.0 + np.abs(exact)))
+
+    @pytest.mark.parametrize("law", LAWS[:3], ids=["uniform", "beta5", "beta20"])
+    @pytest.mark.parametrize("hazard", HAZARDS)
+    def test_worst_margin_bounds_a_full_grid(self, hazard, law):
+        # the extreme ages bound the generator's margins at every age of a 2-D
+        # grid, less its finite-difference noise
+        model = make_adder(1.0, HAZARDS[hazard], law)
+        rep = check_drift(model, grid_n=16)
+        nodes = np.linspace(10.0 / 16, 10.0, 16)
+        A, Y = np.meshgrid(nodes, nodes, indexing="ij")
+        grid = MarkovModel(model).apply_generator(default_V, A, Y) + rep.c * default_V(A, Y)
+        assert rep.worst_margin >= np.max(grid - rep.d) - 1e-9 * (1.0 + abs(rep.d))
 
 
 def one_jump_density(model, a0, y0, t, a, y):
