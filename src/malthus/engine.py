@@ -9,12 +9,14 @@ fragment uniform.  Divisions, virtual-birth shifts and phases call
 (``streams.math_map``), because numpy's vectorised versions can differ from
 them in the last bit; the other operations are the event-by-event
 simulation's, element for element, so every draw, event log and state is
-bit-identical to it.  States and event logs are slices of the block's
-arrays, and a replicate that outgrows the cap raises PopulationCapExceeded.
+bit-identical to it.  States are slices of the block's arrays; event logs
+are too, once the first read of one has sorted the block's events.  A
+replicate that outgrows the cap raises PopulationCapExceeded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -201,16 +203,15 @@ class Block:
     # -- output ----------------------------------------------------------
 
     def _trajectories(self, lanes: _Lanes) -> list:
-        """One Trajectory per replicate from all lanes of the block; its events
-        are slices of the block's event columns, listed only when read."""
+        """One Trajectory per replicate from all lanes of the block.
+
+        The block's event columns stay as the lanes hold them, unsorted;
+        the first read of any of its trajectories' event logs sorts them
+        once for the whole block (``_EventLog``).
+        """
         n = len(self.reps)
         self.lanes = lanes.size
-        # events, (time, tree id) order within each replicate
-        ev = np.flatnonzero(lanes.t_ev <= self.config.t_end)
-        ev = ev[np.lexsort((lanes.lo[ev], lanes.hi[ev], lanes.t_ev[ev], lanes.rep[ev]))]
-        cols = [getattr(lanes, k)[ev] for k in ("t_ev", "div", "lo", "hi", "y1", "y2")]
-        ends = np.cumsum(np.bincount(lanes.rep[ev], minlength=n)).tolist()
-        events = [tuple(c[a:b] for c in cols) for a, b in zip([0] + ends, ends)]
+        log = _EventLog(lanes, self.config.t_end, n)
         # alive at t: born before t (the root always) and its event not before t;
         # a lane alive at some record time is alive at the first one after its birth
         rt = np.asarray(self.config.record_times)
@@ -232,7 +233,32 @@ class Block:
             ends = np.cumsum(np.bincount(rep[sel], minlength=n)).tolist()
             for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
                 states[b].append(PopulationState(t, a[lo:hi], y[lo:hi]))
-        return [Trajectory(s, self.x0, e) for s, e in zip(states, events)]
+        return [Trajectory(s, self.x0, functools.partial(log.replicate, b))
+                for b, s in enumerate(states)]
+
+
+class _EventLog:
+    """The event columns of a block's lanes, sorted and sliced per replicate
+    on the first read: (time, tree id) order within each replicate."""
+
+    COLUMNS = ("t_ev", "div", "lo", "hi", "y1", "y2")
+
+    def __init__(self, lanes: _Lanes, t_end: float, n: int):
+        self.rep, self.t_end, self.n = lanes.rep, t_end, n
+        self.cols = [getattr(lanes, k) for k in self.COLUMNS]
+        self.events = None
+
+    def replicate(self, b: int) -> tuple:
+        """(time, division flag, low and high id words, y1, y2) of replicate b."""
+        if self.events is None:
+            t_ev, _, lo, hi, _, _ = self.cols
+            ev = np.flatnonzero(t_ev <= self.t_end)
+            ev = ev[np.lexsort((lo[ev], hi[ev], t_ev[ev], self.rep[ev]))]
+            cols = [c[ev] for c in self.cols]
+            ends = np.cumsum(np.bincount(self.rep[ev], minlength=self.n)).tolist()
+            self.events = [tuple(c[a:z] for c in cols) for a, z in zip([0] + ends, ends)]
+            self.rep = self.cols = None
+        return self.events[b]
 
 
 def children_ids(lo: np.ndarray, hi: np.ndarray):

@@ -421,7 +421,14 @@ class BetaFragmentation:
 
 
 class TableFragmentation:
-    """Tabulated F on [0, 1]; renormalised when the quadrature mass drifts."""
+    """Tabulated F on [0, 1], linear between its knots; renormalised when the
+    quadrature mass drifts.
+
+    On each piece F and rho F are polynomials in t = rho - rho_j, so the cdf
+    is quadratic there and the cdf of the size-biased law rho F / m1 cubic.
+    ``cdf`` evaluates the quadratic, ``sample`` inverts it in closed form
+    and ``sample_size_biased`` inverts the cubic by safeguarded Newton steps.
+    """
 
     name = "table"
 
@@ -442,12 +449,27 @@ class TableFragmentation:
             )
         self.rho_knots = rho
         self.F_values = F / m0
-        seg = 0.5 * (self.F_values[1:] + self.F_values[:-1]) * np.diff(rho)
-        self._cdf_knots = np.concatenate([[0.0], np.cumsum(seg)])
-        biased = self.F_values * rho
-        segb = 0.5 * (biased[1:] + biased[:-1]) * np.diff(rho)
-        cb = np.concatenate([[0.0], np.cumsum(segb)])
-        self._biased_cdf = cb / cb[-1] if cb[-1] > 0 else cb
+        self._width = np.diff(rho)
+        self._slope = np.diff(self.F_values) / self._width
+        last = np.arange(rho.size - 1)
+        # integrals of F and of rho F from 0 to each knot
+        self._cum = [np.concatenate([[0.0], np.cumsum(self._integral(k, last, self._width))])
+                     for k in (0, 1)]
+
+    def _integral(self, k, j, t):
+        """int_0^t (rho_j + x)^k F(rho_j + x) dx on piece j, k = 0 or 1."""
+        r, f, s = self.rho_knots[j], self.F_values[j], self._slope[j]
+        if k == 0:
+            return t * (f + 0.5 * s * t)
+        return t * (r * f + t * (0.5 * (r * s + f) + s * t / 3.0))
+
+    def _locate(self, k, u):
+        """(piece j, target of the integral of rho^k F over it, whole target)
+        at which the integral of rho^k F reaches the fraction u of its total."""
+        cum = self._cum[k]
+        target = np.asarray(u, dtype=float) * cum[-1]
+        j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, self._width.size - 1)
+        return j, target - cum[j], target
 
     def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -457,7 +479,10 @@ class TableFragmentation:
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)
-        out = np.interp(rho, self.rho_knots, self._cdf_knots)
+        j = np.clip(np.searchsorted(self.rho_knots, rho, side="right") - 1,
+                    0, self._width.size - 1)
+        t = np.clip(rho - self.rho_knots[j], 0.0, self._width[j])
+        out = self._cum[0][j] + self._integral(0, j, t)
         out = np.where(rho >= self.rho_knots[-1], 1.0, np.where(rho <= self.rho_knots[0], 0.0, out))
         return out if out.ndim else float(out)
 
@@ -471,10 +496,39 @@ class TableFragmentation:
         return float(np.sum(w * rho**k * self.pdf(rho)))
 
     def sample(self, u):
-        return np.interp(u, self._cdf_knots, self.rho_knots)
+        """The root t = 2v / (f + sqrt(f^2 + 2 s v)) of the piece's quadratic
+        cdf f t + s t^2 / 2 = v, a form without cancellation."""
+        j, v, _ = self._locate(0, u)
+        f, s = self.F_values[j], self._slope[j]
+        den = f + np.sqrt(np.maximum(f * f + 2.0 * s * v, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # den = 0: v = 0 or no mass
+            t = np.where(den > 0, 2.0 * v / den, 0.0)
+        out = self.rho_knots[j] + np.clip(t, 0.0, self._width[j])
+        return out if out.ndim else float(out)
 
     def sample_size_biased(self, u):
-        return np.interp(u, self._biased_cdf, self.rho_knots)
+        """The root of the piece's cubic integral of rho F by Newton steps from
+        the linear interpolant, kept inside the root's bracket (else
+        bisection), until the integral is within 16 ulp of its target, the
+        size of the target's own rounding, or the bracket within 4 ulp."""
+        j, v, target = self._locate(1, u)
+        r, f, s = self.rho_knots[j], self.F_values[j], self._slope[j]
+        mass = self._cum[1][j + 1] - self._cum[1][j]  # 0 only on a last piece without mass
+        lo, hi = np.zeros(v.shape), self._width[j]
+        t = hi * np.clip(v / np.where(mass > 0, mass, 1.0), 0.0, 1.0)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            over = self._integral(1, j, t) - v
+            lo, hi = np.where(over > 0, lo, t), np.where(over < 0, hi, t)
+            done = (np.abs(over) <= 16.0 * eps * target) | (hi - lo <= 4.0 * eps * t)
+            if done.all():
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero of the density
+                step = t - over / ((r + t) * (f + s * t))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            t = np.where(done, t, step)
+        out = r + t
+        return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DegenerateData, InsufficientData
 from .model import ModelSpec, PhasePoint
@@ -48,15 +47,19 @@ STREAM_VERSION = 3
 BLOCK_LANES = 1 << 14
 
 
-def individual_rng(seed: int, replicate: int, tree_id: int) -> Generator:
-    """Philox stream for one individual; ids are breadth-first (2i+1, 2i+2).
+def individual_rng(seed: int, replicate: int, tree_id: int):
+    """Philox stream (a ``numpy.random.Generator``) for one individual; ids
+    are breadth-first (2i+1, 2i+2).
 
     The key is (seed, replicate) and the counter starts at
     (0, 0, tree_id mod 2**64, tree_id div 2**64).  Counter and key words are
     passed as uint64 arrays: from a list, numpy rounds words of 2**63 and
     above through float64, aliasing streams.  ``simulate_population``
-    computes the first output block of these streams on arrays instead.
+    computes the first output block of these streams on arrays instead, so
+    ``numpy.random`` is imported here, on first use, and no command imports it.
     """
+    from numpy.random import Generator, Philox
+
     if not 0 <= tree_id < 1 << 128:
         raise ValueError(f"tree id {tree_id} outside [0, 2**128) would alias another stream")
     counter = np.array([0, 0, tree_id & MASK64, tree_id >> 64], dtype=np.uint64)
@@ -140,15 +143,22 @@ class SimConfig:
 @dataclass
 class Trajectory:
     """One replicate: its recorded states, and its events as the arrays (time, division
-    flag, low and high uint64 words of the tree id, y1, y2), listed on read."""
+    flag, low and high uint64 words of the tree id, y1, y2), listed on read.
+
+    ``events`` is that tuple of arrays, or a function of no arguments that
+    returns it: the engine passes one, which sorts its block's events on the
+    first read of any of its trajectories' logs.
+    """
 
     states: list
     x0: PhasePoint
-    events: tuple
+    events: tuple | Callable
 
     @property
     def event_log(self) -> list:
         """[(0.0, "init", 0, x0.a, x0.y), (t, kind, tree id, y1, y2), ...], Python scalars."""
+        if callable(self.events):
+            self.events = self.events()
         t, div, lo, hi, y1, y2 = (col.tolist() for col in self.events)
         ids = [a | b << 64 for a, b in zip(lo, hi)] if any(hi) else lo
         kinds = [("death", "division")[d] for d in div]
@@ -207,9 +217,13 @@ def empirical_functional(state: PopulationState, f: Callable) -> float:
 
     The last running sum of ``np.add.accumulate``, plus 0.0, is the sum of
     Python floats added in order from 0.0: builtin ``sum`` is compensated
-    from Python 3.12 on, and ``np.sum`` is pairwise.
+    from Python 3.12 on, and ``np.sum`` is pairwise.  A value that ``f``
+    returns for the whole state, such as a constant, counts once per
+    individual.
     """
-    values = np.broadcast_to(f(state.a, state.y), state.a.shape)
+    values = f(state.a, state.y)
+    if np.shape(values) != state.a.shape:
+        values = np.broadcast_to(values, state.a.shape)
     if not values.size:
         return 0.0
     with np.errstate(all="ignore"):

@@ -35,6 +35,11 @@ KAPPA_TOL = 1e-3
 MASS_PANELS = 24
 MASS_NODES = 16
 MASS_GRADE_LO = 1e-5
+#: rows of s for which the eta* sweep tables and the pi*-mass weights are
+#: built, and the sweep applied, at a time: it bounds their temporaries
+ETA_ROWS = 128
+#: sweep differences the Anderson step of ``solve_eta_star`` mixes, at most
+ANDERSON_DEPTH = 8
 
 
 def default_V(a, y):
@@ -163,34 +168,52 @@ def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
 
     The inner integral is a trapezoid convolution of psi and eta with the
     step of s, read at s_i / rho_r by linear interpolation and 0 past its
-    grid.  The interpolation is tabulated once as an (n, len(rho)) array of
-    left indices and two arrays of weights, each times 2 w_r F(rho_r) (0 past
-    the grid), so a sweep is one convolution, two gathers and a sum over
-    each row.
+    grid.  The interpolation is tabulated once, ``ETA_ROWS`` rows of s at a
+    time, as two (n, len(rho)) tables: the int32 left index of each s_i / rho_r,
+    or a sentinel index past the convolution, where the sweep reads 0; and
+    the upper weight c_r (u - left), with c_r = 2 w_r F(rho_r).  The lower
+    weight is c_r minus the upper one, so a sweep is one convolution and,
+    for each block of rows, a gather of the convolution times c and a gather
+    of its differences weighted by the upper table.
     """
     h = s[1] - s[0]
-    n = s.size
-    m = psi_vals.size + n - 1  # the length of the convolution
-    u = s[:, None] / rho / h  # s_i / rho_r in steps of the grid
-    left = np.minimum(u.astype(np.intp), m - 2)  # floors u >= 0; weighted 0 past the grid
+    n, k = s.size, rho.size
+    m = psi_vals.size + n - 1  # the length of the convolution, and the sentinel index
     c = 2.0 * w_rho * model.fragmentation.pdf(rho)
-    inside = u <= m - 1
-    w_hi = np.where(inside, c * (u - left), 0.0)
-    w_lo = np.where(inside, c - w_hi, 0.0)
+    left = np.empty((n, k), dtype=np.int32)
+    w_hi = np.empty((n, k))
+    for lo in range(0, n, ETA_ROWS):
+        u = s[lo:lo + ETA_ROWS, None] / rho / h  # s_i / rho_r in steps of the grid
+        inside = u <= m - 1
+        lf = np.where(inside, u, m).astype(np.int32)  # floors u >= 0
+        left[lo:lo + ETA_ROWS] = lf
+        u -= lf
+        u *= c
+        w_hi[lo:lo + ETA_ROWS] = np.where(inside, u, 0.0)
     edge = 0.5 * h * psi_vals[:n]
     edge0 = 0.5 * h * psi_vals[0]
-    gathered = np.empty(left.shape)
+    conv = np.zeros(m + 2)  # the convolution, then two zeros the sentinel reads
+    step = np.empty(m + 1)
+    index = np.empty((min(n, ETA_ROWS), k), dtype=np.intp)
+    gathered = np.empty(index.shape)
 
     def apply(eta):
-        conv = np.convolve(psi_vals, eta)
-        conv *= h
+        conv[:m] = np.convolve(psi_vals, eta)
+        conv[:m] *= h
         # trapezoid end corrections of the convolution quadrature
         conv[:n] -= edge * eta[0]
         conv[:n] -= edge0 * eta
-        # the indices are in range: "clip" only skips numpy's bounds-checked copy
-        out = np.einsum("ij,ij->i", np.take(conv, left, out=gathered, mode="clip"), w_lo)
-        return out + np.einsum("ij,ij->i", np.take(conv[1:], left, out=gathered, mode="clip"),
-                               w_hi)
+        np.subtract(conv[1:], conv[:-1], out=step)
+        out = np.empty(n)
+        for lo in range(0, n, ETA_ROWS):
+            rows = min(ETA_ROWS, n - lo)
+            ix, g = index[:rows], gathered[:rows]
+            ix[...] = left[lo:lo + rows]  # one cast to intp serves both gathers
+            # the indices are in range: "clip" only skips numpy's bounds-checked copy
+            out[lo:lo + rows] = np.take(conv, ix, out=g, mode="clip") @ c
+            out[lo:lo + rows] += np.einsum("ij,ij->i", np.take(step, ix, out=g, mode="clip"),
+                                           w_hi[lo:lo + rows])
+        return out
 
     return apply
 
@@ -199,12 +222,18 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     """Fixed-point iteration for the boundary profile eta*, from eta0 = 1.
 
     Each sweep applies the renewal operator and renormalizes so the induced
-    stationary density pi* has unit mass; iteration stops when successive
-    sweeps differ by less than 1e-10 in sup norm (the renormalized sweep is
-    the operator whose residual is reported), within 10,000 sweeps.  Raises
-    ``NoConvergence`` when the un-normalised sweep at the fixed point moves
-    pi*-mass by more than ``KAPPA_TOL``: the grid then cuts off or
-    under-resolves eta*, whatever the residual.
+    stationary density pi* has unit mass.  The next iterate mixes the last
+    ``ANDERSON_DEPTH`` + 1 normalised sweeps by Anderson acceleration (Walker
+    and Ni 2011): the combination of their residuals, sweep minus iterate,
+    that is smallest in least squares (``numpy.linalg.lstsq`` on the
+    residuals' differences), applied to the sweeps.  A mixed iterate with a
+    negative entry or a pi*-mass that is not positive is dropped, and that
+    step takes the plain normalised sweep.  Iteration stops when a plain
+    sweep differs from its iterate by less than 1e-10 relative in sup norm,
+    within 10,000 sweeps, and returns that sweep; its own sweep gives kappa
+    and the residual.  Raises ``NoConvergence`` when the un-normalised sweep
+    at the fixed point moves pi*-mass by more than ``KAPPA_TOL``: the grid
+    then cuts off or under-resolves eta*, whatever the residual.
     """
     if not (y_max > 0 and n >= 2):
         raise ValueError(f"y_max = {y_max!r} must be positive and n = {n!r} at least 2")
@@ -228,12 +257,27 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     eta = np.ones(n)
     eta[0] = 0.0
     eta = normalize(eta)
+    d_sweeps, d_residuals = [], []  # differences of consecutive sweeps and residuals
+    last = None
     for sweep in range(1, 10_001):
         new = normalize(apply_T(eta))
-        diff = float(np.max(np.abs(new - eta)) / np.max(np.abs(new)))
+        residual = new - eta
+        diff = float(np.max(np.abs(residual)) / np.max(np.abs(new)))
         eta = new
         if diff < 1e-10:
             break
+        if last is not None:
+            d_sweeps.append(new - last[0])
+            d_residuals.append(residual - last[1])
+            if len(d_sweeps) > ANDERSON_DEPTH:
+                del d_sweeps[0], d_residuals[0]
+        last = new, residual
+        if d_sweeps:
+            gamma = np.linalg.lstsq(np.column_stack(d_residuals), residual, rcond=None)[0]
+            mixed = new - np.column_stack(d_sweeps) @ gamma
+            m = float(mass_dot @ mixed)
+            if m > 0 and not np.any(mixed < 0):
+                eta = mixed / m
     else:
         raise NoConvergence(f"profile iteration: 10000 sweeps, diff {diff:.2e}")
     swept = apply_T(eta)
@@ -251,19 +295,21 @@ def _pi_mass_weights(model: ModelSpec, s: np.ndarray, a_cut: float) -> np.ndarra
     """w(s) = int_0^inf exp(-H(a)) / (s + a)^2 da = 1/s - int psi(a)/(s+a) da.
 
     Gauss-Legendre panels over [0, a_cut] integrate psi(a)/(s+a) at every
-    positive node at once.  They are graded geometrically down to
-    ``MASS_GRADE_LO``, which resolves the pole at a = -s for the smallest
-    positive s, and break at the hazard's knots, where psi has a kink or a
-    jump; w is 0 at s <= 0.
+    positive node, ``ETA_ROWS`` nodes at a time.  They are graded
+    geometrically down to ``MASS_GRADE_LO``, which resolves the pole at
+    a = -s for the smallest positive s, and break at the hazard's knots,
+    where psi has a kink or a jump; w is 0 at s <= 0.
     """
     hz = model.hazard
     edges = _with_knots(_graded_edges(a_cut, MASS_PANELS, MASS_GRADE_LO), hz, 0.0, a_cut)
     a, w_a = _panel_nodes(edges, MASS_NODES)
     psi_w = hz(a) * np.exp(-hz.cumulative(a)) * w_a
     w = np.zeros_like(s)
-    pos = s > 0
-    sp = s[pos]
-    w[pos] = 1.0 / sp - (1.0 / (sp[:, None] + a)) @ psi_w
+    pos = np.flatnonzero(s > 0)
+    for lo in range(0, pos.size, ETA_ROWS):
+        at = pos[lo:lo + ETA_ROWS]
+        sp = s[at]
+        w[at] = 1.0 / sp - (1.0 / (sp[:, None] + a)) @ psi_w
     return w
 
 

@@ -260,10 +260,13 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
           "581f155b9ca6f109eb131e81f96f686896d4919627a25e5e1ee2c72604930b52"}),
     (["stationary"], SMALL,
      # the pin moved when the sweep became a gather and the Simpson and mass
-     # weights explicit (eta* by <= 1.9e-15 relative, pi* by <= 1.5e-15)
-     {"eta_star.csv": "52e67b44a2343b4564a30df737e6d3ee5c54e0582c5f184f78a794b1e923c004",
-      "eta_star.json": "ee27708fdaf956a512d66539904b5280b3988ab64e343b62e91d2f5a301cabf5",
-      "pi_star.csv": "654cdfdaa6ab26f8392b23daa7cdc46c2e2678081502ae1a0a918bb4d0e85195"}),
+     # weights explicit (eta* by <= 1.9e-15 relative, pi* by <= 1.5e-15), and
+     # when the iteration became Anderson-mixed (16 sweeps, not 41; eta* by
+     # <= 1.2e-10 of its maximum, pi* by <= 9.5e-11 of its maximum, kappa by
+     # -5.6e-11)
+     {"eta_star.csv": "6e3c0f4a33a1175ef481b7f54dba147c37c5aafb2b4de3155e07146532656989",
+      "eta_star.json": "0e2c5668633593572340f8eed2fbc2084ca80cd325f2bd34e5cee84218452fc3",
+      "pi_star.csv": "34f73440c144c2d13aa7c1f682ad276003fee19d3e60976c3841113556c21367"}),
     (["eigen", "--R", "4"], SMALL,
      # the pin moved when diagnostics gained euler_lotka_residual, when
      # they gained warm_start (the Beta density moved eta by <= 1.1e-15
@@ -290,11 +293,12 @@ def test_outputs_pinned(tmp_path, argv, cfg, digests):
 
 
 @pytest.mark.parametrize("argv, cfg, name, digest", [
-    # three times, each distance a float; 1.0 prints as 1
+    # three times, each distance a float; 1.0 prints as 1.  The pin moved
+    # when eta* became Anderson-mixed (the distances by <= 2.1e-10 relative)
     (["stationary"],
      {**SMALL, "stationary": {"n": 256, "report": True},
       "sim": {"seed": 7, "t_end": 2.0, "record_times": [1.0, 1.5, 2.0], "replicates": 200}},
-     "decay.csv", "778f2481cde261b4d47ed36cfe5ecd223c3c08d519b488c13cc42bcb73f0065f"),
+     "decay.csv", "2be3544296b363fc7894a9a6df8a8bbecefef9d81b4196e52bb4168f1364c53d"),
     (["eigen", "--R", "4", "--R", "5"], SMALL,
      "eigen_summary.csv", "d94c5891def3855f211484f8187196640e93cf4d0bbc06a6389a2340f0a7cea7"),
 ], ids=["decay", "eigen_summary_two_rows"])
@@ -398,7 +402,7 @@ class TestStationaryCommand:
         assert (out / "pi_star.csv").exists()
         diag = json.loads((out / "eta_star.json").read_text())
         assert sorted(diag) == ["kappa", "n", "pi_mass", "residual", "sweeps", "y_max"]
-        assert diag["n"] == 256 and diag["y_max"] == 8.0 and diag["sweeps"] == 41
+        assert diag["n"] == 256 and diag["y_max"] == 8.0 and diag["sweeps"] == 16
         assert diag["residual"] < 1e-8 and abs(diag["kappa"] - 1.0) < 1e-4
 
     @pytest.mark.parametrize("stationary", [{"y_max": 0.5}, {"n": 3}, {"n": 2}],
@@ -609,6 +613,17 @@ def test_import_skips_scipy_integrate(tmp_path):
     assert "scipy.integrate" not in at_import and "scipy.special" not in at_import
     assert "malthus.engine" not in at_import and "malthus.streams" not in at_import
     assert "scipy.integrate" not in after_stationary
+
+
+def test_import_skips_numpy_random():
+    # numpy.random costs 10-14 ms to import; only simulate.individual_rng uses
+    # it, and no command calls that
+    src = str(Path(malthus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, malthus.cli\nprint('numpy.random' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_reference_config_runs_without_scipy(tmp_path):

@@ -258,6 +258,37 @@ class TestFragmentation:
         assert [G.moment(k) for k in range(4)] == pytest.approx(
             [1.0, 64 / 125, 671 / 1875, 17859 / 62500], rel=1e-14)
 
+    TRIANGLE = ([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+
+    def test_table_cdf_is_quadratic_on_each_piece(self):
+        # the integral of the density 4 rho over [0, 1/4]; linear
+        # interpolation of the cdf between knots read 0.25
+        F = TableFragmentation(*self.TRIANGLE)
+        assert F.cdf(0.25) == 0.125
+        assert F.cdf(0.75) == 0.875 and F.sf(0.75) == 0.125
+        rho = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_allclose(F.cdf(rho), np.where(rho < 0.5, 2.0 * rho**2,
+                                                        1.0 - 2.0 * (1.0 - rho)**2),
+                                   rtol=1e-15, atol=1e-16)
+
+    @pytest.mark.parametrize("biased, k, mean", [(False, 2, 7.0 / 24.0), (True, 1, 7.0 / 12.0)],
+                             ids=["law", "size_biased"])
+    def test_table_draws_follow_the_law(self, biased, k, mean):
+        # E rho^2 = m2 = 7/24 under F, and E rho = m2 / m1 = 7/12 under rho F / m1;
+        # inverting the linearly interpolated cdfs drew both laws uniform on [0, 1]
+        # (1/3 and 1/2)
+        F = TableFragmentation(*self.TRIANGLE)
+        n = 200_000
+        u = (np.arange(n) + np.random.default_rng(5).random(n)) / n  # stratified
+        rho = (F.sample_size_biased if biased else F.sample)(u)
+        x = rho**k
+        assert abs(x.mean() - mean) <= 3.0 * x.std() / math.sqrt(n)
+        # and each draw inverts its cdf to rounding
+        cdf = (np.where(rho < 0.5, 8.0 * rho**3 / 3.0,
+                        4.0 * rho**2 - 8.0 * rho**3 / 3.0 - 1.0 / 3.0)
+               if biased else F.cdf(rho))
+        assert np.max(np.abs(cdf - u)) <= 1e-14
+
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)
         F = BetaFragmentation(5, 5)

@@ -147,6 +147,13 @@ class TestSimulation:
             total = empirical_functional(s, lambda a, y: y)
             assert total == pytest.approx(math.exp(s.t), rel=1e-10)
 
+    def test_functional_of_a_constant_counts_each_individual(self):
+        state = simulate.PopulationState(t=0.0, a=np.zeros(3), y=np.ones(3))
+        assert empirical_functional(state, lambda a, y: 2.5) == 7.5
+        assert empirical_functional(state, lambda a, y: np.float64(2.5)) == 7.5
+        empty = simulate.PopulationState(t=0.0, a=np.zeros(0), y=np.zeros(0))
+        assert empirical_functional(empty, lambda a, y: 2.5) == 0.0
+
     def test_functional_sums_left_to_right(self, monkeypatch):
         # builtin sum of floats is compensated from Python 3.12 on, which gives
         # 1.0 here; left-to-right addition gives 0.0 on every version
@@ -352,7 +359,9 @@ RECORD = [0.0, 0.5, 1.5, 2.5, 4.0]
 
 #: name -> (hazard, fragmentation, d0, x0, seed, replicate, extra config,
 #: sha256 of (event log, states, cap hit) over RECORD to t = 4); the Beta
-#: pins moved with stream version 3 (integer-Beta draws without scipy)
+#: pins moved with stream version 3 (integer-Beta draws without scipy), and
+#: table_table when the table law's fragments became exact inverses of its
+#: piecewise-quadratic cdf
 PINS = {
     "constant_beta": (CONSTANT, BETA, 0.0, (0.0, 1.0), 7, 3, {},
                       "0a4084024c7dec26fb0eeed9181fae3da8ae52842b0f2ac435226951f8bb1983"),
@@ -361,7 +370,7 @@ PINS = {
     "table_uniform_deaths": (TABLE_HAZARD, UniformFragmentation(), 0.2, (0.0, 1.0), 3, 1, {},
                              "5ee926239a68ee4e35bbec624a6e63661f53687de2e9c81423614a109fa4b8ef"),
     "table_table": (TABLE_HAZARD, TABLE_FRAG, 0.0, (0.0, 1.0), 5, 0, {},
-                    "0a5ab850fa98edfba107da17e15c267a40cc4a2347a77ddb8b2d4176d7af27a0"),
+                    "dbee9005357c796a5b3cb73f018f8b0b4e7c956b0c02de9cae53c341bf6ca76b"),
     "mid_orbit": (CONSTANT, BETA, 0.2, (0.3, 1.2), 11, 4, {},
                   "35da9fd4eccd21067edc77ada59fd14bd85d1a3d8fe3a3493c6cf2436b563402"),
     "seed_max": (CONSTANT, BETA, 0.2, (0.0, 1.0), 2**64 - 1, 2**64 - 1, {},

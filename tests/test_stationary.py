@@ -11,8 +11,8 @@ from malthus import (BetaFragmentation, ConstantHazard, Density2D, EmptyMinorant
                      TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
                      MarkovModel, make_adder, pi_star,
-                     pi_star_density, run_replicates, skeleton_mc_density,
-                     solve_eta_star, weighted_tv)
+                     pi_star_density, run_replicates, simulate_population,
+                     skeleton_mc_density, solve_eta_star, weighted_tv)
 import malthus.stationary
 from malthus.renewal import HAZARD_CUTOFF
 from malthus.model import gl_nodes
@@ -23,6 +23,30 @@ from malthus.stationary import (_eta_operator, _h_chain_endpoints, _pi_mass_weig
 @pytest.fixture(scope="module")
 def profile(adder):
     return solve_eta_star(adder)
+
+
+def plain_eta_star(model, y_max=8.0, n=1024):
+    """(eta*, kappa, sweeps) by the plain normalised fixed-point loop, without
+    Anderson mixing, on the grid, operator and stop rule of ``solve_eta_star``."""
+    hz = model.hazard
+    s = np.linspace(0.0, y_max, n)
+    h = s[1] - s[0]
+    a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
+    psi_grid = np.arange(0.0, y_max + a_cut + h, h)
+    psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
+    sweep = _eta_operator(model, s, psi_vals, *gl_nodes(0.0, 1.0, 256))
+    mass = simpson_weights(s) * _pi_mass_weights(model, s, a_cut)
+    eta = np.ones(n)
+    eta[0] = 0.0
+    eta = eta / float(mass @ eta)
+    for sweeps in range(1, 10_001):
+        new = sweep(eta)
+        new = new / float(mass @ new)
+        diff = float(np.max(np.abs(new - eta)) / np.max(np.abs(new)))
+        eta = new
+        if diff < 1e-10:
+            return eta, float(mass @ sweep(eta)), sweeps
+    raise AssertionError("the plain loop did not converge")
 
 
 def h_chain_loop(model, x0, t_end, seed, i):
@@ -52,10 +76,43 @@ def h_chain_loop(model, x0, t_end, seed, i):
 class TestEtaStar:
     def test_converges(self, profile):
         assert profile.residual < 1e-8
-        assert profile.sweeps == 41
+        assert profile.sweeps == 15  # Anderson-mixed; 41 plain sweeps
         assert abs(profile.kappa - 1.0) < 1e-4
         assert profile.values[0] == 0.0
         assert np.all(profile.values >= 0.0)
+
+    @pytest.mark.parametrize("hazard, law, grid", [
+        (ConstantHazard(1.0), BetaFragmentation(5, 5), {}),
+        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), BetaFragmentation(5, 5), {}),
+        (ConstantHazard(1.0), UniformFragmentation(), {"y_max": 16.0, "n": 2048}),
+    ], ids=["beta55", "table_hazard", "uniform_16_2048"])
+    def test_mixed_matches_plain_loop(self, hazard, law, grid):
+        model = make_adder(1.0, hazard, law)
+        profile = solve_eta_star(model, **grid)
+        eta, kappa, sweeps = plain_eta_star(model, **grid)
+        assert np.max(np.abs(profile.values - eta)) <= 5e-10 * np.max(eta)
+        assert abs(profile.kappa - kappa) <= 1e-9
+        assert profile.residual < 1e-8 and abs(profile.pi_mass - 1.0) < 1e-6
+        # 15, 15 and 17 mixed sweeps against 41, 41 and 58 plain ones
+        assert profile.sweeps <= sweeps // 2
+
+    def test_negative_mixed_iterate_takes_the_plain_sweep(self, adder, monkeypatch):
+        # a least-squares solution scaled by 1e12 sends every mixed iterate
+        # below 0 somewhere (the mixing correction has pi*-mass 0, so it
+        # changes sign): each step must take the plain sweep instead
+        lstsq, calls = np.linalg.lstsq, []
+
+        def scaled(a, b, rcond=None):
+            calls.append(a.shape)
+            gamma, *rest = lstsq(a, b, rcond=rcond)
+            return (1e12 * gamma, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", scaled)
+        profile = solve_eta_star(adder, n=256)
+        eta, kappa, sweeps = plain_eta_star(adder, n=256)
+        assert len(calls) == sweeps - 2  # every sweep but the first and the last tried to mix
+        assert profile.sweeps == sweeps == 41
+        assert np.array_equal(profile.values, eta) and profile.kappa == kappa
 
     def test_truncated_grid_raises(self, adder):
         # converges to a residual near 1e-11, but the sweep loses half the mass
@@ -447,6 +504,19 @@ class TestErgodicity:
         rep = ergodicity_report(trs, profile, adder)
         assert rep.distances[0] > rep.distances[-1]
         assert rep.omega_hat > 0.0
+
+    def test_block_event_logs_in_any_read_order(self, adder_d0):
+        # a block sorts its events on the first read of any of its logs
+        cfg = SimConfig(seed=3, t_end=3.0, record_times=[1.0, 2.0, 3.0], replicates=6)
+        x0 = PhasePoint(0.0, 1.0)
+        singles = [simulate_population(adder_d0, x0, cfg, replicate=r).event_log
+                   for r in range(6)]
+        for order in ([0, 1, 2, 3, 4, 5], [5, 2, 0, 4, 1, 3]):
+            block = run_replicates(adder_d0, x0, cfg)
+            logs = {r: block[r].event_log for r in order}
+            assert [logs[r] for r in range(6)] == singles
+            assert [tr.event_log for tr in block] == singles  # a second read
+        assert len({len(log) for log in singles}) > 1
 
     def test_reference_profile_mass(self, adder, profile):
         ref = reference_profile(profile, adder, (4.0, 6.0), (20, 20))
