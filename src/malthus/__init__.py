@@ -10,8 +10,7 @@ from .errors import (BracketFailure, ConfigError, DegenerateData,
                      PopulationCapExceeded)
 from .model import (BetaFragmentation, ConstantHazard, MarkovModel, ModelSpec,
                     PhasePoint, TableFragmentation, TableHazard,
-                    UniformFragmentation, ValidationReport, make_adder,
-                    validate)
+                    UniformFragmentation, make_adder, validate)
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix,
                       OrbitRule, RowQuadrature, SizeGrid)
 from .eigen import (EigenResult, euler_lotka_residual, leading_eigen,

@@ -273,8 +273,8 @@ def _grid_table(density):
 
 def cmd_validate(conf, out_dir):
     report = validate(conf["model"])
-    _write_json(os.path.join(out_dir, "validate_report.json"), report.to_dict())
-    if not report.all_passed:
+    _write_json(os.path.join(out_dir, "validate_report.json"), report)
+    if not report["all_passed"]:
         print("validation failed", file=sys.stderr)
         return EXIT_INVALID_MODEL
     return EXIT_OK

@@ -114,14 +114,12 @@ class Block:
     def _roots(self) -> _Lanes:
         n = len(self.reps)
         a0, y0, lam = self.x0.a, self.x0.y, self.model.lambda_growth
-        if a0 > 0.0:
-            # re-express the state in its virtual birth frame (a = 0)
-            if a0 >= y0:
-                raise ValueError("added size must stay below current size")
-            yb = y0 - a0
-            tb = 0.0 - math.log(y0 / yb) / lam
-        else:
-            yb, tb = y0, 0.0
+        if a0 >= y0:
+            raise ValueError("added size must stay below current size")
+        # re-express the state in its virtual birth frame (a = 0): at a0 = 0,
+        # yb = y0 and tb = -log(1) / lam = 0.0 exactly
+        yb = y0 - a0
+        tb = 0.0 - math.log(y0 / yb) / lam
         words = np.zeros(n, dtype=np.uint64)
         return self._newborns(np.arange(n, dtype=np.int32), words, words, 0.0,
                               np.full(n, float(a0)), np.full(n, float(y0)),

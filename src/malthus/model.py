@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,11 @@ class PhasePoint:
 
 
 class ConstantHazard:
-    """B(a) = b for a >= a_star, 0 below; closed-form cumulative and inverse."""
+    """B(a) = b for a >= a_star, 0 below; closed-form cumulative and inverse.
+
+    Every hazard lists in ``a_knots`` the ages where B has a kink or a jump,
+    and where it takes its extremes: here the one jump, at a_star.
+    """
 
     def __init__(self, b: float, a_star: float = 0.0):
         if not b > 0:
@@ -57,6 +61,7 @@ class ConstantHazard:
             raise ValueError(f"a_star must be nonnegative, got {a_star!r}")
         self.b = float(b)
         self.a_star = float(a_star)
+        self.a_knots = np.array([self.a_star])
         self.lower = float(b)
         self.upper = float(b)
 
@@ -158,13 +163,14 @@ class TableHazard:
 # rho's shape, or a Python float for a scalar rho, zero outside [0, 1].
 # Every law draws by inversion: ``sample(u)`` and ``sample_size_biased(u)``
 # map a float array of uniforms to the quantiles of F and of the size-biased
-# density rho F(rho) / m1, one draw per uniform.
+# density rho F(rho) / m1, one draw per uniform.  ``rho_knots`` lists the
+# split fractions where F has a kink.
 
 
 class UniformFragmentation:
     """F = 1 on [0, 1]."""
 
-    name = "uniform"
+    rho_knots = ()
 
     def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -333,13 +339,14 @@ class BetaFragmentation:
     ``scipy.special``, imported on first use.
     """
 
+    rho_knots = ()
+
     def __init__(self, alpha: float, beta: float):
         self.alpha = float(alpha)
         self.beta = float(beta)
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"Beta parameters must be positive and finite, "
                              f"got alpha={alpha!r}, beta={beta!r}")
-        self.name = f"beta({alpha},{beta})"
         self._poly = _poly_form(self.alpha, self.beta)
 
     @functools.cached_property
@@ -429,8 +436,6 @@ class TableFragmentation:
     ``cdf`` evaluates the quadratic, ``sample`` inverts it in closed form
     and ``sample_size_biased`` inverts the cubic by safeguarded Newton steps.
     """
-
-    name = "table"
 
     def __init__(self, rho_knots: Sequence[float], F_values: Sequence[float]):
         rho = np.asarray(rho_knots, dtype=float)
@@ -630,9 +635,11 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     """Adder model: g = (lam*y, lam*y), beta = lam*y*B(a), children (rho*y, (1-rho)*y).
 
     ``B`` is a hazard object (ConstantHazard/TableHazard) or a plain positive
-    number (constant hazard).  ``F`` is a fragmentation density object, which
-    must be finite on 63 points inside (0, 1) (InvalidModel otherwise: every
-    command builds its model here).  ``d0`` is the constant death rate.
+    number (constant hazard), whose level B(inf) past its last knot must be
+    positive: a cell that never divides has no first-jump law.  ``F`` is a
+    fragmentation density object, which must be finite on 63 points inside
+    (0, 1).  Both raise InvalidModel otherwise: every command builds its
+    model here.  ``d0`` is the constant death rate.
     """
     if not 0 < lambda_growth < math.inf:
         raise InvalidModel(f"lambda_growth must be positive and finite, got {lambda_growth!r}")
@@ -641,6 +648,9 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
         raise InvalidModel(f"death rate d0 must be finite and nonnegative, got {d0}")
     if isinstance(B, (int, float)):
         B = ConstantHazard(float(B))
+    if not B(math.inf) > 0:
+        raise InvalidModel(f"(A1) hazard B(inf) = {B(math.inf):g} must be positive: "
+                           "a cell would never divide")
     rho = np.linspace(0.0, 1.0, 65)[1:-1]
     with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
         dens = np.asarray(F.pdf(rho), dtype=float)
@@ -651,46 +661,21 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     return ModelSpec(lambda_growth=float(lambda_growth), d0=d0, hazard=B, fragmentation=F)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
-    grid: tuple = ()
-
-    def add(self, name, passed, detail=""):
-        self.checks.append(CheckResult(name, bool(passed), detail))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {
-            "all_passed": self.all_passed,
-            "grid": list(self.grid),
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
-        }
-
-
-def validate(model: ModelSpec) -> ValidationReport:
-    """Check the model assumptions; the hazard band is sampled on a grid over [0, 8]^2.
+def validate(model: ModelSpec) -> dict:
+    """Check the model assumptions; the report is a plain dict with the keys
+    ``all_passed``, ``knots`` and ``checks`` (each check a dict of ``name``,
+    ``passed`` and ``detail``).
 
     Structural violations (nonpositive hazard bound, fragmentation mass away
     from 1 or mean away from 1/2, death rate >= elongation rate) raise
     InvalidModel naming the first one; m0 = 1 makes the offspring mass (iii)
     2 m0 = 2 everywhere.  ``make_adder`` has already checked that F is
-    finite inside (0, 1).  Sampled conditions are reported pass/fail.
+    finite inside (0, 1).  The band (ii), B in [lower, upper] above a_star
+    and B = 0 below it, is checked at the hazard's ``a_knots``, where a
+    piecewise-linear or stepped B takes its extremes, so the check is exact;
+    ``knots`` is the number of ages checked.
     """
-    grid_n = 64
-    report = ValidationReport(grid=(grid_n, grid_n))
     hz, F = model.hazard, model.fragmentation
-
     if hz.lower <= 0:
         raise InvalidModel("(A1) hazard lower bound must be positive")
     m0, m1, m2 = (F.moment(k) for k in range(3))
@@ -702,18 +687,16 @@ def validate(model: ModelSpec) -> ValidationReport:
         raise InvalidModel(
             f"(A3) requires lambda_growth > d0, got {model.lambda_growth} <= {model.d0}"
         )
-    report.add("(A1) hazard bounds", True, f"[{hz.lower:g}, {hz.upper:g}]")
-    report.add("(A2) moments", m2 <= 0.5 + MOMENT_TOL, f"m1={m1:.10f}, m2={m2:.10f}")
-    report.add("(A3) growth vs death", True, f"lambda={model.lambda_growth:g} > d0={model.d0:g}")
-
-    aa = np.linspace(1e-3, 8.0, grid_n)
-    A, _ = np.meshgrid(aa, aa, indexing="ij")
-    Bv = np.asarray(hz(A), dtype=float)
-    above = A > hz.a_star
-    ok_band = np.all((Bv[above] > hz.lower * (1 - 1e-12)) & (Bv[above] < hz.upper * (1 + 1e-12)))
-    ok_zero = np.all(Bv[~above] == 0.0) if np.any(~above) else True
-    report.add("(ii) hazard band", bool(ok_band and ok_zero), f"a_star={hz.a_star:g}")
-    return report
+    B = hz(hz.a_knots)
+    above = hz.a_knots >= hz.a_star
+    band = bool(np.all((B[above] >= hz.lower) & (B[above] <= hz.upper)) and np.all(B[~above] == 0))
+    checks = [("(A1) hazard bounds", True, f"[{hz.lower:g}, {hz.upper:g}]"),
+              ("(A2) moments", m2 <= 0.5 + MOMENT_TOL, f"m1={m1:.10f}, m2={m2:.10f}"),
+              ("(A3) growth vs death", True, f"lambda={model.lambda_growth:g} > d0={model.d0:g}"),
+              ("(ii) hazard band", band, f"a_star={hz.a_star:g}")]
+    checks = [{"name": name, "passed": bool(ok), "detail": detail} for name, ok, detail in checks]
+    return {"all_passed": all(c["passed"] for c in checks), "knots": hz.a_knots.size,
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------

@@ -29,23 +29,11 @@ N_PANELS = 12
 N_PER_PANEL = 16
 
 
-def _panel_nodes(edges, n_per_panel):
-    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    nodes, weights = zip(*(gl_nodes(lo, hi, n_per_panel)
-                           for lo, hi in zip(edges[:-1], edges[1:])))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _graded_edges(cut, n_panels, lo=0.5):
-    """Panel edges packed near 0 where the hazard density concentrates."""
-    return np.concatenate([[0.0], np.geomspace(min(lo, cut / 4), cut, n_panels)])
-
-
 def _with_knots(edges, hazard, shift, cut):
-    """``edges`` and the hazard's knots (``a_knots``, or ``a_star``) minus
-    ``shift`` that lie in (0, cut), sorted, once each: psi has a kink or a
-    jump there.  (``np.union1d`` would import ``numpy.ma`` on first use.)"""
-    knots = np.asarray(getattr(hazard, "a_knots", [hazard.a_star])) - shift
+    """``edges`` and the hazard's ``a_knots`` minus ``shift`` that lie in
+    (0, cut), sorted, once each: psi has a kink or a jump there.
+    (``np.union1d`` would import ``numpy.ma`` on first use.)"""
+    knots = hazard.a_knots - shift
     out = np.sort(np.concatenate([edges, knots[(knots > 0) & (knots < cut)]]))
     return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
@@ -80,6 +68,25 @@ class RowQuadrature:
     u: np.ndarray
 
 
+def first_jump_rule(hazard, a0: float, n_panels: int, grade_lo: float) -> OrbitRule:
+    """Quadrature of the first jump from age ``a0``, in the added size a.
+
+    ``n_panels`` Gauss-Legendre panels of ``N_PER_PANEL`` nodes span
+    [0, a_cut], where the cumulative hazard has grown by HAZARD_CUTOFF; their
+    edges are graded geometrically from min(grade_lo, a_cut / 4), where the
+    hazard density concentrates, and broken at the hazard's knots.  The
+    weights are the psi-measure B(a0 + a) e^{-(H(a0 + a) - H(a0))} da.
+    """
+    h0 = hazard.cumulative(a0)
+    a_cut = hazard.inverse_cumulative(h0 + HAZARD_CUTOFF) - a0
+    graded = np.concatenate([[0.0], np.geomspace(min(grade_lo, a_cut / 4), a_cut, n_panels)])
+    edges = _with_knots(graded, hazard, a0, a_cut)
+    nodes, weights = zip(*(gl_nodes(lo, hi, N_PER_PANEL)
+                           for lo, hi in zip(edges[:-1], edges[1:])))
+    a, w = np.concatenate(nodes), np.concatenate(weights)
+    return OrbitRule(a=a, w=w * (hazard(a0 + a) * np.exp(-(hazard.cumulative(a0 + a) - h0))))
+
+
 class FirstJumpLaw:
     """Orbit quadrature of the first division.
 
@@ -95,17 +102,11 @@ class FirstJumpLaw:
         self._rules: dict = {}
 
     def orbit_rule(self, a0: float) -> OrbitRule:
-        """Graded Gauss-Legendre panels in the added size from age ``a0``, up to
-        HAZARD_CUTOFF, broken at the hazard's knots; built once per ``a0``."""
+        """``first_jump_rule`` from age ``a0`` with ``N_PANELS`` panels graded
+        from 0.5, built once per ``a0``."""
         rule = self._rules.get(a0)
         if rule is None:
-            hz = self.model.hazard
-            a_cut = hz.inverse_cumulative(hz.cumulative(a0) + HAZARD_CUTOFF) - a0
-            edges = _with_knots(_graded_edges(a_cut, N_PANELS), hz, a0, a_cut)
-            aa, ww = _panel_nodes(edges, N_PER_PANEL)
-            # psi(t) dt = B(a0 + a) exp(-(H(a0+a) - H(a0))) da along the orbit
-            dens = hz(a0 + aa) * np.exp(-(hz.cumulative(a0 + aa) - hz.cumulative(a0)))
-            rule = self._rules[a0] = OrbitRule(a=aa, w=ww * dens)
+            rule = self._rules[a0] = first_jump_rule(self.model.hazard, a0, N_PANELS, 0.5)
         return rule
 
     def row_quadrature(self, x: PhasePoint) -> RowQuadrature:

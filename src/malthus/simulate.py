@@ -126,11 +126,14 @@ class SimConfig:
         if not 0 <= self.seed < 1 << 64:  # streams are keyed on 64 bits: -1 is 2**64 - 1
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # the engine halves its time window until a window fits: an infinite
-        # t_end would never fit
-        if not (isinstance(self.t_end, Real) and 0 <= self.t_end < math.inf):
+        # t_end would never fit; a bool is no more a time than a count
+        if isinstance(self.t_end, bool) or not (isinstance(self.t_end, Real)
+                                                and 0 <= self.t_end < math.inf):
             raise ValueError(f"t_end must be a finite nonnegative number, got {self.t_end!r}")
         self.t_end = float(self.t_end)
         try:
+            if any(isinstance(t, bool) for t in self.record_times):
+                raise TypeError
             rt = sorted(float(t) for t in self.record_times)
         except (TypeError, ValueError):
             raise ValueError(f"record_times must be a list of times, "

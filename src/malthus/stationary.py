@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (EmptyMinorant, GridMismatch, InsufficientData, InvalidModel,
                      NoConvergence)
 from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
-from .renewal import HAZARD_CUTOFF, _graded_edges, _panel_nodes, _with_knots
+from .renewal import HAZARD_CUTOFF, _with_knots, first_jump_rule
 from .simulate import Trajectory
 
 #: observation box (a_max, y_max) and bins of ``pi_star.csv`` and the ergodicity report
@@ -30,10 +30,9 @@ PROFILE_BINS = (20, 20)
 #: largest |kappa - 1| solve_eta_star accepts, kappa being the pi*-mass of the
 #: un-normalised sweep at the fixed point (-3.1e-5 on the default grid)
 KAPPA_TOL = 1e-3
-#: Gauss-Legendre panels of the pi*-mass weights, nodes per panel, and the
-#: first positive panel edge of their geometric grading
+#: Gauss-Legendre panels of the pi*-mass weights, and the first positive
+#: panel edge of their geometric grading
 MASS_PANELS = 24
-MASS_NODES = 16
 MASS_GRADE_LO = 1e-5
 #: rows of s for which the eta* sweep tables and the pi*-mass weights are
 #: built, and the sweep applied, at a time: it bounds their temporaries
@@ -245,7 +244,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
     rho, w_rho = gl_nodes(0.0, 1.0, 256)
     apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
-    mass_w = _pi_mass_weights(model, s, a_cut)
+    mass_w = _pi_mass_weights(model, s)
     mass_dot = simpson_weights(s) * mass_w
 
     def normalize(eta):
@@ -291,25 +290,22 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
                           kappa=kappa, mass_weights=mass_w)
 
 
-def _pi_mass_weights(model: ModelSpec, s: np.ndarray, a_cut: float) -> np.ndarray:
+def _pi_mass_weights(model: ModelSpec, s: np.ndarray) -> np.ndarray:
     """w(s) = int_0^inf exp(-H(a)) / (s + a)^2 da = 1/s - int psi(a)/(s+a) da.
 
-    Gauss-Legendre panels over [0, a_cut] integrate psi(a)/(s+a) at every
-    positive node, ``ETA_ROWS`` nodes at a time.  They are graded
-    geometrically down to ``MASS_GRADE_LO``, which resolves the pole at
-    a = -s for the smallest positive s, and break at the hazard's knots,
-    where psi has a kink or a jump; w is 0 at s <= 0.
+    The first-jump rule from age 0 (``first_jump_rule``) integrates
+    psi(a)/(s+a) at every positive node, ``ETA_ROWS`` nodes at a time.  Its
+    ``MASS_PANELS`` panels are graded geometrically down to
+    ``MASS_GRADE_LO``, which resolves the pole at a = -s for the smallest
+    positive s; w is 0 at s <= 0.
     """
-    hz = model.hazard
-    edges = _with_knots(_graded_edges(a_cut, MASS_PANELS, MASS_GRADE_LO), hz, 0.0, a_cut)
-    a, w_a = _panel_nodes(edges, MASS_NODES)
-    psi_w = hz(a) * np.exp(-hz.cumulative(a)) * w_a
+    rule = first_jump_rule(model.hazard, 0.0, MASS_PANELS, MASS_GRADE_LO)
     w = np.zeros_like(s)
     pos = np.flatnonzero(s > 0)
     for lo in range(0, pos.size, ETA_ROWS):
         at = pos[lo:lo + ETA_ROWS]
         sp = s[at]
-        w[at] = 1.0 / sp - (1.0 / (sp[:, None] + a)) @ psi_w
+        w[at] = 1.0 / sp - (1.0 / (sp[:, None] + rule.a)) @ rule.w
     return w
 
 
@@ -489,9 +485,9 @@ def doeblin_minorant(model: ModelSpec, compact, Delta: float | None = None,
             grow = np.exp(lam * np.maximum(s, 0.0))
         term = np.where(s >= 0, 0.5 ** (j_star + 1) * after, 0.0)
         term *= _interval_min(lambda rho: rho * F.pdf(rho), z / (y_hi * grow),
-                              z / (y_lo * grow), getattr(F, "rho_knots", ()))
+                              z / (y_lo * grow), F.rho_knots)
         term *= _interval_min(hz, a_lo + y_lo * (grow - 1.0), a_hi + y_hi * (grow - 1.0),
-                              getattr(hz, "a_knots", [hz.a_star]))
+                              hz.a_knots)
         term *= np.exp(-m * hz.upper * y_hi * (grow - 1.0))
         if nu.any() and np.array_equal(nu + term, nu):
             break

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -525,11 +526,17 @@ def test_validate_any_config_exits_cleanly(capsys):
 
     count, real, flag = hs.integers(1, 64), hs.floats(0.1, 8.0), hs.booleans()
     pair, quad = hs.lists(real, min_size=2, max_size=2), hs.lists(real, min_size=4, max_size=4)
+    # 3 to 5 knots, any B value of which may be 0: inside the table (the band
+    # (ii) fails) or last (the hazard vanishes, so the model is invalid)
+    table = hs.integers(3, 5).flatmap(lambda k: hs.fixed_dictionaries({
+        "type": hs.just("table"),
+        "a": mostly(hs.lists(real, min_size=k - 1, max_size=k - 1)
+                    .map(lambda gaps: list(itertools.accumulate(gaps, initial=0.0)))),
+        "B": mostly(hs.lists(hs.just(0.0) | real, min_size=k, max_size=k))}))
     hazard = hs.one_of(
         hs.fixed_dictionaries({"type": hs.just("constant"), "b": mostly(real)},
                               optional={"a_star": mostly(real)}),
-        hs.fixed_dictionaries({"type": hs.just("table"), "a": mostly(hs.just([0.0, 1.0])),
-                               "B": mostly(pair)}))
+        table)
     fragmentation = hs.one_of(
         hs.just({"type": "uniform"}),
         count.map(lambda k: {"type": "beta", "alpha": k, "beta": k}),
@@ -555,6 +562,10 @@ def test_validate_any_config_exits_cleanly(capsys):
     @hypothesis.given(mostly(configs, configs.map(lambda c: {**c, "bogus": {}})))
     @hypothesis.example({"model": {"fragmentation": {"type": "beta", "alpha": 1e300,
                                                      "beta": 1e300}}})
+    @hypothesis.example({"model": {"hazard": {"type": "table", "a": [0.0, 1.0, 2.0],
+                                              "B": [1.0, 0.0, 1.0]}}})
+    @hypothesis.example({"model": {"hazard": {"type": "table", "a": [0.0, 1.0, 2.0],
+                                              "B": [1.0, 1.0, 0.0]}}})
     def check(cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cfg.json")
@@ -654,6 +665,23 @@ def test_split_density_not_finite_exits_2_for_every_command(tmp_path, capsys, co
     assert run([*command.split(), "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("B", [[0.0, 0.0], [1.0, 1.0, 0.0]], ids=["all_zero", "last_zero"])
+@pytest.mark.parametrize("command", ["validate", "eigen --R 2", "simulate", "stationary",
+                                     "doeblin", "drift"])
+def test_vanishing_hazard_exits_2_for_every_command(tmp_path, capsys, command, B):
+    # drift used to print a ZeroDivisionError traceback for the first table;
+    # on the second, eigen, simulate and stationary exited 1 naming their own
+    # section, and doeblin exited 0
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps({"model": {"hazard": {"type": "table",
+                                                     "a": list(range(len(B))), "B": B}}}))
+    out = tmp_path / "out"
+    assert run([*command.split(), "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("invalid model: (A1)")
     assert not out.exists()
 
 

@@ -473,8 +473,34 @@ class TestQuadratureRules:
 class TestValidate:
     def test_default_passes(self, adder):
         report = validate(adder)
-        assert report.all_passed
-        assert {c.name for c in report.checks} >= {"(A1) hazard bounds", "(A2) moments"}
+        assert report["all_passed"]
+        assert {c["name"] for c in report["checks"]} >= {"(A1) hazard bounds", "(A2) moments"}
+
+    @pytest.mark.parametrize("hz, passed", [
+        # a zero between the ages of a 64-point grid on [0, 8], and one past a = 8:
+        # both used to pass
+        (TableHazard([0.0, 1.0, 1.001, 1.002, 2.0], [1.0, 1.0, 0.0, 1.0, 1.0]), False),
+        (TableHazard([0.0, 10.0, 10.01, 12.0], [1.0, 1.0, 0.0, 1.0]), False),
+        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), True),  # criterion 7
+        (ConstantHazard(1.0, 0.5), True),
+        (ConstantHazard(2.0), True),
+        # B rises from 0 at a_star: not bounded below by a positive constant above it
+        (TableHazard([0.0, 1.0, 2.0], [0.0, 0.0, 3.0]), False),
+        (TableHazard(*TestTableHazard.ZONED), False),
+    ], ids=["interior_zero", "zero_past_8", "criterion_7", "dead_zone", "constant",
+            "leading_zeros", "zoned"])
+    def test_band_at_the_knots(self, hz, passed):
+        report = validate(make_adder(1.0, hz, BetaFragmentation(5, 5)))
+        band = report["checks"][-1]
+        assert band["name"] == "(ii) hazard band" and band["passed"] is passed
+        assert report["all_passed"] is passed and report["knots"] == hz.a_knots.size
+        json.dumps(report)  # plain data, as the CLI writes it
+
+    @pytest.mark.parametrize("a, B", [([0.0, 1.0], [0.0, 0.0]), ([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])],
+                             ids=["all_zero", "last_zero"])
+    def test_vanishing_hazard_is_invalid(self, a, B):
+        with pytest.raises(InvalidModel, match=r"^\(A1\) hazard B\(inf\) = 0"):
+            make_adder(1.0, TableHazard(a, B), BetaFragmentation(5, 5))
 
     def test_a3_violation(self):
         m = make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(5, 5), d0=2.0)

@@ -8,7 +8,10 @@ from scipy import integrate, stats
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
                      KernelAssembler, PhasePoint, SizeGrid, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder)
-from malthus.renewal import SERIES_RADIUS, SERIES_TERMS, kernel_row, leak_mass
+from malthus.model import gl_nodes
+from malthus.renewal import (HAZARD_CUTOFF, SERIES_RADIUS, SERIES_TERMS, kernel_row,
+                             leak_mass)
+from malthus.stationary import _pi_mass_weights
 
 
 def kernel_K(law, x, z, lam):
@@ -38,6 +41,59 @@ def reference_kvals(model, q, z, R):
     kvals = (2.0 / q.u)[:, None] * dens
     above = np.where(q.u > R, 2.0 * F.sf(np.minimum(R / q.u, 1.0)), 0.0)
     return kvals, above
+
+
+def inline_panels(hz, a0, a_cut, n_panels, grade_lo):
+    """16-node Gauss-Legendre panels on [0, a_cut], graded from
+    min(grade_lo, a_cut / 4) and broken at the knots past ``a0``."""
+    edges = np.concatenate([[0.0], np.geomspace(min(grade_lo, a_cut / 4), a_cut, n_panels)])
+    knots = hz.a_knots - a0
+    edges = np.unique(np.concatenate([edges, knots[(knots > 0) & (knots < a_cut)]]))
+    return (np.concatenate(v) for v in zip(*(gl_nodes(lo, hi, 16)
+                                             for lo, hi in zip(edges[:-1], edges[1:]))))
+
+
+def inline_orbit_rule(hz, a0):
+    """(a, w) as ``FirstJumpLaw.orbit_rule`` built them inline, before ``first_jump_rule``."""
+    a_cut = hz.inverse_cumulative(hz.cumulative(a0) + HAZARD_CUTOFF) - a0
+    aa, ww = inline_panels(hz, a0, a_cut, 12, 0.5)
+    dens = hz(a0 + aa) * np.exp(-(hz.cumulative(a0 + aa) - hz.cumulative(a0)))
+    return aa, ww * dens
+
+
+def inline_mass_weights(hz, s):
+    """The pi*-mass weights as ``_pi_mass_weights`` built them, on their own
+    24 panels graded from 1e-5, before ``first_jump_rule``."""
+    a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
+    a, w_a = inline_panels(hz, 0.0, a_cut, 24, 1e-5)
+    psi_w = hz(a) * np.exp(-hz.cumulative(a)) * w_a
+    w = np.zeros_like(s)
+    pos = np.flatnonzero(s > 0)
+    for lo in range(0, pos.size, 128):
+        at = pos[lo:lo + 128]
+        w[at] = 1.0 / s[at] - (1.0 / (s[at][:, None] + a)) @ psi_w
+    return w
+
+
+HAZARDS = [ConstantHazard(1.0), ConstantHazard(1.0, 0.5),
+           TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])]
+
+
+class TestFirstJumpRule:
+    @pytest.mark.parametrize("a0", [0.0, 0.3, 1.7])
+    @pytest.mark.parametrize("hz", HAZARDS, ids=["constant", "dead_zone", "table"])
+    def test_orbit_rule_is_the_inline_rule(self, hz, a0):
+        rule = FirstJumpLaw(make_adder(1.0, hz, BetaFragmentation(5, 5))).orbit_rule(a0)
+        a, w = inline_orbit_rule(hz, a0)
+        assert rule.a.tobytes() == a.tobytes() and rule.w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("hz", HAZARDS, ids=["constant", "dead_zone", "table"])
+    def test_mass_weights_are_the_inline_weights(self, hz):
+        # at a0 = 0, 0 + a and H(a) - H(0) are exact, so the shared rule
+        # gives the weights' own product bit for bit
+        s = np.concatenate([np.linspace(0.0, 8.0, 1024), [1e-9, 20.0]])
+        w = _pi_mass_weights(make_adder(1.0, hz, BetaFragmentation(5, 5)), s)
+        assert w.tobytes() == inline_mass_weights(hz, s).tobytes()
 
 
 class TestFirstJumpLaw:

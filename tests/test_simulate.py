@@ -132,6 +132,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=0, t_end=t_end, record_times=record_times)
 
+    @pytest.mark.parametrize("t_end, record_times", [
+        (True, [0.0]),  # ran to t = 1.0
+        (2.0, [True, False]),  # recorded at 1.0 and 0.0
+        (True, [True, False]),
+    ], ids=["bool_t_end", "bool_record_times", "both"])
+    def test_rejects_booleans_as_times(self, t_end, record_times):
+        # counts already reject booleans; times now do too
+        with pytest.raises(ValueError, match="t_end|record_times"):
+            SimConfig(seed=0, t_end=t_end, record_times=record_times)
+
 
 class TestSimulation:
     def test_trivial_horizon(self, adder):

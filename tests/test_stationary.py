@@ -35,7 +35,7 @@ def plain_eta_star(model, y_max=8.0, n=1024):
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
     sweep = _eta_operator(model, s, psi_vals, *gl_nodes(0.0, 1.0, 256))
-    mass = simpson_weights(s) * _pi_mass_weights(model, s, a_cut)
+    mass = simpson_weights(s) * _pi_mass_weights(model, s)
     eta = np.ones(n)
     eta[0] = 0.0
     eta = eta / float(mass @ eta)
@@ -167,7 +167,7 @@ class TestEtaStar:
         a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
         s = np.linspace(0.0, 8.0, 1024)
         s = np.concatenate([s[::31], s[1:3]])  # and the poles nearest 0, 8/1023 and 16/1023
-        w = _pi_mass_weights(model, s, a_cut)
+        w = _pi_mass_weights(model, s)
         assert w[0] == 0.0
         for si, wi in zip(s[1:], w[1:]):
             val, _ = integrate.quad(lambda a: hz(a) * math.exp(-hz.cumulative(a)) / (si + a),
