@@ -242,8 +242,7 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         grid=assembler.grid,
         diagnostics={"mu_evals": len(trace), "kernel_passes": assembler.passes - passes,
                      "trace": trace, "bracket": [lo, hi], "row_mass_error": mass_error,
-                     "euler_lotka_residual": euler_lotka_residual(model, lam, 1.0,
-                                                                  assembler.law),
+                     "euler_lotka_residual": euler_lotka_residual(model, lam, assembler.law),
                      **diagnostics},
     )
 
@@ -253,25 +252,23 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
 # ---------------------------------------------------------------------------
 
 
-def euler_lotka_residual(model: ModelSpec, lam: float, y: float, law: FirstJumpLaw) -> float:
-    """C_(0,y) * E[exp(lam * (int_y^Z ds/g2(0,s) - T))] - 1 at the first jump.
+def euler_lotka_residual(model: ModelSpec, lam: float, law: FirstJumpLaw) -> float:
+    """2 m_s * (first-jump mass) - 1, with m_s = E[rho^s], s = lam / lambda_growth.
 
-    Vanishes at the Malthus exponent; equals C - 1 at lam = 0.  The orbit
-    time from y to z is log(z / y) / lambda_growth, so the expectation
-    reduces to the fragmentation moment of order s = lam / lambda_growth.
+    This is C_(0,y) * E[exp(lam * (int_y^Z ds/g2(0,s) - T))] - 1 at the
+    first jump from any y under any hazard: the orbit time from y to the
+    jump size u is log(u / y) / lambda_growth, so the factor (u / y)^s
+    e^{-lam t} is 1 and only the moment of order s is left.  It checks the
+    moment condition 2 E[rho^s] = 1, whose root is lambda_growth exactly
+    when the splits are symmetric; it equals 1 at lam = 0.
 
-    It integrates over the jump with the same orbit rule as the kernel
-    matrix, so it cannot detect an error of that rule: a rule that loses
-    first-jump mass moves G and this residual alike, and it stays small at
-    the biased root.  ``OrbitRule.mass_error`` (``row_mass_error``) does.
+    It weighs the moment with the orbit rule's mass, so it cannot detect an
+    error of that rule; ``OrbitRule.mass_error`` (``row_mass_error``) does.
     """
-    q = law.row_quadrature(PhasePoint(0.0, float(y)))
-    coef = q.w * np.exp(-lam * q.t)
     rho, wr = gl_nodes(0.0, 1.0, 256)
     s = lam / model.lambda_growth
     m_s = float(np.sum(wr * model.fragmentation.pdf(rho) * rho**s))
-    inner = 2.0 * m_s * (q.u / y) ** s
-    return float(np.dot(coef, inner)) - 1.0
+    return 2.0 * m_s * float(np.sum(law.orbit_rule(0.0).w)) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Phase points x = (a, y) (added size, current size) grow along the field
 g = (g1, g2) = (lam*y, lam*y), divide at rate beta(x) = g1(x) * B(a) with B
 the hazard per unit added size, and leave two newborns of sizes rho*y and
-(1 - rho)*y, rho drawn from the fragmentation density F: the offspring
-kernel is k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
+(1 - rho)*y, rho drawn from the fragmentation density F.  F is symmetric,
+F(rho) = F(1 - rho), so both newborns follow F and the offspring kernel is
+k(a, y, z) = (2/y) F(z/y) 1{z <= y}.
 """
 
 from __future__ import annotations
@@ -161,10 +162,10 @@ class TableHazard:
 # ---------------------------------------------------------------------------
 # Every law evaluates its density as ``pdf(rho)``: a new float array of
 # rho's shape, or a Python float for a scalar rho, zero outside [0, 1].
-# Every law draws by inversion: ``sample(u)`` and ``sample_size_biased(u)``
-# map a float array of uniforms to the quantiles of F and of the size-biased
-# density rho F(rho) / m1, one draw per uniform.  ``rho_knots`` lists the
-# split fractions where F has a kink.
+# Every law draws by inversion: ``sample(u)`` maps a float array of uniforms
+# to the quantiles of F, one draw per uniform.  ``rho_knots`` lists the split
+# fractions where F has a kink.  A law may be asymmetric; a model's may not
+# (``make_adder``).
 
 
 class UniformFragmentation:
@@ -190,10 +191,6 @@ class UniformFragmentation:
 
     def sample(self, u):
         return u
-
-    def sample_size_biased(self, u):
-        # density 2*rho on [0,1]
-        return np.sqrt(u)
 
 
 def _special():
@@ -332,11 +329,9 @@ class BetaFragmentation:
     degree is at most ``POLY_DEGREE`` and c < 2^53, and the cdf, the upper
     tail ``sf`` and the inverse-cdf draws are numpy arithmetic on binomial
     tails (``_IntegerBeta``): a tail table brackets each uniform, and
-    Newton steps clamped to the bracket solve it.  The size-biased draws
-    take Beta(alpha + 1, beta) the same way when that law has the
-    polynomial form too.  Other parameters take exp of the log density, and
-    the regularised incomplete beta function and its inverse from
-    ``scipy.special``, imported on first use.
+    Newton steps clamped to the bracket solve it.  Other parameters take
+    exp of the log density, and the regularised incomplete beta function
+    and its inverse from ``scipy.special``, imported on first use.
     """
 
     rho_knots = ()
@@ -357,11 +352,6 @@ class BetaFragmentation:
     @functools.cached_property
     def _law(self):
         return None if self._poly is None else _IntegerBeta(self._poly[0] + 1, self._poly[1] + 1)
-
-    @functools.cached_property
-    def _biased_law(self):
-        biased = _poly_form(self.alpha + 1.0, self.beta)
-        return None if biased is None else _IntegerBeta(biased[0] + 1, biased[1] + 1)
 
     def pdf(self, rho):
         """Beta density at ``rho``: ``scipy.stats.beta``'s on [0, 1], less an
@@ -420,21 +410,13 @@ class BetaFragmentation:
             return self._law.ppf(u)
         return _special().betaincinv(self.alpha, self.beta, u)
 
-    def sample_size_biased(self, u):
-        # rho * Beta(a, b) density is proportional to Beta(a + 1, b)
-        if self._biased_law is not None:
-            return self._biased_law.ppf(u)
-        return _special().betaincinv(self.alpha + 1.0, self.beta, u)
-
 
 class TableFragmentation:
     """Tabulated F on [0, 1], linear between its knots; renormalised when the
     quadrature mass drifts.
 
-    On each piece F and rho F are polynomials in t = rho - rho_j, so the cdf
-    is quadratic there and the cdf of the size-biased law rho F / m1 cubic.
-    ``cdf`` evaluates the quadratic, ``sample`` inverts it in closed form
-    and ``sample_size_biased`` inverts the cubic by safeguarded Newton steps.
+    On each piece F is linear in t = rho - rho_j, so the cdf is quadratic
+    there: ``cdf`` evaluates it and ``sample`` inverts it in closed form.
     """
 
     def __init__(self, rho_knots: Sequence[float], F_values: Sequence[float]):
@@ -456,25 +438,13 @@ class TableFragmentation:
         self.F_values = F / m0
         self._width = np.diff(rho)
         self._slope = np.diff(self.F_values) / self._width
-        last = np.arange(rho.size - 1)
-        # integrals of F and of rho F from 0 to each knot
-        self._cum = [np.concatenate([[0.0], np.cumsum(self._integral(k, last, self._width))])
-                     for k in (0, 1)]
+        # the integrals of F from 0 to each knot
+        self._cum = np.concatenate(
+            [[0.0], np.cumsum(self._integral(np.arange(rho.size - 1), self._width))])
 
-    def _integral(self, k, j, t):
-        """int_0^t (rho_j + x)^k F(rho_j + x) dx on piece j, k = 0 or 1."""
-        r, f, s = self.rho_knots[j], self.F_values[j], self._slope[j]
-        if k == 0:
-            return t * (f + 0.5 * s * t)
-        return t * (r * f + t * (0.5 * (r * s + f) + s * t / 3.0))
-
-    def _locate(self, k, u):
-        """(piece j, target of the integral of rho^k F over it, whole target)
-        at which the integral of rho^k F reaches the fraction u of its total."""
-        cum = self._cum[k]
-        target = np.asarray(u, dtype=float) * cum[-1]
-        j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, self._width.size - 1)
-        return j, target - cum[j], target
+    def _integral(self, j, t):
+        """int_0^t F(rho_j + x) dx on piece j."""
+        return t * (self.F_values[j] + 0.5 * self._slope[j] * t)
 
     def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -487,7 +457,7 @@ class TableFragmentation:
         j = np.clip(np.searchsorted(self.rho_knots, rho, side="right") - 1,
                     0, self._width.size - 1)
         t = np.clip(rho - self.rho_knots[j], 0.0, self._width[j])
-        out = self._cum[0][j] + self._integral(0, j, t)
+        out = self._cum[j] + self._integral(j, t)
         out = np.where(rho >= self.rho_knots[-1], 1.0, np.where(rho <= self.rho_knots[0], 0.0, out))
         return out if out.ndim else float(out)
 
@@ -503,36 +473,14 @@ class TableFragmentation:
     def sample(self, u):
         """The root t = 2v / (f + sqrt(f^2 + 2 s v)) of the piece's quadratic
         cdf f t + s t^2 / 2 = v, a form without cancellation."""
-        j, v, _ = self._locate(0, u)
+        target = np.asarray(u, dtype=float) * self._cum[-1]
+        j = np.clip(np.searchsorted(self._cum, target, side="right") - 1, 0, self._width.size - 1)
+        v = target - self._cum[j]
         f, s = self.F_values[j], self._slope[j]
         den = f + np.sqrt(np.maximum(f * f + 2.0 * s * v, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):  # den = 0: v = 0 or no mass
             t = np.where(den > 0, 2.0 * v / den, 0.0)
         out = self.rho_knots[j] + np.clip(t, 0.0, self._width[j])
-        return out if out.ndim else float(out)
-
-    def sample_size_biased(self, u):
-        """The root of the piece's cubic integral of rho F by Newton steps from
-        the linear interpolant, kept inside the root's bracket (else
-        bisection), until the integral is within 16 ulp of its target, the
-        size of the target's own rounding, or the bracket within 4 ulp."""
-        j, v, target = self._locate(1, u)
-        r, f, s = self.rho_knots[j], self.F_values[j], self._slope[j]
-        mass = self._cum[1][j + 1] - self._cum[1][j]  # 0 only on a last piece without mass
-        lo, hi = np.zeros(v.shape), self._width[j]
-        t = hi * np.clip(v / np.where(mass > 0, mass, 1.0), 0.0, 1.0)
-        eps = np.finfo(float).eps
-        for _ in range(100):
-            over = self._integral(1, j, t) - v
-            lo, hi = np.where(over > 0, lo, t), np.where(over < 0, hi, t)
-            done = (np.abs(over) <= 16.0 * eps * target) | (hi - lo <= 4.0 * eps * t)
-            if done.all():
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero of the density
-                step = t - over / ((r + t) * (f + s * t))
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            t = np.where(done, t, step)
-        out = r + t
         return out if out.ndim else float(out)
 
 
@@ -637,8 +585,14 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     ``B`` is a hazard object (ConstantHazard/TableHazard) or a plain positive
     number (constant hazard), whose level B(inf) past its last knot must be
     positive: a cell that never divides has no first-jump law.  ``F`` is a
-    fragmentation density object, which must be finite on 63 points inside
-    (0, 1).  Both raise InvalidModel otherwise: every command builds its
+    fragmentation density object, which must be finite and symmetric,
+    F(r) = F(1 - r) to 1e-9 of its largest value, at the 63 points k/64
+    inside each piece between consecutive points of its ``rho_knots``, their
+    mirrors 1 - r, 0 and 1.  A piecewise-linear table and its mirror are both
+    linear on each such piece, so the check is exact for tables; it never
+    lands on a knot, where 1 - r in floating point may fall on the wrong
+    side, and it skips the pieces narrower than 1e-9 that this rounding
+    makes.  Both raise InvalidModel otherwise: every command builds its
     model here.  ``d0`` is the constant death rate.
     """
     if not 0 < lambda_growth < math.inf:
@@ -651,13 +605,23 @@ def make_adder(lambda_growth, B, F, d0=0.0) -> ModelSpec:
     if not B(math.inf) > 0:
         raise InvalidModel(f"(A1) hazard B(inf) = {B(math.inf):g} must be positive: "
                            "a cell would never divide")
-    rho = np.linspace(0.0, 1.0, 65)[1:-1]
+    edges = sorted({0.0, 1.0, *(float(r) for r in F.rho_knots),
+                    *(1.0 - float(r) for r in F.rho_knots)})
+    lo, hi = np.array([(a, b) for a, b in zip(edges, edges[1:]) if b - a > 1e-9]).T
+    rho = np.linspace(lo, hi, 65, axis=-1)[:, 1:-1].ravel()
     with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
-        dens = np.asarray(F.pdf(rho), dtype=float)
+        dens, mirror = (np.asarray(F.pdf(r), dtype=float) for r in (rho, 1.0 - rho))
     bad = np.flatnonzero(~np.isfinite(dens))
     if bad.size:
         raise InvalidModel(f"(A2) fragmentation density F({rho[bad[0]]:g}) = "
                            f"{dens[bad[0]]} is not finite")
+    # scaled to the law, so F(r) = 0 against a rounded 1e-15 passes, and
+    # written so that a mirror that is NaN or infinite fails
+    bad = np.flatnonzero(~(np.abs(dens - mirror) <= 1e-9 * dens.max()))
+    if bad.size:
+        r = rho[bad[0]]
+        raise InvalidModel(f"(A2) fragmentation density must be symmetric: F({r:g}) = "
+                           f"{dens[bad[0]]:g} but F(1 - {r:g}) = {mirror[bad[0]]:g}")
     return ModelSpec(lambda_growth=float(lambda_growth), d0=d0, hazard=B, fragmentation=F)
 
 
@@ -670,7 +634,7 @@ def validate(model: ModelSpec) -> dict:
     from 1 or mean away from 1/2, death rate >= elongation rate) raise
     InvalidModel naming the first one; m0 = 1 makes the offspring mass (iii)
     2 m0 = 2 everywhere.  ``make_adder`` has already checked that F is
-    finite inside (0, 1).  The band (ii), B in [lower, upper] above a_star
+    finite and symmetric.  The band (ii), B in [lower, upper] above a_star
     and B = 0 below it, is checked at the hazard's ``a_knots``, where a
     piecewise-linear or stepped B takes its extremes, so the check is exact;
     ``knots`` is the number of ages checked.

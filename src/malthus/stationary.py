@@ -512,11 +512,14 @@ def _h_chain_endpoints(model: ModelSpec, x0: PhasePoint, t_end, seed: int):
     """Endpoints (a, y) of the size-harmonic chain run from x0, one per sample.
 
     Sample i runs for time ``t_end[i]``: flow as the base model, divisions at
-    rate beta(x), the survivor's size drawn from the size-biased
-    fragmentation law, no deaths.  All samples advance one jump at a time;
-    the k-th jump of sample i (k >= 1) reads the Philox block at counter
+    rate beta(x), no deaths; at a division the chain follows one child,
+    picked with probability its share of the size.  With rho drawn from F
+    and kept with probability rho (else 1 - rho), the kept fraction has
+    density rho (F(rho) + F(1 - rho)) = 2 rho F(rho), the size-weighted
+    kernel of a symmetric F.  All samples advance one jump at a time; the
+    k-th jump of sample i (k >= 1) reads the Philox block at counter
     (k, 0, 0, 0) under key (seed, i): word 0 for the division exponential,
-    word 1 for the uniform of the size-biased fragment.
+    word 1 for the uniform of rho and word 2 for the pick.
     """
     # the streams are imported on first use, as in simulate._blocks
     from .streams import exponential, math_map, philox_block, uniform
@@ -538,7 +541,8 @@ def _h_chain_endpoints(model: ModelSpec, x0: PhasePoint, t_end, seed: int):
         a_end[done], y_end[done] = a[stop] + y[stop] * (e - 1.0), y[stop] * e
         go = ~stop
         live = live[go]
-        rho = model.fragmentation.sample_size_biased(uniform(words[1][go]))
+        rho = model.fragmentation.sample(uniform(words[1][go]))
+        rho = np.where(uniform(words[2][go]) < rho, rho, 1.0 - rho)
         t, a, y = t_div[go], np.zeros(live.size), rho * (y[go] + (a_div[go] - a[go]))
     return a_end, y_end
 

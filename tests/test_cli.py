@@ -685,6 +685,39 @@ def test_vanishing_hazard_exits_2_for_every_command(tmp_path, capsys, command, B
     assert not out.exists()
 
 
+@pytest.mark.parametrize("F", [
+    {"type": "beta", "alpha": 2, "beta": 5},
+    {"type": "table", "rho": [0.0, 0.2, 0.5, 1.0], "F": [0.0, 2.0, 0.2, 1.68]},
+], ids=["beta25", "table"])
+@pytest.mark.parametrize("command", ["validate", "eigen --R 2", "simulate", "stationary",
+                                     "drift", "doeblin"])
+def test_asymmetric_splits_exit_2_for_every_command(tmp_path, capsys, command, F):
+    # the kernel (2/y) F(z/y) holds for symmetric F only: eigen, simulate and
+    # doeblin used to exit 0 (Beta(2, 5): lambda_R = 0.509 against a
+    # simulated 0.999), and validate exit 2 on the mean alone
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({"model": {"fragmentation": F}}))
+    out = tmp_path / "out"
+    assert run([*command.split(), "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid model: (A2) fragmentation density must be symmetric: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho, F", [([0.1, 0.9], [1.25, 1.25]),
+                                    ([0.0, 0.1, 0.9, 1.0], [10.0, 0.0, 0.0, 10.0])],
+                         ids=["uniform_01_09", "v_shape"])
+def test_symmetric_tables_with_rounded_mirrors_validate(tmp_path, capsys, rho, F):
+    # 1 - r in floating point is not the mirrored knot of these laws; the
+    # symmetry check must still accept them
+    path = tmp_path / "symmetric.json"
+    path.write_text(json.dumps({"model": {"fragmentation": {"type": "table", "rho": rho,
+                                                             "F": F}}}))
+    assert run(["validate", "--config", path, "--out", tmp_path / "out"]) == 0
+    assert "(A2)" not in capsys.readouterr().err
+
+
 def test_failed_drift_names_its_margin(tmp_path, capsys):
     # d = 0 leaves no offset for A V <= -c V + d; drift used to exit 5 silently
     path = tmp_path / "no_offset.json"

@@ -7,8 +7,10 @@ import malthus.eigen
 import malthus.renewal
 from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
                      FirstJumpLaw, KernelAssembler, NoConvergence, PhasePoint, SizeGrid,
+                     TableFragmentation, TableHazard, UniformFragmentation,
                      euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
+from malthus.model import gl_nodes
 from malthus.eigen import ROOT_TOL, WARM_START_OFFSET
 from malthus.renewal import HAZARD_CUTOFF, KernelMatrix
 
@@ -180,15 +182,32 @@ class TestHazardWithJump:
 class TestEulerLotka:
     def test_root_at_growth_rate(self, adder, law):
         # 2 m_s = 1 exactly at s = 1 (m1 = 1/2), so the residual vanishes
-        assert abs(euler_lotka_residual(adder, 1.0, 1.0, law)) < 1e-9
-        assert abs(euler_lotka_residual(adder, 1.0, 2.5, law)) < 1e-9
+        assert abs(euler_lotka_residual(adder, 1.0, law)) < 1e-9
+
+    @pytest.mark.parametrize("hazard", [ConstantHazard(1.0), ConstantHazard(1.0, 0.3),
+                                        TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0])],
+                             ids=["constant", "a_star", "table"])
+    def test_is_the_first_jump_integral_from_any_size(self, hazard):
+        # the orbit-integrated form: (u / y)^s e^{-lam t} is 1 on the orbit from
+        # y, so it is 2 m_s times the rule's mass at every y, up to rounding
+        for F in (BetaFragmentation(5, 5), UniformFragmentation(),
+                  TableFragmentation([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.6, 0.8, 1.6, 0.0])):
+            model = make_adder(1.0, hazard, F)
+            law = FirstJumpLaw(model)
+            rho, wr = gl_nodes(0.0, 1.0, 256)
+            for lam in (0.0, 0.5, 1.0, 2.0):
+                m_s = float(np.sum(wr * F.pdf(rho) * rho**lam))
+                for y in (1.0, 2.5):
+                    q = law.row_quadrature(PhasePoint(0.0, y))
+                    orbit = float(np.dot(q.w * np.exp(-lam * q.t), 2.0 * m_s * (q.u / y) ** lam))
+                    assert abs(euler_lotka_residual(model, lam, law) - (orbit - 1.0)) <= 1e-15
 
     def test_value_at_zero(self, adder, law):
         # residual at lam = 0 is C - 1 = 1
-        assert euler_lotka_residual(adder, 0.0, 1.0, law) == pytest.approx(1.0, abs=1e-8)
+        assert euler_lotka_residual(adder, 0.0, law) == pytest.approx(1.0, abs=1e-8)
 
     def test_monotone_in_lam(self, adder, law):
-        vals = [euler_lotka_residual(adder, lam, 1.0, law) for lam in (0.0, 0.5, 1.0, 2.0)]
+        vals = [euler_lotka_residual(adder, lam, law) for lam in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

@@ -11,7 +11,7 @@ from malthus import (BetaFragmentation, ConstantHazard, InvalidModel,
                      MarkovModel, PhasePoint, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder,
                      model_from_config, validate)
-from malthus.model import gauss_legendre
+from malthus.model import ModelSpec, gauss_legendre
 
 
 def log_exp_pdf(F, rho):
@@ -271,32 +271,23 @@ class TestFragmentation:
                                                         1.0 - 2.0 * (1.0 - rho)**2),
                                    rtol=1e-15, atol=1e-16)
 
-    @pytest.mark.parametrize("biased, k, mean", [(False, 2, 7.0 / 24.0), (True, 1, 7.0 / 12.0)],
-                             ids=["law", "size_biased"])
-    def test_table_draws_follow_the_law(self, biased, k, mean):
-        # E rho^2 = m2 = 7/24 under F, and E rho = m2 / m1 = 7/12 under rho F / m1;
-        # inverting the linearly interpolated cdfs drew both laws uniform on [0, 1]
-        # (1/3 and 1/2)
+    def test_table_draws_follow_the_law(self):
+        # E rho^2 = m2 = 7/24 under F; inverting the linearly interpolated cdf
+        # drew the law uniform on [0, 1] (1/3)
         F = TableFragmentation(*self.TRIANGLE)
         n = 200_000
         u = (np.arange(n) + np.random.default_rng(5).random(n)) / n  # stratified
-        rho = (F.sample_size_biased if biased else F.sample)(u)
-        x = rho**k
-        assert abs(x.mean() - mean) <= 3.0 * x.std() / math.sqrt(n)
+        rho = F.sample(u)
+        x = rho**2
+        assert abs(x.mean() - 7.0 / 24.0) <= 3.0 * x.std() / math.sqrt(n)
         # and each draw inverts its cdf to rounding
-        cdf = (np.where(rho < 0.5, 8.0 * rho**3 / 3.0,
-                        4.0 * rho**2 - 8.0 * rho**3 / 3.0 - 1.0 / 3.0)
-               if biased else F.cdf(rho))
-        assert np.max(np.abs(cdf - u)) <= 1e-14
+        assert np.max(np.abs(F.cdf(rho) - u)) <= 1e-14
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)
         F = BetaFragmentation(5, 5)
         s = F.sample(rng.random(20000))
         assert abs(np.mean(s) - 0.5) < 0.005
-        sb = F.sample_size_biased(rng.random(20000))
-        # size-biased mean = m2 / m1 = 6/11
-        assert abs(np.mean(sb) - 6.0 / 11.0) < 0.005
 
 
 def ulp_shift(x, k):
@@ -333,7 +324,7 @@ def exact_tails(alpha, beta, x):
 
 
 #: the integer laws of the acceptance criteria, the workloads and the default
-#: config, Beta(1, 1), and Beta(6, 5), the size-biased law of Beta(5, 5)
+#: config, Beta(1, 1), and the asymmetric Beta(6, 5)
 INTEGER_LAWS = [(5, 5), (20, 20), (1, 1), (6, 5)]
 
 
@@ -385,31 +376,21 @@ class TestIntegerBeta:
         rng = np.random.default_rng(5)
         u = np.concatenate([rng.random(300), [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
         F = BetaFragmentation(alpha, beta)
-        for sample in (F.sample, F.sample_size_biased):
-            whole = sample(u)
-            single = [sample(np.array([v]))[0] for v in u.tolist()]
-            assert np.array_equal(np.array(single).view(np.int64), whole.view(np.int64))
+        whole = F.sample(u)
+        single = [F.sample(np.array([v]))[0] for v in u.tolist()]
+        assert np.array_equal(np.array(single).view(np.int64), whole.view(np.int64))
 
-    def test_size_biased_draws_are_beta_alpha_plus_1(self):
-        u = np.random.default_rng(8).random(2000)
-        biased = BetaFragmentation(5, 5).sample_size_biased(u)
-        assert np.array_equal(biased, BetaFragmentation(6, 5).sample(u))
-
-    @pytest.mark.parametrize("alpha, beta", [(2.5, 2.5), (1, 65)])
+    @pytest.mark.parametrize("alpha, beta", [(2.5, 2.5), (2, 65)])
     def test_other_laws_keep_scipy_bits(self, alpha, beta):
-        # Beta(1, 65) has the polynomial form, its size-biased Beta(2, 65) not
+        # Beta(2, 65) has integer parameters, but a degree past POLY_DEGREE
         from scipy import special
         u = np.random.default_rng(9).random(5000)
         F = BetaFragmentation(alpha, beta)
-        biased = special.betaincinv(alpha + 1.0, beta, u)
-        assert np.array_equal(F.sample_size_biased(u), biased)
-        if alpha == 2.5:
-            draws = F.sample(u)
-            assert np.array_equal(draws, special.betaincinv(2.5, 2.5, u))
-            x = np.linspace(-0.5, 1.5, 101)
-            assert np.array_equal(F.cdf(x), special.betainc(2.5, 2.5, np.clip(x, 0.0, 1.0)))
-            assert np.array_equal(F.sf(x), special.betaincc(2.5, 2.5, np.clip(x, 0.0, 1.0)))
-            assert F._log_norm == special.betaln(2.5, 2.5)
+        assert np.array_equal(F.sample(u), special.betaincinv(alpha, beta, u))
+        x = np.linspace(-0.5, 1.5, 101)
+        assert np.array_equal(F.cdf(x), special.betainc(alpha, beta, np.clip(x, 0.0, 1.0)))
+        assert np.array_equal(F.sf(x), special.betaincc(alpha, beta, np.clip(x, 0.0, 1.0)))
+        assert F._log_norm == special.betaln(alpha, beta)
 
 
 class TestModelSpec:
@@ -508,9 +489,22 @@ class TestValidate:
             validate(m)
 
     def test_a2_violation(self):
-        m = make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(5, 3))
-        with pytest.raises(InvalidModel, match=r"\(A2\)"):
-            validate(m)
+        with pytest.raises(InvalidModel, match=r"^\(A2\) fragmentation density must be "
+                                               r"symmetric: F\(0\.015625\) = "):
+            make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(5, 3))
+        # a model built around make_adder still meets validate's mean check
+        with pytest.raises(InvalidModel, match=r"\(A2\) fragmentation mean"):
+            validate(ModelSpec(1.0, 0.0, ConstantHazard(1.0), BetaFragmentation(5, 3)))
+
+    @pytest.mark.parametrize("rho, F", [([0.1, 0.9], [1.25, 1.25]), ([0.2, 0.8], [5 / 3, 5 / 3]),
+                                        ([0.0, 0.1, 0.9, 1.0], [10.0, 0.0, 0.0, 10.0])],
+                             ids=["uniform_01_09", "uniform_02_08", "v_shape"])
+    def test_a2_accepts_tables_whose_mirrored_knots_round(self, rho, F):
+        # 1 - 0.9 = 0.09999999999999998 falls outside [0.1, 0.9], and the
+        # mirror of 0.9 in the V lands on the slope at ~1.8e-15 against
+        # F(0.9) = 0: a check at the knots rejected both symmetric laws
+        law = TableFragmentation(rho, F)
+        assert make_adder(1.0, ConstantHazard(1.0), law).fragmentation is law
 
 
 class TestHTransform:

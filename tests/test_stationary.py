@@ -15,7 +15,7 @@ from malthus import (BetaFragmentation, ConstantHazard, Density2D, EmptyMinorant
                      skeleton_mc_density, solve_eta_star, weighted_tv)
 import malthus.stationary
 from malthus.renewal import HAZARD_CUTOFF
-from malthus.model import gl_nodes
+from malthus.model import ModelSpec, gl_nodes
 from malthus.stationary import (_eta_operator, _h_chain_endpoints, _pi_mass_weights,
                                 reference_profile, simpson_weights)
 
@@ -54,14 +54,15 @@ def h_chain_loop(model, x0, t_end, seed, i):
 
     The reference for ``_h_chain_endpoints``: jump k reads the block at
     counter (k, 0, 0, 0), which ``Philox(counter=(k - 1, 0, 0, 0))`` returns
-    first.
+    first, and keeps the fraction rho of word 1 if the uniform of word 2 is
+    below it, else 1 - rho.
     """
     lam, hz = model.lambda_growth, model.hazard
     t, a, y, k = 0.0, x0.a, x0.y, 0
     while True:
         k += 1
         w = Philox(counter=np.array([k - 1, 0, 0, 0], dtype=np.uint64),
-                   key=np.array([seed, i], dtype=np.uint64)).random_raw(2)
+                   key=np.array([seed, i], dtype=np.uint64)).random_raw(3)
         e = -math.log1p(-float(w[0] >> 11) * 2.0**-53)
         a_div = hz.inverse_cumulative(hz.cumulative(a) + e)
         t_div = t + math.log1p((a_div - a) / y) / lam
@@ -69,7 +70,8 @@ def h_chain_loop(model, x0, t_end, seed, i):
             g = math.exp(lam * (t_end - t))
             return a + y * (g - 1.0), y * g
         u = np.array([float(w[1] >> 11) * 2.0**-53])
-        rho = float(model.fragmentation.sample_size_biased(u)[0])
+        rho = float(model.fragmentation.sample(u)[0])
+        rho = rho if float(w[2] >> 11) * 2.0**-53 < rho else 1.0 - rho
         t, a, y = t_div, 0.0, rho * (y + (a_div - a))
 
 
@@ -403,9 +405,10 @@ class TestDoeblin:
     def test_minorant_below_one_jump_density(self, hz, d0, compact):
         # nu is a lower bound of the skeleton's one-jump density at every
         # starting point of the compact; the size-harmonic chain has no deaths,
-        # so d0 changes nothing
+        # so d0 changes nothing.  The bound holds for any F: the model is built
+        # directly, as make_adder rejects the asymmetric laws
         for F in LAWS:
-            model = make_adder(1.0, hz, F, d0)
+            model = ModelSpec(1.0, d0, hz, F)
             nu, c = doeblin_minorant(model, compact, grid_n=12)
             ref = skeleton_one_jump_min(model, compact, c, nu.a_nodes, nu.y_nodes)
             assert np.all(nu.values <= (1.0 + 1e-12) * ref), F
@@ -480,12 +483,18 @@ class TestDoeblin:
             assert d.values.tobytes() == e.values.tobytes()
         assert not np.array_equal(first[0].values, other[0].values)
 
-    def test_h_chain_is_the_size_weighted_population(self, adder):
+    @pytest.mark.parametrize("F", [
+        BetaFragmentation(5, 5), UniformFragmentation(),
+        TableFragmentation([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.6, 0.8, 1.6, 0.0]),
+    ], ids=["beta55", "uniform", "table"])
+    def test_h_chain_is_the_size_weighted_population(self, F):
         # many-to-one: with d0 = 0 the population's total size is y0 e^{lam t}
-        # exactly, so the h-chain's law at t is the population's size-weighted law
+        # exactly, so the h-chain's law at t is the population's size-weighted
+        # law; the chain draws each law by its ``sample``, then picks a child
+        model = make_adder(1.0, ConstantHazard(1.0), F)
         x0, t = PhasePoint(0.5, 1.5), 1.5
-        a, y = _h_chain_endpoints(adder, x0, np.full(20_000, t), 1)
-        trs = run_replicates(adder, x0, SimConfig(seed=2, t_end=t, record_times=[t],
+        a, y = _h_chain_endpoints(model, x0, np.full(20_000, t), 1)
+        trs = run_replicates(model, x0, SimConfig(seed=2, t_end=t, record_times=[t],
                                                   replicates=2000))
         states = [tr.states[0] for tr in trs]
         for f in (lambda a, y: y, lambda a, y: a, lambda a, y: 1.0 / y):
