@@ -11,7 +11,8 @@ outputs are staged with a ``.partial`` suffix.
 Exit codes: 0 success, 1 malformed configuration JSON, an unknown section or
 key, a missing ``model`` key or a bad value in any section, whatever the
 command, or an output that cannot be written, 2 invalid model, 3 eigen solver
-failure, 4 simulation failure, 5 stationary failure, 6 minorant failure.
+failure, 4 simulation failure, 5 stationary failure, 6 minorant failure; a
+command that runs out of memory fails with its own code.
 """
 
 from __future__ import annotations
@@ -411,7 +412,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except MalthusError as exc:
+    except (MalthusError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return exit_failed
     except ValueError as exc:

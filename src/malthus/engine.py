@@ -105,7 +105,8 @@ class Block:
         t_ev = t0 + math_map(math.log1p, (a_div - a0) / y0) / lam
         div = np.ones(rep.size, dtype=bool)
         if d0 > 0:
-            t_die = t0 + e_die / d0
+            with np.errstate(over="ignore"):  # a tiny d0 overflows to inf, the exact time
+                t_die = t0 + e_die / d0
             div = ~(t_die <= t_ev)
             t_ev = np.where(div, t_ev, t_die)
         zero = np.zeros(rep.size)

@@ -82,38 +82,70 @@ class ConstantHazard:
         return out if out.ndim else float(out)
 
 
+class _PiecewiseLinear:
+    """The linear interpolant of values ``v`` at knots ``x``, its exact
+    integral from x_0 and that integral's inverse, for both table laws.
+
+    Knots must be finite and strictly increasing and values finite and
+    nonnegative, at least 2 of each, or ValueError is raised.  On piece i
+    the interpolant is v_i + s_i t, t = x - x_i, and its integral the
+    quadratic c_i + v_i t + s_i t^2 / 2, c_i the trapezoid sum ``cum``.
+    """
+
+    def __init__(self, x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        if x.ndim != 1 or x.shape != v.shape or x.size < 2:
+            raise ValueError("need matching 1-D knot arrays with >= 2 entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the float range
+            width = np.diff(x)
+        # a finite positive width also rules out an infinite or NaN knot
+        if not np.all((width > 0) & (width < math.inf)):
+            raise ValueError("knots must be finite and strictly increasing")
+        if not np.all((v >= 0) & (v < math.inf)):
+            raise ValueError("values must be finite and nonnegative")
+        self.x, self.v, self.slope = x, v, np.diff(v) / width
+        self.cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * width)])
+
+    def integral(self, x):
+        """The integral from x_0 to ``x`` clipped to the knots."""
+        # the piece index, found among the inner knots, lies in [0, x.size - 2]
+        i = np.searchsorted(self.x[1:-1], x, side="right")
+        t = np.clip(x, self.x[0], self.x[-1]) - self.x[i]
+        return self.cum[i] + self.v[i] * t + 0.5 * self.slope[i] * t * t
+
+    def inverse(self, c):
+        """The x at which the integral reaches ``c`` in [0, cum[-1]]: x_i + t
+        kept within the piece, with t = 2 dc / (v_i + sqrt(v_i^2 + 2 s_i dc)),
+        the root of the quadratic in a form that cancels for neither sign of s_i."""
+        i = np.searchsorted(self.cum[1:-1], c, side="right")  # as in ``integral``
+        dc = c - self.cum[i]
+        v = self.v[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(v * v + 2.0 * self.slope[i] * dc, 0.0))
+            t = np.where(dc > 0.0, 2.0 * dc / (v + root), 0.0)
+        return np.minimum(self.x[i] + t, self.x[i + 1])
+
+
 class TableHazard:
     """Piecewise-linear B(a) from knots; constant beyond the last knot.
 
     The cumulative hazard is the exact integral of the interpolant, a
-    quadratic on each segment, and is inverted in closed form.
+    quadratic on each segment (``_PiecewiseLinear``), and is inverted in
+    closed form.
     """
 
     def __init__(self, a_knots: Sequence[float], B_values: Sequence[float]):
-        a = np.asarray(a_knots, dtype=float)
-        B = np.asarray(B_values, dtype=float)
-        if a.ndim != 1 or a.shape != B.shape or a.size < 2:
-            raise ValueError("need matching 1-D knot arrays with >= 2 entries")
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("hazard knots must be strictly increasing")
-        if np.any(B < 0):
-            raise ValueError("hazard values must be nonnegative")
-        if a[0] > 0:
+        table = _PiecewiseLinear(a_knots, B_values)
+        if table.x[0] > 0:
             # extend flat to 0 so the cumulative integral starts at the origin
-            a = np.concatenate([[0.0], a])
-            B = np.concatenate([[B[0]], B])
-        self.a_knots = a
-        self.B_values = B
+            table = _PiecewiseLinear(np.r_[0.0, table.x], np.r_[table.v[0], table.v])
+        self._table, self.a_knots, self.B_values = table, table.x, table.v
+        a, B = table.x, table.v
+        pos = np.flatnonzero(B > 0)
         # dead zone implied by leading zero hazard values, if any
-        pos_idx = np.flatnonzero(B > 0)
-        self.a_star = float(a[pos_idx[0] - 1]) if pos_idx.size and pos_idx[0] > 0 else 0.0
-        pos = B[B > 0]
-        self.lower = float(pos.min()) if pos.size else 0.0
+        self.a_star = float(a[pos[0] - 1]) if pos.size and pos[0] > 0 else 0.0
+        self.lower = float(B[pos].min()) if pos.size else 0.0
         self.upper = float(B.max())
-        # exact prefix integral of the piecewise-linear interpolant
-        seg = 0.5 * (B[1:] + B[:-1]) * np.diff(a)
-        self._H_knots = np.concatenate([[0.0], np.cumsum(seg)])
-        self._slope = np.diff(B) / np.diff(a)
 
     def __call__(self, a):
         a = np.asarray(a, dtype=float)
@@ -122,38 +154,22 @@ class TableHazard:
 
     def cumulative(self, a):
         a = np.asarray(a, dtype=float)
-        knots, B, H = self.a_knots, self.B_values, self._H_knots
-        # exact integral: quadratic within each linear segment; the segment
-        # index, found among the inner knots, lies in [0, knots.size - 2]
-        i = np.searchsorted(knots[1:-1], a, side="right")
-        t = np.clip(a, knots[0], knots[-1]) - knots[i]
-        inside = H[i] + B[i] * t + 0.5 * self._slope[i] * t * t
         # beyond the table, extrapolate with the final constant level
-        out = inside + B[-1] * np.maximum(a - knots[-1], 0.0)
+        out = self._table.integral(a) + self.B_values[-1] * np.maximum(a - self.a_knots[-1], 0.0)
         return out if out.ndim else float(out)
 
     def inverse_cumulative(self, H):
-        """Added size at which the cumulative hazard reaches ``H``.
-
-        On segment i the cumulative hazard is H_i + B_i t + s_i t^2 / 2, with
-        t the distance past the knot and s_i the slope, so t is a root of a
-        quadratic, taken as 2 dH / (B_i + sqrt(B_i^2 + 2 s_i dH)): that form
-        does not cancel for either sign of s_i.  A scalar ``H`` gives a float.
-        """
+        """Added size at which the cumulative hazard reaches ``H``: the
+        table's inverse, and past its last knot the final constant level.
+        A scalar ``H`` gives a float."""
         H0 = np.asarray(H, dtype=float)
         H = np.atleast_1d(H0)  # ``out[over]`` needs an array
-        knots, B, Hk = self.a_knots, self.B_values, self._H_knots
-        over = H > Hk[-1]
-        if B[-1] <= 0 and over.any():
+        B_end, H_end = self.B_values[-1], self._table.cum[-1]
+        over = H > H_end
+        if B_end <= 0 and over.any():
             raise ValueError("cumulative hazard saturates; cannot invert beyond table")
-        i = np.searchsorted(Hk[1:-1], H, side="right")  # as in ``cumulative``
-        dH = H - Hk[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(np.maximum(B[i] * B[i] + 2.0 * self._slope[i] * dH, 0.0))
-            t = np.where(dH > 0.0, 2.0 * dH / (B[i] + root), 0.0)
-        out = knots[i] + t
-        # beyond the table the final constant level continues
-        out[over] = knots[-1] + (H[over] - Hk[-1]) / B[-1]
+        out = self._table.inverse(H)
+        out[over] = self.a_knots[-1] + (H[over] - H_end) / B_end
         return out if H0.ndim else float(out[0])
 
 
@@ -415,36 +431,24 @@ class TableFragmentation:
     """Tabulated F on [0, 1], linear between its knots; renormalised when the
     quadrature mass drifts.
 
-    On each piece F is linear in t = rho - rho_j, so the cdf is quadratic
-    there: ``cdf`` evaluates it and ``sample`` inverts it in closed form.
+    ``cdf`` is the exact integral of the interpolant and ``sample`` its
+    inverse (``_PiecewiseLinear``), so every draw lies within the knots.
     """
 
     def __init__(self, rho_knots: Sequence[float], F_values: Sequence[float]):
-        rho = np.asarray(rho_knots, dtype=float)
-        F = np.asarray(F_values, dtype=float)
-        if rho.ndim != 1 or rho.shape != F.shape or rho.size < 2:
-            raise ValueError("need matching 1-D knot arrays with >= 2 entries")
-        if rho.min() < 0 or rho.max() > 1 or np.any(np.diff(rho) <= 0):
-            raise ValueError("fragmentation knots must increase within [0, 1]")
-        if np.any(F < 0):
-            raise ValueError("fragmentation density must be nonnegative")
+        table = _PiecewiseLinear(rho_knots, F_values)
+        rho, F = table.x, table.v
+        if rho[0] < 0 or rho[-1] > 1:
+            raise ValueError("fragmentation knots must lie within [0, 1]")
         m0 = float(np.trapezoid(F, rho))
         if abs(m0 - 1.0) > DENSITY_RENORM_TOL:
             raise InvalidModel(
                 f"(A2) tabulated fragmentation density has mass {m0:.8f}, "
                 f"more than {DENSITY_RENORM_TOL:g} away from 1"
             )
+        self._table = _PiecewiseLinear(rho, F / m0)
         self.rho_knots = rho
-        self.F_values = F / m0
-        self._width = np.diff(rho)
-        self._slope = np.diff(self.F_values) / self._width
-        # the integrals of F from 0 to each knot
-        self._cum = np.concatenate(
-            [[0.0], np.cumsum(self._integral(np.arange(rho.size - 1), self._width))])
-
-    def _integral(self, j, t):
-        """int_0^t F(rho_j + x) dx on piece j."""
-        return t * (self.F_values[j] + 0.5 * self._slope[j] * t)
+        self.F_values = self._table.v
 
     def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -454,11 +458,7 @@ class TableFragmentation:
 
     def cdf(self, rho):
         rho = np.asarray(rho, dtype=float)
-        j = np.clip(np.searchsorted(self.rho_knots, rho, side="right") - 1,
-                    0, self._width.size - 1)
-        t = np.clip(rho - self.rho_knots[j], 0.0, self._width[j])
-        out = self._cum[j] + self._integral(j, t)
-        out = np.where(rho >= self.rho_knots[-1], 1.0, np.where(rho <= self.rho_knots[0], 0.0, out))
+        out = np.where(rho >= self.rho_knots[-1], 1.0, self._table.integral(rho))
         return out if out.ndim else float(out)
 
     def sf(self, rho):
@@ -471,16 +471,7 @@ class TableFragmentation:
         return float(np.sum(w * rho**k * self.pdf(rho)))
 
     def sample(self, u):
-        """The root t = 2v / (f + sqrt(f^2 + 2 s v)) of the piece's quadratic
-        cdf f t + s t^2 / 2 = v, a form without cancellation."""
-        target = np.asarray(u, dtype=float) * self._cum[-1]
-        j = np.clip(np.searchsorted(self._cum, target, side="right") - 1, 0, self._width.size - 1)
-        v = target - self._cum[j]
-        f, s = self.F_values[j], self._slope[j]
-        den = f + np.sqrt(np.maximum(f * f + 2.0 * s * v, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):  # den = 0: v = 0 or no mass
-            t = np.where(den > 0, 2.0 * v / den, 0.0)
-        out = self.rho_knots[j] + np.clip(t, 0.0, self._width[j])
+        out = self._table.inverse(np.asarray(u, dtype=float) * self._table.cum[-1])
         return out if out.ndim else float(out)
 
 

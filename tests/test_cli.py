@@ -509,11 +509,11 @@ class TestStrictConfig:
         assert "lambda_growth must be positive and finite" in capsys.readouterr().err
 
 
-def test_validate_any_config_exits_cleanly(capsys):
-    # validate converts every section, so each schema key is drawn from values
-    # it accepts and, one time in five, from values of the wrong type or range
-    hypothesis = pytest.importorskip("hypothesis")
-    hs = hypothesis.strategies
+def config_strategy(hs, small=False):
+    """JSON configurations: each schema key is drawn from values it accepts
+    and, one time in five, from values of the wrong type or range.  ``small``
+    keeps the commands that compute quick: counts at most 24, stationary.n at
+    most 64 and t_end at most 3."""
     bad = hs.sampled_from([True, False, "1", None, math.nan, math.inf, -math.inf, -1, 0, 7.5,
                            10**30, 2**64, 1e308, 10**400, [], [1.0], [1.0, 2.0, 3.0], {}])
 
@@ -524,7 +524,8 @@ def test_validate_any_config_exits_cleanly(capsys):
         given = hs.fixed_dictionaries({}, optional={k: mostly(v) for k, v in keys.items()})
         return mostly(given, given.map(lambda d: {**d, "bogus": 1}) | bad)
 
-    count, real, flag = hs.integers(1, 64), hs.floats(0.1, 8.0), hs.booleans()
+    horizon = 3.0 if small else 8.0
+    count, real, flag = hs.integers(1, 24 if small else 64), hs.floats(0.1, 8.0), hs.booleans()
     pair, quad = hs.lists(real, min_size=2, max_size=2), hs.lists(real, min_size=4, max_size=4)
     # 3 to 5 knots, any B value of which may be 0: inside the table (the band
     # (ii) fails) or last (the hazard vanishes, so the model is invalid)
@@ -537,29 +538,74 @@ def test_validate_any_config_exits_cleanly(capsys):
         hs.fixed_dictionaries({"type": hs.just("constant"), "b": mostly(real)},
                               optional={"a_star": mostly(real)}),
         table)
+
+    def table_law(points):
+        """A split table through the (rho, F) ``points``, F scaled to mass 1."""
+        rho, F = (list(v) for v in zip(*points))
+        mass = float(np.trapezoid(F, rho))
+        F = [f / mass if mass > 0 else f for f in F]
+        return hs.fixed_dictionaries({"type": hs.just("table"), "rho": mostly(hs.just(rho)),
+                                      "F": mostly(hs.just(F))})
+
+    # 2 to 5 knots in [0, 1], mostly mirrored about 1/2, any value of which may be 0
+    value = hs.just(0.0) | real
+    left = hs.lists(hs.tuples(hs.floats(0.0, 0.5, exclude_max=True), value), min_size=1,
+                    max_size=2, unique_by=lambda p: p[0]).map(sorted)
+    mirrored = hs.tuples(left, hs.lists(hs.tuples(hs.just(0.5), value), max_size=1)).map(
+        lambda lc: lc[0] + lc[1] + [(1.0 - r, f) for r, f in reversed(lc[0])])
+    anywhere = hs.lists(hs.tuples(hs.floats(0.0, 1.0), value), min_size=2, max_size=5,
+                        unique_by=lambda p: p[0]).map(sorted)
     fragmentation = hs.one_of(
         hs.just({"type": "uniform"}),
         count.map(lambda k: {"type": "beta", "alpha": k, "beta": k}),
         hs.fixed_dictionaries({"type": hs.just("beta"), "alpha": mostly(real),
                                "beta": mostly(real)}),
-        hs.fixed_dictionaries({"type": hs.just("table"), "rho": hs.just([0.0, 0.5, 1.0]),
-                               "F": mostly(hs.just([0.0, 2.0, 0.0]) | quad)}))
+        mostly(mirrored, anywhere).flatmap(table_law))
     configs = hs.fixed_dictionaries({}, optional={
         "model": section(model_type=hs.just("adder"), lambda_growth=hs.floats(0.5, 2.0),
                          d0=hs.floats(0.0, 0.4), hazard=hazard, fragmentation=fragmentation),
         "grid": section(R=hs.floats(1.0, 16.0) | hs.lists(hs.floats(1.0, 16.0), max_size=3),
                         n=count),
-        "sim": section(seed=hs.integers(0, 2**64 - 1), t_end=hs.floats(4.0, 8.0),
-                       record_times=hs.lists(hs.floats(0.0, 4.0), max_size=4), cap=count,
-                       replicates=count, x0=hs.tuples(real, real).map(sorted), snapshots=flag),
+        "sim": section(seed=hs.integers(0, 2**64 - 1),
+                       t_end=hs.floats(horizon / 2, horizon),
+                       record_times=hs.lists(hs.floats(0.0, horizon / 2), max_size=4),
+                       cap=count, replicates=count, x0=hs.tuples(real, real).map(sorted),
+                       snapshots=flag),
         "doeblin": section(compact=quad, Delta=real, domain=quad, grid_n=count),
         "drift": section(box=pair, grid_n=count, c=real, d=real),
-        "stationary": section(y_max=real, n=count, box=pair,
+        "stationary": section(y_max=real, n=hs.integers(1, 64), box=pair,
                               bins=hs.lists(count, min_size=2, max_size=2), report=flag),
     })
+    return mostly(configs, configs.map(lambda c: {**c, "bogus": {}}))
+
+
+def run_twice(capsys, command, cfg, codes):
+    """Run ``command`` on ``cfg`` twice; check that each exit code is in
+    ``codes`` with one stderr line exactly when it is not 0, that the two
+    runs write the same bytes but for the manifest, and that no staged
+    ``.partial`` file is left."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        outputs = []
+        for out in ("a", "b"):
+            code = main([*command, "--config", path, "--out", os.path.join(tmp, out)])
+            err = capsys.readouterr().err
+            assert code in codes
+            assert len(err.splitlines()) == (code != 0), err
+            outputs.append({p.name: p.read_bytes() for p in Path(tmp, out).glob("*")
+                            if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1]
+        assert not list(Path(tmp).rglob("*.partial"))
+
+
+def test_validate_any_config_exits_cleanly(capsys):
+    # validate converts every section, so every key's values reach it
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @hypothesis.given(mostly(configs, configs.map(lambda c: {**c, "bogus": {}})))
+    @hypothesis.given(config_strategy(hypothesis.strategies))
     @hypothesis.example({"model": {"fragmentation": {"type": "beta", "alpha": 1e300,
                                                      "beta": 1e300}}})
     @hypothesis.example({"model": {"hazard": {"type": "table", "a": [0.0, 1.0, 2.0],
@@ -567,22 +613,47 @@ def test_validate_any_config_exits_cleanly(capsys):
     @hypothesis.example({"model": {"hazard": {"type": "table", "a": [0.0, 1.0, 2.0],
                                               "B": [1.0, 1.0, 0.0]}}})
     def check(cfg):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
-            reports = []
-            for out in ("a", "b"):
-                code = main(["validate", "--config", path, "--out", os.path.join(tmp, out)])
-                err = capsys.readouterr().err
-                assert code in (0, 1, 2)
-                assert len(err.splitlines()) == (code != 0)
-                report = Path(tmp, out, "validate_report.json")
-                reports.append(report.read_bytes() if report.exists() else None)
-            assert reports[0] == reports[1]
-            assert not list(Path(tmp).rglob("*.partial"))
+        run_twice(capsys, ["validate"], cfg, (0, 1, 2))
 
     check()
+
+
+def test_computing_commands_exit_cleanly(capsys):
+    # every command that computes, at small sizes; the example is a death
+    # rate so small that 1 / d0 overflows, which once printed numpy's warning
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(config_strategy(hypothesis.strategies, small=True))
+    @hypothesis.example({"model": {"d0": 2.2250738585072014e-308}})
+    def check(cfg):
+        for command in (["eigen", "--R", "2", "--grid-n", "16"], ["simulate"], ["stationary"],
+                        ["drift"], ["doeblin"]):
+            run_twice(capsys, command, cfg, range(7))
+
+    check()
+
+
+def test_tiny_death_rate_runs_without_warning(capsys):
+    # 1 / d0 overflows: an infinite death time is the exact answer
+    cfg = {"model": {"d0": 2.2250738585072014e-308}, "stationary": {"report": True}}
+    for command in ("simulate", "stationary"):
+        run_twice(capsys, [command], cfg, (0,))
+
+
+@pytest.mark.parametrize("command, call, code", [("doeblin", "doeblin_minorant", 6),
+                                                 ("drift", "check_drift", 5)])
+def test_out_of_memory_prints_one_line(tmp_path, capsys, monkeypatch, command, call, code):
+    # the library call is made to raise: a host that overcommits memory might
+    # grant a real allocation of a grid this large
+    message = "Unable to allocate 298. GiB for an array with shape (200000, 200000)"
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"malthus.stationary.{call}", fail)
+    assert run([command, "--out", tmp_path]) == code
+    assert capsys.readouterr().err == f"{command} failed: {message}\n"
 
 
 class TestThreads:

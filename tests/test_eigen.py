@@ -194,13 +194,23 @@ class TestEulerLotka:
                   TableFragmentation([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.6, 0.8, 1.6, 0.0])):
             model = make_adder(1.0, hazard, F)
             law = FirstJumpLaw(model)
-            rho, wr = gl_nodes(0.0, 1.0, 256)
+            edges = np.unique(np.r_[0.0, 1.0, F.rho_knots])  # the law's pieces
+            rho, wr = gl_nodes(edges[:-1, None], edges[1:, None], 256)
             for lam in (0.0, 0.5, 1.0, 2.0):
                 m_s = float(np.sum(wr * F.pdf(rho) * rho**lam))
                 for y in (1.0, 2.5):
                     q = law.row_quadrature(PhasePoint(0.0, y))
                     orbit = float(np.dot(q.w * np.exp(-lam * q.t), 2.0 * m_s * (q.u / y) ** lam))
                     assert abs(euler_lotka_residual(model, lam, law) - (orbit - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("rho, F", [([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.6, 0.8, 1.6, 0.0]),
+                                        ([0.0, 0.25, 0.75, 1.0], [0.4, 1.2, 1.2, 0.4])],
+                             ids=["kinked", "trapezoid"])
+    def test_table_law_vanishes_at_growth_rate(self, rho, F):
+        # exact value: the orbit rule's mass error, -6.9e-13; one 256-node rule
+        # across the kinks read 4.45e-6 and -1.85e-6
+        model = make_adder(1.0, ConstantHazard(1.0), TableFragmentation(rho, F))
+        assert abs(euler_lotka_residual(model, 1.0, FirstJumpLaw(model))) <= 1e-11
 
     def test_value_at_zero(self, adder, law):
         # residual at lam = 0 is C - 1 = 1

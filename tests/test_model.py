@@ -96,7 +96,7 @@ class TestTableHazard:
 
     def test_closed_form_inverse_roundtrip(self):
         hz = TableHazard(*self.ZONED)
-        knots = hz._H_knots
+        knots = hz._table.cum
         inside = 0.5 * (knots[1:] + knots[:-1])
         # knots, inside segments, just past the dead zone, beyond the table
         H = np.concatenate([knots[2:], inside[1:], [1e-3, 0.02],
@@ -109,13 +109,24 @@ class TestTableHazard:
     def test_scalar_and_array_paths_agree_bitwise(self):
         hz = TableHazard(*self.ZONED)
         rng = np.random.default_rng(3)
-        H = np.concatenate([rng.uniform(0.0, 12.0, 2000), hz._H_knots, [0.0, 5e-324]])
+        H = np.concatenate([rng.uniform(0.0, 12.0, 2000), hz._table.cum, [0.0, 5e-324]])
         a = hz.inverse_cumulative(H)
         assert [hz.inverse_cumulative(h) for h in H.tolist()] == a.tolist()
         A = np.concatenate([rng.uniform(0.0, 9.0, 2000), hz.a_knots, [0.0, 5e-324]])
         assert [hz.cumulative(x) for x in A.tolist()] == hz.cumulative(A).tolist()
         assert type(hz.inverse_cumulative(np.float64(1.5))) is float
         assert type(hz.cumulative(np.array(1.5))) is float
+
+    @pytest.mark.parametrize("law, knots, values", [
+        (TableHazard, [0.0, 1.0, 2.0], [1.0, math.nan, 1.0]),
+        (TableHazard, [0.0, math.inf], [1.0, 1.0]),
+        (TableFragmentation, [0.0, 0.5, 1.0], [0.0, math.nan, 0.0])],
+        ids=["nan_value", "infinite_knot", "nan_density"])
+    def test_non_finite_tables_raise(self, law, knots, values):
+        # both table laws check their knots and values in one place; a NaN
+        # hazard value once simulated a population without an error
+        with pytest.raises(ValueError, match="must be finite"):
+            law(knots, values)
 
     def test_saturated_hazard_cannot_be_inverted(self):
         hz = TableHazard([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
@@ -282,6 +293,14 @@ class TestFragmentation:
         assert abs(x.mean() - 7.0 / 24.0) <= 3.0 * x.std() / math.sqrt(n)
         # and each draw inverts its cdf to rounding
         assert np.max(np.abs(F.cdf(rho) - u)) <= 1e-14
+
+    def test_table_draws_stay_within_the_knots(self):
+        # the last piece's root once rounded one ulp past its knot, where F = 0
+        F = TableFragmentation([0.05, 0.35000000000000003, 0.9500000000000001],
+                               [0.9523809523809521, 0.0, 2.8571428571428563])
+        rho = F.sample(np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+        assert np.all((rho >= F.rho_knots[0]) & (rho <= F.rho_knots[-1]))
+        assert F.pdf(rho[-1]) > 0.0
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)
