@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (MalthusError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
+    except (MalthusError, MemoryError, np.linalg.LinAlgError) as exc:  # LinAlgError: a ValueError
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return exit_failed
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, NoConvergence
-from .model import ModelSpec, PhasePoint, gl_nodes
+from .model import ModelSpec, PhasePoint
 from .renewal import (FirstJumpLaw, KernelAssembler, KernelMatrix, SizeGrid,
                       kernel_row, leak_mass)
 
@@ -262,15 +262,12 @@ def euler_lotka_residual(model: ModelSpec, lam: float, law: FirstJumpLaw) -> flo
     moment condition 2 E[rho^s] = 1, whose root is lambda_growth exactly
     when the splits are symmetric; it equals 1 at lam = 0.
 
-    The moment takes 256 Gauss-Legendre nodes on each piece between 0, 1
-    and the law's ``rho_knots``, where F has its kinks.  It weighs the
-    moment with the orbit rule's mass, so it cannot detect an error of that
-    rule; ``OrbitRule.mass_error`` (``row_mass_error``) does.
+    The moment is a sum on the law's ``rule(256)``.  It weighs the moment with
+    the orbit rule's mass, so it cannot detect an error of that rule;
+    ``OrbitRule.mass_error`` (``row_mass_error``) does.
     """
-    edges = np.unique(np.r_[0.0, 1.0, model.fragmentation.rho_knots])
-    rho, wr = gl_nodes(edges[:-1, None], edges[1:, None], 256)
-    s = lam / model.lambda_growth
-    m_s = float(np.sum(wr * model.fragmentation.pdf(rho) * rho**s))
+    rho, w = model.fragmentation.rule(256)
+    m_s = float(np.sum(w * rho**(lam / model.lambda_growth)))
     return 2.0 * m_s * float(np.sum(law.orbit_rule(0.0).w)) - 1.0
 
 

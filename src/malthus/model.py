@@ -180,11 +180,33 @@ class TableHazard:
 # rho's shape, or a Python float for a scalar rho, zero outside [0, 1].
 # Every law draws by inversion: ``sample(u)`` maps a float array of uniforms
 # to the quantiles of F, one draw per uniform.  ``rho_knots`` lists the split
-# fractions where F has a kink.  A law may be asymmetric; a model's may not
-# (``make_adder``).
+# fractions where F has a kink.  Sums over F run on ``rule(n)``: Gauss-Jacobi where a Beta
+# law is unbounded (alpha < 1 or beta < 1), else ceil(n / P) Gauss-Legendre nodes times
+# ``pdf`` on each of F's P pieces.  A law may be asymmetric; a model's may not (``make_adder``).
 
 
-class UniformFragmentation:
+class _SplitLaw:
+    """The split-fraction rule and upper tail shared by every law."""
+
+    def rule(self, n: int):
+        """Nodes rho and weights w, F's density in w, with sum(w g(rho)) ~ int g F drho."""
+        with np.errstate(all="ignore"):  # a numpy warning would be a second stderr line
+            rho, w = self._rule(n)
+            mass = float(np.sum(w))
+        if not abs(mass - 1.0) <= DENSITY_RENORM_TOL:  # NaN or infinite weights fail too
+            raise InvalidModel(f"(A2) {self!r}: the {n}-node rule over rho has mass {mass!r}")
+        return rho, w
+
+    def _rule(self, n: int):
+        edges = sorted_unique(np.r_[0.0, 1.0, self.rho_knots])
+        rho, w = gl_nodes(edges[:-1, None], edges[1:, None], math.ceil(n / (edges.size - 1)))
+        return rho.ravel(), (w * self.pdf(rho)).ravel()
+
+    def sf(self, rho):
+        return 1.0 - self.cdf(rho)
+
+
+class UniformFragmentation(_SplitLaw):
     """F = 1 on [0, 1]."""
 
     rho_knots = ()
@@ -198,9 +220,6 @@ class UniformFragmentation:
         rho = np.asarray(rho, dtype=float)
         out = np.clip(rho, 0.0, 1.0)
         return out if out.ndim else float(out)
-
-    def sf(self, rho):
-        return 1.0 - self.cdf(rho)
 
     def moment(self, k: int) -> float:
         return 1.0 / (k + 1)
@@ -336,7 +355,7 @@ class _IntegerBeta:
         return x
 
 
-class BetaFragmentation:
+class BetaFragmentation(_SplitLaw):
     """F given by a Beta(alpha, beta) density; symmetric choices have m1 = 1/2.
 
     For integer alpha, beta the density is the polynomial
@@ -359,6 +378,9 @@ class BetaFragmentation:
             raise ValueError(f"Beta parameters must be positive and finite, "
                              f"got alpha={alpha!r}, beta={beta!r}")
         self._poly = _poly_form(self.alpha, self.beta)
+
+    def __repr__(self):
+        return f"Beta({self.alpha!r}, {self.beta!r})"
 
     @functools.cached_property
     def _log_norm(self) -> float:
@@ -415,6 +437,13 @@ class BetaFragmentation:
         out = _special().betaincc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
         return out if np.ndim(out) else float(out)
 
+    def _rule(self, n: int):  # where F is unbounded, Gauss-Jacobi on x = 2 rho - 1
+        if self.alpha >= 1 and self.beta >= 1:
+            return super()._rule(n)
+        x, w = _special().roots_jacobi(n, self.beta - 1.0, self.alpha - 1.0)
+        scale = math.exp((1.0 - self.alpha - self.beta) * math.log(2.0) - self._log_norm)
+        return 0.5 * (1.0 + x), w * scale
+
     def moment(self, k: int) -> float:
         m = 1.0
         for j in range(k):
@@ -427,7 +456,7 @@ class BetaFragmentation:
         return _special().betaincinv(self.alpha, self.beta, u)
 
 
-class TableFragmentation:
+class TableFragmentation(_SplitLaw):
     """Tabulated F on [0, 1], linear between its knots; renormalised when the
     quadrature mass drifts.
 
@@ -461,14 +490,11 @@ class TableFragmentation:
         out = np.where(rho >= self.rho_knots[-1], 1.0, self._table.integral(rho))
         return out if out.ndim else float(out)
 
-    def sf(self, rho):
-        return 1.0 - self.cdf(rho)
-
     def moment(self, k: int) -> float:
-        """Integral of rho^k F, exact: rho^k F is a polynomial of degree k + 1
-        on each linear piece, which (k + 3) // 2 Gauss-Legendre nodes integrate."""
-        rho, w = gl_nodes(self.rho_knots[:-1, None], self.rho_knots[1:, None], (k + 3) // 2)
-        return float(np.sum(w * rho**k * self.pdf(rho)))
+        """Integral of rho^k F, exact: (k + 3) // 2 Gauss-Legendre nodes on each of the
+        at most ``rho_knots.size + 1`` pieces integrate rho^k F, of degree k + 1 there."""
+        rho, w = self._rule((k + 3) // 2 * (self.rho_knots.size + 1))
+        return float(np.sum(w * rho**k))
 
     def sample(self, u):
         out = self._table.inverse(np.asarray(u, dtype=float) * self._table.cum[-1])
@@ -479,7 +505,7 @@ class TableFragmentation:
 # ModelSpec
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre nodes of the jump integral over the split fraction
+#: nodes of the split-fraction rule (``rule``) of the jump integral
 JUMP_NODES = 128
 
 
@@ -506,13 +532,12 @@ class ModelSpec:
     def jump_integral(self, f, a, y):
         """Integral of f(0, z) k((a, y), z) dz, elementwise over (a, y) arrays.
 
-        The quadrature runs on a trailing axis, so ``f`` is called once with
-        z of shape ``y.shape + (JUMP_NODES,)``; each point sums its nodes in
-        the same order as a scalar call.
+        The law's ``rule(JUMP_NODES)`` runs on a trailing axis, so ``f`` is called
+        once with z of shape ``y.shape + rho.shape``, summed as in a scalar call.
         """
-        rho, w = gl_nodes(0.0, 1.0, JUMP_NODES)
+        rho, w = self.fragmentation.rule(JUMP_NODES)
         z = rho * np.asarray(y, dtype=float)[..., None]
-        out = 2.0 * np.sum(w * self.fragmentation.pdf(rho) * f(0.0, z), axis=-1)
+        out = 2.0 * np.sum(w * f(0.0, z), axis=-1)
         return out if np.ndim(out) else float(out)
 
     def apply_generator(self, f, a, y, fd_step=None):
@@ -554,6 +579,12 @@ def gl_nodes(lo, hi, n):
     x, w = gauss_legendre(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def sorted_unique(x):
+    """``x`` sorted, each value once (``np.unique`` would import ``numpy.ma``)."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
+from .model import ModelSpec, PhasePoint, gl_nodes, sorted_unique, trapezoid_weights
 
 #: target cumulative hazard at the quadrature cutoff; exp(-28) < 1e-12
 HAZARD_CUTOFF = 28.0
@@ -31,11 +31,9 @@ N_PER_PANEL = 16
 
 def _with_knots(edges, hazard, shift, cut):
     """``edges`` and the hazard's ``a_knots`` minus ``shift`` that lie in
-    (0, cut), sorted, once each: psi has a kink or a jump there.
-    (``np.union1d`` would import ``numpy.ma`` on first use.)"""
+    (0, cut), sorted, once each: psi has a kink or a jump there."""
     knots = hazard.a_knots - shift
-    out = np.sort(np.concatenate([edges, knots[(knots > 0) & (knots < cut)]]))
-    return out[np.concatenate([[True], out[1:] != out[:-1]])]
+    return sorted_unique(np.concatenate([edges, knots[(knots > 0) & (knots < cut)]]))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (EmptyMinorant, GridMismatch, InsufficientData, InvalidModel,
                      NoConvergence)
-from .model import MarkovModel, ModelSpec, PhasePoint, gl_nodes, trapezoid_weights
+from .model import MarkovModel, ModelSpec, PhasePoint, trapezoid_weights
 from .renewal import HAZARD_CUTOFF, _with_knots, first_jump_rule
 from .simulate import Trajectory
 
@@ -162,15 +162,15 @@ def simpson_weights(s: np.ndarray) -> np.ndarray:
 
 
 def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
-                  rho: np.ndarray, w_rho: np.ndarray):
-    """Discrete sweep eta -> 2 int F(rho) (psi * eta)(s / rho) drho.
+                  rho: np.ndarray, w: np.ndarray):
+    """Discrete sweep eta -> 2 int F(rho) (psi * eta)(s / rho) drho on F's ``rule`` (rho, w).
 
     The inner integral is a trapezoid convolution of psi and eta with the
     step of s, read at s_i / rho_r by linear interpolation and 0 past its
     grid.  The interpolation is tabulated once, ``ETA_ROWS`` rows of s at a
     time, as two (n, len(rho)) tables: the int32 left index of each s_i / rho_r,
     or a sentinel index past the convolution, where the sweep reads 0; and
-    the upper weight c_r (u - left), with c_r = 2 w_r F(rho_r).  The lower
+    the upper weight c_r (u - left), with c_r = 2 w_r.  The lower
     weight is c_r minus the upper one, so a sweep is one convolution and,
     for each block of rows, a gather of the convolution times c and a gather
     of its differences weighted by the upper table.
@@ -178,7 +178,7 @@ def _eta_operator(model: ModelSpec, s: np.ndarray, psi_vals: np.ndarray,
     h = s[1] - s[0]
     n, k = s.size, rho.size
     m = psi_vals.size + n - 1  # the length of the convolution, and the sentinel index
-    c = 2.0 * w_rho * model.fragmentation.pdf(rho)
+    c = 2.0 * w
     left = np.empty((n, k), dtype=np.int32)
     w_hi = np.empty((n, k))
     for lo in range(0, n, ETA_ROWS):
@@ -242,8 +242,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
-    rho, w_rho = gl_nodes(0.0, 1.0, 256)
-    apply_T = _eta_operator(model, s, psi_vals, rho, w_rho)
+    apply_T = _eta_operator(model, s, psi_vals, *model.fragmentation.rule(256))
     mass_w = _pi_mass_weights(model, s)
     mass_dot = simpson_weights(s) * mass_w
 

@@ -656,6 +656,40 @@ def test_out_of_memory_prints_one_line(tmp_path, capsys, monkeypatch, command, c
     assert capsys.readouterr().err == f"{command} failed: {message}\n"
 
 
+def test_singular_splits_run_stationary(tmp_path):
+    # Beta(0.5, 0.5) is unbounded at both ends; on a Legendre rule the sweep
+    # at the fixed point kept pi* mass 0.99775 and the command exited 5
+    path = tmp_path / "arcsine.json"
+    path.write_text(json.dumps({"model": {"fragmentation": {"type": "beta", "alpha": 0.5,
+                                                            "beta": 0.5}},
+                                "stationary": {"y_max": 16.0, "n": 2048}}))
+    assert run(["stationary", "--config", path, "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("command", ["drift", "stationary"])
+def test_split_rule_off_its_mass_exits_2(tmp_path, capsys, command):
+    # Beta(100000.5, 100000.5) is narrower than the rule's nodes: drift used to
+    # exit 5 with margin 16.9999 > 0 and stationary 5 with kappa 0.102751
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"model": {"fragmentation": {"type": "beta", "alpha": 100000.5,
+                                                            "beta": 100000.5}}}))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid model: (A2) Beta(100000.5, 100000.5): the ")
+
+
+def test_solver_failure_exits_with_the_commands_code(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, which was reported as a configuration error (exit 1)
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    assert run(["stationary", "--out", tmp_path]) == 5
+    assert capsys.readouterr().err == ("stationary failed: SVD did not converge in "
+                                       "Linear Least Squares\n")
+
+
 class TestThreads:
     def test_main_leaves_environ_unchanged(self, config, tmp_path):
         before = dict(os.environ)

@@ -10,7 +10,6 @@ from malthus import (BracketFailure, ConstantHazard, BetaFragmentation,
                      TableFragmentation, TableHazard, UniformFragmentation,
                      euler_lotka_residual, leading_eigen, make_adder,
                      reconstruct_h, solve_malthus, spectral_value)
-from malthus.model import gl_nodes
 from malthus.eigen import ROOT_TOL, WARM_START_OFFSET
 from malthus.renewal import HAZARD_CUTOFF, KernelMatrix
 
@@ -194,10 +193,9 @@ class TestEulerLotka:
                   TableFragmentation([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.6, 0.8, 1.6, 0.0])):
             model = make_adder(1.0, hazard, F)
             law = FirstJumpLaw(model)
-            edges = np.unique(np.r_[0.0, 1.0, F.rho_knots])  # the law's pieces
-            rho, wr = gl_nodes(edges[:-1, None], edges[1:, None], 256)
+            rho, w = F.rule(256)  # the law's split-fraction rule
             for lam in (0.0, 0.5, 1.0, 2.0):
-                m_s = float(np.sum(wr * F.pdf(rho) * rho**lam))
+                m_s = float(np.sum(w * rho**lam))
                 for y in (1.0, 2.5):
                     q = law.row_quadrature(PhasePoint(0.0, y))
                     orbit = float(np.dot(q.w * np.exp(-lam * q.t), 2.0 * m_s * (q.u / y) ** lam))
@@ -210,6 +208,13 @@ class TestEulerLotka:
         # exact value: the orbit rule's mass error, -6.9e-13; one 256-node rule
         # across the kinks read 4.45e-6 and -1.85e-6
         model = make_adder(1.0, ConstantHazard(1.0), TableFragmentation(rho, F))
+        assert abs(euler_lotka_residual(model, 1.0, FirstJumpLaw(model))) <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_singular_law_vanishes_at_growth_rate(self, alpha):
+        # F is unbounded at both ends; the 256-node Legendre rule read -2.16e-3
+        # for Beta(0.5, 0.5), against the orbit rule's mass error, -6.9e-13
+        model = make_adder(1.0, ConstantHazard(1.0), BetaFragmentation(alpha, alpha))
         assert abs(euler_lotka_residual(model, 1.0, FirstJumpLaw(model))) <= 1e-11
 
     def test_value_at_zero(self, adder, law):

@@ -7,8 +7,8 @@ from numpy.random import Philox
 from scipy import integrate
 
 from malthus import (BetaFragmentation, ConstantHazard, Density2D, EmptyMinorant,
-                     GridMismatch, NoConvergence, PhasePoint, SimConfig, TableFragmentation,
-                     TableHazard, UniformFragmentation, check_drift, default_V,
+                     GridMismatch, InvalidModel, NoConvergence, PhasePoint, SimConfig,
+                     TableFragmentation, TableHazard, UniformFragmentation, check_drift, default_V,
                      doeblin_minorant, drift_offset, ergodicity_report,
                      MarkovModel, make_adder, pi_star,
                      pi_star_density, run_replicates, simulate_population,
@@ -34,7 +34,7 @@ def plain_eta_star(model, y_max=8.0, n=1024):
     a_cut = float(hz.inverse_cumulative(HAZARD_CUTOFF))
     psi_grid = np.arange(0.0, y_max + a_cut + h, h)
     psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
-    sweep = _eta_operator(model, s, psi_vals, *gl_nodes(0.0, 1.0, 256))
+    sweep = _eta_operator(model, s, psi_vals, *model.fragmentation.rule(256))
     mass = simpson_weights(s) * _pi_mass_weights(model, s)
     eta = np.ones(n)
     eta[0] = 0.0
@@ -128,7 +128,7 @@ class TestEtaStar:
         psi_grid = np.arange(0.0, s[-1] + float(hz.inverse_cumulative(HAZARD_CUTOFF)) + h, h)
         psi_vals = hz(psi_grid) * np.exp(-hz.cumulative(psi_grid))
         rho, w_rho = gl_nodes(0.0, 1.0, 256)
-        sweep = _eta_operator(adder, s, psi_vals, rho, w_rho)
+        sweep = _eta_operator(adder, s, psi_vals, *adder.fragmentation.rule(256))
 
         def reference(eta):
             # one np.interp per rho, as the sweep was before it was tabulated
@@ -333,6 +333,65 @@ class TestDriftReference:
         A, Y = np.meshgrid(nodes, nodes, indexing="ij")
         grid = MarkovModel(model).apply_generator(default_V, A, Y) + rep.c * default_V(A, Y)
         assert rep.worst_margin >= np.max(grid - rep.d) - 1e-9 * (1.0 + abs(rep.d))
+
+
+#: Beta laws unbounded at both ends, whose rule is Gauss-Jacobi
+SINGULAR = [BetaFragmentation(0.5, 0.5), BetaFragmentation(0.7, 0.7)]
+
+
+def exact_moment(F, k):
+    """int rho^k F drho in closed form: ``moment`` for a Beta or uniform law, and
+    for a table the sum over its pieces of int rho^k (c0 + c1 rho) drho."""
+    if not isinstance(F, TableFragmentation):
+        return F.moment(k)
+    r, v = F.rho_knots, F.F_values
+    c1 = np.diff(v) / np.diff(r)
+    c0 = v[:-1] - c1 * r[:-1]
+    a, b = r[:-1], r[1:]
+    return math.fsum(c0 * (b**(k + 1) - a**(k + 1)) / (k + 1)
+                     + c1 * (b**(k + 2) - a**(k + 2)) / (k + 2))
+
+
+class TestSplitRule:
+    @pytest.mark.parametrize("law", LAWS + SINGULAR,
+                             ids=["uniform", "beta5", "beta20", "beta05", "beta25_07", "table",
+                                  "beta05_sym", "beta07_sym"])
+    def test_jump_integral_matches_closed_form_moments(self, law):
+        # the 128-node Legendre rule on [0, 1] missed 2 m1 by 4.4e-3 for
+        # Beta(0.5, 0.5) and the table's moments by up to 3e-5 across its kinks
+        model = ModelSpec(1.0, 0.0, ConstantHazard(1.0), law)  # the asymmetric laws too
+        for k in range(5):
+            got = model.jump_integral(lambda a, z: z**k, 0.0, 1.0)
+            assert abs(got - 2.0 * exact_moment(law, k)) <= 1e-13, k
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("law", [UniformFragmentation(), BetaFragmentation(5, 5),
+                                     BetaFragmentation(2.5, 2.5)], ids=["uniform", "beta5",
+                                                                         "beta25"])
+    def test_one_piece_is_the_legendre_rule_times_pdf(self, law, n):
+        # the bits every output of these laws was pinned with
+        rho, w = gl_nodes(0.0, 1.0, n)
+        got = law.rule(n)
+        assert np.array_equal(got[0], rho) and np.array_equal(got[1], w * law.pdf(rho))
+
+    def test_table_rule_spreads_n_nodes_over_its_pieces(self):
+        rho, w = LAWS[-1].rule(256)
+        assert rho.shape == w.shape == (258,)  # 86 on each of 3 pieces
+        assert abs(w.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_rule_off_its_mass_raises(self, n):
+        # far narrower than the nodes: 128 Legendre nodes give mass 2.8e-6, 256 give 0.10
+        with pytest.raises(InvalidModel, match=f"Beta\\(100000.5, 100000.5\\): the {n}-node"):
+            BetaFragmentation(100000.5, 100000.5).rule(n)
+
+    def test_singular_law_fails_the_drift_bound_it_misses(self):
+        # AV + V reads 5 at (0, 4), the exact offset, so d = 4.999 must fail;
+        # on the Legendre rule it read 4.99569 there, and the check passed
+        model = make_adder(1.0, ConstantHazard(1.0), SINGULAR[0])
+        rep = check_drift(model, grid_n=40, d=4.999)
+        assert not rep.passed and rep.worst_point == (0.0, 4.0)
+        assert rep.worst_margin == pytest.approx(1e-3, abs=1e-5)
 
 
 def one_jump_density(model, a0, y0, t, a, y):
