@@ -52,11 +52,13 @@ class EigenResult:
     ``diagnostics`` holds the root find's trace of (lam, mu, dmu/dlam) per
     mu evaluation, each with the centre lam0 of the kernel pass its matrix
     was expanded from, the evaluation count, the number of direct kernel
-    passes (``kernel_passes``), the final bracket [lo, hi], the mass error
-    of the rows' orbit rule (``row_mass_error``), the closed-form
-    Euler-Lotka residual at (lambda_R, y = 1), an independent check of the
-    root, and on fine grids the coarse solve that gave the warm start
-    (``warm_start``: its node count, root, mu evaluations and kernel passes).
+    passes (``kernel_passes``) and how they contract a row (``kernel_pass``,
+    ``"suffix"`` or ``"direct"``: ``KernelAssembler``), the final bracket
+    [lo, hi], the mass error of the rows' orbit rule (``row_mass_error``),
+    the closed-form Euler-Lotka residual at (lambda_R, y = 1), an
+    independent check of the root, and on fine grids the coarse solve that
+    gave the warm start (``warm_start``: its node count, root, mu
+    evaluations, kernel passes and kernel pass).
     """
 
     R: float
@@ -187,7 +189,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         coarse = solve_malthus(KernelAssembler(model, coarse_grid, assembler.law))
         diagnostics["warm_start"] = {"n": coarse.grid.n, "lambda": coarse.lambda_R,
                                      "mu_evals": coarse.diagnostics["mu_evals"],
-                                     "kernel_passes": coarse.diagnostics["kernel_passes"]}
+                                     "kernel_passes": coarse.diagnostics["kernel_passes"],
+                                     "kernel_pass": coarse.diagnostics["kernel_pass"]}
         lam = max(coarse.lambda_R - WARM_START_OFFSET, 0.0)
         while hi <= lam:
             hi *= 2.0
@@ -241,7 +244,8 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         nu_eta=float(np.dot(nu, eta)),
         grid=assembler.grid,
         diagnostics={"mu_evals": len(trace), "kernel_passes": assembler.passes - passes,
-                     "trace": trace, "bracket": [lo, hi], "row_mass_error": mass_error,
+                     "kernel_pass": assembler.kernel_pass, "trace": trace, "bracket": [lo, hi],
+                     "row_mass_error": mass_error,
                      "euler_lotka_residual": euler_lotka_residual(model, lam, assembler.law),
                      **diagnostics},
     )

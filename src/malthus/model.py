@@ -24,6 +24,9 @@ MOMENT_TOL = 1e-8
 DENSITY_RENORM_TOL = 1e-6
 #: largest degree (alpha - 1) + (beta - 1) of the polynomial Beta density
 POLY_DEGREE = 64
+#: largest degree of a split law's ``monomials``: the sum of a_k rho^k
+#: cancels as the degree grows (1.8e-13 of the largest kernel entry at degree 8)
+MONOMIAL_DEGREE = 8
 #: Newton steps of an integer-Beta draw, and table points per binade of x
 NEWTON_STEPS = 3
 TABLE_STEPS = 128
@@ -183,10 +186,14 @@ class TableHazard:
 # fractions where F has a kink.  Sums over F run on ``rule(n)``: Gauss-Jacobi where a Beta
 # law is unbounded (alpha < 1 or beta < 1), else ceil(n / P) Gauss-Legendre nodes times
 # ``pdf`` on each of F's P pieces.  A law may be asymmetric; a model's may not (``make_adder``).
+# ``monomials`` is (a_0, ..., a_D) with F = sum a_k rho^k on [0, 1] and D <= MONOMIAL_DEGREE,
+# or None; the kernel pass (``renewal.KernelAssembler``) takes suffix sums where it is given.
 
 
 class _SplitLaw:
     """The split-fraction rule and upper tail shared by every law."""
+
+    monomials = None
 
     def rule(self, n: int):
         """Nodes rho and weights w, F's density in w, with sum(w g(rho)) ~ int g F drho."""
@@ -210,6 +217,7 @@ class UniformFragmentation(_SplitLaw):
     """F = 1 on [0, 1]."""
 
     rho_knots = ()
+    monomials = (1.0,)
 
     def pdf(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -390,6 +398,15 @@ class BetaFragmentation(_SplitLaw):
     @functools.cached_property
     def _law(self):
         return None if self._poly is None else _IntegerBeta(self._poly[0] + 1, self._poly[1] + 1)
+
+    @property
+    def monomials(self):
+        """a_(p+l) = c (-1)^l C(q, l) of c x^p (1-x)^q, exact integers, while
+        p + q <= MONOMIAL_DEGREE; else None."""
+        if self._poly is None or self._poly[0] + self._poly[1] > MONOMIAL_DEGREE:
+            return None
+        p, q, c = self._poly
+        return (0.0,) * p + tuple(float((-1)**l * math.comb(q, l)) * c for l in range(q + 1))
 
     def pdf(self, rho):
         """Beta density at ``rho``: ``scipy.stats.beta``'s on [0, 1], less an

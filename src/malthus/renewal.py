@@ -10,7 +10,10 @@ leak correction) drive the eigenvalue machinery.
 
 The time integral is evaluated in the added-size variable (da = B-hazard
 measure, u = y + a the current size), which removes all flow integration
-from the inner loop.
+from the inner loop.  Where F is one low-degree polynomial, k(0, u, z)
+separates into powers of z times powers of 1/u, and a kernel pass sums the
+orbit once per power instead of evaluating F at every (orbit node, size)
+pair (``KernelAssembler``).
 """
 
 from __future__ import annotations
@@ -251,17 +254,25 @@ class KernelAssembler:
     ``sf`` call.  ``matrix(lam)`` returns M = sum d^m / m! M_m and
     dM = sum d^(m-1) / (m-1)! M_m at d = lam - lam0 while
     |d| t_max <= SERIES_RADIUS (t_max the largest node time of the rows),
-    and otherwise makes a new pass centred at lam.  M_0 and M_1 are
-    contracted as a pair apart from the higher moments, so the M and dM of
-    a centre do not depend on SERIES_TERMS.  ``passes`` counts the direct
-    passes; which centre serves a lam depends on the calls before, to
+    and otherwise makes a new pass centred at lam.  ``passes`` counts the
+    direct passes; which centre serves a lam depends on the calls before, to
     rounding.
+
+    ``kernel_pass`` names how a pass contracts a row.  ``"suffix"`` for a
+    split law with ``monomials``: D + 1 suffix sums over the orbit nodes
+    per moment (``_suffix_sums``), O((D + 1)(n_r + n)) a row instead of
+    O(n_r n), within 2e-13 of each moment matrix's maximum of the direct
+    contraction at degree D = 8.  ``"direct"`` for every other law: the
+    row's kernel values (``kernel_row``) times the weights, M_0 and M_1
+    contracted as a pair apart from the higher moments, so the M and dM of
+    a centre do not depend on SERIES_TERMS.
     """
 
     def __init__(self, model: ModelSpec, grid: SizeGrid, law: FirstJumpLaw | None = None):
         self.model = model
         self.grid = grid
         self.law = law or FirstJumpLaw(model)
+        self.kernel_pass = "direct" if model.fragmentation.monomials is None else "suffix"
         self.passes = 0
         self.t_max = None  # the largest node time of the rows, from the first pass
         self._centre = None  # (lam0, moments of M)
@@ -283,15 +294,38 @@ class KernelAssembler:
         index = np.flatnonzero(grid.nodes > 0)  # a zero-size orbit never divides
         rows = [self.law.row_quadrature(PhasePoint(0.0, y)) for y in grid.nodes[index].tolist()]
         above = leak_mass(self.model.fragmentation, np.stack([q.u for q in rows]), R)
+        a = self.model.fragmentation.monomials
+        if a is not None:
+            k = np.flatnonzero(a)  # the degrees with a_k != 0
+            zk = 2.0 * np.asarray(a)[k, None] * grid.nodes ** k[:, None]  # 2 a_k z_j^k
         for i, q, row_above in zip(index.tolist(), rows, above):
             weights = [q.w * np.exp(-lam0 * q.t)]
             for _ in range(SERIES_TERMS - 1):
                 weights.append(-q.t * weights[-1])
-            kvals = kernel_row(self.model, q, grid.nodes)
-            for m in (slice(0, 2), slice(2, None)):
-                c = np.stack(weights[m])
-                moments[m, i] = c @ kvals + (c @ row_above / R)[:, None]
-            del kvals  # free the row before the next: one row's arrays fewer in cache
+            if a is None:
+                kvals = kernel_row(self.model, q, grid.nodes)
+                for m in (slice(0, 2), slice(2, None)):
+                    c = np.stack(weights[m])
+                    moments[m, i] = c @ kvals + (c @ row_above / R)[:, None]
+                del kvals  # free the row before the next: one row's arrays fewer in cache
+            else:
+                c = np.stack(weights)
+                live = np.searchsorted(grid.nodes, q.u[-1], side="right")  # the z_j <= max u
+                r = np.searchsorted(q.u, grid.nodes[:live], side="left")  # first u_r >= z_j
+                moments[:, i] = (c @ row_above / R)[:, None]
+                moments[:, i, :live] += np.einsum("mkj,kj->mj", _suffix_sums(c, q.u, k)[..., r],
+                                                  zk[:, :live])
         self.passes += 1
         self.t_max = max(float(q.t.max()) for q in rows)
         return lam0, moments
+
+
+def _suffix_sums(c, u, k):
+    """S[m, l, r] = sum over r' >= r of c[m, r'] u_r'^-(k_l + 1), for increasing ``u``.
+
+    With F = sum a_k rho^k on [0, 1], k(0, u, z) = sum_k 2 a_k z^k u^-(k+1)
+    for z <= u, so sum_r c[m, r] k(0, u_r, z) = sum_k 2 a_k z^k S[m, k, r]
+    at the first r with u_r >= z (ties count: F(1) may not vanish).
+    """
+    inv = np.cumprod(np.broadcast_to(1.0 / u, (k[-1] + 1, u.size)), axis=0)[k]
+    return np.cumsum((c[:, None, :] * inv)[..., ::-1], axis=-1)[..., ::-1]

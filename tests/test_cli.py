@@ -278,9 +278,12 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
      # its bits; eta moved by <= 7.8e-16 relative, nu by <= 5.6e-16), and
      # when the warm start moved from 1e-3 to 5e-4 below the coarse root
      # (lambda_R by -1.1e-16, the residual by -2.4e-16, eta and nu by
-     # <= 7.5e-16 relative)
-     {"eigen_R4.json": "327133b02918e465f5be1eb1634d51ebc4a41d8aff45d9debcdf1f294ac80f34",
-      "eigen_summary.csv": "19996a7883e657332e7544141e6341e8bed4144a3842fcdfa929151e20110a80"}),
+     # <= 7.5e-16 relative), and when the Beta(5, 5) pass became suffix sums
+     # over the orbit and the diagnostics gained kernel_pass (lambda_R by
+     # -8.6e-15 relative, the residual from 2.4689e-13 to 2.4713e-13, eta by
+     # <= 1.6e-13 and nu by <= 7.7e-14 of their maxima)
+     {"eigen_R4.json": "d9e399cabb7180f89d35f4183d361fb18bd27f4ab31981739e145d385e183547",
+      "eigen_summary.csv": "ccea342978ef09e0ebfca51fda782646843e77ea019950dd72f1dfd4624d2d43"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
     path = tmp_path / "pin.json"
@@ -300,8 +303,10 @@ def test_outputs_pinned(tmp_path, argv, cfg, digests):
      {**SMALL, "stationary": {"n": 256, "report": True},
       "sim": {"seed": 7, "t_end": 2.0, "record_times": [1.0, 1.5, 2.0], "replicates": 200}},
      "decay.csv", "2be3544296b363fc7894a9a6df8a8bbecefef9d81b4196e52bb4168f1364c53d"),
+    # the pin moved when the Beta(5, 5) pass became suffix sums (lambda_R by
+    # -8.6e-15 and -2.4e-14 relative, the residuals by <= 2.4e-16)
     (["eigen", "--R", "4", "--R", "5"], SMALL,
-     "eigen_summary.csv", "d94c5891def3855f211484f8187196640e93cf4d0bbc06a6389a2340f0a7cea7"),
+     "eigen_summary.csv", "e09d3c786a479a932a67abfc6455d586703aaadfcf82a62e8b75965a4b01f466"),
 ], ids=["decay", "eigen_summary_two_rows"])
 def test_more_outputs_pinned(tmp_path, argv, cfg, name, digest):
     path = tmp_path / "pin.json"
@@ -374,6 +379,7 @@ class TestEigen:
         assert diag["warm_start"]["kernel_passes"] == coarse_passes
         assert {step["centre"] for step in diag["trace"]} == {diag["trace"][0]["lam"]}
         assert diag["mu_evals"] == 3 and diag["row_mass_error"] < 1e-12
+        assert diag["kernel_pass"] == diag["warm_start"]["kernel_pass"] == "suffix"
 
     def test_row_mass_error_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(malthus.renewal, "_with_knots",

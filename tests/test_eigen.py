@@ -14,6 +14,12 @@ from malthus.eigen import ROOT_TOL, WARM_START_OFFSET
 from malthus.renewal import HAZARD_CUTOFF, KernelMatrix
 
 
+class DirectBeta(BetaFragmentation):
+    """A Beta law with no ``monomials``: its kernel passes take the direct contraction."""
+
+    monomials = None
+
+
 class TestLeadingEigen:
     def test_eigen_identities(self, assembler_r8, eigen_r8):
         res = eigen_r8
@@ -240,15 +246,30 @@ class TestReconstruct:
             h = reconstruct_h(eigen_r8, adder, PhasePoint(a, y), law)
             assert h / y == pytest.approx(1.0, abs=2e-3)
 
-    def test_pinned_values(self, adder, law):
+    def test_pinned_values(self, law):
         # values of the per-row formula before the shared row evaluator,
         # moved by at most 4.5e-16 relative by the polynomial Beta density;
         # the last two Newton steps now take G from the lam-series of the
         # third step's kernel pass, which moved lambda_R by 4.4e-16 relative
-        # (4 ulp), eta by at most 1.1e-15 and these values by at most 4.4e-16
-        res = solve_malthus(KernelAssembler(adder, SizeGrid.uniform(4.0, 48), law))
-        assert res.lambda_R == float.fromhex("0x1.fd09538fbb349p-1")
-        pins = {(0.0, 0.5): "0x1.01bb91a845e11p-1", (0.0, 1.0): "0x1.0000000000b4fp+0",
-                (0.4, 1.3): "0x1.4bb8978598defp+0", (1.0, 3.5): "0x1.ab0c0d09a0545p+1"}
-        for (a, y), h in pins.items():
-            assert reconstruct_h(res, adder, PhasePoint(a, y), law) == float.fromhex(h)
+        # (4 ulp), eta by at most 1.1e-15 and these values by at most 4.4e-16.
+        # The reference law on the direct pass: test_pinned_values_suffix
+        # pins its suffix sums
+        self.check_pins(make_adder(1.0, ConstantHazard(1.0), DirectBeta(5, 5)), law,
+                        "0x1.fd09538fbb349p-1",
+                        ["0x1.01bb91a845e11p-1", "0x1.0000000000b4fp+0",
+                         "0x1.4bb8978598defp+0", "0x1.ab0c0d09a0545p+1"])
+
+    def test_pinned_values_suffix(self, adder, law):
+        # the suffix sums move lambda_R by +2.2e-14 relative from the direct
+        # pass, and these values by at most 7.2e-14 relative
+        self.check_pins(adder, law, "0x1.fd09538fbb40fp-1",
+                        ["0x1.01bb91a845ccbp-1", "0x1.0000000000a29p+0",
+                         "0x1.4bb8978598ca9p+0", "0x1.ab0c0d09a03e2p+1"])
+
+    @staticmethod
+    def check_pins(model, law, lambda_R, values):
+        res = solve_malthus(KernelAssembler(model, SizeGrid.uniform(4.0, 48), law))
+        assert res.lambda_R == float.fromhex(lambda_R)
+        points = [(0.0, 0.5), (0.0, 1.0), (0.4, 1.3), (1.0, 3.5)]
+        assert [reconstruct_h(res, model, PhasePoint(a, y), law) for a, y in points] == [
+            float.fromhex(h) for h in values]

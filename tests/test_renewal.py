@@ -8,7 +8,7 @@ from scipy import integrate, stats
 from malthus import (ConstantHazard, BetaFragmentation, FirstJumpLaw,
                      KernelAssembler, PhasePoint, SizeGrid, TableFragmentation,
                      TableHazard, UniformFragmentation, make_adder)
-from malthus.model import ModelSpec, gl_nodes
+from malthus.model import ModelSpec, gl_nodes, trapezoid_weights
 from malthus.renewal import (HAZARD_CUTOFF, SERIES_RADIUS, SERIES_TERMS, kernel_row,
                              leak_mass)
 from malthus.stationary import _pi_mass_weights
@@ -73,6 +73,17 @@ def inline_mass_weights(hz, s):
         at = pos[lo:lo + 128]
         w[at] = 1.0 / s[at] - (1.0 / (s[at][:, None] + a)) @ psi_w
     return w
+
+
+class DirectBeta(BetaFragmentation):
+    """A Beta law with no ``monomials``: its kernel passes take the direct
+    contraction, the reference of the suffix sums."""
+
+    monomials = None
+
+
+class DirectUniform(UniformFragmentation):
+    monomials = None
 
 
 HAZARDS = [ConstantHazard(1.0), ConstantHazard(1.0, 0.5),
@@ -211,7 +222,9 @@ class TestKernelMatrix:
         mat = assembler_r8.matrix(1.0)
         assert np.all(mat.M[0] == 0.0)
 
-    @pytest.mark.parametrize("F", [BetaFragmentation(5, 5), BetaFragmentation(1, 1),
+    # the integer Beta laws on the direct pass: the suffix sums differ from the
+    # row formula by up to 1.4e-11 relative where F vanishes (TestSuffixPass)
+    @pytest.mark.parametrize("F", [DirectBeta(5, 5), DirectBeta(1, 1),
                                    TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
                              ids=["beta55", "beta11", "table"])
     def test_matrix_matches_row_formula(self, F):
@@ -242,20 +255,21 @@ class TestKernelMatrix:
 
     # sha256 of the bytes of M and dM at lam = 0.9 on SizeGrid.uniform(3, 24):
     # the polynomial Beta density (integer parameters), its log form
-    # (Beta(2.5, 5)), the uniform and the tabulated law.  The model is built
+    # (Beta(2.5, 5)), the uniform and the tabulated law on the direct pass,
+    # and the suffix sums of the laws with ``monomials``.  The model is built
     # directly: make_adder rejects the asymmetric laws, whose kernel bits the
     # assembly computes as for any other
     @pytest.mark.parametrize("F, M_sha, dM_sha", [
-        (BetaFragmentation(5, 5),
+        (DirectBeta(5, 5),
          "643e461d59c4ad752e0bc2987773a0af95c401f50dcfab3aed27406d166ce593",
          "bf2b991dcfdf7a3708a443bdbc89cb105645ebecac04df76515ff3e8249cffae"),
-        (BetaFragmentation(2, 7),
+        (DirectBeta(2, 7),
          "37af8088408c7acf50d03f2ae7a2060baa9049761cf6cf14ff24074a2bc33a72",
          "3175a6fc129c31ef70e55375a77b28cf453d9eef59bea30420597430c428e321"),
         (BetaFragmentation(2.5, 5),
          "1bb206a8c719ecace305b2c4a32edd30a087f4a37410dee02e8190bd3799e505",
          "f952ba7a49901b2e943aed2122eab287825d53aabd12eb4bc83f0143c3d8696a"),
-        (UniformFragmentation(),
+        (DirectUniform(),
          "f2bffb687c16d402197b5898966d5ff7b6d34de6e4621fff5b4105d5c8edc8ab",
          "c60ec165ad49665521b5c736c5f1c1d1cf3a2343454f4ced674b805e9b9c2fb0"),
         # the table pin moved when its cdf became exact on each piece: the
@@ -265,7 +279,17 @@ class TestKernelMatrix:
         (TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
          "71a38945b43629db2f1090f86a4f1b463438f8eddcf401d76cdf67b36780a815",
          "04279d372764d52268acbd42fc1fd0b475b3a9cf1ccc47e59c9a61f60e0f37fe"),
-    ], ids=["beta55", "beta27", "beta255", "uniform", "table"])
+        (BetaFragmentation(5, 5),
+         "ae18fe54cb62cc2f772d40ff3824d4816f0813db7d1926a0ad3dac695b14f476",
+         "3d4296918c8c81e6b4b491db29f3578217b5d994f4fd9d637bfa77e0991d5d06"),
+        (BetaFragmentation(2, 7),
+         "b4e97c56af20a74e2f52fc30fc1627748b43a2bb7235efb5ce85f22f4aa044f7",
+         "6236dc0bc83f5d957cbc968fc74011e13c4187b3276d904dcbb7e21559b5ee78"),
+        (UniformFragmentation(),
+         "8626b87596839e2d05ea6f47806849ebc7985a6cdec97c518decb083167b733f",
+         "a26508531859f590ae7ddc2d942c172b4ef1b2793823f92ff0a2321d65c164b0"),
+    ], ids=["beta55", "beta27", "beta255", "uniform", "table",
+            "beta55_suffix", "beta27_suffix", "uniform_suffix"])
     def test_matrix_bits_pinned(self, F, M_sha, dM_sha):
         model = ModelSpec(1.0, 0.0, ConstantHazard(1.0), F)
         mat = KernelAssembler(model, SizeGrid.uniform(3, 24)).matrix(0.9)
@@ -277,13 +301,15 @@ class TestKernelMatrix:
         bound = lambda r: r**K * math.exp(r) / math.factorial(K)
         assert bound(r) <= 2.0**-53 < bound(r * (1.0 + 1e-12))
 
+    # the laws with ``monomials`` on the direct pass, whose rows the reference
+    # below rebuilds by ``kernel_row``
     @pytest.mark.parametrize("hazard, F", [
-        (ConstantHazard(1.0), BetaFragmentation(5, 5)),
-        (ConstantHazard(1.0), UniformFragmentation()),
+        (ConstantHazard(1.0), DirectBeta(5, 5)),
+        (ConstantHazard(1.0), DirectUniform()),
         (ConstantHazard(1.0), TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])),
-        (ConstantHazard(1.0, 0.3), BetaFragmentation(5, 5)),
-        (ConstantHazard(1.0, 0.7), BetaFragmentation(5, 5)),
-        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), BetaFragmentation(5, 5)),
+        (ConstantHazard(1.0, 0.3), DirectBeta(5, 5)),
+        (ConstantHazard(1.0, 0.7), DirectBeta(5, 5)),
+        (TableHazard([0.0, 1.0, 2.0, 4.0], [0.5, 1.5, 2.0, 2.0]), DirectBeta(5, 5)),
     ], ids=["beta55", "uniform", "table", "a_star_0.3", "a_star_0.7", "table_hazard"])
     def test_series_matches_direct_pass(self, hazard, F):
         """The lam-series of a kernel pass at lam0 against a direct pass at lam.
@@ -330,3 +356,61 @@ class TestKernelMatrix:
         assert last > 0.0  # orbits from y = R leak past R
         assert first < last
         assert mat.M[-1, 0] == pytest.approx(last, rel=1e-14)  # F(0) = 0: the leak alone
+
+
+class TestSuffixPass:
+    # built with ModelSpec directly: make_adder rejects the asymmetric laws
+    @pytest.mark.parametrize("F, reference", [
+        (BetaFragmentation(5, 5), DirectBeta(5, 5)),
+        (BetaFragmentation(2, 2), DirectBeta(2, 2)),
+        (BetaFragmentation(1, 1), DirectBeta(1, 1)),
+        (UniformFragmentation(), DirectUniform()),
+        (BetaFragmentation(2, 7), DirectBeta(2, 7)),
+        (BetaFragmentation(9, 1), DirectBeta(9, 1)),
+    ], ids=["beta55", "beta22", "beta11", "uniform", "beta27", "beta91"])
+    @pytest.mark.parametrize("R, n", [(3, 24), (8, 257)], ids=["R3", "R8"])
+    def test_moments_match_direct_pass(self, F, reference, R, n):
+        grid = SizeGrid.uniform(R, n)
+        suffix = KernelAssembler(ModelSpec(1.0, 0.0, ConstantHazard(1.0), F), grid)
+        direct = KernelAssembler(ModelSpec(1.0, 0.0, ConstantHazard(1.0), reference), grid,
+                                 suffix.law)
+        assert (suffix.kernel_pass, direct.kernel_pass) == ("suffix", "direct")
+        suffix.matrix(1.0)  # sets t_max
+        for lam in (1.0, 1.0 + SERIES_RADIUS / suffix.t_max, 1.0 - SERIES_RADIUS / suffix.t_max):
+            (_, got), (_, want) = suffix._direct_pass(lam), direct._direct_pass(lam)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.all(got[0] >= 0.0)
+            for m in range(SERIES_TERMS):
+                assert np.max(np.abs(got[m] - want[m])) <= 1e-12 * np.max(np.abs(want[m]))
+
+    @pytest.mark.parametrize("F, reference", [(BetaFragmentation(9, 1), DirectBeta(9, 1)),
+                                              (UniformFragmentation(), DirectUniform())],
+                             ids=["beta91", "uniform"])
+    def test_orbit_node_at_a_grid_size_counts(self, F, reference):
+        # z = u gives rho = 1, where these laws do not vanish (F(1) = 9 for
+        # Beta(9, 1)): the row of y = 1 must count its first orbit node at the
+        # grid size z = u_0
+        law = FirstJumpLaw(ModelSpec(1.0, 0.0, ConstantHazard(1.0), F))
+        u0 = law.row_quadrature(PhasePoint(0.0, 1.0)).u[0]
+        nodes = np.array([0.0, 0.5, 1.0, u0, 2.0, 3.0])
+        grid = SizeGrid(3.0, nodes, trapezoid_weights(nodes))
+        (_, got), (_, want) = (
+            KernelAssembler(ModelSpec(1.0, 0.0, ConstantHazard(1.0), G), grid, law)._direct_pass(1.0)
+            for G in (F, reference))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("F", [BetaFragmentation(6, 6), BetaFragmentation(2.5, 5),
+                                   TableFragmentation([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])],
+                             ids=["degree_10", "beta255", "table"])
+    def test_other_laws_take_the_direct_pass(self, F):
+        assert F.monomials is None
+        model = ModelSpec(1.0, 0.0, ConstantHazard(1.0), F)
+        assert KernelAssembler(model, SizeGrid.uniform(3, 24)).kernel_pass == "direct"
+
+    @pytest.mark.parametrize("alpha, beta", [(5, 5), (2, 7), (9, 1), (1, 1)])
+    def test_monomials_are_the_density(self, alpha, beta):
+        F = BetaFragmentation(alpha, beta)
+        rho = np.linspace(0.0, 1.0, 101)
+        poly = sum(a * rho**k for k, a in enumerate(F.monomials))
+        np.testing.assert_allclose(poly, F.pdf(rho), rtol=0.0, atol=1e-12)
+        assert all(float(a).is_integer() for a in F.monomials)
