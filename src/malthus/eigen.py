@@ -30,13 +30,12 @@ MAX_ROOT_STEPS = 100
 #: LAM_CAP * max(lambda_growth, 1)
 LAM_HI = 4.0
 LAM_CAP = 100.0
-#: a grid of at least WARM_START_NODES nodes first solves on a 4x coarser
-#: uniform grid, then starts Newton WARM_START_OFFSET below that root.  The
-#: offset lies above the gap between the coarse and the fine root (at most
-#: 4.6e-5 on the CLI grids), so Newton starts below the root and climbs, and
-#: below renewal.SERIES_RADIUS / t_max (about 9.6e-4, t_max = 6.8 on the CLI
-#: grids), so every fine step stays within the series of the first kernel pass
-WARM_START_NODES = 128
+#: Newton starts WARM_START_OFFSET below lambda_growth, the exact root of the
+#: untruncated operator for every model ``make_adder`` accepts.  The offset lies
+#: above the truncation error of lambda_R (-2.9e-5 at R = 8, +1.3e-6 at R = 16 on
+#: the CLI grids), so Newton starts below the root and climbs, and below
+#: renewal.SERIES_RADIUS / t_max (about 9.6e-4, t_max = 6.8 on the CLI grids),
+#: so every step stays within the series of the first kernel pass
 WARM_START_OFFSET = 5e-4
 #: bound on the orbit rule's mass error (``OrbitRule.mass_error``)
 ROW_MASS_TOL = 1e-8
@@ -56,9 +55,7 @@ class EigenResult:
     ``"suffix"`` or ``"direct"``: ``KernelAssembler``), the final bracket
     [lo, hi], the mass error of the rows' orbit rule (``row_mass_error``),
     the closed-form Euler-Lotka residual at (lambda_R, y = 1), an
-    independent check of the root, and on fine grids the coarse solve that
-    gave the warm start (``warm_start``: its node count, root, mu
-    evaluations, kernel passes and kernel pass).
+    independent check of the root, and the first lam of the trace (``start``).
     """
 
     R: float
@@ -160,41 +157,35 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
     mu is decreasing and log-convex in lam (every entry of G_lam is a
     positive mixture of exponentials e^{-lam t}), so Newton on
     log mu(lam) = 0, started where mu > 1, climbs to the root without
-    overshooting.  [lo, hi] is kept from the signs of mu - 1; a step leaving
-    it falls back to bisection once a point with mu < 1 is known, and before
-    that to testing hi itself and doubling it.  BracketFailure is raised if
-    mu(0) <= 1, or before mu would be evaluated above the cap.  The result
-    holds the eigenpair and residual of the last of the mu evaluations.
+    overshooting; started where mu < 1, it overshoots below the root once.
+    [lo, hi] is kept from the signs of mu - 1.  A step leaving it falls back
+    to testing lam = 0 while no point with mu > 1 is known, then to
+    bisection once a point with mu < 1 is known, and before that to testing
+    hi itself and doubling it.  BracketFailure is raised if mu(0) <= 1, or
+    before mu would be evaluated above the cap.  The result holds the
+    eigenpair and residual of the last of the mu evaluations.
 
-    Newton starts at lam = 0, or, on a grid of at least WARM_START_NODES
-    nodes, WARM_START_OFFSET below the root of this function on
-    ``SizeGrid.uniform(R, (n - 1) // 4)``: a start below the root keeps the
-    climb, and from one just below it Newton needs fewer fine-grid steps.
+    Newton starts WARM_START_OFFSET below lambda_growth, the root of the
+    untruncated operator (at 0 if that is negative, at the cap if that is
+    lower), so the start lies within the offset plus the truncation error of
+    lambda_R, and on the CLI grids every step takes G from the lam-series
+    of one kernel pass.
 
     NoConvergence is raised first if the rows' orbit rule misses the
     first-jump mass by more than ROW_MASS_TOL: every row shares that rule,
     so its error would bias every entry of G alike.
     """
     model = assembler.model
-    grid = assembler.grid
     mass_error = assembler.law.orbit_rule(0.0).mass_error
     if not mass_error <= ROW_MASS_TOL:
         raise NoConvergence(f"orbit rule mass error {mass_error:.2e} > {ROW_MASS_TOL:g}")
     passes = assembler.passes
     cap = LAM_CAP * max(model.lambda_growth, 1.0)
-    lam, lo, hi = 0.0, 0.0, LAM_HI
-    diagnostics = {}
-    if grid.n >= WARM_START_NODES:
-        coarse_grid = SizeGrid.uniform(grid.R, (grid.n - 1) // 4)
-        coarse = solve_malthus(KernelAssembler(model, coarse_grid, assembler.law))
-        diagnostics["warm_start"] = {"n": coarse.grid.n, "lambda": coarse.lambda_R,
-                                     "mu_evals": coarse.diagnostics["mu_evals"],
-                                     "kernel_passes": coarse.diagnostics["kernel_passes"],
-                                     "kernel_pass": coarse.diagnostics["kernel_pass"]}
-        lam = max(coarse.lambda_R - WARM_START_OFFSET, 0.0)
-        while hi <= lam:
-            hi *= 2.0
-    hi_seen = False  # whether mu(hi) < 1 has been observed
+    lam = min(max(model.lambda_growth - WARM_START_OFFSET, 0.0), cap)
+    lo, hi = 0.0, LAM_HI
+    while hi <= lam:
+        hi *= 2.0
+    lo_seen = hi_seen = False  # whether mu(lo) > 1 and mu(hi) < 1 have been observed
     trace = []
     last = None  # (eta, nu, residual) of the last evaluation
 
@@ -202,25 +193,26 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
         nonlocal last
         mu, dmu, *last, centre = spectral_value(assembler, lam)
         trace.append({"lam": lam, "mu": mu, "dmu": dmu, "centre": centre})
+        if mu <= 1.0 and lam == 0.0:
+            raise BracketFailure(f"mu(0) = {mu:.6f} <= 1: no positive root")
         return mu, dmu
 
     mu, dmu = evaluate(lam)
-    if mu <= 1.0 and lam == 0.0:
-        raise BracketFailure(f"mu(0) = {mu:.6f} <= 1: no positive root")
-
     for _ in range(MAX_ROOT_STEPS):
         if abs(mu - 1.0) < ROOT_TOL:
             break
         if mu > 1.0:
-            lo = lam
+            lo, lo_seen = lam, True
         else:
             hi, hi_seen = lam, True
-        if hi - lo < 1e-15:
+        if lo_seen and hi - lo < 1e-15:
             raise NoConvergence(f"Malthus bracket collapsed at lam = {lam!r} "
                                 f"with |mu - 1| = {abs(mu - 1.0):.2e}")
         step = lam - math.log(mu) * mu / dmu if dmu < 0.0 else math.inf
         if lo < step < min(hi, cap):
             lam = step
+        elif not lo_seen:
+            lam = 0.0
         elif hi_seen:
             lam = 0.5 * (lo + hi)
         elif hi > cap:
@@ -247,7 +239,7 @@ def solve_malthus(assembler: KernelAssembler) -> EigenResult:
                      "kernel_pass": assembler.kernel_pass, "trace": trace, "bracket": [lo, hi],
                      "row_mass_error": mass_error,
                      "euler_lotka_residual": euler_lotka_residual(model, lam, assembler.law),
-                     **diagnostics},
+                     "start": trace[0]["lam"]},
     )
 
 

@@ -184,7 +184,8 @@ class TableHazard:
 # Every law draws by inversion: ``sample(u)`` maps a float array of uniforms
 # to the quantiles of F, one draw per uniform.  ``rho_knots`` lists the split
 # fractions where F has a kink.  Sums over F run on ``rule(n)``: Gauss-Jacobi where a Beta
-# law is unbounded (alpha < 1 or beta < 1), else ceil(n / P) Gauss-Legendre nodes times
+# law has a non-integer parameter and min(alpha, beta) < 2 (F or F' may be unbounded at an
+# end), else ceil(n / P) Gauss-Legendre nodes times
 # ``pdf`` on each of F's P pieces.  A law may be asymmetric; a model's may not (``make_adder``).
 # ``monomials`` is (a_0, ..., a_D) with F = sum a_k rho^k on [0, 1] and D <= MONOMIAL_DEGREE,
 # or None; the kernel pass (``renewal.KernelAssembler``) takes suffix sums where it is given.
@@ -454,8 +455,8 @@ class BetaFragmentation(_SplitLaw):
         out = _special().betaincc(self.alpha, self.beta, np.clip(rho, 0.0, 1.0))
         return out if np.ndim(out) else float(out)
 
-    def _rule(self, n: int):  # where F is unbounded, Gauss-Jacobi on x = 2 rho - 1
-        if self.alpha >= 1 and self.beta >= 1:
+    def _rule(self, n: int):  # where F or F' may be unbounded, Gauss-Jacobi on x = 2 rho - 1
+        if min(self.alpha, self.beta) >= 2 or self.alpha.is_integer() and self.beta.is_integer():
             return super()._rule(n)
         x, w = _special().roots_jacobi(n, self.beta - 1.0, self.alpha - 1.0)
         scale = math.exp((1.0 - self.alpha - self.beta) * math.log(2.0) - self._log_norm)

@@ -120,8 +120,12 @@ class FirstJumpLaw:
 
 
 def leak_mass(fragmentation, u, R: float):
-    """2 sf(R / u), the mass of k(0, u, .) above R, at every size of ``u``."""
-    return np.where(u > R, 2.0 * fragmentation.sf(np.minimum(R / u, 1.0)), 0.0)
+    """2 sf(R / u), the mass of k(0, u, .) above R, at every size of ``u``;
+    ``sf`` is evaluated only at the sizes above R (0 elsewhere)."""
+    out = np.zeros(u.shape)
+    above = u > R
+    out[above] = 2.0 * fragmentation.sf(R / u[above])
+    return out
 
 
 def kernel_row(model: ModelSpec, q: RowQuadrature, z):

@@ -16,6 +16,7 @@ import pytest
 import malthus
 import malthus.renewal
 from malthus.cli import _write_csv, main
+from malthus.eigen import WARM_START_OFFSET
 
 
 @pytest.fixture
@@ -281,9 +282,13 @@ SMALL = {"model": MODEL, "drift": {"grid_n": 8},
      # <= 7.5e-16 relative), and when the Beta(5, 5) pass became suffix sums
      # over the orbit and the diagnostics gained kernel_pass (lambda_R by
      # -8.6e-15 relative, the residual from 2.4689e-13 to 2.4713e-13, eta by
-     # <= 1.6e-13 and nu by <= 7.7e-14 of their maxima)
-     {"eigen_R4.json": "d9e399cabb7180f89d35f4183d361fb18bd27f4ab31981739e145d385e183547",
-      "eigen_summary.csv": "ccea342978ef09e0ebfca51fda782646843e77ea019950dd72f1dfd4624d2d43"}),
+     # <= 1.6e-13 and nu by <= 7.7e-14 of their maxima), and when Newton
+     # started 5e-4 below lambda_growth instead of below a coarse solve's
+     # root and warm_start gave way to start (lambda_R by -2.4e-13 relative,
+     # the residual from 2.4713e-13 to 2.4689e-13, eta by <= 4.0e-13 and nu
+     # by <= 8.2e-14 of their maxima)
+     {"eigen_R4.json": "43a85391407f8d14b6c897cf9fb8ccb1bf467fd2d95ddf5561df190da4adf621",
+      "eigen_summary.csv": "352664596bb8fb6534153bbbef050e0e88ec9b7680228222e1c405244c67182d"}),
 ], ids=["simulate", "drift", "doeblin", "stationary", "eigen"])
 def test_outputs_pinned(tmp_path, argv, cfg, digests):
     path = tmp_path / "pin.json"
@@ -304,9 +309,11 @@ def test_outputs_pinned(tmp_path, argv, cfg, digests):
       "sim": {"seed": 7, "t_end": 2.0, "record_times": [1.0, 1.5, 2.0], "replicates": 200}},
      "decay.csv", "2be3544296b363fc7894a9a6df8a8bbecefef9d81b4196e52bb4168f1364c53d"),
     # the pin moved when the Beta(5, 5) pass became suffix sums (lambda_R by
-    # -8.6e-15 and -2.4e-14 relative, the residuals by <= 2.4e-16)
+    # -8.6e-15 and -2.4e-14 relative, the residuals by <= 2.4e-16), and when
+    # Newton started 5e-4 below lambda_growth (lambda_R by -2.4e-13 and
+    # +2.1e-14 relative, the residuals by <= 2.4e-16)
     (["eigen", "--R", "4", "--R", "5"], SMALL,
-     "eigen_summary.csv", "e09d3c786a479a932a67abfc6455d586703aaadfcf82a62e8b75965a4b01f466"),
+     "eigen_summary.csv", "9296e6a8e8e0a084ff6895cacc17e6e58c1807fd4a8da020d96a514cc2ec2435"),
 ], ids=["decay", "eigen_summary_two_rows"])
 def test_more_outputs_pinned(tmp_path, argv, cfg, name, digest):
     path = tmp_path / "pin.json"
@@ -364,22 +371,21 @@ class TestEigen:
         lo, hi = diag["bracket"]
         assert lo <= payload["lambda_R"] <= hi
 
-    @pytest.mark.parametrize("R, n, coarse_n, coarse_passes",
-                             [(8, 257, 65, 3), (16, 513, 129, 2)], ids=["R8", "R16"])
-    def test_reference_grid_makes_one_kernel_pass(self, config, tmp_path, R, n, coarse_n,
-                                                  coarse_passes):
-        # eigen --R 8 and 16: every fine Newton step is a lam-series of the
-        # warm start's kernel pass; the coarse solve makes its own passes
+    @pytest.mark.parametrize("R, n", [(8, 257), (16, 513)], ids=["R8", "R16"])
+    def test_reference_grid_makes_one_kernel_pass(self, config, tmp_path, R, n):
+        # eigen --R 8 and 16: Newton starts WARM_START_OFFSET below
+        # lambda_growth, and every step is a lam-series of that start's
+        # kernel pass; no coarse solve makes passes of its own
         out = tmp_path / "e"
         assert run(["eigen", "--config", config, "--out", out, "--R", R]) == 0
         payload = json.loads((out / f"eigen_R{R}.json").read_text())
         diag = payload["diagnostics"]
         assert len(payload["grid"]) == n and diag["kernel_passes"] == 1
-        assert diag["warm_start"]["n"] == coarse_n
-        assert diag["warm_start"]["kernel_passes"] == coarse_passes
-        assert {step["centre"] for step in diag["trace"]} == {diag["trace"][0]["lam"]}
+        assert "warm_start" not in diag
+        assert diag["start"] == diag["trace"][0]["lam"] == 1.0 - WARM_START_OFFSET
+        assert {step["centre"] for step in diag["trace"]} == {diag["start"]}
         assert diag["mu_evals"] == 3 and diag["row_mass_error"] < 1e-12
-        assert diag["kernel_pass"] == diag["warm_start"]["kernel_pass"] == "suffix"
+        assert diag["kernel_pass"] == "suffix"
 
     def test_row_mass_error_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(malthus.renewal, "_with_knots",
@@ -670,6 +676,16 @@ def test_singular_splits_run_stationary(tmp_path):
                                                             "beta": 0.5}},
                                 "stationary": {"y_max": 16.0, "n": 2048}}))
     assert run(["stationary", "--config", path, "--out", tmp_path / "out"]) == 0
+
+
+def test_beta_just_above_one_runs_drift(tmp_path):
+    # Beta(1.1, 1.1) has an unbounded F' at both ends: its 128-node Legendre
+    # jump rule missed the mass by 2.9e-6 and drift exited 2; Gauss-Jacobi
+    # misses it by <= 4.4e-16
+    path = tmp_path / "beta11.json"
+    path.write_text(json.dumps({"model": {"fragmentation": {"type": "beta", "alpha": 1.1,
+                                                            "beta": 1.1}}}))
+    assert run(["drift", "--config", path, "--out", tmp_path / "out"]) == 0
 
 
 @pytest.mark.parametrize("command", ["drift", "stationary"])

@@ -59,6 +59,33 @@ class TestLeadingEigen:
         with pytest.raises(BracketFailure):
             solve_malthus(asm)
 
+    def test_start_never_passes_the_cap(self, adder, monkeypatch):
+        # lambda_growth - WARM_START_OFFSET = 0.9995 lies above this cap; a
+        # start there evaluated mu(0.9995) before raising
+        lams = []
+
+        def traced(assembler, lam):
+            lams.append(lam)
+            return spectral_value(assembler, lam)
+
+        monkeypatch.setattr(malthus.eigen, "spectral_value", traced)
+        monkeypatch.setattr(malthus.eigen, "LAM_CAP", 0.4)
+        with pytest.raises(BracketFailure):
+            solve_malthus(KernelAssembler(adder, SizeGrid.uniform(8.0, 64)))
+        assert lams and max(lams) <= 0.4
+
+    def test_no_positive_root_raises_bracket_failure(self, adder, monkeypatch):
+        # mu < 1 at every lam >= 0 (mu(0) is about 2): the start lies above
+        # any root, so lam = 0 is tested before Newton or bisection close in
+        # on it; without that test the bracket collapsed (NoConvergence)
+        def below_one(assembler, lam):
+            mu, dmu, *rest = spectral_value(assembler, lam)
+            return (0.25 * mu, 0.25 * dmu, *rest)
+
+        monkeypatch.setattr(malthus.eigen, "spectral_value", below_one)
+        with pytest.raises(BracketFailure, match="no positive root"):
+            solve_malthus(KernelAssembler(adder, SizeGrid.uniform(8.0, 64)))
+
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_perturbation_slope_matches_finite_difference(self, adder, lam):
         asm = KernelAssembler(adder, SizeGrid.uniform(8.0, 64))
@@ -94,13 +121,13 @@ class TestLeadingEigen:
         diag = eigen_r8.diagnostics
         trace = diag["trace"]
         assert diag["mu_evals"] == len(trace) >= 2
-        warm = diag["warm_start"]
-        assert trace[0]["lam"] == warm["lambda"] - WARM_START_OFFSET and trace[0]["mu"] > 1.0
-        coarse_grid = SizeGrid.uniform(8.0, (eigen_r8.grid.n - 1) // 4)
-        coarse = solve_malthus(KernelAssembler(adder, coarse_grid))
-        assert coarse.grid.n == warm["n"] and coarse.lambda_R == warm["lambda"]
-        assert coarse.diagnostics["trace"][0]["lam"] == 0.0
-        assert coarse.diagnostics["trace"][0]["mu"] > 1.0
+        # Newton starts WARM_START_OFFSET below lambda_growth, below the root,
+        # and climbs; no coarse solve runs first
+        assert "warm_start" not in diag
+        assert diag["start"] == trace[0]["lam"] == adder.lambda_growth - WARM_START_OFFSET
+        assert trace[0]["mu"] > 1.0
+        lams = [step["lam"] for step in trace]
+        assert lams == sorted(lams)
         assert trace[-1]["lam"] == eigen_r8.lambda_R
         assert abs(trace[-1]["mu"] - 1.0) < ROOT_TOL
         assert all(step["dmu"] < 0.0 for step in trace)
@@ -110,14 +137,12 @@ class TestLeadingEigen:
         assert abs(diag["euler_lotka_residual"]) < 1e-4
 
     def test_warm_start_matches_cold_start(self, adder, eigen_r8, monkeypatch):
-        # the coarse solve saves fine-grid mu evaluations, not accuracy
-        warm = eigen_r8.diagnostics
-        assert warm["mu_evals"] <= 3
-        assert warm["warm_start"]["n"] == 65 and warm["warm_start"]["mu_evals"] >= 1
-        monkeypatch.setattr(malthus.eigen, "WARM_START_NODES", 10**9)
+        # the start near lambda_growth saves mu evaluations, not accuracy
+        assert eigen_r8.diagnostics["mu_evals"] <= 3
+        monkeypatch.setattr(malthus.eigen, "WARM_START_OFFSET", adder.lambda_growth)
         cold = solve_malthus(KernelAssembler(adder, SizeGrid.uniform(8.0, 256)))
-        assert "warm_start" not in cold.diagnostics
-        assert cold.diagnostics["trace"][0]["lam"] == 0.0
+        assert cold.diagnostics["start"] == cold.diagnostics["trace"][0]["lam"] == 0.0
+        assert cold.diagnostics["mu_evals"] > eigen_r8.diagnostics["mu_evals"]
         assert abs(eigen_r8.lambda_R - cold.lambda_R) < 1e-12
         assert abs(eigen_r8.residual - cold.residual) < 1e-12
 
@@ -154,6 +179,45 @@ def test_beta_1_1_is_the_uniform_law(adder_uniform):
     assert beta.lambda_R == uniform.lambda_R
     assert np.array_equal(beta.eta, uniform.eta)
     assert np.array_equal(beta.nu_dual, uniform.nu_dual)
+
+
+#: (lambda_growth, hazard, split law) of the models the start is tried on
+START_MODELS = {
+    "uniform": (1.0, ConstantHazard(1.0), UniformFragmentation()),
+    "beta22": (1.0, ConstantHazard(1.0), BetaFragmentation(2, 2)),
+    "beta05": (1.0, ConstantHazard(1.0), BetaFragmentation(0.5, 0.5)),
+    "a_star": (1.0, ConstantHazard(1.0, 0.5), BetaFragmentation(5, 5)),
+    "lam2_b3": (2.0, ConstantHazard(3.0), BetaFragmentation(5, 5)),
+}
+
+
+class TestStart:
+    @pytest.mark.parametrize("R, n", [(2, 64), (4, 128), (8, 257), (16, 513)])
+    @pytest.mark.parametrize("name", list(START_MODELS))
+    def test_root_matches_start_from_zero(self, name, R, n, monkeypatch):
+        # the start below lambda_growth moves the root by no more than the
+        # root find's tolerance, on coarse grids too, where the truncated root
+        # lies up to 0.25 below lambda_growth and Newton starts above it
+        model = make_adder(*START_MODELS[name])
+        law, grid = FirstJumpLaw(model), SizeGrid.uniform(R, n)
+        warm = solve_malthus(KernelAssembler(model, grid, law))
+        assert warm.diagnostics["start"] == model.lambda_growth - WARM_START_OFFSET
+        monkeypatch.setattr(malthus.eigen, "WARM_START_OFFSET", model.lambda_growth)
+        cold = solve_malthus(KernelAssembler(model, grid, law))
+        assert cold.diagnostics["start"] == 0.0
+        assert abs(warm.lambda_R - cold.lambda_R) <= 1e-9
+
+    @pytest.mark.parametrize("R", [8, 16])
+    @pytest.mark.parametrize("spec", [(1.0, ConstantHazard(1.0), BetaFragmentation(5, 5)),
+                                      START_MODELS["beta22"], START_MODELS["a_star"]],
+                             ids=["reference", "beta22", "a_star"])
+    def test_cli_grid_makes_one_kernel_pass(self, spec, R):
+        # eigen's default grid, 32 R uniform nodes plus y = 1: the root lies
+        # within the series radius of the start, so one pass serves every step
+        model = make_adder(*spec)
+        res = solve_malthus(KernelAssembler(model, SizeGrid.uniform(R, 32 * R)))
+        assert res.diagnostics["kernel_passes"] == 1
+        assert {step["centre"] for step in res.diagnostics["trace"]} == {res.diagnostics["start"]}
 
 
 class TestHazardWithJump:
@@ -252,19 +316,23 @@ class TestReconstruct:
         # the last two Newton steps now take G from the lam-series of the
         # third step's kernel pass, which moved lambda_R by 4.4e-16 relative
         # (4 ulp), eta by at most 1.1e-15 and these values by at most 4.4e-16.
-        # The reference law on the direct pass: test_pinned_values_suffix
-        # pins its suffix sums
+        # Newton then started 5e-4 below lambda_growth, not at 0 (3 mu
+        # evaluations, not 5), which moved lambda_R by -2.3e-13 relative and
+        # these values by at most 3.0e-13.  The reference law on the direct
+        # pass: test_pinned_values_suffix pins its suffix sums
         self.check_pins(make_adder(1.0, ConstantHazard(1.0), DirectBeta(5, 5)), law,
-                        "0x1.fd09538fbb349p-1",
-                        ["0x1.01bb91a845e11p-1", "0x1.0000000000b4fp+0",
-                         "0x1.4bb8978598defp+0", "0x1.ab0c0d09a0545p+1"])
+                        "0x1.fd09538fbab4fp-1",
+                        ["0x1.01bb91a846372p-1", "0x1.0000000000de6p+0",
+                         "0x1.4bb8978598ff1p+0", "0x1.ab0c0d09a017fp+1"])
 
     def test_pinned_values_suffix(self, adder, law):
         # the suffix sums move lambda_R by +2.2e-14 relative from the direct
-        # pass, and these values by at most 7.2e-14 relative
-        self.check_pins(adder, law, "0x1.fd09538fbb40fp-1",
-                        ["0x1.01bb91a845ccbp-1", "0x1.0000000000a29p+0",
-                         "0x1.4bb8978598ca9p+0", "0x1.ab0c0d09a03e2p+1"])
+        # pass, and these values by at most 7.2e-14 relative.  The start 5e-4
+        # below lambda_growth, not at 0, moved lambda_R by -2.1e-13 relative
+        # and these values by at most 2.9e-13
+        self.check_pins(adder, law, "0x1.fd09538fbac91p-1",
+                        ["0x1.01bb91a8461d8p-1", "0x1.0000000000ce3p+0",
+                         "0x1.4bb8978598efap+0", "0x1.ab0c0d09a00a9p+1"])
 
     @staticmethod
     def check_pins(model, law, lambda_R, values):

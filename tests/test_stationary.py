@@ -353,12 +353,14 @@ def exact_moment(F, k):
 
 
 class TestSplitRule:
-    @pytest.mark.parametrize("law", LAWS + SINGULAR,
+    @pytest.mark.parametrize("law", LAWS + SINGULAR + [BetaFragmentation(1.1, 1.1),
+                                                       BetaFragmentation(1.5, 1.5)],
                              ids=["uniform", "beta5", "beta20", "beta05", "beta25_07", "table",
-                                  "beta05_sym", "beta07_sym"])
+                                  "beta05_sym", "beta07_sym", "beta11", "beta15"])
     def test_jump_integral_matches_closed_form_moments(self, law):
         # the 128-node Legendre rule on [0, 1] missed 2 m1 by 4.4e-3 for
-        # Beta(0.5, 0.5) and the table's moments by up to 3e-5 across its kinks
+        # Beta(0.5, 0.5), the table's moments by up to 3e-5 across its kinks,
+        # and the mass by 2.9e-6 for Beta(1.1, 1.1), whose F' is unbounded
         model = ModelSpec(1.0, 0.0, ConstantHazard(1.0), law)  # the asymmetric laws too
         for k in range(5):
             got = model.jump_integral(lambda a, z: z**k, 0.0, 1.0)
