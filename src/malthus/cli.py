@@ -46,6 +46,9 @@ EXIT_SIM = 4
 EXIT_STATIONARY = 5
 EXIT_DOEBLIN = 6
 
+#: CSV rows formatted to one string at most
+CSV_ROWS = 4096
+
 
 # ---------------------------------------------------------------------------
 # Configuration format
@@ -249,22 +252,29 @@ def _write_csv(path, header, tables):
     ``row`` is one row's ``%`` string, ``%.17g`` (an exact round trip) for a
     float and ``%d`` for a count, and ``array`` a 2-D array with one column
     per field (a float array holds each count up to 2**53 exactly).  Rows are
-    formatted at most 4,096 to a string, never a whole population at the cap.
+    formatted at most ``CSV_ROWS`` to a string, never a whole population at the cap.
     """
     def writer(fh):
         fh.write(",".join(header) + "\n")
         for row, table in tables:
-            for i in range(0, len(table), 4096):
-                chunk = table[i:i + 4096]
+            for i in range(0, len(table), CSV_ROWS):
+                chunk = table[i:i + CSV_ROWS]
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     _atomic_write(path, writer)
 
 
-def _grid_table(density):
-    """The (a, y, value) rows of a Density2D, a-major."""
-    A, Y = np.meshgrid(density.a_nodes, density.y_nodes, indexing="ij")
-    return np.column_stack((A.ravel(), Y.ravel(), density.values.ravel()))
+def _grid_tables(density):
+    """The (a, y, value) rows of a Density2D, a-major, as ``_write_csv`` tables.
+
+    Each node is formatted once: a table is one a-node and up to ``CSV_ROWS``
+    y-nodes, their strings in its row template and the values its one row.
+    """
+    ys = [",%.17g,%%.17g\n" % y for y in density.y_nodes.tolist()]
+    for a, values in zip(density.a_nodes.tolist(), density.values):
+        a = "%.17g" % a
+        for j in range(0, len(ys), CSV_ROWS):
+            yield a + a.join(ys[j:j + CSV_ROWS]), values[None, j:j + CSV_ROWS]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +337,7 @@ def cmd_stationary(conf, out_dir):
                  "n": int(profile.s_nodes.size), "y_max": float(profile.s_nodes[-1])})
     a_c, y_c = (st.bin_centers(np.linspace(0.0, b, n + 1)) for b, n in zip(box, bins))
     ref = st.pi_star_density(profile, model, a_c, y_c)
-    _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"],
-               [("%.17g,%.17g,%.17g\n", _grid_table(ref))])
+    _write_csv(os.path.join(out_dir, "pi_star.csv"), ["a", "y", "pi_star"], _grid_tables(ref))
     if report:
         sim = conf["sim"]
         trajectories = run_replicates(model, sim["x0"], sim["config"])
@@ -340,8 +349,7 @@ def cmd_stationary(conf, out_dir):
 
 def cmd_doeblin(conf, out_dir):
     nu, constants = st.doeblin_minorant(conf["model"], **conf["doeblin"])
-    _write_csv(os.path.join(out_dir, "minorant.csv"), ["a", "y", "nu"],
-               [("%.17g,%.17g,%.17g\n", _grid_table(nu))])
+    _write_csv(os.path.join(out_dir, "minorant.csv"), ["a", "y", "nu"], _grid_tables(nu))
     _write_json(os.path.join(out_dir, "minorant_constants.json"),
                 {**constants.to_dict(), "mass": nu.mass})
     return EXIT_OK

@@ -182,7 +182,7 @@ class TableHazard:
 # Every law evaluates its density as ``pdf(rho)``: a new float array of
 # rho's shape, or a Python float for a scalar rho, zero outside [0, 1].
 # Every law draws by inversion: ``sample(u)`` maps a float array of uniforms
-# to the quantiles of F, one draw per uniform.  ``rho_knots`` lists the split
+# in [0, 1] to the quantiles of F, one draw per uniform.  ``rho_knots`` lists the split
 # fractions where F has a kink.  Sums over F run on ``rule(n)``: Gauss-Jacobi where a Beta
 # law has a non-integer parameter and min(alpha, beta) < 2 (F or F' may be unbounded at an
 # end), else ceil(n / P) Gauss-Legendre nodes times
@@ -212,29 +212,6 @@ class _SplitLaw:
 
     def sf(self, rho):
         return 1.0 - self.cdf(rho)
-
-
-class UniformFragmentation(_SplitLaw):
-    """F = 1 on [0, 1]."""
-
-    rho_knots = ()
-    monomials = (1.0,)
-
-    def pdf(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.where((rho >= 0) & (rho <= 1), 1.0, 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.clip(rho, 0.0, 1.0)
-        return out if out.ndim else float(out)
-
-    def moment(self, k: int) -> float:
-        return 1.0 / (k + 1)
-
-    def sample(self, u):
-        return u
 
 
 def _special():
@@ -472,6 +449,13 @@ class BetaFragmentation(_SplitLaw):
         if self._law is not None:
             return self._law.ppf(u)
         return _special().betaincinv(self.alpha, self.beta, u)
+
+
+class UniformFragmentation(BetaFragmentation):
+    """F = 1 on [0, 1]: the Beta(1, 1) law."""
+
+    def __init__(self):
+        super().__init__(1.0, 1.0)
 
 
 class TableFragmentation(_SplitLaw):

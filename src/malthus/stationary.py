@@ -283,7 +283,7 @@ def solve_eta_star(model: ModelSpec, y_max: float = 8.0, n: int = 1024) -> EtaSt
     if not abs(kappa - 1.0) <= KAPPA_TOL:
         raise NoConvergence(f"the sweep at the fixed point has pi* mass {kappa:.6g}, not 1: "
                             f"the grid y_max = {y_max!r}, n = {n!r} truncates or "
-                            "under-resolves eta*")
+                            "under-resolves eta*: raise stationary.y_max or stationary.n")
     residual = float(np.max(np.abs(normalize(swept) - eta)) / np.max(np.abs(eta)))
     return EtaStarProfile(s_nodes=s, values=eta, residual=residual, sweeps=sweep,
                           kappa=kappa, mass_weights=mass_w)

@@ -15,7 +15,7 @@ import pytest
 
 import malthus
 import malthus.renewal
-from malthus.cli import _write_csv, main
+from malthus.cli import _grid_tables, _write_csv, main
 from malthus.eigen import WARM_START_OFFSET
 
 
@@ -438,6 +438,16 @@ class TestStationaryCommand:
         assert run(["stationary", "--config", path, "--out", out]) == 0
         diag = json.loads((out / "eta_star.json").read_text())
         assert diag["n"] == 1024 and abs(diag["kappa"] - 1.0) < 1e-4
+
+    def test_uniform_splits_name_the_keys_to_raise(self, tmp_path, capsys):
+        # uniform splits' birth sizes have a heavier tail: kappa 0.998 at the
+        # default (8, 1024); they run at y_max 16
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"model": {**MODEL, "fragmentation": {"type": "uniform"}}}))
+        assert run(["stationary", "--config", path, "--out", tmp_path / "u"]) == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "truncates or under-resolves eta*" in err
+        assert "raise stationary.y_max" in err
 
 
 class TestDoeblinCommand:
@@ -911,6 +921,54 @@ def test_csv_tables_match_per_value_formatting(tmp_path):
         for templates, table in tables for row in table.tolist())
     assert path.read_text() == expected
     assert expected.count("\n") == 1 + 8 + 4097 + 0 + 1
+
+
+def grid_csv_reference(header, density):
+    """The rows of a Density2D formatted one by one, a-major."""
+    return "".join([",".join(header) + "\n"] + [
+        "%.17g,%.17g,%.17g\n" % (a, y, v)
+        for a, row in zip(density.a_nodes.tolist(), density.values.tolist())
+        for y, v in zip(density.y_nodes.tolist(), row)])
+
+
+@pytest.mark.parametrize("command, name, header, producer", [
+    ("doeblin", "minorant.csv", ["a", "y", "nu"], "doeblin_minorant"),
+    ("stationary", "pi_star.csv", ["a", "y", "pi_star"], "pi_star_density"),
+])
+def test_grid_csvs_match_per_row_reference(tmp_path, monkeypatch, command, name, header,
+                                           producer):
+    made, original = [], getattr(malthus.stationary, producer)
+
+    def spy(*args, **kwargs):  # keeps the density the command writes
+        out = original(*args, **kwargs)
+        made.append(out[0] if isinstance(out, tuple) else out)  # doeblin: (nu, constants)
+        return out
+
+    monkeypatch.setattr(malthus.stationary, producer, spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": MODEL}))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 0
+    (density,) = made
+    assert (out / name).read_bytes() == grid_csv_reference(header, density).encode()
+
+
+@pytest.mark.parametrize("a_nodes, y_nodes", [
+    # spacing 0.1 is not a binary fraction: nodes print with 17 digits
+    (np.linspace(0.0, 0.3, 4), np.arange(7) * 0.1),
+    # one a-node and more y-nodes than one string holds, and the transpose
+    (np.array([0.1]), np.linspace(0.0, 1.0, 5000)),
+    (np.linspace(0.0, 1.0, 5000), np.array([0.1])),
+], ids=["decimal_spacing", "1xn", "nx1"])
+def test_grid_tables_match_per_row_reference(tmp_path, a_nodes, y_nodes):
+    values = np.sqrt(np.add.outer(a_nodes, 3.0 * y_nodes))
+    values[0, 0] = 0.0
+    density = malthus.stationary.Density2D(a_nodes, y_nodes, values)
+    path = tmp_path / "grid.csv"
+    _write_csv(str(path), ["a", "y", "v"], _grid_tables(density))
+    expected = grid_csv_reference(["a", "y", "v"], density)
+    assert path.read_bytes() == expected.encode()
+    assert expected.count("\n") == 1 + a_nodes.size * y_nodes.size
 
 
 @pytest.mark.parametrize("clash", ["file_as_out", "artifact_is_a_directory"])

@@ -149,6 +149,38 @@ class TestFragmentation:
         assert F.moment(1) == pytest.approx(0.5)
         assert F.moment(2) == pytest.approx(1.0 / 3.0)
 
+    def test_uniform_is_beta_1_1(self):
+        """The uniform law's own formulas, before it became Beta(1, 1), bit
+        for bit: F = 1 on [0, 1], cdf = clip, moment = 1/(k+1), sample = u."""
+        F = UniformFragmentation()
+        assert isinstance(F, BetaFragmentation) and (F.alpha, F.beta) == (1.0, 1.0)
+        edges = [-0.0, 0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, math.nan]
+        u = np.random.Generator(np.random.Philox(3)).random(10**6)
+        rho = np.concatenate([u, edges])
+
+        def ref_cdf(r):  # the Beta(1, 1) tail takes -0.0 to +0.0, which clip kept
+            return np.clip(r, 0.0, 1.0) + 0.0
+
+        def bits(a):
+            return np.asarray(a).view(np.uint64)
+
+        refs = {"pdf": lambda r: np.where((r >= 0) & (r <= 1), 1.0, 0.0), "cdf": ref_cdf,
+                "sf": lambda r: 1.0 - np.clip(r, 0.0, 1.0)}
+        for name, ref in refs.items():
+            assert np.array_equal(bits(getattr(F, name)(rho)), bits(ref(rho))), name
+            assert same_bits([getattr(F, name)(r) for r in edges], ref(np.array(edges))), name
+        # a uniform lies in [0, 1]: the engine's in [0, 1 - 2^-53]; 1 + 2^-52
+        # and NaN are no uniforms, and -0.0 draws +0.0
+        draws = np.concatenate([u, edges[:6]])
+        assert np.array_equal(bits(F.sample(draws)), bits(draws + 0.0))
+        assert [F.moment(k) for k in range(5)] == [1.0 / (k + 1) for k in range(5)]
+        for n in (16, 128, 256):
+            x, w = gauss_legendre(n)
+            rho_n, w_n = F.rule(n)
+            assert np.array_equal(bits(rho_n), bits(0.5 + 0.5 * x))
+            assert np.array_equal(bits(w_n), bits(0.5 * w))
+        assert F.monomials == (1.0,)
+
     def test_beta_pdf_matches_scipy(self):
         from scipy import stats
         F = BetaFragmentation(5, 5)
